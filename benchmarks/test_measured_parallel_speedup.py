@@ -1,8 +1,9 @@
 """Measured multi-core speedup of the processes pipeline (Figure 5/6 style).
 
 Every other speedup figure in this repository is *estimated* by the cost
-model from measured pipeline statistics, because threads mode cannot beat
-the GIL.  The ``processes`` execution mode removes that excuse: workers run
+model from measured pipeline statistics, because the deterministic mode
+runs every worker on one thread.  The ``processes`` execution mode does
+not: workers run
 in separate processes over one shared-memory trace, so on multi-core
 hardware the wall clock itself must show the paper's scaling trend.  This
 experiment measures a 1-vs-4-worker run pair, validates the measurement

@@ -67,7 +67,7 @@ def _profiler_args(p: argparse.ArgumentParser) -> None:
         "--provenance run)",
     )
     p.add_argument(
-        "--mode", choices=["deterministic", "threads", "processes"],
+        "--mode", choices=["deterministic", "processes"],
         default=None,
         help="pipeline execution mode; giving it routes the run through the "
         "parallel pipeline ('processes' = real multi-core over a "

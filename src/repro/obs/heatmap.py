@@ -18,8 +18,8 @@ mismatch: bucket ``0`` covers addresses ``[0, 1]``, bucket ``i`` covers
 overflow — 64 buckets total, enough to span any 64-bit address space at
 power-of-two granularity.  Bucket membership is computed with an integer
 ``searchsorted`` (never through float conversion), so an address lands in
-the same bucket on every path, which is what makes the threads-vs-processes
-differential test bit-for-bit.
+the same bucket on every path, which is what makes the
+deterministic-vs-processes differential test bit-for-bit.
 
 The ``sum`` field of the heat histograms is deliberately left at zero:
 summing addresses is meaningless, and a zero sum keeps cross-mode

@@ -55,8 +55,8 @@ HEARTBEAT_STATES = ("live", "stalled", "dead")
 def liveness_summary(registry: MetricsRegistry) -> dict[str, Any] | None:
     """Decode ``worker.heartbeat.*`` gauges into a liveness section.
 
-    Returns ``None`` when the run recorded no heartbeats (sequential modes,
-    threads mode).  The summary is computed purely from the registry — the
+    Returns ``None`` when the run recorded no heartbeats (sequential and
+    deterministic modes).  The summary is computed purely from the registry — the
     watchdog writes gauges, everything downstream (report, ``/healthz``)
     reads them — so there is exactly one source of truth for worker state.
     """

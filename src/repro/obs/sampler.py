@@ -6,17 +6,12 @@ slot fill, chunk-pool size, ...) and emits one ``sample`` event per poll
 carrying every probed value, so a JSONL log becomes a time series that can
 show queue back-pressure building or a signature filling up mid-run.
 
-Two driving modes, matching the pipeline's two execution modes:
+The deterministic producer calls :meth:`Sampler.poll` once per trace
+window; polls are rate-limited by ``min_interval_s`` (0 = every call).
 
-* **manual** — the deterministic producer calls :meth:`poll` at its window
-  cadence; polls are rate-limited by ``min_interval_s`` (0 = every call).
-* **threaded** — :meth:`start` spins a daemon thread polling every
-  ``period_s``; used by the ``threads`` pipeline mode.  :meth:`stop` joins
-  it and takes one final sample so short runs always log at least one.
-
-The threaded mode (and every other periodic telemetry thread — the
+Periodic telemetry threads (the
 :class:`~repro.obs.streamer.TelemetryStreamer`, the processes-mode
-watchdog) drives its ticks through :func:`deadline_loop`, which schedules
+watchdog) drive their ticks through :func:`deadline_loop`, which schedules
 against a monotonic deadline *grid* rather than ``sleep(interval)`` after
 each tick: a tick that takes 70% of the period still fires the next tick
 on the grid instead of drifting 70% late every cycle.  A tick that
@@ -26,7 +21,6 @@ points, and realigns.
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Any, Callable
 
@@ -86,12 +80,6 @@ class Sampler:
         self._probes: list[tuple[str, Callable[[], float]]] = []
         self._last_poll = float("-inf")
         self.n_samples = 0
-        #: Grid points skipped because a poll overran the sampling period
-        #: (threaded mode only) — nonzero means the cadence was briefly
-        #: saturated, not silently skewed.
-        self.ticks_missed = 0
-        self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
 
     def add(self, name: str, fn: Callable[[], float], **labels: Any) -> None:
         """Register one probe; its gauge reads live via the callback."""
@@ -117,57 +105,3 @@ class Sampler:
                 {"type": "sample", "seq": self.n_samples, "values": values}
             )
         return True
-
-    # -- threaded driving (pipeline mode "threads") ---------------------------
-    def _on_missed(self, n: int) -> None:
-        self.ticks_missed += n
-
-    def _run_loop(
-        self, period_s: float, wait: Callable[[float], bool]
-    ) -> None:
-        """The deadline-grid polling loop (factored out for fake-clock
-        tests: drive it inline with a synthetic ``wait``/``clock``)."""
-        deadline_loop(
-            lambda: self.poll(force=True),
-            period_s,
-            wait,
-            clock=self._clock,
-            on_missed=self._on_missed,
-        )
-
-    def start(self, period_s: float = 0.01) -> None:
-        """Poll from a daemon thread every ``period_s`` until :meth:`stop`.
-
-        Ticks are scheduled against a monotonic deadline grid (see
-        :func:`deadline_loop`), so a slow sample callback does not skew the
-        cadence the way a fixed ``sleep(period)`` after each poll would.
-        """
-        if self._thread is not None:
-            return
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run_loop,
-            args=(period_s, self._stop.wait),
-            name="obs-sampler",
-            daemon=True,
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        """Stop the thread and take exactly one final sample.
-
-        Idempotent: a second ``stop()`` (or a ``stop()`` without a prior
-        ``start()``) is a no-op, so an abort path that stops the sampler in
-        a ``finally`` block never double-records the final sample.
-        """
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join(timeout=5)
-        self._thread = None
-        self.poll(force=True)
-
-    @property
-    def running(self) -> bool:
-        """True while the daemon sampling thread is alive."""
-        return self._thread is not None and self._thread.is_alive()

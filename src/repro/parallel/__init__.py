@@ -1,12 +1,13 @@
 """The parallel profiling pipeline (Section IV, Figure 2).
 
-The main thread plays the *producer*: it walks the instrumented event
-stream, assigns each memory access to the worker that owns its address
-(``worker = addr % W``, overridden by the load balancer's redistribution
-table), buffers assignments in fixed-size *chunks*, and pushes full chunks
-onto per-worker queues.  Worker threads *consume* chunks, run Algorithm 1
-against their private signature pair, and merge dependences into private
-stores; a final cheap merge folds the duplicate-free local maps together.
+The producer walks the instrumented event stream window by window and
+routes it with one rule (:func:`~repro.parallel.address_map.route_window`):
+each memory access goes to the worker that owns its address (per-address
+redistribution overrides, then bank rules, then ``(addr >> 3) % W``), and
+FREE and loop events are broadcast to every worker.  Workers run
+Algorithm 1 against their private signature pair and collect dependences
+into private stores; one cheap merge folds the duplicate-free local maps
+together.
 
 Pieces:
 
@@ -16,9 +17,11 @@ Pieces:
 * :class:`AddressMap` — modulo distribution + redistribution overrides,
 * :class:`AccessStats` / :class:`Rebalancer` — hot-address tracking and the
   top-ten redistribution policy (Section IV-A),
-* :class:`Worker` — chunk consumer wrapping an incremental reference engine,
-* :class:`ParallelProfiler` — the pipeline, in deterministic in-process mode
-  or with real ``threading.Thread`` workers.
+* :class:`Worker` — chunk consumer running the vectorized chunk kernel (or
+  the event-at-a-time reference engine) on private trackers,
+* :class:`ParallelProfiler` — the pipeline over one of two transports:
+  ``deterministic`` (in-process queues, drained inline) or ``processes``
+  (worker processes over a shared-memory trace).
 """
 
 from repro.parallel.queues import LockedQueue, SpscRingQueue

@@ -1,16 +1,23 @@
-"""Address-to-worker assignment.
+"""Address-to-worker assignment and window routing.
 
 Equation 1 of the paper: ``worker = address % W``.  The load balancer may
 *redistribute* individual hot addresses; redistribution rules live in a
 small override map consulted before the modulo (they "have higher priority
 than the modulo function").
+
+:func:`route_window` is the pipeline's single routing rule: both the
+in-process producer and every worker process call it on the same trace
+window, so the rows a worker receives cannot depend on the transport.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.sigmem.banks import BankGeometry
+from repro.trace import FREE, LOOP_ENTER, LOOP_EXIT, LOOP_ITER, READ, WRITE, TraceBatch
 
 
 class AddressMap:
@@ -110,3 +117,49 @@ class AddressMap:
     @property
     def bank_rules(self) -> dict[int, int]:
         return dict(self._bank_rules)
+
+
+@dataclass(frozen=True)
+class WindowRoute:
+    """Routing of the trace rows ``[start, start + len(addr))``."""
+
+    start: int
+    #: The window's address column.
+    addr: np.ndarray
+    #: READ/WRITE rows: each goes to the one worker owning its address.
+    access: np.ndarray
+    #: Rows every worker gets: FREE for lifetime analysis, loop markers for
+    #: carried-dependence classification.
+    broadcast: np.ndarray
+    #: Owning worker of every row's address.
+    owner: np.ndarray
+
+    @property
+    def n_broadcast(self) -> int:
+        return int(np.count_nonzero(self.broadcast))
+
+    def rows_for(self, worker: int) -> np.ndarray:
+        """Trace rows ``worker`` processes, in stream order."""
+        mask = (self.access & (self.owner == worker)) | self.broadcast
+        return np.flatnonzero(mask) + self.start
+
+
+def route_window(batch: TraceBatch, start: int, end: int, amap: AddressMap) -> WindowRoute:
+    """Route one trace window under ``amap``'s current rules.
+
+    Masks cover one window, never the full trace: with an mmap-spilled
+    batch the trace may dwarf RAM, and trace-length masks would defeat the
+    bounded-memory claim.
+    """
+    kind = np.asarray(batch.kind[start:end])
+    addr = np.asarray(batch.addr[start:end])
+    broadcast = (
+        (kind == FREE) | (kind == LOOP_ENTER) | (kind == LOOP_ITER) | (kind == LOOP_EXIT)
+    )
+    return WindowRoute(
+        start=start,
+        addr=addr,
+        access=(kind == READ) | (kind == WRITE),
+        broadcast=broadcast,
+        owner=amap.workers_of(addr),
+    )

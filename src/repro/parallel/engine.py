@@ -1,43 +1,40 @@
-"""The parallel profiling pipeline (Figure 2).
+"""The parallel profiling pipeline (Figure 2): one pipeline, two transports.
 
 ``ParallelProfiler.profile`` plays the producer role over an instrumented
-trace: it routes every memory access to its owning worker, broadcasts the
-events all workers need for context (FREE for lifetime analysis, loop
-markers for carried-dependence classification), pushes fixed-size chunks of
-row indices onto per-worker queues, and triggers the Section IV-A load
-balancer at its configured cadence.  Workers consume chunks and run the
-incremental Algorithm 1 engine on private trackers; local stores are merged
-at the end ("this step incurs only minor overhead since the local maps are
-free of duplicates").
+trace.  Every trace window is routed by the one rule in
+:func:`~repro.parallel.address_map.route_window`: each memory access goes
+to the worker owning its address, and the events every worker needs for
+context (FREE for lifetime analysis, loop markers for carried-dependence
+classification) are broadcast.  Workers run the Algorithm 1 kernel on
+private trackers, publish their totals through
+:meth:`~repro.parallel.worker.Worker.publish`, and one merge folds the
+duplicate-free local stores together at the end ("this step incurs only
+minor overhead since the local maps are free of duplicates").
 
-Three execution modes:
+Two transports carry the routed rows (``mode``):
 
-* ``deterministic`` — single-process: the producer inline-drains queues when
-  they fill and drains everything at the end.  Fully reproducible; used by
-  tests and as the cost model's source of pipeline statistics.
-* ``threads`` — real ``threading.Thread`` workers pulling from the lock-free
-  rings.  Architecturally faithful (and correct under the GIL); Python
-  threads cannot show the paper's wall-clock speedup, which is why speedups
-  are *estimated* by :mod:`repro.costmodel` from this pipeline's measured
-  statistics.
-* ``processes`` — real ``multiprocessing`` workers with private signatures,
-  reading the trace zero-copy out of one shared-memory block
-  (:mod:`repro.trace.shm`); only window index ranges cross the task queues
-  and routing is recomputed worker-side, so this mode shows *measured*
-  multi-core speedup.  Load rebalancing and the telemetry sampler are
-  producer-side features and are disabled here (static address partition);
-  per-worker stores, metrics, provenance, and trace events are merged when
-  the workers exit.
+* ``deterministic`` — in-process queues: the producer fills fixed-size
+  chunks of row indices, pushes them onto per-worker rings, and drains a
+  ring inline whenever it fills.  Fully reproducible; it runs the
+  Section IV-A load balancer and is the cost model's source of pipeline
+  statistics (its ``chunk_log`` is replayed there).
+* ``processes`` — real ``multiprocessing`` workers with private
+  signatures, reading the trace zero-copy out of one shared-memory block
+  (:mod:`repro.trace.shm`); only window index ranges cross the task
+  queues and each worker routes its windows itself, so this mode shows
+  *measured* multi-core speedup.  Load rebalancing and the gauge sampler
+  are producer-side features and are disabled here (static address
+  partition); worker processes ship their published parts, metrics state,
+  tracer events, chunk logs and broadcast counts home for the merge.
 
 Telemetry: the run is instrumented through one
 :class:`~repro.obs.metrics.MetricsRegistry` — stall counters live *inside*
 the queues, rebalance counters inside the :class:`Rebalancer`, per-chunk
 latencies inside the workers, and a :class:`~repro.obs.sampler.Sampler`
-periodically scrapes queue occupancy / signature fill / chunk-pool gauges
-(inline per producer window in deterministic mode, from a daemon thread in
-``threads`` mode).  :class:`ParallelRunInfo` and the aggregate
-:class:`~repro.core.result.ProfileStats` are derived *views* of that
-registry rather than independently maintained bookkeeping.  Pass a
+scrapes queue occupancy / signature fill / chunk-pool gauges once per
+producer window in deterministic mode.  :class:`ParallelRunInfo` and the
+aggregate :class:`~repro.core.result.ProfileStats` are derived *views* of
+that registry rather than independently maintained bookkeeping.  Pass a
 registry with a sink to capture the event stream; the default private
 registry has a ``NullSink`` and costs only the plain counters.
 """
@@ -46,7 +43,6 @@ from __future__ import annotations
 
 import multiprocessing
 import queue as queue_mod
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -62,7 +58,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import ProvenanceCollector
 from repro.obs.sampler import Sampler
 from repro.obs.tracing import MAIN_TRACK, worker_track
-from repro.parallel.address_map import AddressMap
+from repro.parallel.address_map import AddressMap, route_window
 from repro.parallel.balance import AccessStats, Rebalancer
 from repro.parallel.chunks import Chunk, ChunkPool
 from repro.parallel.heartbeat import (
@@ -73,10 +69,10 @@ from repro.parallel.heartbeat import (
 from repro.parallel.procworker import run_worker
 from repro.parallel.queues import LockedQueue, SpscRingQueue
 from repro.parallel.worker import Worker
-from repro.trace import FREE, LOOP_ENTER, LOOP_EXIT, LOOP_ITER, READ, WRITE, TraceBatch
+from repro.trace import TraceBatch
 from repro.trace.shm import share_batch
 
-MODES = ("deterministic", "threads", "processes")
+MODES = ("deterministic", "processes")
 
 
 @dataclass
@@ -197,7 +193,7 @@ class ParallelProfiler:
         self.provenance = provenance
         #: Optional :class:`~repro.obs.ledger.RunLedger`: the pipeline
         #: checkpoints a partial bundle (atomic tmp+rename) on every exit
-        #: from the producer frame, so even a worker crash leaves a valid,
+        #: from :meth:`profile`, so even a worker crash leaves a valid,
         #: never-torn run bundle behind.  The CLI's success path later
         #: finalizes the full document over it.
         self.ledger = ledger
@@ -213,8 +209,7 @@ class ParallelProfiler:
 
     # ------------------------------------------------------------------
     def profile(self, batch: TraceBatch) -> tuple[ProfileResult, ParallelRunInfo]:
-        if self.mode == "processes":
-            return self._profile_processes(batch)
+        """Route ``batch`` to the workers, run them, and merge their parts."""
         cfg = self.config
         # One registry per run: counters are monotonic, so a shared
         # externally-supplied registry must not be reused across runs.
@@ -224,13 +219,87 @@ class ParallelProfiler:
             tracer.set_track(MAIN_TRACK, "main")
             for w in range(cfg.workers):
                 tracer.set_track(worker_track(w), f"worker {w}")
-        provs: list[ProvenanceCollector] | None = (
-            [ProvenanceCollector(worker=w) for w in range(cfg.workers)]
-            if self.provenance
-            else None
+        # Producer-side facts are read off the trace before dispatch; from
+        # then on only the workers read it (a spilled trace stays paged out).
+        loops = extract_loop_info(batch)
+        n_unique_addresses = batch.n_unique_addresses
+        multithreaded = batch.n_threads > 1 or cfg.multithreaded_target
+        transport = (
+            self._run_processes if self.mode == "processes" else self._run_in_process
         )
+        try:
+            parts, chunk_log, rebalance_audit = transport(batch, reg)
+            store, prov, stats = self._merge(reg, parts)
+        finally:
+            # Telemetry written so far must survive a failure propagating
+            # out of this frame: flush (never close — the caller may still
+            # emit a final snapshot) and checkpoint on every path.
+            reg.sink.flush()
+            self._ledger_checkpoint(reg)
+        # The per-worker sums double-count broadcast rows; the producer's
+        # facts replace them.
+        stats.n_events = len(batch)
+        stats.n_unique_addresses = n_unique_addresses
+        info = ParallelRunInfo.from_registry(
+            reg, cfg.workers, chunk_log, rebalance_audit=rebalance_audit
+        )
+        result = ProfileResult(
+            store=store,
+            loops=loops,
+            stats=stats,
+            var_names=batch.var_names,
+            file_names=batch.file_names,
+            multithreaded=multithreaded,
+            provenance=prov,
+        )
+        return result, info
+
+    def _merge(
+        self, reg: MetricsRegistry, parts: list[dict]
+    ) -> tuple[DependenceStore, ProvenanceCollector | None, ProfileStats]:
+        """Fold the workers' parts into one store, provenance and stats.
+
+        ``parts`` are :meth:`Worker.publish` results in worker order.  A
+        worker process published into a private registry, so its part also
+        carries that registry's ``metrics`` state and its ``tracer`` events.
+        The statistics are a *view* of the merged registry.
+        """
+        tracer = reg.tracer
+        with reg.span("merge"):
+            store = DependenceStore()
+            prov = ProvenanceCollector() if self.provenance else None
+            for part in parts:
+                store.merge(part["store"])
+                if prov is not None:
+                    prov.merge(part["provenance"])
+                if "metrics" in part:
+                    reg.merge_state(part["metrics"])
+                if tracer.enabled and part.get("tracer") is not None:
+                    epoch, events, track_names = part["tracer"]
+                    tracer.adopt(events, epoch, track_names)
+            # Parent-process RSS high-water; a worker process published its
+            # own labeled gauge before exiting.
+            reg.gauge("process.peak_rss_bytes").set(peak_rss_bytes())
+            return store, prov, ProfileStats.from_registry(reg)
+
+    # ------------------------------------------------------------------
+    def _run_in_process(
+        self, batch: TraceBatch, reg: MetricsRegistry
+    ) -> tuple[list[dict], list[tuple[int, int]], list[dict]]:
+        """In-process transport: rings the producer drains inline when full.
+
+        Returns the workers' parts, the producer-order chunk log and the
+        rebalancer's audit trail.
+        """
+        cfg = self.config
+        tracer = reg.tracer
         workers = [
-            Worker(w, cfg, reg, provenance=provs[w] if provs is not None else None)
+            Worker(
+                w,
+                cfg,
+                reg,
+                provenance=ProvenanceCollector(worker=w) if self.provenance else None,
+            )
             for w in range(cfg.workers)
         ]
         vec_workers = [w for w in workers if w.engine_kind == "vectorized"]
@@ -266,7 +335,6 @@ class ParallelProfiler:
         rebalancer = Rebalancer(amap, cfg.hot_addresses, registry=reg)
         chunk_log: list[tuple[int, int]] = []
         chunk_counter = reg.counter("pipeline.chunks")
-        busy = [False] * cfg.workers
 
         # -- periodic telemetry sampling --------------------------------
         sampler = Sampler(reg)
@@ -288,52 +356,7 @@ class ParallelProfiler:
         sampler.add("chunkpool.memory_bytes", lambda: pool.memory_bytes)
         sampler.add("process.peak_rss_bytes", peak_rss_bytes)
 
-        threads: list[threading.Thread] = []
-        worker_errors: list[BaseException] = []
-        if self.mode == "threads":
-
-            def consume(w: int) -> None:
-                track = worker_track(w)
-                stall_t0 = -1.0  # perf_counter at the start of an empty streak
-                while True:
-                    # busy is raised BEFORE the pop: once quiesce() observes
-                    # this queue empty, either the pop never happened or busy
-                    # is still up — it can never miss an in-flight chunk.
-                    busy[w] = True
-                    ok, chunk = queues[w].try_pop()
-                    if ok:
-                        if stall_t0 >= 0.0:
-                            if tracer.enabled:
-                                tracer.complete("queue.pop_stall", track, stall_t0)
-                            stall_t0 = -1.0
-                        # After any worker fails, the rest of the stream is
-                        # drained unprocessed so the producer's push loop can
-                        # never spin forever on a full queue.
-                        if not worker_errors:
-                            try:
-                                workers[w].process_chunk(batch, chunk)
-                            except BaseException as exc:  # noqa: BLE001
-                                worker_errors.append(exc)
-                        busy[w] = False
-                        pool.release(chunk)
-                    else:
-                        busy[w] = False
-                        if queues[w].drained:
-                            return
-                        if tracer.enabled and stall_t0 < 0.0:
-                            stall_t0 = time.perf_counter()
-                        time.sleep(0)
-
-            threads = [
-                threading.Thread(target=consume, args=(w,), daemon=True)
-                for w in range(cfg.workers)
-            ]
-            for t in threads:
-                t.start()
-            if reg.sink.enabled:
-                sampler.start(period_s=0.005)
-
-        def drain_inline(w: int, limit: int | None = None) -> None:
+        def drain(w: int, limit: int | None = None) -> None:
             popped = 0
             while limit is None or popped < limit:
                 ok, chunk = queues[w].try_pop()
@@ -351,10 +374,7 @@ class ParallelProfiler:
             if not queues[w].try_push(chunk):
                 stall_t0 = time.perf_counter() if tracer.enabled else 0.0
                 while True:
-                    if self.mode == "deterministic":
-                        drain_inline(w, limit=1)
-                    else:
-                        time.sleep(0)
+                    drain(w, limit=1)
                     if queues[w].try_push(chunk):
                         break
                 if tracer.enabled:
@@ -364,7 +384,6 @@ class ParallelProfiler:
                     "chunk.push", MAIN_TRACK, worker=w, seq=chunk.seq, rows=chunk.count
                 )
             chunk_counter.inc()
-            reg.counter("worker.chunks", worker=w).inc()
             chunk_log.append((w, chunk.count))
             open_chunks[w] = pool.acquire()
 
@@ -374,18 +393,6 @@ class ParallelProfiler:
                 i += open_chunks[w].extend(rows, start=i)
                 if open_chunks[w].full:
                     push_chunk(w)
-
-        def quiesce() -> None:
-            """Wait until every queue is empty and every worker idle."""
-            t0 = time.perf_counter() if tracer.enabled else 0.0
-            if self.mode == "deterministic":
-                for w in range(cfg.workers):
-                    drain_inline(w)
-            else:
-                while any(len(q) for q in queues) or any(busy):
-                    time.sleep(0)
-            if tracer.enabled:
-                tracer.complete("pipeline.quiesce", MAIN_TRACK, t0)
 
         # Hysteresis: remember the hot-load ratio right after the previous
         # redistribution.  If the current ratio is no worse, the previous
@@ -408,7 +415,12 @@ class ParallelProfiler:
             # would miss them (surfacing as phantom INIT dependences).
             for w in range(cfg.workers):
                 push_chunk(w)
-            quiesce()  # preserve per-address ordering across the move
+            # Quiesce: preserve per-address ordering across the move.
+            t0 = time.perf_counter() if tracer.enabled else 0.0
+            for w in range(cfg.workers):
+                drain(w)
+            if tracer.enabled:
+                tracer.complete("pipeline.quiesce", MAIN_TRACK, t0)
             decision = rebalancer.rebalance(stats)
             for addr, old, new in decision.moves:
                 r, wrec = workers[old].migrate_out(addr)
@@ -428,11 +440,6 @@ class ParallelProfiler:
                 chunk_log.append((-1, 0))
 
         # ---- producer loop over windows of the trace ------------------
-        # Access/broadcast masks are computed *per window*, never over the
-        # full trace: with an mmap-spilled batch the trace may dwarf RAM, and
-        # two trace-length bool arrays would defeat the bounded-memory claim.
-        kind = batch.kind
-        addr = batch.addr
         bcast_counter = reg.counter("pipeline.broadcast_rows")
         # Spilled batches support dropping consumed windows' resident pages.
         # Purely an RSS hint (dropped pages re-read transparently), so the
@@ -455,28 +462,18 @@ class ParallelProfiler:
             for s in range(0, n, self.window):
                 e = min(s + self.window, n)
                 with reg.span("route", window_start=s):
-                    rows = np.arange(s, e, dtype=np.int64)
-                    kind_w = np.asarray(kind[s:e])
-                    acc = (kind_w == READ) | (kind_w == WRITE)
-                    bcast = (
-                        (kind_w == FREE)
-                        | (kind_w == LOOP_ENTER)
-                        | (kind_w == LOOP_ITER)
-                        | (kind_w == LOOP_EXIT)
-                    )
-                    bcast_counter.inc(int(np.count_nonzero(bcast)))
-                    acc_rows = rows[acc]
-                    if len(acc_rows):
-                        stats.record_many(addr[acc_rows])
-                        accesses_routed += len(acc_rows)
-                    assign = amap.workers_of(np.asarray(addr[s:e]))
+                    route = route_window(batch, s, e, amap)
+                    bcast_counter.inc(route.n_broadcast)
+                    acc_addrs = route.addr[route.access]
+                    if len(acc_addrs):
+                        stats.record_many(acc_addrs)
+                        accesses_routed += len(acc_addrs)
                 with reg.span("push", window_start=s):
                     for w in range(cfg.workers):
-                        wrows = rows[(acc & (assign == w)) | bcast]
+                        wrows = route.rows_for(w)
                         if len(wrows):
                             bulk_append(w, wrows)
-                if self.mode == "deterministic":
-                    sampler.poll()
+                sampler.poll()
                 if accesses_routed - accesses_at_last_check >= rebalance_every:
                     accesses_at_last_check = accesses_routed
                     maybe_rebalance()
@@ -486,98 +483,36 @@ class ParallelProfiler:
                         release(released_upto, upto)
                         released_upto = upto
 
-            # ---- flush + drain ------------------------------------------
+            # ---- flush + drain + publish ----------------------------------
             with reg.span("drain"):
                 for w in range(cfg.workers):
                     push_chunk(w)
                     queues[w].close()
-                if self.mode == "deterministic":
-                    for w in range(cfg.workers):
-                        drain_inline(w)
-                else:
-                    for t in threads:
-                        t.join()
+                for w in range(cfg.workers):
+                    drain(w)
+                    reg.gauge("queue.high_water", worker=w).set(queues[w].high_water)
+                parts = [worker.publish() for worker in workers]
         finally:
-            # Whatever aborted the pipeline, the sampler thread must not
-            # outlive the run (stop() is idempotent and takes one final
-            # forced sample).
-            if self.mode == "threads":
-                sampler.stop()
-            else:
-                sampler.poll(force=True)  # final post-drain sample
-            # A worker failure propagating out of this frame must not lose
-            # the telemetry already emitted: flush (not close) the sink.
-            reg.sink.flush()
-            self._ledger_checkpoint(reg)
-        if worker_errors:
-            # Consumers drained the remaining stream without processing;
-            # surface the first failure on the caller's thread.
-            raise worker_errors[0]
-
-        with reg.span("merge"):
-            store = DependenceStore()
-            prov: ProvenanceCollector | None = None
-            if provs is not None:
-                prov = ProvenanceCollector()
-                for p in provs:
-                    prov.merge(p)
-            for w, worker in enumerate(workers):
-                store.merge(worker.store)
-                worker.engine.stats.publish(reg, worker=w)
-                worker.publish_heat()
-                reg.counter("worker.accesses", worker=w).inc(
-                    worker.accesses_processed
-                )
-                # Authoritative tracker memory: allocated signature arrays
-                # count even for workers that never processed a chunk.
-                reg.gauge("engine.tracker_memory_bytes", worker=w).set(
-                    worker.memory_bytes
-                )
-                reg.gauge("queue.high_water", worker=w).set(
-                    queues[w].high_water
-                )
-            # The aggregate statistics are a *view* of the registry: each
-            # worker published its engine totals above, and the producer-side
-            # facts (event count, unique addresses) overwrite the per-worker
-            # sums that double-count broadcast rows.
-            reg.gauge("process.peak_rss_bytes").set(peak_rss_bytes())
-            agg = ProfileStats.from_registry(reg)
-            agg.n_events = len(batch)
-            agg.n_unique_addresses = batch.n_unique_addresses
-
-        info = ParallelRunInfo.from_registry(
-            reg, cfg.workers, chunk_log, rebalance_audit=rebalancer.audit
-        )
-
-        result = ProfileResult(
-            store=store,
-            loops=extract_loop_info(batch),
-            stats=agg,
-            var_names=batch.var_names,
-            file_names=batch.file_names,
-            multithreaded=batch.n_threads > 1 or cfg.multithreaded_target,
-            provenance=prov,
-        )
-        return result, info
+            sampler.poll(force=True)  # final post-drain sample, even on abort
+        return parts, chunk_log, rebalancer.audit
 
     # ------------------------------------------------------------------
-    def _profile_processes(
-        self, batch: TraceBatch
-    ) -> tuple[ProfileResult, ParallelRunInfo]:
-        """Multi-process pipeline over one shared-memory trace block.
+    def _run_processes(
+        self, batch: TraceBatch, reg: MetricsRegistry
+    ) -> tuple[list[dict], list[tuple[int, int]], list[dict]]:
+        """Processes transport: worker processes over one shared trace block.
 
         The producer ships only ``(start, end, window_idx)`` index ranges;
-        each worker process recomputes the address routing against the
-        shared columns (see :mod:`repro.parallel.procworker`).  The static
-        address partition makes results independent of scheduling, so this
-        mode is bit-for-bit equivalent to ``deterministic`` minus the
-        load balancer (which needs producer-side signature migration).
+        each worker process routes its windows with the same
+        :func:`route_window` (see :mod:`repro.parallel.procworker`).  The
+        static address partition makes results independent of scheduling,
+        so this mode is bit-for-bit equivalent to ``deterministic`` minus
+        the load balancer (which needs producer-side signature migration).
+        Returns the workers' parts, their chunk logs folded into window
+        order, and an empty rebalance audit.
         """
         cfg = self.config
-        reg = self.registry if self.registry is not None else MetricsRegistry()
         tracer = reg.tracer
-        if tracer.enabled:
-            tracer.set_track(MAIN_TRACK, "main")
         methods = multiprocessing.get_all_start_methods()
         # fork shares the parent's pages (cheap start, no re-import);
         # required anyway for the monkeypatch-based tests, preferred always.
@@ -608,13 +543,30 @@ class ParallelProfiler:
             )
             for w in range(cfg.workers)
         ]
+        payloads: dict[int, dict] = {}
 
-        def ensure_alive() -> None:
-            dead = [p.name for p in procs if p.exitcode not in (None, 0)]
-            if dead:
-                raise ProfilerError(
-                    f"worker process(es) died without a result: {dead}"
-                )
+        def receive(timeout: float) -> None:
+            """Take one worker message, or fail for a worker that exited
+            without delivering its part (any exit code: a payload that
+            fails to pickle in the queue's feeder thread is dropped and the
+            worker still exits 0)."""
+            # Exit codes before the read: whatever an exited worker sent is
+            # then already in the pipe, so an empty read means it is lost.
+            exited = [w for w, p in enumerate(procs) if p.exitcode is not None]
+            try:
+                msg = result_q.get(timeout=timeout)
+            except queue_mod.Empty:
+                lost = [procs[w] for w in exited if w not in payloads]
+                if lost:
+                    raise ProfilerError(
+                        "worker process(es) exited without delivering a result: "
+                        + ", ".join(f"{p.name} (exit code {p.exitcode})" for p in lost)
+                    ) from None
+                return
+            if msg[0] == "error":
+                _, wid, tb = msg
+                raise ProfilerError(f"worker process {wid} failed:\n{tb}")
+            payloads[msg[1]["wid"]] = msg[1]
 
         # The bounded task queues ARE the spill tier's backpressure: when the
         # producer outruns the consumers, put() blocks until a worker frees a
@@ -632,21 +584,15 @@ class ParallelProfiler:
                     if not stalled:
                         stalled = True
                         backpressure.inc()
-                    ensure_alive()
+                    receive(timeout=0.05)
 
-        watchdog = None
-        if board is not None:
-            if tracer.enabled:
-                for w in range(cfg.workers):
-                    tracer.set_track(worker_track(w), f"worker {w}")
-            watchdog = WorkerWatchdog(
-                board,
-                reg,
-                process_exitcodes(procs),
-                interval_s=hb_interval,
+        watchdog = (
+            WorkerWatchdog(
+                board, reg, process_exitcodes(procs), interval_s=hb_interval
             )
-
-        payloads: list[dict] = []
+            if board is not None
+            else None
+        )
         try:
             for p in procs:
                 p.start()
@@ -663,17 +609,7 @@ class ParallelProfiler:
                 for q in task_qs:
                     put_blocking(q, None)
                 while len(payloads) < cfg.workers:
-                    try:
-                        msg = result_q.get(timeout=1.0)
-                    except queue_mod.Empty:
-                        ensure_alive()
-                        continue
-                    if msg[0] == "error":
-                        _, wid, tb = msg
-                        raise ProfilerError(
-                            f"worker process {wid} failed:\n{tb}"
-                        )
-                    payloads.append(msg[1])
+                    receive(timeout=1.0)
                 for p in procs:
                     p.join(timeout=30.0)
         finally:
@@ -687,70 +623,15 @@ class ParallelProfiler:
             if board is not None:
                 board.close()
             shared.close()
-            # Telemetry written so far must survive even when a worker
-            # failure propagates out of this frame: flush (never close —
-            # the caller may still emit a final snapshot) on every path.
-            reg.sink.flush()
-            self._ledger_checkpoint(reg)
 
-        with reg.span("merge"):
-            payloads.sort(key=lambda d: d["wid"])
-            store = DependenceStore()
-            prov: ProvenanceCollector | None = (
-                ProvenanceCollector() if self.provenance else None
-            )
-            log_entries: list[tuple[int, int, int]] = []
-            for d in payloads:
-                store.merge(d["store"])
-                reg.merge_state(d["metrics"])
-                if prov is not None and d["provenance"] is not None:
-                    prov.merge(d["provenance"])
-                if tracer.enabled and d["tracer"] is not None:
-                    epoch, events, track_names = d["tracer"]
-                    tracer.adopt(events, epoch, track_names)
-                log_entries.extend(
-                    (widx, d["wid"], rows) for widx, rows in d["chunk_log"]
-                )
-            # Producer-order chunk log for the cost model: interleave the
-            # workers' chunks in window order, matching how the in-process
-            # producer would have pushed them.
-            log_entries.sort(key=lambda t: (t[0], t[1]))
-            chunk_log = [(wid, rows) for _, wid, rows in log_entries]
-            reg.counter("pipeline.chunks").inc(len(chunk_log))
-            # Windowed broadcast-row count: never materialize a trace-length
-            # mask (the batch may be an mmap spill larger than RAM).
-            kind = batch.kind
-            release = getattr(batch, "release_window", None)
-            n_bcast = 0
-            for s in range(0, len(batch), self.window):
-                e = min(s + self.window, len(batch))
-                kind_w = np.asarray(kind[s:e])
-                n_bcast += int(
-                    np.count_nonzero(
-                        (kind_w == FREE)
-                        | (kind_w == LOOP_ENTER)
-                        | (kind_w == LOOP_ITER)
-                        | (kind_w == LOOP_EXIT)
-                    )
-                )
-                if release is not None:
-                    release(s, e)
-            reg.counter("pipeline.broadcast_rows").inc(n_bcast)
-            # Parent-process RSS high-water; each worker published its own
-            # labeled gauge from inside its process before exiting.
-            reg.gauge("process.peak_rss_bytes").set(peak_rss_bytes())
-            agg = ProfileStats.from_registry(reg)
-            agg.n_events = len(batch)
-            agg.n_unique_addresses = batch.n_unique_addresses
-
-        info = ParallelRunInfo.from_registry(reg, cfg.workers, chunk_log)
-        result = ProfileResult(
-            store=store,
-            loops=extract_loop_info(batch),
-            stats=agg,
-            var_names=batch.var_names,
-            file_names=batch.file_names,
-            multithreaded=batch.n_threads > 1 or cfg.multithreaded_target,
-            provenance=prov,
-        )
-        return result, info
+        parts = [payloads[w] for w in range(cfg.workers)]
+        # Producer-order chunk log for the cost model: interleave the
+        # workers' chunks in window order, matching how the in-process
+        # producer would have pushed them.
+        entries = [(widx, p["wid"], rows) for p in parts for widx, rows in p["chunk_log"]]
+        entries.sort(key=lambda t: (t[0], t[1]))
+        chunk_log = [(wid, rows) for _, wid, rows in entries]
+        reg.counter("pipeline.chunks").inc(len(chunk_log))
+        # Every worker routed every window, so any one's count is the run's.
+        reg.counter("pipeline.broadcast_rows").inc(parts[0]["n_broadcast"])
+        return parts, chunk_log, []

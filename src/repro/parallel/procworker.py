@@ -4,18 +4,19 @@ Each worker process attaches the shared-memory trace
 (:func:`repro.trace.shm.attach_batch`), rebuilds the same
 :class:`~repro.parallel.worker.Worker` the in-process pipeline uses, and
 consumes *window index ranges* — ``(start, end, window_idx)`` tuples, a few
-dozen bytes each — from a task queue.  Routing happens worker-side: every
-process computes the identical :class:`~repro.parallel.address_map.AddressMap`
-assignment over the shared columns and keeps only the rows hashed to its own
-id (plus the broadcast FREE/loop rows everyone needs), so no per-row data
-ever crosses a process boundary.
+dozen bytes each — from a task queue.  Routing happens worker-side through
+the pipeline's one routing rule
+(:func:`~repro.parallel.address_map.route_window`): every process routes
+the same window over the shared columns and keeps only its own rows (plus
+the broadcast rows everyone needs), so no per-row data ever crosses a
+process boundary.
 
-At shutdown (a ``None`` sentinel) the worker publishes its counters into a
-private :class:`~repro.obs.metrics.MetricsRegistry` and ships one picklable
-result payload home: the local :class:`~repro.core.deps.DependenceStore`,
+At shutdown (a ``None`` sentinel) the worker calls
+:meth:`~repro.parallel.worker.Worker.publish` into a private
+:class:`~repro.obs.metrics.MetricsRegistry` and ships that part home with
 the registry's :meth:`~repro.obs.metrics.MetricsRegistry.state`, optional
-provenance and tracer events, and its chunk log.  The parent folds these
-with ``merge_state`` / ``store.merge`` / ``Tracer.adopt``.
+tracer events, its chunk log and its broadcast-row count.  The parent folds
+these in the pipeline's one merge.
 """
 
 from __future__ import annotations
@@ -23,17 +24,14 @@ from __future__ import annotations
 import traceback
 from typing import Any
 
-import numpy as np
-
 from repro.common.config import ProfilerConfig
 from repro.obs.environment import peak_rss_bytes
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import ProvenanceCollector
 from repro.obs.tracing import Tracer, worker_track
-from repro.parallel.address_map import AddressMap
+from repro.parallel.address_map import AddressMap, route_window
 from repro.parallel.heartbeat import HeartbeatBoard
 from repro.parallel.worker import Worker
-from repro.trace import FREE, LOOP_ENTER, LOOP_EXIT, LOOP_ITER, READ, WRITE
 from repro.trace.shm import SharedBatchMeta, attach_batch
 
 
@@ -70,13 +68,12 @@ def run_worker(
         )
         worker = Worker(wid, config, reg, provenance=prov)
         amap = AddressMap(config.workers, bank_geometry=config.bank_geometry)
-        kind = batch.kind
-        # Masks are computed per consumed window, never over the whole
-        # trace: a spilled batch may be far larger than RAM, and the only
-        # resident pages should be the window currently being processed.
+        # Only the window being processed should be resident: a spilled
+        # batch may be far larger than RAM.
         release = getattr(batch, "release_window", None)
         chunk_size = config.chunk_size
         chunk_log: list[tuple[int, int]] = []
+        n_broadcast = 0
         seq = 0
         while True:
             task = task_q.get()
@@ -85,17 +82,11 @@ def run_worker(
             if task is None:
                 break
             s, e, widx = task
-            rows = np.arange(s, e, dtype=np.int64)
-            kind_w = np.asarray(kind[s:e])
-            acc = (kind_w == READ) | (kind_w == WRITE)
-            bcast = (
-                (kind_w == FREE)
-                | (kind_w == LOOP_ENTER)
-                | (kind_w == LOOP_ITER)
-                | (kind_w == LOOP_EXIT)
-            )
-            assign = amap.workers_of(np.asarray(batch.addr[s:e]))
-            wrows = rows[(acc & (assign == wid)) | bcast]
+            route = route_window(batch, s, e, amap)
+            # Every worker sees every broadcast row, so each one's count
+            # is the run's count.
+            n_broadcast += route.n_broadcast
+            wrows = route.rows_for(wid)
             for i in range(0, len(wrows), chunk_size):
                 crows = wrows[i : i + chunk_size]
                 worker.process_rows(batch, crows, seq=seq)
@@ -106,27 +97,19 @@ def run_worker(
             if release is not None:
                 release(s, e)
         # -- publish & ship ------------------------------------------------
-        worker.engine.stats.publish(reg, worker=wid)
-        worker.publish_heat()
-        reg.counter("worker.accesses", worker=wid).inc(worker.accesses_processed)
-        reg.counter("worker.chunks", worker=wid).inc(worker.chunks_processed)
-        reg.gauge("engine.tracker_memory_bytes", worker=wid).set(
-            worker.memory_bytes
-        )
+        part = worker.publish()
         reg.gauge("process.peak_rss_bytes", worker=wid).set(peak_rss_bytes())
-        payload = {
-            "wid": wid,
-            "store": worker.store,
-            "provenance": prov,
-            "metrics": reg.state(),
-            "tracer": (
+        part.update(
+            metrics=reg.state(),
+            tracer=(
                 (tracer.epoch, tracer.events, tracer.track_names)
                 if tracer is not None
                 else None
             ),
-            "chunk_log": chunk_log,
-        }
-        result_q.put(("ok", payload))
+            chunk_log=chunk_log,
+            n_broadcast=n_broadcast,
+        )
+        result_q.put(("ok", part))
     except BaseException:  # noqa: BLE001 — ship the traceback to the parent
         result_q.put(("error", wid, traceback.format_exc()))
     finally:

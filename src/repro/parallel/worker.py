@@ -228,12 +228,31 @@ class Worker:
         self.engine.read_tracker.import_bank(state["read"])
         self.engine.write_tracker.import_bank(state["write"])
 
+    def publish(self) -> dict:
+        """End of run: publish this worker's totals and return its result.
+
+        Writes the engine statistics, occupancy heat, access and chunk
+        counts and tracker memory into the registry the worker was built
+        with, and returns the part the pipeline merge folds: ``wid``,
+        ``store`` and ``provenance``.  Both transports call it, so the two
+        modes cannot publish different counters.
+        """
+        reg = self._registry
+        self.engine.stats.publish(reg, worker=self.wid)
+        self.publish_heat()
+        reg.counter("worker.accesses", worker=self.wid).inc(self.accesses_processed)
+        reg.counter("worker.chunks", worker=self.wid).inc(self.chunks_processed)
+        # Authoritative tracker memory: allocated signature arrays count
+        # even for workers that never processed a chunk.
+        reg.gauge("engine.tracker_memory_bytes", worker=self.wid).set(self.memory_bytes)
+        return {"wid": self.wid, "store": self.store, "provenance": self.provenance}
+
     def publish_heat(self) -> None:
         """Attribute end-of-run signature occupancy to address buckets.
 
-        Called once at merge time.  Trackers that do not know their owner
-        addresses (``occupied_addrs() is None``) are skipped, never guessed.
-        Banked trackers additionally publish per-bank occupancy
+        Called once, by :meth:`publish`.  Trackers that do not know their
+        owner addresses (``occupied_addrs() is None``) are skipped, never
+        guessed.  Banked trackers additionally publish per-bank occupancy
         (``heat.banks``) so bank skew is visible on the heat surfaces.
         """
         if self._heat is None:

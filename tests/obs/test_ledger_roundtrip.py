@@ -1,5 +1,5 @@
 """Bundle round-trip fidelity: write → read → diff-against-self is empty
-for every bundled workload in all three pipeline modes, and a worker crash
+for every bundled workload in both pipeline modes, and a worker crash
 still leaves a valid (never torn) partial bundle behind."""
 
 import json
@@ -39,7 +39,7 @@ def _bundle_for(tmp_path, name, mode, rid):
     return load_bundle(led.path)
 
 
-@pytest.mark.parametrize("mode", ["deterministic", "threads", "processes"])
+@pytest.mark.parametrize("mode", ["deterministic", "processes"])
 @pytest.mark.parametrize("name", ALL_WORKLOADS)
 def test_roundtrip_self_diff_is_empty(tmp_path, name, mode):
     doc = _bundle_for(tmp_path, name, mode, "a")
@@ -51,7 +51,7 @@ def test_roundtrip_self_diff_is_empty(tmp_path, name, mode):
     assert doc["loops"], "every workload profiles at least one loop"
 
 
-@pytest.mark.parametrize("mode", ["deterministic", "threads"])
+@pytest.mark.parametrize("mode", ["deterministic", "processes"])
 def test_two_identical_runs_diff_empty(tmp_path, mode):
     """The determinism contract behind the exit-code gate: two separate
     profiles of the same workload+config agree edge-for-edge."""
@@ -95,7 +95,7 @@ class TestCrashPath:
         # The reader side accepts it too (schema-checked).
         assert load_bundle(led.path)["meta"]["workload"] == "ep"
 
-    def test_thread_mode_crash_also_checkpoints(self, monkeypatch, tmp_path):
+    def test_deterministic_mode_crash_also_checkpoints(self, monkeypatch, tmp_path):
         import repro.parallel.worker as worker_mod
 
         def boom(self, batch, rows, seq=-1):
@@ -106,7 +106,7 @@ class TestCrashPath:
         led = RunLedger(tmp_path, "crashy2")
         with pytest.raises(RuntimeError, match="injected worker crash"):
             ParallelProfiler(
-                PERFECT, mode="threads", registry=reg, ledger=led
+                PERFECT, mode="deterministic", registry=reg, ledger=led
             ).profile(get_trace("ep"))
         assert load_bundle(led.path)["status"] == "partial"
 

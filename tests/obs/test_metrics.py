@@ -1,7 +1,5 @@
 """Unit tests for the metrics registry, instruments, spans, and sampler."""
 
-import threading
-
 import pytest
 
 from repro.obs import (
@@ -170,21 +168,6 @@ class TestSampler:
     def test_no_probes_no_samples(self):
         sampler = Sampler(MetricsRegistry(MemorySink()))
         assert not sampler.poll(force=True)
-
-    def test_threaded_sampling(self):
-        sink = MemorySink()
-        reg = MetricsRegistry(sink)
-        sampler = Sampler(reg)
-        sampler.add("g", lambda: threading.active_count())
-        sampler.start(period_s=0.001)
-        try:
-            deadline = threading.Event()
-            deadline.wait(0.05)
-        finally:
-            sampler.stop()
-        assert len(sink.of_type("sample")) >= 1
-        # stop() is idempotent and leaves no thread behind
-        sampler.stop()
 
 
 class TestMergeStateEdgeCases:

@@ -3,15 +3,19 @@
 Bank-granularity migration moves live signature state between workers
 mid-run; the whole point of shipping the banks *with* the routing rules is
 that the reported dependence set stays exactly what the run without any
-rebalancing reports.  Same for the execution modes: threads and processes
-partition work differently but must agree dependence-for-dependence.
+rebalancing reports.  Same for the execution modes: the deterministic and
+processes transports carry work differently but must agree
+dependence-for-dependence.
 """
 
 import pytest
 
 from repro.common.config import ProfilerConfig
+from repro.obs.metrics import MetricsRegistry
 from repro.parallel.engine import ParallelProfiler
+from repro.trace import FREE
 from repro.workloads import get_trace
+from tests.trace_helpers import seq_trace
 
 WORKLOADS = ["ep", "lu", "water-spatial"]
 
@@ -77,24 +81,77 @@ class TestRebalancingDifferential:
 
 class TestModeDifferential:
     @pytest.mark.parametrize("name", WORKLOADS)
-    def test_threads_equals_processes_with_banks(self, name):
-        batch = get_trace(name)
-        cfg = ProfilerConfig(
-            workers=2, perfect_signature=True, signature_banks=8
-        )
-        t, _ = profile_set(batch, cfg, mode="threads")
-        p, _ = profile_set(batch, cfg, mode="processes")
-        assert t == p
-
-    @pytest.mark.parametrize("name", WORKLOADS)
-    def test_deterministic_equals_threads_with_banks(self, name):
+    def test_modes_agree_with_banks(self, name):
         batch = get_trace(name)
         cfg = ProfilerConfig(
             workers=2, perfect_signature=True, signature_banks=8
         )
         d, _ = profile_set(batch, cfg, mode="deterministic")
-        t, _ = profile_set(batch, cfg, mode="threads")
-        assert d == t
+        p, _ = profile_set(batch, cfg, mode="processes")
+        assert d == p
+
+
+def free_trace():
+    """Loop and lifetime events, including the FREE no bundled workload emits."""
+    ops = [("L+", 10)]
+    for _ in range(5):
+        ops += [("Li", 10)]
+        for i in range(6):
+            a = 0x1000 + 8 * i
+            ops += [("r", a, 11, "s"), ("w", a, 12, "s")]
+    ops += [("L-", 10), ("free", 0x1000, 48, 13), ("w", 0x1000, 14, "z")]
+    return seq_trace(ops)
+
+
+class TestTransportContract:
+    """Both transports share one router and one merge, so everything but
+    the transport's own bookkeeping must agree: stores, broadcast rows,
+    per-worker accesses and every engine counter."""
+
+    @staticmethod
+    def transport_specific(name, multi_window):
+        if name.startswith("queue.") or name == "pipeline.backpressure_stalls":
+            return True
+        # Chunks straddle windows in-process but are cut per window by a
+        # worker process, so chunk counts agree only within one window.
+        return multi_window and name in ("pipeline.chunks", "worker.chunks")
+
+    @pytest.mark.parametrize("window", [1 << 15, 1 << 11])
+    @pytest.mark.parametrize("name", ["ep", "water-spatial", "free-trace"])
+    def test_modes_agree(self, name, window):
+        batch = free_trace() if name == "free-trace" else get_trace(name)
+        cfg = ProfilerConfig(workers=2, perfect_signature=True, chunk_size=512)
+        runs = {}
+        for mode in ("deterministic", "processes"):
+            reg = MetricsRegistry()
+            result, info = ParallelProfiler(
+                cfg,
+                mode=mode,
+                window=window,
+                rebalance_threshold=float("inf"),
+                registry=reg,
+            ).profile(batch)
+            counters = {(c.name, c.labels): c.value for c in reg.counters()}
+            runs[mode] = result, info, counters
+        (det, di, dc), (prc, pi, pc) = runs["deterministic"], runs["processes"]
+        assert prc.store == det.store
+        assert pi.per_worker_accesses == di.per_worker_accesses
+        assert pi.n_broadcast_rows == di.n_broadcast_rows > 0
+        if name == "free-trace":
+            assert FREE in set(batch.kind.tolist())
+        multi = len(batch) > window
+        shared = {
+            key
+            for key in dc.keys() | pc.keys()
+            if not self.transport_specific(key[0], multi)
+        }
+        assert {k[0] for k in shared} >= {
+            "pipeline.broadcast_rows",
+            "worker.accesses",
+        }
+        assert any(k[0].startswith("engine.") for k in shared)
+        for key in sorted(shared):
+            assert pc.get(key, 0) == dc.get(key, 0), key
 
 
 class TestFastPathModeDifferential:
@@ -114,7 +171,7 @@ class TestFastPathModeDifferential:
         )
 
     @pytest.mark.parametrize("name", ["cg", "is"])
-    @pytest.mark.parametrize("mode", ["deterministic", "threads", "processes"])
+    @pytest.mark.parametrize("mode", ["deterministic", "processes"])
     def test_dependence_sets_equal(self, name, mode):
         fast, slow = self._traces(name)
         cfg = ProfilerConfig(workers=2, perfect_signature=True, chunk_size=512)

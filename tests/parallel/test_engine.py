@@ -1,6 +1,5 @@
 """End-to-end tests of the parallel pipeline: equivalence with the
-sequential engines, load balancing in action, both queue types, and real
-threaded execution."""
+sequential engines, load balancing in action, and both queue types."""
 
 import pytest
 from hypothesis import given, settings
@@ -77,19 +76,6 @@ class TestEquivalenceWithSequential:
         seq = profile_trace(batch, PERFECT, "reference")
         # Large per-worker signatures: no collisions expected at this scale.
         assert par.store == seq.store
-
-
-class TestThreadedMode:
-    @pytest.mark.parametrize("lock_free", [True, False])
-    def test_real_threads_match_sequential(self, lock_free):
-        batch = small_trace(n_addr=64, rounds=6)
-        cfg = PERFECT.with_(
-            workers=4, chunk_size=32, queue_depth=4, lock_free_queues=lock_free
-        )
-        par, info = ParallelProfiler(cfg, mode="threads").profile(batch)
-        seq = profile_trace(batch, PERFECT, "reference")
-        assert par.store == seq.store
-        assert sum(info.per_worker_accesses) == seq.stats.n_accesses
 
 
 class TestLoadBalancing:

@@ -206,3 +206,47 @@ class TestProcessesMode:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ProfilerError):
             ParallelProfiler(PERFECT, mode="hyperthreads")
+
+    def test_threads_mode_removed(self, capsys):
+        from repro.cli import main
+        from repro.parallel.engine import MODES
+
+        assert MODES == ("deterministic", "processes")
+        with pytest.raises(ProfilerError):
+            ParallelProfiler(PERFECT, mode="threads")
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", "ep", "--mode", "threads"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'threads'" in capsys.readouterr().err
+
+    def test_worker_exiting_without_result_raises(self, monkeypatch, tmp_path):
+        """A worker process that exits cleanly without delivering its part
+        (say its payload failed to pickle in the queue's feeder thread)
+        must fail the run with a ProfilerError naming it, within seconds,
+        and still leave a partial run bundle."""
+        import signal
+
+        import repro.parallel.engine as engine_mod
+        from repro.obs import RunLedger, load_bundle
+
+        def silent_worker(wid, config, meta, task_q, result_q, opts):
+            while task_q.get() is not None:
+                pass
+
+        def hung(signum, frame):
+            raise TimeoutError("profile() still blocked after 10 s")
+
+        monkeypatch.setattr(engine_mod, "run_worker", silent_worker)
+        led = RunLedger(tmp_path, "silent")
+        prof = ParallelProfiler(
+            PERFECT.with_(workers=2), mode="processes", ledger=led
+        )
+        old = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(10)
+        try:
+            with pytest.raises(ProfilerError, match="ddprof-worker-0"):
+                prof.profile(get_trace("ep"))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        assert load_bundle(led.path)["status"] == "partial"
