@@ -156,6 +156,45 @@ def test_heatmap_overhead(benchmark, bench_record):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
+def test_provenance_overhead(benchmark, bench_record):
+    """Provenance at kernel speed, gated: a provenance run (per-dependence
+    workers, chunks, timestamps and suspect-FP flags) against the plain
+    pipeline run on a lossy 4096-slot signature at 2 workers.  Both run
+    the vectorized chunk kernel, so the budget is the cost of folding
+    provenance per merged record.  On/off samples are interleaved in pairs
+    so machine drift cancels; the gated value is the median pairwise
+    ratio."""
+    import time
+
+    batch = get_trace("kmeans")
+    cfg = ProfilerConfig(signature_slots=4096, workers=2)
+
+    def once(provenance):
+        t0 = time.perf_counter()
+        result, _ = ParallelProfiler(cfg, provenance=provenance).profile(batch)
+        return time.perf_counter() - t0, result
+
+    once(True), once(False)  # warmup both paths
+    ratios = []
+    for _ in range(7):
+        on, r_on = once(True)
+        off, r_off = once(False)
+        ratios.append(on / off)
+
+    # Provenance never changes the profile; it annotates every merged
+    # dependence, and the small signature gives it collisions to flag.
+    assert r_on.store == r_off.store
+    assert len(r_on.provenance) == r_on.store.n_entries
+    assert r_on.provenance.n_suspect > 0
+
+    rec = bench_record.record(
+        "obs.provenance_overhead", samples=ratios, unit="ratio",
+        direction="lower", ceiling=1.3, suspect=r_on.provenance.n_suspect,
+    )
+    assert rec.value < 1.3, f"provenance overhead {rec.value:.2f}x exceeds budget"
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+
+
 def test_tracing_overhead_guard(benchmark, bench_record, results_dir, tmp_path):
     """The null-tracer contract, measured: an untraced pipeline run never
     reaches a tracer record method (the NullTracer call counter stays

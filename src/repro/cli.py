@@ -74,12 +74,6 @@ def _profiler_args(p: argparse.ArgumentParser) -> None:
         "shared-memory trace; see docs/parallel.md)",
     )
     p.add_argument(
-        "--worker-engine", choices=["vectorized", "reference"],
-        default="vectorized",
-        help="per-chunk kernel of the pipeline workers (reference = "
-        "event-at-a-time oracle)",
-    )
-    p.add_argument(
         "--metrics-out", metavar="FILE", default=None,
         help="write the telemetry event stream (JSONL) to FILE",
     )
@@ -169,7 +163,6 @@ def _config_from(args: argparse.Namespace) -> ProfilerConfig:
         cfg = ProfilerConfig(signature_slots=args.slots)
     return cfg.with_(
         multithreaded_target=args.variant == "par",
-        worker_engine=getattr(args, "worker_engine", "vectorized"),
         signature_banks=getattr(args, "banks", 0) or 0,
         bank_shift=getattr(args, "bank_shift", 12),
     )

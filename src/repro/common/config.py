@@ -63,12 +63,6 @@ class ProfilerConfig:
     hash_salt:
         Salt for the signature hash function; lets tests explore collision
         patterns deterministically.
-    worker_engine:
-        Per-chunk engine the pipeline workers run: ``"vectorized"`` (array
-        kernel over signature planes, the fast default) or ``"reference"``
-        (event-at-a-time Algorithm 1 — the differential-test oracle, and
-        required for per-instance telemetry such as provenance or eviction
-        counters).
     heatmap:
         Maintain per-worker address heatmaps (log2-bucketed read/write/
         conflict/occupancy histograms — the memory observability plane,
@@ -100,17 +94,11 @@ class ProfilerConfig:
     multithreaded_target: bool = False
     ignore_rar: bool = True
     hash_salt: int = 0
-    worker_engine: str = "vectorized"
     heatmap: bool = True
     signature_banks: int = 0
     bank_shift: int = 12
 
     def __post_init__(self) -> None:
-        if self.worker_engine not in ("vectorized", "reference"):
-            raise ProfilerError(
-                f"unknown worker_engine {self.worker_engine!r} "
-                "(vectorized|reference)"
-            )
         if self.signature_slots <= 0:
             raise ProfilerError("signature_slots must be positive")
         if self.workers <= 0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.common.errors import ProfilerError
+from repro.common.errors import ProfilerError, TraceFormatError
 from repro.trace import LOOP_ENTER, LOOP_EXIT, LOOP_ITER, TraceBatch
 
 #: Loop-nest depth cap for the snapshot index (one int64 column per level).
@@ -52,6 +52,44 @@ def loop_event_rows(batch: TraceBatch, *kinds: int) -> np.ndarray:
     return np.concatenate(found)
 
 
+def _thread_nesting(
+    rows: np.ndarray, kind: np.ndarray, tid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group loop events by thread and compute each one's stack depth.
+
+    ``rows``/``kind``/``tid`` describe the trace's loop events in stream
+    order.  Returns the stable by-thread ``order``, the thread ``bounds``
+    within it (thread ``j`` is ``order[bounds[j]:bounds[j + 1]]``), and the
+    stack depth after each ordered event: the running sum of +1 per
+    ``LOOP_ENTER`` and -1 per ``LOOP_EXIT``.
+
+    Raises :class:`TraceFormatError` naming the thread and trace row of the
+    first ``LOOP_EXIT`` or ``LOOP_ITER`` that has no enclosing
+    ``LOOP_ENTER`` on its thread (a negative depth would silently corrupt
+    every loop-state view built from it).
+    """
+    order = np.argsort(tid, kind="stable")
+    if len(order) == 0:
+        return order, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    k = kind[order]
+    t = tid[order]
+    bounds = np.concatenate(
+        [[0], np.flatnonzero(t[1:] != t[:-1]) + 1, [len(t)]]
+    ).astype(np.int64)
+    step = (k == LOOP_ENTER).astype(np.int64) - (k == LOOP_EXIT)
+    total = np.cumsum(step)
+    depth = total - np.repeat((total - step)[bounds[:-1]], np.diff(bounds))
+    bad = (depth < 0) | ((k == LOOP_ITER) & (depth == 0))
+    if bad.any():
+        j = int(order[bad].min())
+        what = "LOOP_EXIT" if kind[j] == LOOP_EXIT else "LOOP_ITER"
+        raise TraceFormatError(
+            f"malformed loop nesting: {what} on thread {int(tid[j])} at trace "
+            f"row {int(rows[j])} has no enclosing LOOP_ENTER"
+        )
+    return order, bounds, depth
+
+
 @dataclass
 class LoopInfo:
     """Aggregated runtime facts about one static loop site."""
@@ -69,14 +107,26 @@ class LoopInfo:
 
 
 def extract_loop_info(batch: TraceBatch) -> dict[int, LoopInfo]:
-    """Collect per-site loop statistics from the trace's loop events."""
+    """Collect per-site loop statistics from the trace's loop events.
+
+    Every engine calls this first, so it is also where malformed loop
+    nesting is rejected (:class:`TraceFormatError`).
+    """
+    rows = loop_event_rows(batch, LOOP_ENTER, LOOP_ITER, LOOP_EXIT)
+    kinds = np.asarray(batch.kind[rows])
+    tids = batch.tid[rows]
+    _thread_nesting(rows, kinds, tids)
+    marks = rows[kinds != LOOP_ITER]
     loops: dict[int, LoopInfo] = {}
     # Track the enclosing site per thread to attribute parents.
     stacks: dict[int, list[int]] = {}
-    for i in loop_event_rows(batch, LOOP_ENTER, LOOP_EXIT):
-        kind = batch.kind[i]
-        site = int(batch.addr[i])
-        tid = int(batch.tid[i])
+    for kind, site, tid, iters, end_loc in zip(
+        np.asarray(batch.kind[marks]).tolist(),
+        batch.addr[marks].tolist(),
+        batch.tid[marks].tolist(),
+        batch.aux[marks].tolist(),
+        batch.loc[marks].tolist(),
+    ):
         stack = stacks.setdefault(tid, [])
         if kind == LOOP_ENTER:
             info = loops.get(site)
@@ -89,8 +139,7 @@ def extract_loop_info(batch: TraceBatch) -> dict[int, LoopInfo]:
             stack.append(site)
         else:  # LOOP_EXIT
             info = loops[site]
-            info.total_iterations += int(batch.aux[i])
-            end_loc = int(batch.loc[i])
+            info.total_iterations += iters
             if end_loc >= 0:
                 info.end_loc = end_loc
             if stack and stack[-1] == site:
@@ -203,95 +252,64 @@ class LoopStateIndex:
     and answers the carried test for a sink at global row ``i`` with the
     exact stack the reference engine would have held — which is what the
     incremental chunk kernel needs to match it bit for bit.
+
+    The build is array code per thread: the stack depth after each loop
+    event is a running sum of +1/-1, and for each nesting level the live
+    frame's ENTER and latest ITER come from a running maximum over event
+    indices.
     """
 
     def __init__(self, batch: TraceBatch) -> None:
-        kinds = batch.kind
-        loop_rows = loop_event_rows(batch, LOOP_ENTER, LOOP_ITER, LOOP_EXIT)
-        # Bulk-extract once; per-element fancy indexing in the replay loop
-        # would dominate the build for loop-dense traces.
-        l_kind = np.asarray(kinds[loop_rows]).tolist()
-        l_tid = batch.tid[loop_rows].tolist()
-        l_ts = batch.ts[loop_rows].tolist()
-        l_addr = batch.addr[loop_rows].tolist()
-        l_row = loop_rows.tolist()
-        # Per-tid state: the live stack as three parallel scalar lists, plus
-        # append-only snapshot *columns* per stack level.  Appending the
-        # current frame values per event snapshots them without copying the
-        # stack — an O(max depth) bound per event instead of O(depth) list
-        # allocations.
-        stacks: dict[int, tuple[list[int], list[int], list[int]]] = {}
-        per_tid_rows: dict[int, list[int]] = {}
-        per_tid_dep: dict[int, list[int]] = {}
-        # levels[tid][lvl] = (site_col, entry_col, iter_col)
-        levels: dict[int, list[tuple[list[int], list[int], list[int]]]] = {}
-        depth = 0
-        for kind, tid, ts, addr, row in zip(l_kind, l_tid, l_ts, l_addr, l_row):
-            st = stacks.get(tid)
-            if st is None:
-                st = ([], [], [])
-                stacks[tid] = st
-                per_tid_rows[tid] = []
-                per_tid_dep[tid] = []
-                levels[tid] = []
-            s_site, s_entry, s_iter = st
-            if kind == LOOP_ENTER:
-                s_site.append(addr)
-                s_entry.append(ts)
-                s_iter.append(ts)
-                if len(s_site) > depth:
-                    depth = len(s_site)
-                    if depth > MAX_SNAPSHOT_DEPTH:
-                        raise ProfilerError(
-                            f"loop nest depth {depth} exceeds supported "
-                            f"{MAX_SNAPSHOT_DEPTH}"
-                        )
-            elif kind == LOOP_ITER:
-                if s_site:
-                    s_iter[-1] = ts
-            elif s_site:  # LOOP_EXIT
-                s_site.pop()
-                s_entry.pop()
-                s_iter.pop()
-            rows_t = per_tid_rows[tid]
-            rows_t.append(row)
-            d = len(s_site)
-            per_tid_dep[tid].append(d)
-            lvls = levels[tid]
-            while len(lvls) < d:
-                # New deepest level for this tid: back-fill the snapshots
-                # that predate this event (its own values are appended by
-                # the per-level loop below).
-                pad = len(rows_t) - 1
-                lvls.append(
-                    ([-1] * pad, [0] * pad, [0] * pad)
-                )
-            for lvl, (c_site, c_entry, c_iter) in enumerate(lvls):
-                if lvl < d:
-                    c_site.append(s_site[lvl])
-                    c_entry.append(s_entry[lvl])
-                    c_iter.append(s_iter[lvl])
-                else:
-                    c_site.append(-1)
-                    c_entry.append(0)
-                    c_iter.append(0)
+        rows = loop_event_rows(batch, LOOP_ENTER, LOOP_ITER, LOOP_EXIT)
+        kind = np.asarray(batch.kind[rows])
+        tid = batch.tid[rows].astype(np.int64)
+        order, bounds, depth = _thread_nesting(rows, kind, tid)
+        rows = rows[order]
+        kind = kind[order]
+        tid = tid[order]
+        ts = batch.ts[rows].astype(np.int64)
+        site = batch.addr[rows].astype(np.int64)
         #: Deepest stack observed across all threads; the carried-site matrix
         #: returned by :meth:`carried_sites` has this many columns.
-        self.depth = depth
+        self.depth = int(depth.max()) if len(depth) else 0
+        if self.depth > MAX_SNAPSHOT_DEPTH:
+            raise ProfilerError(
+                f"loop nest depth {self.depth} exceeds supported "
+                f"{MAX_SNAPSHOT_DEPTH}"
+            )
+        width = max(self.depth, 1)
         self._tids: dict[int, _TidLoopStates] = {}
-        for tid, rows in per_tid_rows.items():
-            n_states = len(rows) + 1  # state 0 = empty stack
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            d, k, t_ts, t_site = depth[lo:hi], kind[lo:hi], ts[lo:hi], site[lo:hi]
+            # State 0 is the empty stack; state j + 1 follows the thread's
+            # j-th loop event.
+            n_states = hi - lo + 1
             dep = np.zeros(n_states, dtype=np.int64)
-            dep[1:] = per_tid_dep[tid]
-            site = np.full((n_states, max(depth, 1)), -1, dtype=np.int64)
-            entry = np.zeros((n_states, max(depth, 1)), dtype=np.int64)
-            iterts = np.zeros((n_states, max(depth, 1)), dtype=np.int64)
-            for lvl, (c_site, c_entry, c_iter) in enumerate(levels[tid]):
-                site[1:, lvl] = c_site
-                entry[1:, lvl] = c_entry
-                iterts[1:, lvl] = c_iter
-            self._tids[tid] = _TidLoopStates(
-                np.asarray(rows, dtype=np.int64), dep, site, entry, iterts
+            dep[1:] = d
+            sites = np.full((n_states, width), -1, dtype=np.int64)
+            entry = np.zeros((n_states, width), dtype=np.int64)
+            iterts = np.zeros((n_states, width), dtype=np.int64)
+            idx = np.arange(hi - lo, dtype=np.int64)
+            for lvl in range(int(d.max())):
+                # The live frame at this level was pushed by the latest
+                # ENTER that reached depth lvl + 1; its iteration started
+                # at the latest ITER at that depth after the push, or at
+                # the push itself.
+                at = d == lvl + 1
+                ent = np.maximum.accumulate(
+                    np.where(at & (k == LOOP_ENTER), idx, np.int64(-1))
+                )
+                itr = np.maximum.accumulate(
+                    np.where(at & (k == LOOP_ITER), idx, np.int64(-1))
+                )
+                live = d > lvl
+                e = np.maximum(ent, 0)
+                sites[1:, lvl] = np.where(live, t_site[e], -1)
+                entry[1:, lvl] = np.where(live, t_ts[e], 0)
+                started = np.where(itr > ent, t_ts[np.maximum(itr, 0)], t_ts[e])
+                iterts[1:, lvl] = np.where(live, started, 0)
+            self._tids[int(tid[lo])] = _TidLoopStates(
+                rows[lo:hi], dep, sites, entry, iterts
             )
 
     def carried_sites(

@@ -84,11 +84,12 @@ class ReferenceEngine:
 
     def run(self, batch: TraceBatch) -> ProfileResult:
         """One-shot profiling of a complete trace."""
+        loops = extract_loop_info(batch)  # rejects malformed loop nesting
         self.process(batch)
         self.stats.n_unique_addresses = batch.n_unique_addresses
         return ProfileResult(
             store=self.store,
-            loops=extract_loop_info(batch),
+            loops=loops,
             stats=self.stats,
             var_names=batch.var_names,
             file_names=batch.file_names,

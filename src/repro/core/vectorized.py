@@ -35,8 +35,9 @@ from repro.core.controlflow import LoopIndex, LoopStateIndex, extract_loop_info
 from repro.core.deps import DepType, Dependence, DependenceStore
 from repro.core.result import ProfileResult, ProfileStats
 from repro.core.reference import ACCESS_GRANULARITY
+from repro.obs.provenance import ProvenanceCollector
 from repro.sigmem.hashing import hash_addresses
-from repro.sigmem.planes import DensePlaneTracker
+from repro.sigmem.planes import DensePlaneTracker, SlotPlaneTracker
 from repro.trace import FREE, READ, WRITE, TraceBatch
 
 _MAX_LOOP_DEPTH = 32
@@ -44,6 +45,24 @@ _MAX_LOOP_DEPTH = 32
 _READ_CAT = 0
 _WRITE_CAT = 1
 _KILL_CAT = 2
+
+
+def _group_rows(
+    cols: list[np.ndarray],
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """Group identical rows over parallel (non-empty) columns.
+
+    Returns the lexsort order, the columns in that order, and the start
+    index of each group of identical rows within it.
+    """
+    n = len(cols[0])
+    order = np.lexsort(cols[::-1])
+    sorted_cols = [c[order] for c in cols]
+    change = np.zeros(n, dtype=bool)
+    change[0] = True
+    for c in sorted_cols:
+        change[1:] |= c[1:] != c[:-1]
+    return order, sorted_cols, np.flatnonzero(change)
 
 
 def _unique_rows(cols: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
@@ -56,13 +75,7 @@ def _unique_rows(cols: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
     n = len(cols[0])
     if n == 0:
         return [c[:0] for c in cols], np.zeros(0, dtype=np.int64)
-    order = np.lexsort(cols[::-1])
-    sorted_cols = [c[order] for c in cols]
-    change = np.zeros(n, dtype=bool)
-    change[0] = True
-    for c in sorted_cols:
-        change[1:] |= c[1:] != c[:-1]
-    starts = np.flatnonzero(change)
+    _, sorted_cols, starts = _group_rows(cols)
     counts = np.diff(np.append(starts, n))
     return [c[starts] for c in sorted_cols], counts
 
@@ -375,15 +388,28 @@ class ChunkKernel:
     7. scatter each key's final state (last read/write after the last kill)
        back into the planes.
 
-    It reproduces the reference engine bit for bit — same dependences, same
-    instance counts, same race flags, same carried sets — because every one
-    of those steps mirrors a reference-engine rule, including the push-order
-    loop-frame semantics the one-shot engine only approximates.
+    Over slot planes (a lossy signature) the same sorted rows carry the
+    array signature's collision bookkeeping.  An access *evicts* when its
+    slot holds another owner address — the previous in-chunk row's
+    address, or the owner plane on carry-in; evictions are counted and
+    attributed through the tracker's hooks (``sigmem.evictions``,
+    ``heat.conflicts``) in one bulk update per chunk.  A dependence
+    instance is *suspect* (``suspect_fp``) when its source slot is owned by
+    another address, or was evicted earlier: per the evicted plane on
+    carry-in, or by an earlier row of the same key in this chunk.  With a
+    ``provenance`` collector each merged record of a chunk folds in once —
+    instance count, first/last sink timestamp, any-suspect — through the
+    same grouping that dedups the store.
 
-    The interface matches what :class:`~repro.parallel.worker.Worker` and
-    the pipeline expect of an engine: ``store``, ``stats``,
-    ``read_tracker``/``write_tracker``, plus :meth:`process_rows` in place
-    of the reference engine's ``process``.
+    It reproduces the reference engine bit for bit — same dependences, same
+    instance counts, same race flags, same carried sets, same provenance
+    and eviction counts — because every one of those steps mirrors a
+    reference-engine rule, including the push-order loop-frame semantics
+    the one-shot engine only approximates.
+
+    :class:`~repro.parallel.worker.Worker` drives it through
+    :meth:`process_rows` and reads ``store``, ``stats`` and
+    ``read_tracker``/``write_tracker``.
     """
 
     def __init__(
@@ -393,6 +419,7 @@ class ChunkKernel:
         write_tracker,
         store: DependenceStore | None = None,
         heat=None,
+        provenance: ProvenanceCollector | None = None,
     ) -> None:
         if type(read_tracker) is not type(write_tracker):
             raise ProfilerError("read/write plane trackers must match")
@@ -403,6 +430,9 @@ class ChunkKernel:
         #: Fed inline from the masks the kernel computes anyway, so heat
         #: recording never re-derives the access split per chunk.
         self.heat = heat
+        #: Optional per-dependence attribution (the worker sets its
+        #: ``chunk`` before each chunk).
+        self.provenance = provenance
         self.store = store if store is not None else DependenceStore()
         self.stats = ProfileStats()
         #: Push-order loop-frame snapshots for the batch being profiled.
@@ -410,6 +440,7 @@ class ChunkKernel:
         #: same-process workers; unset, the kernel builds its own lazily.
         self.loop_index: "LoopStateIndex | None" = None
         self._batch_id: int | None = None
+        self._slots = isinstance(read_tracker, SlotPlaneTracker)
 
     # -- helpers -----------------------------------------------------------
     def bind_loop_index(self, batch: TraceBatch, index: "LoopStateIndex") -> None:
@@ -449,8 +480,9 @@ class ChunkKernel:
         stats.n_accesses = stats.n_reads + stats.n_writes
 
         acc_rows = rows[acc].astype(np.int64)
+        addr = batch.addr[acc_rows].astype(np.int64, copy=False)
         if self.heat is not None and len(acc_rows):
-            self.heat.record_accesses(batch.addr[acc_rows], is_write[acc])
+            self.heat.record_accesses(addr, is_write[acc])
         free_rows = (
             rows[kind == FREE].astype(np.int64)
             if cfg.track_lifetime
@@ -461,7 +493,7 @@ class ChunkKernel:
             return
 
         pos = acc_rows
-        key = self.read_tracker.keys_of(batch.addr[acc_rows])
+        key = self.read_tracker.keys_of(addr)
         cat = np.where(is_write[acc], _WRITE_CAT, _READ_CAT).astype(np.int8)
         loc = batch.loc[acc_rows].astype(np.int64)
         var = batch.var[acc_rows].astype(np.int64)
@@ -483,6 +515,7 @@ class ChunkKernel:
                 pad = len(pos) - n_acc
                 fill = np.zeros(pad, dtype=np.int64)
                 cat = np.concatenate([cat, np.full(pad, _KILL_CAT, dtype=np.int8)])
+                addr = np.concatenate([addr, fill - 1])
                 loc = np.concatenate([loc, fill - 1])
                 var = np.concatenate([var, fill - 1])
                 tid = np.concatenate([tid, fill])
@@ -497,6 +530,7 @@ class ChunkKernel:
         key = key[order]
         cat = cat[order]
         pos = pos[order]
+        addr = addr[order]
         loc = loc[order]
         var = var[order]
         tid = tid[order]
@@ -554,6 +588,18 @@ class ChunkKernel:
         src_r_tid = np.where(in_r, tid[safe_r], rp_tid)
         src_r_ts = np.where(in_r, ts[safe_r], rp_ts)
 
+        # -- slot collisions: evictions and suspect sources ----------------
+        suspect_r = suspect_w = None
+        if self._slots:
+            suspect_r = self._collisions(
+                self.read_tracker, read_rows, has_r, in_r, safe_r, key, addr,
+                starts, grp,
+            )
+            suspect_w = self._collisions(
+                self.write_tracker, write_rows, has_w, in_w, safe_w, key, addr,
+                starts, grp,
+            )
+
         # -- Algorithm 1 branch table --------------------------------------
         raw_mask = read_rows & has_w
         init_mask = write_rows & ~has_w
@@ -561,23 +607,16 @@ class ChunkKernel:
         war_mask = waw_mask & has_r
 
         loop_index = self._loop_index_for(batch)
+        src_w = (src_w_loc, src_w_var, src_w_tid, src_w_ts, suspect_w)
+        src_r = (src_r_loc, src_r_var, src_r_tid, src_r_ts, suspect_r)
         emit_plan = [
-            (DepType.RAW, raw_mask, src_w_loc, src_w_var, src_w_tid, src_w_ts),
-            (DepType.WAR, war_mask, src_r_loc, src_r_var, src_r_tid, src_r_ts),
-            (DepType.WAW, waw_mask, src_w_loc, src_w_var, src_w_tid, src_w_ts),
+            (DepType.RAW, raw_mask, src_w),
+            (DepType.WAR, war_mask, src_r),
+            (DepType.WAW, waw_mask, src_w),
         ]
         if not cfg.ignore_rar:
-            emit_plan.append(
-                (
-                    DepType.RAR,
-                    read_rows & has_r,
-                    src_r_loc,
-                    src_r_var,
-                    src_r_tid,
-                    src_r_ts,
-                )
-            )
-        for dep_type, mask, s_loc, s_var, s_tid, s_ts in emit_plan:
+            emit_plan.append((DepType.RAR, read_rows & has_r, src_r))
+        for dep_type, mask, (s_loc, s_var, s_tid, s_ts, s_sus) in emit_plan:
             sel = np.flatnonzero(mask)
             stats.dep_instances[dep_type] += len(sel)
             if len(sel) == 0:
@@ -592,25 +631,26 @@ class ChunkKernel:
                 src_tid=s_tid[sel],
                 src_var=s_var[sel],
                 src_ts=s_ts[sel],
+                suspect=None if s_sus is None else s_sus[sel],
                 loop_index=loop_index,
             )
 
         init_rows = np.flatnonzero(init_mask)
         stats.dep_instances[DepType.INIT] += len(init_rows)
         if len(init_rows):
-            (u_loc, u_tid), counts = _unique_rows([loc[init_rows], tid[init_rows]])
-            for s_loc, s_tid, c in zip(u_loc, u_tid, counts):
-                self.store.add_merged(
-                    Dependence(
-                        DepType.INIT,
-                        sink_loc=int(s_loc),
-                        sink_tid=int(s_tid),
-                        source_loc=-1,
-                        source_tid=-1,
-                        var=-1,
-                    ),
-                    count=int(c),
-                )
+            self._merge_groups(
+                lambda row: Dependence(
+                    DepType.INIT,
+                    sink_loc=row[0],
+                    sink_tid=row[1],
+                    source_loc=-1,
+                    source_tid=-1,
+                    var=-1,
+                ),
+                [loc[init_rows], tid[init_rows]],
+                ts[init_rows],
+                None,
+            )
 
         # -- carry-out: scatter each key's end-of-chunk state --------------
         # The surviving record per key is the last read/write *after the
@@ -635,26 +675,47 @@ class ChunkKernel:
         last_r = np.where(last_r > last_kill, last_r, np.int64(-1))
         last_w = np.where(last_w > last_kill, last_w, np.int64(-1))
         group_killed = last_kill >= 0
-        # Owner addresses for the occupancy plane are gathered only for the
-        # few carried-out rows (``pos`` still holds each sorted row's batch
-        # row index), never for the whole chunk.
-        wants_addrs = getattr(self.read_tracker, "wants_addrs", False)
         for tracker, last in (
             (self.read_tracker, last_r),
             (self.write_tracker, last_w),
         ):
             upd = last >= 0
             src = last[upd]
-            if wants_addrs:
-                adr = batch.addr[pos[src]].astype(np.int64, copy=False)
-                tracker.set_rows(
-                    key[src], loc[src], var[src], tid[src], ts[src], addr=adr
-                )
-            else:
-                tracker.set_rows(key[src], loc[src], var[src], tid[src], ts[src])
+            tracker.set_rows(
+                key[src], loc[src], var[src], tid[src], ts[src], addr[src]
+            )
             dead = ~upd & group_killed
             tracker.clear_keys(key[starts[dead]])
         self._note_memory()
+
+    @staticmethod
+    def _collisions(
+        tracker: SlotPlaneTracker,
+        own_rows: np.ndarray,
+        present: np.ndarray,
+        in_chunk: np.ndarray,
+        prev: np.ndarray,
+        key: np.ndarray,
+        addr: np.ndarray,
+        starts: np.ndarray,
+        grp: np.ndarray,
+    ) -> np.ndarray:
+        """Apply the eviction rule to ``tracker``'s inserts (``own_rows``)
+        and return, per sorted row, whether a record looked up from
+        ``tracker`` there is a suspect source.
+
+        ``present``/``in_chunk``/``prev`` describe the slot as the row sees
+        it: occupied at all, occupied by an in-chunk row, and that row.
+        """
+        owner_in, evicted_in = tracker.gather_owners(key)
+        owner = np.where(in_chunk, addr[prev], owner_in)
+        evicts = own_rows & tracker.evicts(present, owner, addr)
+        tracker.note_evictions(key[evicts], addr[evicts])
+        # Evicted earlier in this chunk: an evicting row of the same key
+        # precedes this one (exclusive running count within the key group).
+        before = np.cumsum(evicts, dtype=np.int64) - evicts
+        earlier = before > before[starts][grp]
+        return (owner != addr) | evicted_in | earlier
 
     def _emit(
         self,
@@ -667,6 +728,7 @@ class ChunkKernel:
         src_tid: np.ndarray,
         src_var: np.ndarray,
         src_ts: np.ndarray,
+        suspect: np.ndarray | None,
         loop_index: "LoopStateIndex",
     ) -> None:
         """Carried classification + dedup + bulk store merge for one type."""
@@ -682,24 +744,54 @@ class ChunkKernel:
                     int(t), sink_pos[m], src_ts[m]
                 )
             cols.extend(carried[:, lvl] for lvl in range(depth))
-        uniq, counts = _unique_rows(cols)
+        self._merge_groups(
+            lambda row: Dependence(
+                dep_type,
+                sink_loc=row[0],
+                sink_tid=row[1],
+                source_loc=row[2],
+                source_tid=row[3],
+                var=row[4],
+                carried=frozenset(s for s in row[6:] if s >= 0),
+                race=bool(row[5]),
+            ),
+            cols,
+            sink_ts,
+            suspect,
+        )
+
+    def _merge_groups(
+        self,
+        dep_of,
+        cols: list[np.ndarray],
+        sink_ts: np.ndarray,
+        suspect: np.ndarray | None,
+    ) -> None:
+        """Merge identical rows over ``cols`` into the store, one record per
+        group (``dep_of`` builds it from the group's row values); with a
+        provenance collector, fold each group in with its count, first and
+        last sink timestamp and any-suspect flag."""
+        order, sorted_cols, starts = _group_rows(cols)
+        counts = np.diff(np.append(starts, len(order))).tolist()
+        rows = zip(*(c[starts].tolist() for c in sorted_cols))
         store = self.store
-        for row, c in zip(zip(*uniq), counts):
-            s_loc, s_tid, p_loc, p_tid, p_var, is_race = (int(x) for x in row[:6])
-            sites = frozenset(int(s) for s in row[6:] if s >= 0)
-            store.add_merged(
-                Dependence(
-                    dep_type,
-                    sink_loc=s_loc,
-                    sink_tid=s_tid,
-                    source_loc=p_loc,
-                    source_tid=p_tid,
-                    var=p_var,
-                    carried=sites,
-                    race=bool(is_race),
-                ),
-                count=int(c),
-            )
+        prov = self.provenance
+        if prov is None:
+            for row, c in zip(rows, counts):
+                store.add_merged(dep_of(row), c)
+            return
+        ts = sink_ts[order]
+        first = np.minimum.reduceat(ts, starts).tolist()
+        last = np.maximum.reduceat(ts, starts).tolist()
+        sus = (
+            np.logical_or.reduceat(suspect[order], starts).tolist()
+            if suspect is not None
+            else [False] * len(starts)
+        )
+        for row, c, lo, hi, s in zip(rows, counts, first, last, sus):
+            dep = dep_of(row)
+            store.add_merged(dep, c)
+            prov.note_group(dep, c, lo, hi, s)
 
     def _note_memory(self) -> None:
         self.stats.tracker_memory_bytes = (

@@ -101,12 +101,14 @@ class AddressHeatmap:
     """Per-worker address-heat recorder over registry histograms.
 
     One instance per :class:`~repro.parallel.worker.Worker`.  The read and
-    write series are fed from the worker's chunk loop
-    (:meth:`record_batch_rows`), the conflict series from the array
-    signature's eviction hook (:meth:`record_conflict` — wired so it fires
-    on *exactly* the events the ``sigmem.evictions`` counter counts, which
-    is what makes the bucket sums reconcile with the suspect-FP total), and
-    the occupancy series once at publish time (:meth:`record_occupancy`).
+    write series are fed from the worker's chunk kernel
+    (:meth:`record_accesses`), the conflict series from the signature's
+    eviction hook (:meth:`record_conflicts` for the slot planes, one bulk
+    update per chunk; :meth:`record_conflict` for the scalar
+    :class:`~repro.sigmem.ArraySignature`) — wired so it fires on *exactly*
+    the events the ``sigmem.evictions`` counter counts, which is what makes
+    the bucket sums reconcile with the suspect-FP total — and the occupancy
+    series once at publish time (:meth:`record_occupancy`).
     """
 
     def __init__(self, registry: MetricsRegistry, worker: int) -> None:
@@ -146,26 +148,14 @@ class AddressHeatmap:
                 counts[i] += int(half[i])
             hist.count += total  # sum stays 0.0 by design
 
-    def record_batch_rows(self, batch: Any, rows: np.ndarray) -> None:
-        """Record the READ/WRITE rows of one chunk of ``batch``.
-
-        ``rows`` may include broadcast rows (FREE, loop markers); only
-        memory accesses contribute heat.
-        """
-        from repro.trace import READ, WRITE
-
-        kind = batch.kind[rows]
-        is_read = kind == READ
-        is_write = kind == WRITE
-        acc = is_read | is_write
-        if not acc.any():
-            return
-        self.record_accesses(batch.addr[rows[acc]], is_write[acc])
-
     def record_conflict(self, addr: int) -> None:
         """One signature hash-conflict eviction caused by inserting ``addr``."""
         self._conflicts.counts[bucket_of(addr)] += 1
         self._conflicts.count += 1
+
+    def record_conflicts(self, addrs: np.ndarray) -> None:
+        """Hash-conflict evictions caused by inserting each of ``addrs``."""
+        _bulk_record(self._conflicts, addrs)
 
     # -- publish-time recording --------------------------------------------
     def record_occupancy(self, addrs: np.ndarray, kind: str) -> None:

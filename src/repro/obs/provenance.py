@@ -45,13 +45,21 @@ class ProvenanceRecord:
         "oracle_spurious",
     )
 
-    def __init__(self, worker: int, chunk: int, ts: int, suspect: bool) -> None:
+    def __init__(
+        self,
+        worker: int,
+        chunk: int,
+        ts: int,
+        suspect: bool,
+        count: int = 1,
+        last_ts: int | None = None,
+    ) -> None:
         self.workers: set[int] = {worker}
         self.first_chunk = chunk
         self.last_chunk = chunk
         self.first_ts = ts
-        self.last_ts = ts
-        self.count = 1
+        self.last_ts = ts if last_ts is None else last_ts
+        self.count = count
         self.suspect_fp = suspect
         #: ``None`` until an oracle cross-check runs; then True if the
         #: perfect run never produced this record (a confirmed false
@@ -105,10 +113,12 @@ class ProvenanceRecord:
 class ProvenanceCollector:
     """Per-worker (and merged) provenance map, keyed by dependence record.
 
-    The engine calls :meth:`note` once per dependence *instance*; the
-    worker sets :attr:`chunk` before each chunk so notes are attributed to
-    the chunk being processed.  ``worker=0, chunk=-1`` is the sequential
-    engine's identity (no pipeline).
+    The reference engine calls :meth:`note` once per dependence
+    *instance*; the vectorized chunk kernel calls :meth:`note_group` once
+    per merged record of a chunk.  The worker sets :attr:`chunk` before
+    each chunk so notes are attributed to the chunk being processed.
+    ``worker=0, chunk=-1`` is the sequential engine's identity (no
+    pipeline).
     """
 
     def __init__(self, worker: int = 0) -> None:
@@ -123,6 +133,19 @@ class ProvenanceCollector:
             self.records[dep] = ProvenanceRecord(self.worker, self.chunk, ts, suspect)
         else:
             rec.note(self.worker, self.chunk, ts, suspect)
+
+    def note_group(
+        self, dep: "Dependence", count: int, first_ts: int, last_ts: int, suspect: bool
+    ) -> None:
+        """Fold ``count`` instances of ``dep`` from the current chunk at once:
+        the same as ``count`` :meth:`note` calls with sink timestamps
+        spanning ``[first_ts, last_ts]``, any of them ``suspect``."""
+        rec = ProvenanceRecord(
+            self.worker, self.chunk, first_ts, suspect, count=count, last_ts=last_ts
+        )
+        mine = self.records.setdefault(dep, rec)
+        if mine is not rec:
+            mine.fold(rec)
 
     def merge(self, other: "ProvenanceCollector") -> None:
         """Fold another collector in (the pipeline's merge phase)."""

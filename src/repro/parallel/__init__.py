@@ -17,8 +17,8 @@ Pieces:
 * :class:`AddressMap` — modulo distribution + redistribution overrides,
 * :class:`AccessStats` / :class:`Rebalancer` — hot-address tracking and the
   top-ten redistribution policy (Section IV-A),
-* :class:`Worker` — chunk consumer running the vectorized chunk kernel (or
-  the event-at-a-time reference engine) on private trackers,
+* :class:`Worker` — chunk consumer running the vectorized chunk kernel on
+  private trackers,
 * :class:`ParallelProfiler` — the pipeline over one of two transports:
   ``deterministic`` (in-process queues, drained inline) or ``processes``
   (worker processes over a shared-memory trace).

@@ -302,13 +302,12 @@ class ParallelProfiler:
             )
             for w in range(cfg.workers)
         ]
-        vec_workers = [w for w in workers if w.engine_kind == "vectorized"]
-        if vec_workers:
-            # One push-order loop-snapshot index per run, shared by every
-            # in-process vectorized kernel (it is batch-global, read-only).
+        # One push-order loop-snapshot index per run, shared by every
+        # in-process kernel (it is batch-global, read-only).
+        with reg.span("loop-index"):
             shared_loops = LoopStateIndex(batch)
-            for w in vec_workers:
-                w.engine.bind_loop_index(batch, shared_loops)
+        for w in workers:
+            w.engine.bind_loop_index(batch, shared_loops)
         if cfg.lock_free_queues:
             queues: list[SpscRingQueue | LockedQueue] = [
                 SpscRingQueue(

@@ -8,20 +8,13 @@ import numpy as np
 
 from repro.common.config import ProfilerConfig
 from repro.core.deps import DependenceStore
-from repro.core.reference import ReferenceEngine
 from repro.core.vectorized import ChunkKernel
 from repro.obs.heatmap import AddressHeatmap
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import ProvenanceCollector
 from repro.obs.tracing import NULL_TRACER, worker_track
 from repro.parallel.chunks import Chunk
-from repro.sigmem import (
-    ArraySignature,
-    DenseKeySpace,
-    DensePlaneTracker,
-    PerfectSignature,
-    SlotPlaneTracker,
-)
+from repro.sigmem import DenseKeySpace, DensePlaneTracker, SlotPlaneTracker
 from repro.sigmem.signature import AccessRecord, AccessTracker
 from repro.trace import TraceBatch
 
@@ -33,23 +26,21 @@ class Worker:
     so its read/write signature pair and its dependence map need no
     synchronization — the core of the paper's parallelization argument.
 
-    Two per-chunk engines are available (``config.worker_engine``):
-
-    * ``"vectorized"`` — the incremental array kernel
-      (:class:`~repro.core.vectorized.ChunkKernel`) over numpy signature
-      planes; the fast default.
-    * ``"reference"`` — the event-at-a-time
-      :class:`~repro.core.reference.ReferenceEngine`; kept as the
-      differential-test oracle, and selected automatically whenever
-      per-instance observation is requested (provenance), since the batch
-      kernel cannot attribute individual instances.
+    Every worker runs the incremental array kernel
+    (:class:`~repro.core.vectorized.ChunkKernel`) over numpy signature
+    planes: slot planes for the lossy array signature, dense planes for the
+    perfect one.  The event-at-a-time
+    :class:`~repro.core.reference.ReferenceEngine` is the test oracle the
+    kernel is diffed against, not a runtime choice.
 
     When a :class:`~repro.obs.metrics.MetricsRegistry` is supplied the
     worker instruments itself: per-chunk latency histogram, signature
-    hash-conflict eviction counters (reference engine only), and
-    callback-backed fill gauges that the sampler scrapes from the live
-    trackers.  Without a registry the hot path is exactly the
-    uninstrumented one.
+    hash-conflict eviction counters (``sigmem.evictions``, lossy
+    signatures), address heat, and callback-backed fill gauges that the
+    sampler scrapes from the live trackers.  A
+    :class:`~repro.obs.provenance.ProvenanceCollector` makes the kernel
+    attribute every merged dependence to this worker, its chunks and sink
+    timestamps, with the suspect-FP verdict.
     """
 
     def __init__(
@@ -62,7 +53,6 @@ class Worker:
         self.wid = wid
         self.config = config
         self._registry = registry
-        self._track_conflicts = provenance is not None
         # The memory observability plane: per-worker log2 address heatmaps
         # (reads/writes/conflicts/occupancy).  Registry-gated like every
         # other instrument, plus its own config switch.
@@ -71,31 +61,16 @@ class Worker:
             if registry is not None and config.heatmap
             else None
         )
-        # Provenance notes every dependence *instance* with its chunk and
-        # suspect-collision verdict — inherently per-event observations, so
-        # it pins the worker to the reference engine (mirroring how the
-        # sequential DependenceProfiler forces the reference engine).
-        self.engine_kind = (
-            "reference" if provenance is not None else config.worker_engine
-        )
         # Shared bank geometry (sharded signature memory); None = unbanked.
         self._geometry = config.bank_geometry
-        self._keyspace = (
-            DenseKeySpace()
-            if self.engine_kind == "vectorized" and config.perfect_signature
-            else None
+        self._keyspace = DenseKeySpace() if config.perfect_signature else None
+        self.engine = ChunkKernel(
+            config,
+            self._make_tracker("read"),
+            self._make_tracker("write"),
+            heat=self._heat,
+            provenance=provenance,
         )
-        read_t = self._make_tracker("read")
-        write_t = self._make_tracker("write")
-        self.engine: ReferenceEngine | ChunkKernel
-        if self.engine_kind == "vectorized":
-            # The kernel records heat inline from the access masks it
-            # computes anyway; the reference path records at worker level.
-            self.engine = ChunkKernel(config, read_t, write_t, heat=self._heat)
-        else:
-            self.engine = ReferenceEngine(
-                config, read_t, write_t, provenance=provenance
-            )
         self.provenance = provenance
         self.accesses_processed = 0
         self.chunks_processed = 0
@@ -107,40 +82,28 @@ class Worker:
         self._tracer = registry.tracer if registry is not None else NULL_TRACER
 
     def _make_tracker(self, kind: str) -> AccessTracker:
-        """Build one read/write tracker for this worker's engine.
+        """Build one read/write tracker for this worker's kernel.
 
-        The single construction point for every tracker flavour — the
-        in-process pipeline and the processes-mode worker factory both call
-        it, so slot sizing, salt, and telemetry wiring cannot drift apart.
+        The single construction point — the in-process pipeline and the
+        processes-mode worker both build their workers here, so slot
+        sizing, salt, and telemetry wiring cannot drift apart.
         """
         cfg = self.config
-        geo = self._geometry
-        if self.engine_kind == "vectorized":
-            if cfg.perfect_signature:
-                assert self._keyspace is not None
-                return DensePlaneTracker(self._keyspace, geometry=geo)
-            return SlotPlaneTracker(
-                cfg.slots_per_worker,
-                cfg.hash_salt,
-                track_addrs=self._heat is not None,
-                geometry=geo,
-            )
         if cfg.perfect_signature:
-            return PerfectSignature(geometry=geo)
-        eviction = (
-            self._registry.counter("sigmem.evictions", worker=self.wid, kind=kind)
-            if self._registry is not None
-            else None
-        )
-        return ArraySignature(
+            assert self._keyspace is not None
+            return DensePlaneTracker(self._keyspace, geometry=self._geometry)
+        return SlotPlaneTracker(
             cfg.slots_per_worker,
             cfg.hash_salt,
-            eviction_counter=eviction,
-            track_conflicts=self._track_conflicts,
-            conflict_heat=(
-                self._heat.record_conflict if self._heat is not None else None
+            eviction_counter=(
+                self._registry.counter("sigmem.evictions", worker=self.wid, kind=kind)
+                if self._registry is not None
+                else None
             ),
-            geometry=geo,
+            conflict_heat=(
+                self._heat.record_conflicts if self._heat is not None else None
+            ),
+            geometry=self._geometry,
         )
 
     @property
@@ -150,7 +113,7 @@ class Worker:
     def process_rows(
         self, batch: TraceBatch, rows: np.ndarray, seq: int = -1
     ) -> None:
-        """Run this worker's engine over ``rows`` of ``batch`` (one chunk)."""
+        """Run this worker's kernel over ``rows`` of ``batch`` (one chunk)."""
         hist = self._chunk_hist
         tracer = self._tracer
         need_t = hist is not None or tracer.enabled
@@ -158,18 +121,9 @@ class Worker:
         if self.provenance is not None:
             self.provenance.chunk = seq
         before = self.engine.stats.n_accesses
-        if isinstance(self.engine, ChunkKernel):
-            self.engine.process_rows(batch, rows)
-        else:
-            self.engine.process(batch.select(rows))
-            # process() only totals n_accesses at run() time; track it here.
-            self.engine.stats.n_accesses = (
-                self.engine.stats.n_reads + self.engine.stats.n_writes
-            )
+        self.engine.process_rows(batch, rows)
         self.accesses_processed += self.engine.stats.n_accesses - before
         self.chunks_processed += 1
-        if self._heat is not None and not isinstance(self.engine, ChunkKernel):
-            self._heat.record_batch_rows(batch, rows)
         if need_t:
             t1 = time.perf_counter()
             if hist is not None:
@@ -250,10 +204,10 @@ class Worker:
     def publish_heat(self) -> None:
         """Attribute end-of-run signature occupancy to address buckets.
 
-        Called once, by :meth:`publish`.  Trackers that do not know their
-        owner addresses (``occupied_addrs() is None``) are skipped, never
-        guessed.  Banked trackers additionally publish per-bank occupancy
-        (``heat.banks``) so bank skew is visible on the heat surfaces.
+        Called once, by :meth:`publish`.  Both plane trackers know their
+        owner addresses.  Banked trackers additionally publish per-bank
+        occupancy (``heat.banks``) so bank skew is visible on the heat
+        surfaces.
         """
         if self._heat is None:
             return
@@ -261,9 +215,7 @@ class Worker:
             ("read", self.engine.read_tracker),
             ("write", self.engine.write_tracker),
         ):
-            addrs = tracker.occupied_addrs()
-            if addrs is not None:
-                self._heat.record_occupancy(addrs, kind)
+            self._heat.record_occupancy(tracker.occupied_addrs(), kind)
             occ = tracker.bank_occupancy()
             if occ is not None:
                 self._heat.record_bank_occupancy(occ, kind)

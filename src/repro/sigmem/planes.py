@@ -11,9 +11,10 @@ its carry-out state in a handful of array operations.
 Two key spaces mirror the two scalar trackers:
 
 * :class:`SlotPlaneTracker` — keys are hash slots of the paper's array
-  signature (same hash, same conflation-on-collision, same removal
-  semantics), so a vectorized worker with ``n`` slots is bit-for-bit
-  equivalent to a reference worker with an ``ArraySignature`` of ``n`` slots.
+  signature (same hash, same conflation-on-collision, same removal and
+  eviction semantics), so a vectorized worker with ``n`` slots is
+  bit-for-bit equivalent to a reference worker with an ``ArraySignature``
+  of ``n`` slots, eviction counts and suspect-FP flags included.
 * :class:`DensePlaneTracker` — keys are dense indices handed out by a
   :class:`DenseKeySpace` (one per worker, shared by the worker's read and
   write planes so both sides agree on every key), equivalent to the
@@ -26,11 +27,16 @@ gauges work unchanged.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, Callable
+
 import numpy as np
 
 from repro.sigmem.banks import BankGeometry, slots_payload
 from repro.sigmem.hashing import hash_address, hash_addresses
 from repro.sigmem.signature import SLOT_BYTES, AccessRecord, AccessTracker
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.obs.metrics import Counter
 
 
 class _PlaneStore:
@@ -130,29 +136,34 @@ class SlotPlaneTracker(AccessTracker):
     Identical observable behaviour to :class:`~repro.sigmem.ArraySignature`:
     colliding addresses overwrite one another, ``remove`` clears the slot
     regardless of owner, and ``remove_range`` clears the slots of every
-    stride-aligned address in the range.  Eviction telemetry
-    (``sigmem.evictions`` / conflict tracking) is not maintained — that is a
-    per-insert observation the batch kernel cannot afford; runs that need it
-    use the reference worker engine.
+    stride-aligned address in the range.
 
-    With ``track_addrs`` an extra owner-address plane records which address
-    last wrote each slot, enabling end-of-run occupancy attribution
-    (:meth:`occupied_addrs`) at the cost of one extra scatter per carry-out.
+    Two planes beside the payload keep the collision bookkeeping: the
+    owner-address plane (which address last wrote each slot — occupancy
+    attribution, bank payloads, the eviction rule) and a 1-byte evicted
+    plane (slots that ever had a colliding overwrite — the suspect-FP
+    lineage).  The eviction rule (:meth:`evicts`) is the array signature's:
+    an insert evicts when its slot holds another address's record.  The
+    chunk kernel applies it to a whole chunk at once and reports the
+    evicting rows through :meth:`note_evictions`; the scalar :meth:`insert`
+    (used by per-address rebalance migration) applies it to one address.  Either
+    way each eviction is counted in ``eviction_counter`` and attributed
+    through ``conflict_heat`` (called with an array of inserted addresses),
+    the same hooks :class:`~repro.sigmem.ArraySignature` takes.
 
     With a ``geometry`` the slot planes are sharded into per-address-range
     banks exactly as :class:`~repro.sigmem.ArraySignature` banks its slot
     list (``key = bank * bank_slots + h(addr) % bank_slots``), so a bank is
     one contiguous plane slice and :meth:`export_bank`/:meth:`import_bank`
-    move it with a handful of array ops.  Banking implies the owner-address
-    plane — the payload must carry owners so the importer's attribution
-    stays exact.
+    move it with a handful of array ops.
     """
 
     def __init__(
         self,
         n_slots: int,
         salt: int = 0,
-        track_addrs: bool = False,
+        eviction_counter: "Counter | None" = None,
+        conflict_heat: "Callable[[np.ndarray], None] | None" = None,
         geometry: BankGeometry | None = None,
     ) -> None:
         if n_slots <= 0:
@@ -165,18 +176,11 @@ class SlotPlaneTracker(AccessTracker):
             geometry.round_slots(n_slots) if geometry is not None else int(n_slots)
         )
         self.salt = int(salt)
+        self.eviction_counter = eviction_counter
+        self.conflict_heat = conflict_heat
         self._store = _PlaneStore(self.n_slots)
-        if geometry is not None:
-            track_addrs = True
-        self._addrs: np.ndarray | None = (
-            np.zeros(self.n_slots, dtype=np.int64) if track_addrs else None
-        )
-
-    @property
-    def wants_addrs(self) -> bool:
-        """True when the kernel should thread the address column through
-        ``set_rows`` (owner-address plane present)."""
-        return self._addrs is not None
+        self._addrs = np.zeros(self.n_slots, dtype=np.int64)
+        self._evicted = np.zeros(self.n_slots, dtype=bool)
 
     # -- key derivation ----------------------------------------------------
     def key_of(self, addr: int) -> int:
@@ -199,20 +203,45 @@ class SlotPlaneTracker(AccessTracker):
     def gather(self, keys: np.ndarray):
         return self._store.gather(keys)
 
-    def set_rows(self, keys, loc, var, tid, ts, addr=None) -> None:
+    def gather_owners(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Owner address and evicted flag of each slot in ``keys``."""
+        return self._addrs[keys], self._evicted[keys]
+
+    def set_rows(self, keys, loc, var, tid, ts, addr) -> None:
         self._store.set_rows(keys, loc, var, tid, ts)
-        if self._addrs is not None and addr is not None and len(keys):
-            self._addrs[keys] = addr
+        self._addrs[keys] = addr
 
     def clear_keys(self, keys: np.ndarray) -> None:
         self._store.clear_keys(keys)
 
+    @staticmethod
+    def evicts(present, owner, addr):
+        """The eviction rule, on scalars or aligned arrays: an insert of
+        ``addr`` evicts when its slot is ``present`` and held by another
+        ``owner``."""
+        return present & (owner != addr)
+
+    def note_evictions(self, keys: np.ndarray, addrs: np.ndarray) -> None:
+        """Record hash-conflict evictions: inserts of ``addrs`` that
+        overwrote another address's record in slots ``keys``."""
+        n = len(keys)
+        if n == 0:
+            return
+        self._evicted[keys] = True
+        if self.eviction_counter is not None:
+            self.eviction_counter.inc(n)
+        if self.conflict_heat is not None:
+            self.conflict_heat(addrs)
+
     # -- AccessTracker protocol --------------------------------------------
     def insert(self, addr: int, record: AccessRecord) -> None:
         key = self.key_of(addr)
+        if self.evicts(self._store._present[key], self._addrs[key], addr):
+            self.note_evictions(
+                np.array([key], dtype=np.int64), np.array([addr], dtype=np.int64)
+            )
         self._store.put(key, record)
-        if self._addrs is not None:
-            self._addrs[key] = addr
+        self._addrs[key] = addr
 
     def lookup(self, addr: int) -> AccessRecord | None:
         return self._store.get(self.key_of(addr))
@@ -228,6 +257,7 @@ class SlotPlaneTracker(AccessTracker):
 
     def clear(self) -> None:
         self._store.wipe()
+        self._evicted[:] = False
 
     def occupied(self) -> int:
         return self._store._filled
@@ -235,12 +265,9 @@ class SlotPlaneTracker(AccessTracker):
     def fill_ratio(self) -> float:
         return self._store._filled / self.n_slots
 
-    def occupied_addrs(self) -> np.ndarray | None:
+    def occupied_addrs(self) -> np.ndarray:
         """Owner addresses of the occupied slots (current owner where
-        conflated, matching :class:`~repro.sigmem.ArraySignature`).  Needs
-        the ``track_addrs`` plane; ``None`` without it."""
-        if self._addrs is None:
-            return None
+        conflated, matching :class:`~repro.sigmem.ArraySignature`)."""
         return self._addrs[self._store._present]
 
     @property
@@ -266,7 +293,6 @@ class SlotPlaneTracker(AccessTracker):
         present = self._store._present[base : base + self.bank_slots]
         local = np.flatnonzero(present).astype(np.int64)
         keys = base + local
-        owners = self._addrs
         payload = slots_payload(
             bank,
             self.bank_slots,
@@ -275,7 +301,7 @@ class SlotPlaneTracker(AccessTracker):
             self._store._var[keys],
             self._store._tid[keys],
             self._store._ts[keys],
-            None if owners is None else owners[keys],
+            self._addrs[keys],
         )
         self._store.clear_keys(keys)
         return payload
@@ -309,7 +335,7 @@ class SlotPlaneTracker(AccessTracker):
             payload["tid"][win],
             payload["ts"][win],
         )
-        if self._addrs is not None and payload["addr"] is not None:
+        if payload["addr"] is not None:
             self._addrs[keep] = payload["addr"][win]
 
 
@@ -382,7 +408,7 @@ class DensePlaneTracker(AccessTracker):
 
     Equivalent to :class:`~repro.sigmem.PerfectSignature`; memory accounting
     follows the same ~88-bytes-per-live-entry model so cost/memory reports
-    stay comparable across worker engines.
+    stay comparable with the reference engine's.
 
     Dense keys have no bank structure, so a ``geometry`` enables the
     *generic* record-format bank protocol from the base class: exports are

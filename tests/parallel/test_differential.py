@@ -15,7 +15,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.parallel.engine import ParallelProfiler
 from repro.trace import FREE
 from repro.workloads import get_trace
-from tests.trace_helpers import seq_trace
+from tests.trace_helpers import reference_pipeline, seq_trace
 
 WORKLOADS = ["ep", "lu", "water-spatial"]
 
@@ -64,19 +64,20 @@ class TestRebalancingDifferential:
     def test_lossy_signature_rebalancing_matches_unrebalanced(self, name):
         # Same comparison under the lossy array-signature path: both runs
         # share one geometry/salt, so conflation is identical and the dep
-        # sets must still agree exactly.
+        # sets must still agree exactly — with each other and with the
+        # reference-worker oracle.
         batch = get_trace(name)
         cfg = ProfilerConfig(
             workers=4,
             signature_slots=4096,
             signature_banks=8,
-            worker_engine="reference",
             chunk_size=256,
             rebalance_interval_chunks=4,
         )
         off, _ = profile_set(batch, cfg, threshold=float("inf"))
         on, _ = profile_set(batch, cfg, threshold=1.0)
-        assert on == off
+        oracle, _, _ = reference_pipeline(batch, cfg)
+        assert on == off == oracle.as_set()
 
 
 class TestModeDifferential:

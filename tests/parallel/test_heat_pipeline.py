@@ -17,10 +17,11 @@ import pytest
 
 from repro.common.config import ProfilerConfig
 from repro.obs import RunReport
-from repro.obs.heatmap import HEAT_FAMILIES, heatmap_summary
+from repro.obs.heatmap import HEAT_FAMILIES, bucket_of, heatmap_summary
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import ParallelProfiler
 from repro.workloads import get_trace, workload_names
+from tests.trace_helpers import reference_pipeline
 
 ALL = workload_names("nas") + workload_names("starbench") + workload_names("splash2x")
 
@@ -86,31 +87,56 @@ class TestModeEquivalence:
 
 class TestConflictAttribution:
     def test_bucket_sums_equal_eviction_total(self):
-        batch = get_trace("is")
-        # Reference engine + a tiny signature forces hash-conflict
-        # evictions; each one must land in exactly one address bucket.
-        reg, _, _ = run_mode(
-            batch,
-            "deterministic",
-            worker_engine="reference",
-            signature_slots=64,
-        )
-        doc = heatmap_summary(reg)
-        evictions = reg.sum_counters("sigmem.evictions")
-        assert evictions > 0
-        assert doc["total_conflicts"] == evictions
-        assert sum(doc["totals"]["conflicts"]) == evictions
+        # A small signature and forced rebalancing: hash-conflict evictions
+        # come from the chunk kernel and from per-address migration
+        # (``Worker.migrate_in`` inserts), and each one must land in
+        # exactly one address bucket of its worker's heat.
+        for name in ("is", "cg"):
+            reg = MetricsRegistry()
+            cfg = ProfilerConfig(
+                workers=4,
+                signature_slots=256,
+                rebalance_interval_chunks=1,
+                hot_addresses=64,
+            )
+            _, info = ParallelProfiler(
+                cfg, rebalance_threshold=1.0, registry=reg
+            ).profile(get_trace(name))
+            assert info.addresses_migrated > 0, name
+            evictions = reg.sum_counters("sigmem.evictions")
+            assert evictions > 0, name
+            doc = heatmap_summary(reg)
+            assert doc["total_conflicts"] == evictions
+            assert sum(doc["totals"]["conflicts"]) == evictions
+            for w, wdoc in doc["workers"].items():
+                per_worker = sum(
+                    c.value
+                    for c in reg.counters()
+                    if c.name == "sigmem.evictions" and str(dict(c.labels)["worker"]) == w
+                )
+                assert sum(wdoc["conflicts"]) == per_worker
 
     def test_occupancy_attribution_reference_engine(self):
+        """End-of-run occupancy heat of the lossy slot planes equals the
+        reference-worker oracle's signature occupancy, bucket for bucket."""
         batch = get_trace("rgbyuv")
-        reg, _, _ = run_mode(
-            batch, "deterministic", worker_engine="reference", signature_slots=4096
-        )
+        reg, _, _ = run_mode(batch, "deterministic", signature_slots=4096)
         doc = heatmap_summary(reg)
-        # Occupancy recorded per worker per signature kind, bounded by slots.
-        for wdoc in doc["workers"].values():
+        cfg = ProfilerConfig(workers=2, signature_slots=4096)
+        _, engines, _ = reference_pipeline(batch, cfg)
+        for w, eng in enumerate(engines):
+            wdoc = doc["workers"][str(w)]
+            # Occupancy recorded per worker per signature kind, bounded by slots.
             assert set(wdoc["occupancy"]) == {"read", "write"}
             assert 0 < sum(wdoc["occupancy"]["read"]) <= 4096 // 2
+            for kind, tracker in (
+                ("read", eng.read_tracker),
+                ("write", eng.write_tracker),
+            ):
+                expected = [0] * len(wdoc["occupancy"][kind])
+                for addr in tracker.occupied_addrs().tolist():
+                    expected[bucket_of(addr)] += 1
+                assert wdoc["occupancy"][kind] == expected
 
     def test_occupancy_matches_tracker_occupied_vectorized(self):
         batch = get_trace("rgbyuv")

@@ -16,11 +16,12 @@ from repro.common.config import ProfilerConfig
 from repro.common.errors import ProfilerError
 from repro.core import profile_trace
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.provenance import ProvenanceCollector
 from repro.obs.tracing import Tracer
 from repro.parallel import ParallelProfiler
 from repro.trace import attach_batch, share_batch
 from repro.workloads import get_trace
-from tests.trace_helpers import seq_trace
+from tests.trace_helpers import reference_pipeline, seq_trace
 
 PERFECT = ProfilerConfig(perfect_signature=True)
 
@@ -68,17 +69,32 @@ class TestProcessesMode:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("engine", ["vectorized", "reference"])
     def test_matches_sequential(self, workers, engine):
+        """``reference`` also diffs the run, provenance chunk ids included,
+        against the reference-worker oracle, which chunks each worker's
+        rows as a worker process does."""
         batch = get_trace("ep")
-        cfg = PERFECT.with_(
-            workers=workers, chunk_size=512, worker_engine=engine
-        )
+        cfg = PERFECT.with_(workers=workers, chunk_size=512)
         seq = profile_trace(batch, PERFECT, "reference")
-        par, info = ParallelProfiler(cfg, mode="processes").profile(batch)
+        par, info = ParallelProfiler(
+            cfg, mode="processes", provenance=engine == "reference"
+        ).profile(batch)
         assert par.store == seq.store
         assert par.stats.dep_instances == seq.stats.dep_instances
         assert par.stats.n_events == seq.stats.n_events
         assert sum(info.per_worker_accesses) == seq.stats.n_accesses
         assert info.n_chunks == len(info.chunk_log) > 0
+        if engine == "reference":
+            store, engines, _ = reference_pipeline(batch, cfg)
+            oracle = ProvenanceCollector()
+            for eng in engines:
+                oracle.merge(eng.provenance)
+            assert par.store == store
+            assert {d: r.to_dict() for d, r in par.provenance} == {
+                d: r.to_dict() for d, r in oracle
+            }
+            assert [e.stats.n_reads + e.stats.n_writes for e in engines] == (
+                info.per_worker_accesses
+            )
 
     def test_array_signature_matches_deterministic(self):
         batch = get_trace("ep")

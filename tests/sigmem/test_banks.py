@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.obs.metrics import MetricsRegistry
 from repro.sigmem import (
     ArraySignature,
     BankGeometry,
@@ -113,3 +114,47 @@ class TestExportImport:
     def test_export_requires_geometry(self):
         with pytest.raises(Exception):
             PerfectSignature().export_bank(0)
+
+
+class TestEvictionParity:
+    """The slot planes apply ArraySignature's eviction rule on their scalar
+    path too (per-address rebalance migration inserts through it): one
+    operation sequence gives both trackers the same eviction count, the
+    same conflict-heat addresses and the same set of evicted slots."""
+
+    def test_same_sequence_same_evictions(self):
+        reg = MetricsRegistry()
+        heat = {"array": [], "slots": []}
+        sig = ArraySignature(
+            64,
+            eviction_counter=reg.counter("evictions", kind="array"),
+            conflict_heat=heat["array"].append,
+            geometry=GEO,
+        )
+        planes = SlotPlaneTracker(
+            64,
+            eviction_counter=reg.counter("evictions", kind="slots"),
+            conflict_heat=lambda addrs: heat["slots"].extend(addrs.tolist()),
+            geometry=GEO,
+        )
+        source = SlotPlaneTracker(64, geometry=GEO)
+        fill(source, [(1 << 12) + 8 * i for i in range(40)], ts0=1000)
+        payload = source.export_bank(1)
+        bank0 = [8 * i for i in range(48)]  # 48 addresses over 16 slots
+        bank1 = [(1 << 12) + 8 * i for i in range(40, 60)]
+        for t in (sig, planes):
+            fill(t, bank0)  # colliding inserts
+            fill(t, bank0[:10], ts0=100)  # owners changed by the collisions
+            t.remove(bank0[3])
+            fill(t, [bank0[3], bank0[19]], ts0=200)  # insert after a kill
+            t.remove_range(0, 8 * 16)
+            fill(t, bank0[20:30], ts0=300)
+            t.import_bank(payload)  # migration merges are not evictions
+            fill(t, bank1, ts0=2000)  # collide with imported owners
+        evictions = reg.counter("evictions", kind="array").value
+        assert evictions > 0
+        assert reg.counter("evictions", kind="slots").value == evictions
+        assert heat["slots"] == heat["array"]
+        assert np.flatnonzero(planes._evicted).tolist() == sorted(sig._evicted_slots)
+        for a in bank0 + bank1:
+            assert planes.lookup(a) == sig.lookup(a)

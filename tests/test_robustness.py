@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from repro.common.config import ProfilerConfig
-from repro.common.errors import ProfilerError
+from repro.common.errors import ProfilerError, TraceFormatError
 from repro.core import DependenceProfiler, profile_trace
 from repro.parallel import ParallelProfiler
-from repro.trace import TraceBuilder, TraceRecorder
+from repro.trace import LOOP_ENTER, TraceBuilder, TraceRecorder
 from tests.trace_helpers import seq_trace
 
 PERFECT = ProfilerConfig(perfect_signature=True)
@@ -96,6 +96,42 @@ class TestExtremeConfigs:
     def test_profiler_rejects_engine_typo(self):
         with pytest.raises(ProfilerError):
             DependenceProfiler(PERFECT, engine="vectorised")
+
+
+class TestMalformedLoopNesting:
+    """A trace whose LOOP_ITER/LOOP_EXIT has no enclosing LOOP_ENTER on its
+    thread (a truncated or hand-edited cached trace, say) is rejected up
+    front by every engine with one TraceFormatError naming the thread and
+    the row — never a bare KeyError from deep inside a replay."""
+
+    @staticmethod
+    def enter_dropped():
+        ops = [("w", 0x10, 1), ("tid", 2), ("L+", 10), ("Li", 10)]
+        ops += [("r", 0x10, 11), ("L-", 10)]
+        batch = seq_trace(ops)
+        keep = np.flatnonzero(batch.kind != LOOP_ENTER)
+        return batch.select(keep)  # rows: w, Li, r, L-
+
+    ITER_ERROR = r"LOOP_ITER on thread 2 at trace row 1 has no enclosing LOOP_ENTER"
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_dependence_profiler_rejects(self, engine):
+        with pytest.raises(TraceFormatError, match=self.ITER_ERROR):
+            profile_trace(self.enter_dropped(), PERFECT, engine)
+
+    @pytest.mark.parametrize("mode", ["deterministic", "processes"])
+    def test_pipeline_rejects(self, mode):
+        prof = ParallelProfiler(PERFECT.with_(workers=2), mode=mode)
+        with pytest.raises(TraceFormatError, match=self.ITER_ERROR):
+            prof.profile(self.enter_dropped())
+
+    def test_unmatched_exit_named(self):
+        batch = seq_trace(
+            [("L+", 10), ("L-", 10), ("w", 0x10, 1), ("L+", 11), ("L-", 11)]
+        )
+        batch = batch.select(np.array([0, 1, 2, 4]))  # second LOOP_ENTER dropped
+        with pytest.raises(TraceFormatError, match="LOOP_EXIT on thread 0 at trace row 3"):
+            ParallelProfiler(PERFECT).profile(batch)
 
 
 class TestResultObject:
