@@ -5,13 +5,17 @@ The tree-walking interpreter costs ~10 Python-level calls per loop iteration
 touch), which makes trace *production* the serial bottleneck of the whole
 pipeline.  This module removes that bottleneck for innermost counted loops
 whose bodies are ``SetReg``/``Store`` statements over numpy-expressible
-expressions.
+expressions, plus one level of ``if``/``else`` whose arms hold only such
+statements.
 
 Classification builds a per-loop dependence graph
 (:mod:`repro.minivm.depgraph`): statements are nodes, every traced access is
 a symbolic :class:`~repro.minivm.depgraph.MemoryRef` (loop-invariant *slot*,
-affine ``base + stride*i``, or vector-evaluated *dynamic* index), and
-RAW/WAR/WAW edges carry dependence distances.  The scheduler condenses the
+affine ``base + stride*i``, or vector-evaluated *dynamic* index — an index
+that loads memory is fed by its own load refs), and RAW/WAR/WAW edges carry
+dependence distances.  An ``if`` lowers to a condition node plus
+*predicated* arm statements; every lane runs a predicated statement only on
+the iterations whose condition takes its arm.  The scheduler condenses the
 value-flow subgraph into SCCs and executes each group whole-iteration-space
 in dependence order:
 
@@ -32,8 +36,8 @@ Execution is two-phase so a bailout is always safe:
   progressions that the graph could not relate statically.  Nothing is
   mutated; any :class:`Bailout` simply falls back to the interpreter.
 * **commit**: scatter final memory values, finalize registers, and
-  bulk-append the event rows — LOOP_ITER markers plus every access of every
-  iteration, in exactly the interpreter's order.
+  bulk-append the event rows — LOOP_ITER markers plus every access each
+  iteration runs, in exactly the interpreter's order.
 
 The contract (enforced by the differential-oracle tests) is *bit-for-bit*
 trace equality with the interpreted path and value-identical memory, so any
@@ -355,96 +359,109 @@ def _degree(e: ast.Expr, ind: str, body_regs: set[str]) -> int | None:
     return None
 
 
-def _contains_load(e: ast.Expr) -> bool:
-    if isinstance(e, ast.Load):
-        return True
-    if isinstance(e, ast.BinOp):
-        return _contains_load(e.lhs) or _contains_load(e.rhs)
-    if isinstance(e, ast.UnOp):
-        return _contains_load(e.operand)
-    return False
-
-
-def _index_shape(
-    idx: ast.Expr | None, ind: str, body_regs: set[str]
-) -> tuple[str | None, str | None]:
-    """Classify an index expression's address progression shape."""
+def _index_shape(idx: ast.Expr | None, ind: str, body_regs: set[str]) -> str:
+    """Classify an index expression's address progression shape; an index
+    that loads memory is dynamic, fed by its own load refs."""
     if idx is None:
-        return SLOT, None
+        return SLOT
     d = _degree(idx, ind, body_regs)
     if d == 0:
-        return SLOT, None
+        return SLOT
     if d == 1:
-        return AFFINE, None
-    if _contains_load(idx):
-        return None, "indirect_index"
-    return DYNAMIC, None
+        return AFFINE
+    return DYNAMIC
 
 
-def _scan_value(
-    e: ast.Expr,
-    ind: str,
-    body_regs: set[str],
-    loads: list[MemoryRef],
-    stmt_idx: int,
-    line: int,
-) -> str | None:
-    """Depth-first value-expression check, recording loads in the exact
-    traversal (= event emission) order of the interpreter."""
-    if isinstance(e, ast.Const):
-        return None if isinstance(e.value, (int, float)) else "const_type"
-    if isinstance(e, ast.Reg):
-        return None  # bindings (incl. loop-carried reads) resolve in the graph
-    if isinstance(e, ast.Load):
-        shape, reason = _index_shape(e.index, ind, body_regs)
-        if reason:
+def _scan_stmt(
+    s: ast.Stmt, idx: int, ind: str, body_regs: set[str], pred: tuple | None
+) -> "tuple[StmtNode | None, str | None]":
+    """Lower one straight-line statement (or an ``if``'s condition) to a
+    node, or return why it cannot be.  Loads are recorded in the exact event
+    emission order of the interpreter (``loads``: an index's loads before
+    the read they address, a store's value loads before its index loads, as
+    in ``Interp._exec_stmt``) and in expression-walk order (``eval_loads``:
+    the read first)."""
+    loads: list[MemoryRef] = []
+    eval_loads: list[MemoryRef] = []
+
+    def scan(e: ast.Expr) -> str | None:
+        if isinstance(e, ast.Const):
+            return None if isinstance(e.value, (int, float)) else "const_type"
+        if isinstance(e, ast.Reg):
+            return None  # bindings (incl. loop-carried reads) resolve in the graph
+        if isinstance(e, ast.Load):
+            shape = _index_shape(e.index, ind, body_regs)
+            ref = MemoryRef(READ, e.var, e.index, s.line, idx, shape, pred)
+            eval_loads.append(ref)
+            # Only a dynamic index can load; slot/affine ones are load-free.
+            reason = scan(e.index) if shape == DYNAMIC else None
+            loads.append(ref)
             return reason
-        loads.append(MemoryRef(READ, e.var, e.index, line, stmt_idx, shape))
-        return None
-    if isinstance(e, ast.BinOp):
-        return _scan_value(
-            e.lhs, ind, body_regs, loads, stmt_idx, line
-        ) or _scan_value(e.rhs, ind, body_regs, loads, stmt_idx, line)
-    if isinstance(e, ast.UnOp):
-        if e.op not in ast._UNOPS:
-            return "expr_type"
-        return _scan_value(e.operand, ind, body_regs, loads, stmt_idx, line)
-    return "expr_type"
+        if isinstance(e, ast.BinOp):
+            return scan(e.lhs) or scan(e.rhs)
+        if isinstance(e, ast.UnOp):
+            return scan(e.operand) if e.op in ast._UNOPS else "expr_type"
+        return "expr_type"
+
+    expr = s.cond if isinstance(s, ast.If) else s.expr
+    reason = scan(expr)
+    if reason:
+        return None, reason
+    if isinstance(s, ast.SetReg):
+        return StmtNode(idx, s.line, s.reg.name, None, expr, loads, eval_loads, pred), None
+    if isinstance(s, ast.If):
+        return StmtNode(idx, s.line, None, None, expr, loads, eval_loads), None
+    shape = _index_shape(s.index, ind, body_regs)
+    reason = scan(s.index) if shape == DYNAMIC else None
+    if reason:
+        return None, reason
+    w = MemoryRef(WRITE, s.var, s.index, s.line, idx, shape, pred)
+    return StmtNode(idx, s.line, None, w, expr, loads, eval_loads, pred), None
 
 
 def classify_loop(loop: ast.For) -> "tuple[AffineTemplate | None, str | None]":
     """Statically classify ``loop``; returns (template, None) on success or
-    (None, reject_reason) when the loop can never take the fast path."""
+    (None, reject_reason) when the loop can never take the fast path.
+
+    The body may hold ``SetReg``/``Store`` statements and ``if``/``else``
+    statements whose arms hold only those; each ``if`` lowers to a
+    condition node followed by its then-arm and else-arm statements, all
+    in execution order."""
     ind = loop.reg.name
-    body_regs = {s.reg.name for s in loop.body if isinstance(s, ast.SetReg)}
+    flat: list[tuple[ast.Stmt, bool | None]] = []  # (stmt, arm taken?)
+    for s in loop.body:
+        if isinstance(s, ast.If):
+            arms = [(a, True) for a in s.then_body]
+            arms += [(a, False) for a in s.else_body]
+            for a, _ in arms:
+                if not isinstance(a, (ast.SetReg, ast.Store)):
+                    return None, f"if_arm:{type(a).__name__.lower()}"
+            flat.append((s, None))
+            flat.extend(arms)
+        elif isinstance(s, (ast.SetReg, ast.Store)):
+            flat.append((s, None))
+        else:
+            return None, f"stmt:{type(s).__name__.lower()}"
+    body_regs = {s.reg.name for s, _ in flat if isinstance(s, ast.SetReg)}
     if ind in body_regs:
         return None, "induction_reassigned"
     nodes: list[StmtNode] = []
     accesses: list[MemoryRef] = []
-    for si, s in enumerate(loop.body):
-        if isinstance(s, ast.SetReg):
-            loads: list[MemoryRef] = []
-            reason = _scan_value(s.expr, ind, body_regs, loads, si, s.line)
-            if reason:
-                return None, reason
-            node = StmtNode(si, s.line, s.reg.name, None, s.expr, loads)
-        elif isinstance(s, ast.Store):
-            loads = []
-            reason = _scan_value(s.expr, ind, body_regs, loads, si, s.line)
-            if reason:
-                return None, reason
-            shape, reason = _index_shape(s.index, ind, body_regs)
-            if reason:
-                return None, reason
-            w = MemoryRef(WRITE, s.var, s.index, s.line, si, shape)
-            node = StmtNode(si, s.line, None, w, s.expr, loads)
-        else:
-            return None, f"stmt:{type(s).__name__.lower()}"
+    cond = -1
+    for si, (s, taken) in enumerate(flat):
+        if isinstance(s, ast.If):
+            cond = si
+        pred = None if taken is None else (cond, taken)
+        node, reason = _scan_stmt(s, si, ind, body_regs, pred)
+        if reason:
+            return None, reason
         nodes.append(node)
         accesses.extend(node.loads)
         if node.store is not None:
             accesses.append(node.store)
     graph = DependencyGraph(ind, nodes)
+    if graph.reject:
+        return None, graph.reject
     groups, reason = GroupScheduler(graph).schedule()
     if groups is None:
         return None, reason
@@ -500,7 +517,7 @@ def program_has_spawn(program: "Program") -> bool:
 class _Resolved:
     """Per-execution resolution of one access: concrete progression."""
 
-    __slots__ = ("shape", "base", "size", "addr0", "astride", "addrs", "gathered")
+    __slots__ = ("shape", "base", "size", "addr0", "astride", "addrs", "gathered", "sel")
 
     def __init__(self, shape: str, base: int, size: int) -> None:
         self.shape = shape
@@ -508,12 +525,33 @@ class _Resolved:
         self.size = size
         self.addr0 = base
         self.astride = 0
-        self.addrs: np.ndarray | None = None  # dynamic shapes only
+        #: dynamic shapes only: one address per iteration the access runs
+        self.addrs: np.ndarray | None = None
         self.gathered: _VecVal | None = None
+        #: iterations a predicated access runs on (``None``: every one)
+        self.sel: np.ndarray | None = None
 
     def span(self, n_iters: int) -> tuple[int, int]:
         last = self.addr0 + self.astride * (n_iters - 1)
         return (min(self.addr0, last), max(self.addr0, last))
+
+    def check_bounds(self, n_iters: int) -> None:
+        """Bounds-check a slot/affine progression on the iterations it runs
+        (the interpreter never computes an address on a skipped one);
+        dynamic shapes are checked where their addresses are resolved."""
+        sel = self.sel
+        if sel is None:
+            first, last = 0, n_iters - 1
+        elif sel.size:
+            first, last = int(sel[0]), int(sel[-1])
+        else:
+            return
+        lo = self.addr0 - self.base + self.astride * first
+        hi = self.addr0 - self.base + self.astride * last
+        if lo > hi:
+            lo, hi = hi, lo
+        if lo < 0 or hi >= ELEM_SIZE * self.size:
+            raise Bailout("oob_index")
 
 
 class _Ctx:
@@ -532,7 +570,9 @@ class _Ctx:
         "store_post",
         "dyn_addrs",
         "overlays",
+        "masks",
         "_lists",
+        "_sels",
     )
 
     def __init__(self, interp, act, n, k, start, step, ind_val) -> None:
@@ -546,9 +586,12 @@ class _Ctx:
         self.res: dict[int, _Resolved] = {}
         self.reg_post: dict[int, Any] = {}  # def stmt idx -> value
         self.store_post: dict[int, Any] = {}  # store stmt idx -> value
-        self.dyn_addrs: dict[tuple, np.ndarray] = {}  # access key -> addrs
+        #: (access key, predicate) -> addrs on the iterations the access runs
+        self.dyn_addrs: dict[tuple, np.ndarray] = {}
         self.overlays: list[dict[int, Any]] = []  # sequential-group writes
+        self.masks: dict[int, np.ndarray] = {}  # if-condition idx -> truth
         self._lists: dict[int, list] = {}
+        self._sels: dict[tuple, np.ndarray | None] = {}
 
     def as_list(self, v: Any) -> list:
         """Exact Python-scalar view of a per-iteration value (memoized)."""
@@ -562,6 +605,31 @@ class _Ctx:
                 got = v.val.tolist()
             self._lists[id(v)] = got
         return got
+
+    def lanes(self, pred: tuple | None) -> np.ndarray | None:
+        """Iterations a statement under ``pred`` runs on, ascending;
+        ``None`` when that is every iteration."""
+        if pred is None:
+            return None
+        if pred not in self._sels:
+            m = self.masks[pred[0]]
+            sel = np.flatnonzero(m if pred[1] else ~m)
+            self._sels[pred] = None if sel.size == self.n else sel
+        return self._sels[pred]
+
+    def shared_addrs(self, ref: MemoryRef, sel: np.ndarray | None) -> np.ndarray | None:
+        """Addresses already resolved for ``ref``'s key on its iterations:
+        by a ref under the same predicate, or by an unpredicated one."""
+        got = self.dyn_addrs.get((ref.key, ref.pred))
+        if got is None and ref.pred is not None:
+            got = self.dyn_addrs.get((ref.key, None))
+            if got is not None and sel is not None:
+                got = got[sel]
+        return got
+
+
+#: Register value of a predicated def before anything defined it.
+_UNSET = object()
 
 
 def _vals_to_vec(vals: list) -> _VecVal:
@@ -580,8 +648,76 @@ def _vals_to_vec(vals: list) -> _VecVal:
     raise Bailout("mixed_types")
 
 
-def _as_vec(v: Any, n: int) -> _VecVal:
-    return v if isinstance(v, _VecVal) else _vals_to_vec(v.vals)
+def _view(v: Any, sel: np.ndarray | None) -> _VecVal:
+    """A per-iteration value on the iterations ``sel`` (``None``: all)."""
+    if isinstance(v, _SeqVal):
+        vals = v.vals if sel is None else [v.vals[i] for i in sel.tolist()]
+        return _vals_to_vec(vals)
+    if sel is None or _is_scalar(v.val):
+        return v
+    return _VecVal(v.val[sel], v.lo, v.hi, v.kind)
+
+
+def _scatter(v: _VecVal | None, sel: np.ndarray, n: int) -> Any:
+    """Spread a value computed on the iterations ``sel`` over all ``n``;
+    the other iterations hold a filler nobody reads."""
+    if v is None or _is_scalar(v.val):
+        return v
+    full = np.zeros(n, dtype=v.val.dtype)
+    full[sel] = v.val
+    return _VecVal(full, v.lo, v.hi, v.kind)
+
+
+def _select(sel: np.ndarray, v: _VecVal, prior: _VecVal, n: int) -> _VecVal:
+    """``v`` on the iterations ``sel``, ``prior`` on the others."""
+    if v.kind != prior.kind:
+        raise Bailout("mixed_types")
+    if _is_scalar(prior.val):
+        full = np.full(n, prior.val, dtype=np.int64 if v.kind == "i" else np.float64)
+    else:
+        full = prior.val.copy()
+    full[sel] = v.val
+    return _VecVal(full, min(prior.lo, v.lo), max(prior.hi, v.hi), v.kind)
+
+
+def _fill(init: Any, sel: np.ndarray, v: _VecVal | None, n: int) -> Any:
+    """Per-iteration value of a predicated def that keeps its previous
+    value (``init`` before the loop) on the iterations it skips: ``v`` on
+    the iterations ``sel``, forward-filled over the rest."""
+    if v is None:  # the arm never runs
+        if init is _UNSET:
+            return _SeqVal([_UNSET] * n)
+        return _scalar_val(init)
+    src = np.zeros(n, dtype=np.int64)
+    src[sel] = np.arange(1, sel.size + 1)
+    np.maximum.accumulate(src, out=src)
+    ext = np.empty(sel.size + 1, dtype=np.int64 if v.kind == "i" else np.float64)
+    ext[1:] = v.val
+    lo, hi = v.lo, v.hi
+    lead = int(sel[0])  # iterations before the first run keep ``init``
+    if lead and init is _UNSET:
+        vals = ext[src].tolist()
+        vals[:lead] = [_UNSET] * lead
+        return _SeqVal(vals)
+    if lead:
+        if type(init) is bool:
+            raise Bailout("value_type")
+        if (type(init) is float) != (v.kind == "f"):
+            raise Bailout("mixed_types")
+        try:
+            ext[0] = init
+        except OverflowError:
+            raise Bailout("overflow_risk") from None
+        lo, hi = min(lo, init), max(hi, init)
+    return _VecVal(ext[src], lo, hi, v.kind)
+
+
+def _truth(v: _VecVal, n: int) -> np.ndarray:
+    """Per-iteration truth of an ``if`` condition, as Python's ``if`` sees
+    it: nonzero is true, so NaN is true and ``-0.0`` false."""
+    if _is_scalar(v.val):
+        return np.full(n, bool(v.val))
+    return v.val != 0
 
 
 def _pre_vec(post: Any, init: Any, n: int) -> _VecVal:
@@ -619,13 +755,15 @@ def _gather(mem: Memory, r: _Resolved, n_iters: int) -> _VecVal:
     return _vals_to_vec(mem.read_block(addrs))
 
 
-def _raw_list(val: Any, n: int) -> list:
+def _raw_list(val: Any, n: int, sel: np.ndarray | None = None) -> list:
+    """Exact Python values of a per-iteration value on the iterations
+    ``sel`` (``None``: all ``n``)."""
     if isinstance(val, _SeqVal):
-        return val.vals
+        return val.vals if sel is None else [val.vals[i] for i in sel.tolist()]
     v = val.val
     if _is_scalar(v):
-        return [v] * n
-    return v.tolist()
+        return [v] * (n if sel is None else sel.size)
+    return (v if sel is None else v[sel]).tolist()
 
 
 def _last_raw(val: Any) -> Any:
@@ -723,6 +861,7 @@ class AffineTemplate:
         "verdict",
         "_seq_stmts",
         "_seq_group_of",
+        "_revisit_sets",
     )
 
     def __init__(
@@ -749,10 +888,38 @@ class AffineTemplate:
                 for si in grp.stmts:
                     self._seq_stmts.add(si)
                     self._seq_group_of[si] = gi
+        self._revisit_sets = self._revisit_candidates()
+
+    def _revisit_candidates(self) -> list[list[MemoryRef]]:
+        """Refs of one dynamic key that must not touch a cell on two
+        different iterations (checked per execution by _reject_revisits).
+
+        A gathered load reads pre-loop memory, so no cell it reads may be
+        stored on a different iteration by the same key's stores; and
+        stores of one key under different predicates scatter statement by
+        statement, which is iteration order only when no cell is written on
+        two iterations.  Loads replayed in a sequential group together with
+        all of their key's stores read the overlay instead."""
+        out: list[list[MemoryRef]] = []
+        for key, stores in self.graph.mem_stores.items():
+            if self.nodes[stores[0]].store.shape != DYNAMIC:
+                continue
+            refs = [self.nodes[i].store for i in stores]
+            if len({r.pred for r in refs}) > 1:
+                out.append(refs)
+            groups = {self._seq_group_of.get(i, -1 - i) for i in stores}
+            for ld in self.accesses:
+                if ld.key != key or ld.is_store or ld.binding[0] != "init":
+                    continue
+                if groups != {self._seq_group_of.get(ld.stmt_idx)}:
+                    out.append([ld] + refs)
+        return out
 
     @property
     def events_per_iteration(self) -> int:
-        return 1 + len(self.accesses)  # LOOP_ITER + every access
+        """Event slots per iteration: LOOP_ITER + every access.  An iteration
+        emits the slots of the ``if`` arms it takes only."""
+        return 1 + len(self.accesses)
 
     # -- phase A: pure -----------------------------------------------------
     def _prepare(self, interp, act, start: int, end: int, step: int) -> _Ctx:
@@ -774,7 +941,8 @@ class AffineTemplate:
 
         # Resolve every slot/affine access to a concrete (addr0, stride)
         # progression and bounds-check the whole iteration space; dynamic
-        # shapes resolve later, during group evaluation.
+        # shapes resolve later, during group evaluation, and predicated
+        # accesses are bounds-checked once their iterations are known.
         regs0 = dict(act.regs)
         regs0[self.ind] = start
         regs1 = dict(act.regs)
@@ -786,8 +954,6 @@ class AffineTemplate:
                 e0 = _pure_eval(acc.index, regs0)
                 if not isinstance(e0, int):
                     raise Bailout("nonint_index")
-                if not 0 <= e0 < size:
-                    raise Bailout("oob_index")
                 r.addr0 = base + ELEM_SIZE * e0
             elif acc.shape == AFFINE:
                 e0 = _pure_eval(acc.index, regs0)
@@ -799,11 +965,10 @@ class AffineTemplate:
                     # A statically-moving progression that degenerates at
                     # runtime would invalidate the slot/forwarding model.
                     raise Bailout("degenerate_stride")
-                e_last = e0 + stride * (n_iters - 1)
-                if not (0 <= e0 < size and 0 <= e_last < size):
-                    raise Bailout("oob_index")
                 r.addr0 = base + ELEM_SIZE * e0
                 r.astride = ELEM_SIZE * stride
+            if acc.pred is None and acc.shape != DYNAMIC:
+                r.check_bounds(n_iters)
             ctx.res[id(acc)] = r
 
         # Evaluate statement groups in dependence order.
@@ -815,41 +980,91 @@ class AffineTemplate:
             else:
                 self._eval_sequential(grp, ctx)
 
-        # Forward-bound dynamic loads share their store's progression.
         for acc in self.accesses:
             r = ctx.res[id(acc)]
+            if acc.pred is not None:
+                r.sel = ctx.lanes(acc.pred)
+                if r.shape != DYNAMIC:
+                    r.check_bounds(n_iters)
             if r.shape == DYNAMIC and r.addrs is None:
-                r.addrs = ctx.dyn_addrs[acc.key]
+                if r.sel is not None and not r.sel.size:
+                    r.addrs = r.sel  # the access never runs
+                else:
+                    # Forward-bound loads share their store's progression.
+                    r.addrs = ctx.shared_addrs(acc, r.sel)
+                    if r.addrs is None:
+                        raise Bailout("unresolved_index")
 
+        for refs in self._revisit_sets:
+            _reject_revisits(ctx, refs)
         self._alias_checks(ctx)
         return ctx
 
     # -- vector groups -----------------------------------------------------
     def _eval_vector_stmt(self, node: StmtNode, ctx: _Ctx) -> None:
+        """Evaluate one statement on the iterations it runs on (all, or its
+        arm's), then spread the result over the iteration space."""
+        sel = None if node.pred is None else ctx.lanes(node.pred)
+        val = None
+        if sel is None or sel.size:
+            load_vals = self._load_all(node, ctx, sel, None)
+            val = self._veval(node.expr, ctx, node, load_vals, sel)
+            if node.store is not None and node.store.shape == DYNAMIC:
+                self._resolve_dynamic(node.store, ctx, node, load_vals, sel)
+        if node.target_reg is not None:
+            post = val if sel is None else self._merge(node, ctx, sel, val)
+            ctx.reg_post[node.idx] = post
+        elif node.store is None:  # an if condition
+            ctx.masks[node.idx] = _truth(val, ctx.n)
+        elif sel is None:
+            ctx.store_post[node.idx] = val
+        elif node.store.shape == SLOT:
+            ctx.store_post[node.idx] = self._merge(node, ctx, sel, val)
+        else:
+            ctx.store_post[node.idx] = _scatter(val, sel, ctx.n)
+
+    def _merge(self, node: StmtNode, ctx: _Ctx, sel, val: _VecVal | None) -> Any:
+        """Post value of a predicated register or cell def: on iterations
+        that skip it, the value it would have found there."""
+        name = node.target_reg
+        if name is None:  # a cell with no other writer keeps its own value
+            return _fill(
+                ctx.interp.mem.read(ctx.res[id(node.store)].addr0), sel, val, ctx.n
+            )
+        if node.reg_binds[name] == ("pre", node.idx):
+            return _fill(ctx.act.regs.get(name, _UNSET), sel, val, ctx.n)
+        prior = self._veval(ast.Reg(name), ctx, node, {}, None)
+        return prior if val is None else _select(sel, val, prior, ctx.n)
+
+    def _load_all(
+        self, node: StmtNode, ctx: _Ctx, sel, skip: tuple | None
+    ) -> dict[tuple, _VecVal]:
+        """Values of ``node``'s loads, in emission order (an index's loads
+        come before the access they address)."""
         load_vals: dict[tuple, _VecVal] = {}
         for ld in node.loads:
             pair = (ld.var.name, ld.index)
+            if pair == skip:
+                continue
             if pair not in load_vals:
-                load_vals[pair] = self._load_value(ld, ctx, node, load_vals)
-        val = self._veval(node.expr, ctx, node, load_vals)
-        if node.target_reg is not None:
-            ctx.reg_post[node.idx] = val
-        else:
-            if node.store.shape == DYNAMIC:
-                self._resolve_dynamic(node.store, ctx, node, load_vals)
-            ctx.store_post[node.idx] = val
+                load_vals[pair] = self._load_value(ld, ctx, node, load_vals, sel)
+            elif ld.shape == DYNAMIC:
+                # One statement reads the same expression twice: same cells.
+                first = next(x for x in node.loads if (x.var.name, x.index) == pair)
+                ctx.res[id(ld)].addrs = ctx.res[id(first)].addrs
+        return load_vals
 
     def _resolve_dynamic(
-        self, ref: MemoryRef, ctx: _Ctx, node: StmtNode, load_vals: dict
+        self, ref: MemoryRef, ctx: _Ctx, node: StmtNode, load_vals: dict, sel
     ) -> np.ndarray:
         r = ctx.res[id(ref)]
         if r.addrs is not None:
             return r.addrs
-        cached = ctx.dyn_addrs.get(ref.key)
+        cached = ctx.shared_addrs(ref, sel)
         if cached is not None:
             r.addrs = cached
             return cached
-        iv = self._veval(ref.index, ctx, node, load_vals)
+        iv = self._veval(ref.index, ctx, node, load_vals, sel)
         if iv.kind != "i":
             raise Bailout("nonint_index")
         v = iv.val
@@ -857,67 +1072,71 @@ class AffineTemplate:
             idx = int(v)
             if not 0 <= idx < r.size:
                 raise Bailout("oob_index")
-            addrs = np.full(ctx.n, r.base + ELEM_SIZE * idx, dtype=np.int64)
+            m = ctx.n if sel is None else sel.size
+            addrs = np.full(m, r.base + ELEM_SIZE * idx, dtype=np.int64)
         else:
             if iv.lo < 0 or iv.hi >= r.size:
                 if (v < 0).any() or (v >= r.size).any():
                     raise Bailout("oob_index")
             addrs = r.base + ELEM_SIZE * v.astype(np.int64)
         r.addrs = addrs
-        ctx.dyn_addrs[ref.key] = addrs
+        ctx.dyn_addrs[(ref.key, ref.pred)] = addrs
         return addrs
 
     def _load_value(
-        self, ld: MemoryRef, ctx: _Ctx, node: StmtNode, load_vals: dict
+        self, ld: MemoryRef, ctx: _Ctx, node: StmtNode, load_vals: dict, sel
     ) -> _VecVal:
         b = ld.binding
         if b[0] == "fwd":
-            return _as_vec(ctx.store_post[b[1]], ctx.n)
-        if b[0] == "pre":
-            r = ctx.res[id(ld)]
-            init = ctx.interp.mem.read(r.addr0)
-            return _pre_vec(ctx.store_post[b[1]], init, ctx.n)
+            return _view(ctx.store_post[b[1]], sel)
         r = ctx.res[id(ld)]
+        mem = ctx.interp.mem
+        if b[0] == "pre":
+            return _view(_pre_vec(ctx.store_post[b[1]], mem.read(r.addr0), ctx.n), sel)
         if r.shape == DYNAMIC:
-            addrs = self._resolve_dynamic(ld, ctx, node, load_vals)
-            if self.graph.mem_stores.get(ld.key):
-                # Read-before-write through a revisited address would observe
-                # a prior iteration's store; the gather reads pre-loop memory.
-                if np.unique(addrs).size != ctx.n:
-                    raise Bailout("dup_index")
-            return _vals_to_vec(ctx.interp.mem.read_block(addrs.tolist()))
+            # Gathers read pre-loop memory; _reject_revisits proves no
+            # iteration reads a cell an earlier iteration stored.
+            addrs = self._resolve_dynamic(ld, ctx, node, load_vals, sel)
+            return _vals_to_vec(mem.read_block(addrs.tolist()))
+        if sel is not None and r.astride:
+            return _vals_to_vec(mem.read_block((r.addr0 + r.astride * sel).tolist()))
         if r.gathered is None:
-            r.gathered = _gather(ctx.interp.mem, r, ctx.n)
+            r.gathered = _gather(mem, r, ctx.n)
         return r.gathered
 
     def _veval(
-        self, e: ast.Expr, ctx: _Ctx, node: StmtNode, load_vals: dict
+        self, e: ast.Expr, ctx: _Ctx, node: StmtNode, load_vals: dict, sel
     ) -> _VecVal:
         if isinstance(e, ast.Const):
             return _scalar_val(e.value)
         if isinstance(e, ast.Reg):
             if e.name == self.ind:
-                return ctx.ind_val
+                return ctx.ind_val if sel is None else _view(ctx.ind_val, sel)
             b = node.reg_binds.get(e.name)
             if b is None or b[0] == "inv":
                 # Loop-invariant register: an unset one bails so the
                 # interpreter can raise its error at the right position.
                 return _scalar_val(ctx.act.regs[e.name])
             if b[0] == "post":
-                return _as_vec(ctx.reg_post[b[1]], ctx.n)
-            return _pre_vec(ctx.reg_post[b[1]], ctx.act.regs[e.name], ctx.n)
+                v = ctx.reg_post[b[1]]
+            else:
+                v = _pre_vec(ctx.reg_post[b[1]], ctx.act.regs[e.name], ctx.n)
+            return v if sel is None and type(v) is _VecVal else _view(v, sel)
         if isinstance(e, ast.Load):
             return load_vals[(e.var.name, e.index)]
         if isinstance(e, ast.BinOp):
-            lhs = self._veval(e.lhs, ctx, node, load_vals)
-            rhs = self._veval(e.rhs, ctx, node, load_vals)
+            lhs = self._veval(e.lhs, ctx, node, load_vals, sel)
+            rhs = self._veval(e.rhs, ctx, node, load_vals, sel)
             return _vec_binop(e.op, lhs, rhs)
         if isinstance(e, ast.UnOp):
-            return _vec_unop(e.op, self._veval(e.operand, ctx, node, load_vals))
+            return _vec_unop(e.op, self._veval(e.operand, ctx, node, load_vals, sel))
         raise Bailout("expr_type")
 
     # -- reduction groups --------------------------------------------------
     def _eval_reduction(self, grp: StmtGroup, ctx: _Ctx) -> None:
+        """A predicated reduction folds only the terms of the iterations its
+        arm runs on, then forward-fills: padding skipped iterations with the
+        identity would not be bit-identical (``-0.0 + 0.0`` is ``0.0``)."""
         idx = grp.stmts[0]
         node = self.nodes[idx]
         red = grp.reduction
@@ -928,14 +1147,14 @@ class AffineTemplate:
             r = ctx.res[id(red.self_load)]
             init = ctx.interp.mem.read(r.addr0)
             skip = (red.self_load.var.name, red.self_load.index)
-        load_vals: dict[tuple, _VecVal] = {}
-        for ld in node.loads:
-            pair = (ld.var.name, ld.index)
-            if pair == skip or pair in load_vals:
-                continue
-            load_vals[pair] = self._load_value(ld, ctx, node, load_vals)
-        term = self._veval(red.term, ctx, node, load_vals)
-        post = _accumulate(red.op, init, term, ctx.n)
+        sel = None if node.pred is None else ctx.lanes(node.pred)
+        post = None
+        if sel is None or sel.size:
+            load_vals = self._load_all(node, ctx, sel, skip)
+            term = self._veval(red.term, ctx, node, load_vals, sel)
+            post = _accumulate(red.op, init, term, ctx.n if sel is None else sel.size)
+        if sel is not None:
+            post = _fill(init, sel, post, ctx.n)
         if red.slot_kind == "reg":
             ctx.reg_post[idx] = post
         else:
@@ -944,55 +1163,86 @@ class AffineTemplate:
     # -- sequential groups -------------------------------------------------
     def _eval_sequential(self, grp: StmtGroup, ctx: _Ctx) -> None:
         """Exact scalar lane: replay the group's statements per iteration
-        with the interpreter's own operator tables.  In-group memory traffic
-        goes through an address-keyed overlay, which reproduces chronological
-        read/write interleavings (stencils, histograms) by construction."""
+        with the interpreter's own operator tables, skipping a predicated
+        statement on the iterations its arm does not run.  In-group memory
+        traffic goes through an address-keyed overlay, which reproduces
+        chronological read/write interleavings (stencils, histograms) by
+        construction."""
         nodes = [self.nodes[i] for i in grp.stmts]
         group = set(grp.stmts)
         overlay: dict[int, Any] = {}
         reg_state: dict[str, Any] = {}
         outputs: dict[int, list] = {i: [] for i in grp.stmts}
         dyn_logs: dict[int, tuple[MemoryRef, list]] = {}
+        truth: dict[int, bool] = {}  # in-group condition -> this iteration
+        gates: list = []  # per node: None (always runs), a pred, or a list
+        for node in nodes:
+            p = node.pred
+            if p is None or p[0] in group:
+                gates.append(p)
+            else:
+                m = ctx.masks[p[0]]
+                gates.append((m if p[1] else ~m).tolist())
         mem = ctx.interp.mem
+        seval, seq_addr = self._seval, self._seq_addr
+        plan = [(node, gate, outputs[node.idx]) for node, gate in zip(nodes, gates)]
         for k in range(ctx.n):
             i_val = ctx.start + ctx.step * k
-            for node in nodes:
-                it = iter(node.loads)
-                v = self._seval(
+            for node, gate, out in plan:
+                if gate is not None and not (
+                    gate[k] if type(gate) is list else truth[gate[0]] == gate[1]
+                ):
+                    # Skipped: a register or cell keeps the value it had.
+                    if node.target_reg is not None:
+                        v = reg_state[node.target_reg] = self._seq_reg(
+                            node.target_reg, node, ctx, k, group, reg_state
+                        )
+                    elif node.store.shape == SLOT:
+                        v = out[k - 1] if k else mem.read(ctx.res[id(node.store)].addr0)
+                    else:
+                        v = None
+                    out.append(v)
+                    continue
+                it = iter(node.eval_loads)
+                v = seval(
                     node.expr, node, ctx, k, i_val, group, reg_state, overlay,
                     dyn_logs, it,
                 )
                 if node.target_reg is not None:
                     reg_state[node.target_reg] = v
-                else:
-                    addr = self._seq_addr(
+                elif node.store is not None:
+                    addr = seq_addr(
                         node.store, node, ctx, k, i_val, group, reg_state,
-                        overlay, dyn_logs,
+                        overlay, dyn_logs, it,
                     )
                     overlay[addr] = v
-                outputs[node.idx].append(v)
-        for i in grp.stmts:
-            node = self.nodes[i]
-            if node.target_reg is not None:
-                ctx.reg_post[i] = _SeqVal(outputs[i])
+                else:  # an if condition
+                    v = truth[node.idx] = bool(v)
+                out.append(v)
+        for node in nodes:
+            out = outputs[node.idx]
+            if node.is_cond:
+                ctx.masks[node.idx] = np.array(out, dtype=bool)
+            elif node.target_reg is not None:
+                ctx.reg_post[node.idx] = _SeqVal(out)
             else:
-                ctx.store_post[i] = _SeqVal(outputs[i])
+                ctx.store_post[node.idx] = _SeqVal(out)
         for ref, log in dyn_logs.values():
             addrs = np.array(log, dtype=np.int64)
             ctx.res[id(ref)].addrs = addrs
-            ctx.dyn_addrs.setdefault(ref.key, addrs)
+            ctx.dyn_addrs.setdefault((ref.key, ref.pred), addrs)
         ctx.overlays.append(overlay)
-        _ = mem  # overlay misses read through ctx.interp.mem in _seval
 
     def _seq_addr(
-        self, ref, node, ctx, k, i_val, group, reg_state, overlay, dyn_logs
+        self, ref, node, ctx, k, i_val, group, reg_state, overlay, dyn_logs,
+        load_iter: Iterator[MemoryRef],
     ) -> int:
         r = ctx.res[id(ref)]
         if r.shape != DYNAMIC:
             return r.addr0 + r.astride * k
         iv = self._seval(
             ref.index, node, ctx, k, i_val, group, reg_state, overlay,
-            dyn_logs, iter(()),
+            dyn_logs, load_iter,
         )
         idx = int(iv)  # the interpreter's _addr coercion
         if not 0 <= idx < r.size:
@@ -1004,6 +1254,27 @@ class AffineTemplate:
         entry[1].append(addr)
         return addr
 
+    def _seq_reg(self, name, node, ctx, k, group, reg_state) -> Any:
+        """A register's value at ``node`` in iteration ``k``."""
+        b = node.reg_binds.get(name)
+        if b is None or b[0] == "inv":
+            return ctx.act.regs[name]
+        if b[1] in group:
+            # "post" reads see this iteration's def (textually earlier);
+            # "pre" reads happen before the def, so the state still holds
+            # last iteration's value (or the pre-loop register).
+            if b[0] == "post" or name in reg_state:
+                return reg_state[name]
+            return ctx.act.regs[name]
+        lst = ctx.as_list(ctx.reg_post[b[1]])
+        if b[0] == "post":
+            v = lst[k]
+        else:
+            v = lst[k - 1] if k else ctx.act.regs[name]
+        if v is _UNSET:  # the interpreter raises here: leave it the loop
+            raise Bailout("unset_register")
+        return v
+
     def _seval(
         self, e, node, ctx, k, i_val, group, reg_state, overlay, dyn_logs,
         load_iter: Iterator[MemoryRef],
@@ -1013,31 +1284,23 @@ class AffineTemplate:
         if isinstance(e, ast.Reg):
             if e.name == self.ind:
                 return i_val
-            b = node.reg_binds.get(e.name)
-            if b is None or b[0] == "inv":
-                return ctx.act.regs[e.name]
-            if b[1] in group:
-                # "post" reads see this iteration's def (textually earlier);
-                # "pre" reads happen before the def, so the state still holds
-                # last iteration's value (or the pre-loop register).
-                if b[0] == "post" or e.name in reg_state:
-                    return reg_state[e.name]
-                return ctx.act.regs[e.name]
-            lst = ctx.as_list(ctx.reg_post[b[1]])
-            if b[0] == "post":
-                return lst[k]
-            return lst[k - 1] if k else ctx.act.regs[e.name]
+            return self._seq_reg(e.name, node, ctx, k, group, reg_state)
         if isinstance(e, ast.Load):
             ld = next(load_iter)
             b = ld.binding
-            if b[0] == "fwd" and b[1] not in group:
-                return ctx.as_list(ctx.store_post[b[1]])[k]
-            if b[0] == "pre" and b[1] not in group:
-                if k == 0:
-                    return ctx.interp.mem.read(ctx.res[id(ld)].addr0)
-                return ctx.as_list(ctx.store_post[b[1]])[k - 1]
+            if b[0] != "init" and b[1] not in group:
+                if ld.shape == DYNAMIC:  # its index loads still run
+                    self._seq_addr(
+                        ld, node, ctx, k, i_val, group, reg_state, overlay,
+                        dyn_logs, load_iter,
+                    )
+                lst = ctx.as_list(ctx.store_post[b[1]])
+                if b[0] == "fwd":
+                    return lst[k]
+                return lst[k - 1] if k else ctx.interp.mem.read(ctx.res[id(ld)].addr0)
             addr = self._seq_addr(
-                ld, node, ctx, k, i_val, group, reg_state, overlay, dyn_logs
+                ld, node, ctx, k, i_val, group, reg_state, overlay, dyn_logs,
+                load_iter,
             )
             if addr in overlay:
                 return overlay[addr]
@@ -1087,7 +1350,12 @@ class AffineTemplate:
         ra, rb = ctx.res[id(a)], ctx.res[id(b)]
         both_store = a.is_store and b.is_store
         reason = "store_overlap" if both_store else "loop_carried_alias"
-        if ra.shape == DYNAMIC or rb.shape == DYNAMIC:
+        if (
+            ra.shape == DYNAMIC
+            or rb.shape == DYNAMIC
+            or ra.sel is not None
+            or rb.sel is not None
+        ):
             if np.intersect1d(_addr_set(ctx, ra), _addr_set(ctx, rb)).size:
                 raise Bailout(reason)
             return
@@ -1114,23 +1382,31 @@ class AffineTemplate:
             raise Bailout(reason)
 
     # -- phase B: commit ---------------------------------------------------
-    def _commit(self, interp, act, tid: int, site: int, ctx: _Ctx) -> None:
+    def _commit(self, interp, act, tid: int, site: int, ctx: _Ctx) -> int:
+        """Apply the prepared loop; returns the number of trace rows."""
         mem = interp.mem
         n_iters, k = ctx.n, ctx.k
 
         # Scatter stores (cross-progression overlap was alias-checked; a
         # slot store keeps only its last value, like the interpreter would).
+        # A predicated store writes only the iterations its arm ran.
         for node in self.nodes:
             if node.store is None or node.idx in self._seq_stmts:
                 continue
             r = ctx.res[id(node.store)]
             val = ctx.store_post[node.idx]
+            sel = r.sel
+            if sel is not None and not sel.size:
+                continue
             if r.shape == DYNAMIC:
                 # dict.update keeps the *last* pair per address, which is
                 # exactly iteration order within one statement.
-                mem.write_block(r.addrs.tolist(), _raw_list(val, n_iters))
+                mem.write_block(r.addrs.tolist(), _raw_list(val, n_iters, sel))
             elif r.astride == 0:
                 mem.write(r.addr0, _last_raw(val))
+            elif sel is not None:
+                addrs = r.addr0 + r.astride * sel
+                mem.write_block(addrs.tolist(), _raw_list(val, n_iters, sel))
             else:
                 addrs = range(r.addr0, r.addr0 + r.astride * n_iters, r.astride)
                 if isinstance(val, _VecVal) and _is_scalar(val.val):
@@ -1146,18 +1422,26 @@ class AffineTemplate:
         # Registers end exactly as after the last interpreted iteration.
         act.regs[self.ind] = ctx.start + ctx.step * (n_iters - 1)
         for name, defs in self.graph.reg_defs.items():
-            act.regs[name] = _last_raw(ctx.reg_post[defs[-1]])
+            v = _last_raw(ctx.reg_post[defs[-1]])
+            if v is not _UNSET:
+                act.regs[name] = v
 
         # Synthesize the event block: iteration-major tiling of the per-
-        # iteration slot pattern [LOOP_ITER, access, access, ...].  Variable
-        # names intern in slot order = the interpreter's first-iteration
-        # emission order, keeping the intern tables bit-identical too.
+        # iteration slot pattern [LOOP_ITER, access, access, ...], where an
+        # if's slots are its condition's loads, then its then-arm's and its
+        # else-arm's accesses.  A predicated slot is kept only on the
+        # iterations its arm ran, so each iteration emits exactly the
+        # interpreter's events.  Variable names intern in the order of their
+        # first emitted row, as the interpreter interns them, keeping the
+        # intern tables bit-identical too.
         n_slots = self.events_per_iteration
         kind_pat = np.empty(n_slots, dtype=np.uint8)
         loc_pat = np.empty(n_slots, dtype=np.int32)
         var_pat = np.empty(n_slots, dtype=np.int32)
         addr = np.empty((n_iters, n_slots), dtype=np.int64)
         aux = np.zeros((n_iters, n_slots), dtype=np.int64)
+        keep: np.ndarray | None = None  # per-slot active mask, if any
+        first_rows: list[int] = []  # first emitted row of each emitting slot
         kind_pat[0] = LOOP_ITER
         loc_pat[0] = site
         var_pat[0] = -1
@@ -1167,21 +1451,39 @@ class AffineTemplate:
             r = ctx.res[id(acc)]
             kind_pat[j] = acc.kind
             loc_pat[j] = interp.loc(acc.line)
-            var_pat[j] = interp._var_id(acc.var.name)
+            if r.sel is None:
+                first_rows.append(j)
+                if r.shape == DYNAMIC:
+                    addr[:, j] = r.addrs
+                else:
+                    addr[:, j] = r.addr0 + r.astride * k
+                continue
+            if keep is None:
+                keep = np.ones((n_iters, n_slots), dtype=bool)
+            keep[:, j] = False
+            keep[r.sel, j] = True
+            if not r.sel.size:
+                continue
+            first_rows.append(int(r.sel[0]) * n_slots + j)
             if r.shape == DYNAMIC:
-                addr[:, j] = r.addrs
+                addr[r.sel, j] = r.addrs
             else:
-                addr[:, j] = r.addr0 + r.astride * k
-        interp.gate.emit_block(
-            tid,
-            site,
-            n_iters,
-            kind=np.tile(kind_pat, n_iters),
-            loc=np.tile(loc_pat, n_iters),
-            addr=addr.reshape(-1),
-            aux=aux.reshape(-1),
-            var=np.tile(var_pat, n_iters),
-        )
+                addr[r.sel, j] = r.addr0 + r.astride * r.sel
+        for row in sorted(first_rows):
+            j = row % n_slots
+            var_pat[j] = interp._var_id(self.accesses[j - 1].var.name)
+        cols = {
+            "kind": np.tile(kind_pat, n_iters),
+            "loc": np.tile(loc_pat, n_iters),
+            "addr": addr.reshape(-1),
+            "aux": aux.reshape(-1),
+            "var": np.tile(var_pat, n_iters),
+        }
+        if keep is not None:
+            keep = keep.reshape(-1)
+            cols = {name: col[keep] for name, col in cols.items()}
+        interp.gate.emit_block(tid, site, n_iters, **cols)
+        return len(cols["kind"])
 
     def execute(
         self,
@@ -1204,17 +1506,42 @@ class AffineTemplate:
         except Exception as exc:  # interpreter reproduces the error in place
             stats.bailout(f"error:{type(exc).__name__}")
             return False
-        self._commit(interp, act, tid, site, ctx)
-        stats.hit(ctx.n, ctx.n * self.events_per_iteration)
+        n_rows = self._commit(interp, act, tid, site, ctx)
+        stats.hit(ctx.n, n_rows)
         return True
 
 
 def _addr_set(ctx: _Ctx, r: _Resolved) -> np.ndarray:
+    """Addresses ``r`` touches on the iterations it runs."""
     if r.shape == DYNAMIC:
         return r.addrs
     if r.astride == 0:
+        if r.sel is not None and not r.sel.size:
+            return r.sel
         return np.array([r.addr0], dtype=np.int64)
-    return r.addr0 + r.astride * ctx.k
+    return r.addr0 + r.astride * (ctx.k if r.sel is None else r.sel)
+
+
+def _reject_revisits(ctx: _Ctx, refs: list[MemoryRef]) -> None:
+    """Bail when some address is touched on two different iterations by
+    ``refs`` (all of one dynamic key)."""
+    parts = {}  # refs sharing one resolution count once
+    for ref in refs:
+        r = ctx.res[id(ref)]
+        parts[(id(r.sel), id(r.addrs))] = (r.sel, r.addrs)
+    if len(parts) == 1:
+        (sel, addrs), = parts.values()
+        if np.unique(addrs).size != addrs.size:
+            raise Bailout("dup_index")
+        return
+    lanes = np.concatenate(
+        [ctx.k if sel is None else sel for sel, _ in parts.values()]
+    )
+    addrs = np.concatenate([a for _, a in parts.values()])
+    order = np.lexsort((lanes, addrs))
+    a, ln = addrs[order], lanes[order]
+    if ((a[1:] == a[:-1]) & (ln[1:] != ln[:-1])).any():
+        raise Bailout("dup_index")
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,14 @@ intermediate representation, in the spirit of graph-based dependence
 identifiers (Alluru & Jeganathan) and of PROMPT's one-core/many-analyses
 reuse:
 
-* **nodes** are the loop-body statements (``SetReg`` / ``Store``),
+* **nodes** are the loop-body statements (``SetReg`` / ``Store``), with one
+  level of ``if``/``else`` flattened in execution order: the condition
+  becomes a node of its own, and each arm statement a *predicated* node
+  that runs only on the iterations where the interpreter takes its arm,
 * every traced access is a :class:`MemoryRef` — a symbolic affine
   description of the address progression (loop-invariant *slot*, affine
-  ``base + stride*i``, or *dynamic* vector-evaluated index),
+  ``base + stride*i``, or *dynamic* vector-evaluated index, e.g. one that
+  loads memory: ``a[b[i]]`` reads ``b[i]`` through a ref of its own),
 * **edges** are RAW / WAR / WAW dependences with a dependence distance
   (0 = intra-iteration, 1 = adjacent-iteration slot/register recurrence,
   ``None`` = statically unknown) and a loop-carried flag.
@@ -29,6 +33,13 @@ and assigns each group an execution *mode*:
                everything downstream still vectorizes
 ========== ==============================================================
 
+A predicated node takes whichever lane its group gets; an arm node depends
+on its condition node (a RAW edge ``on "if"``), so the condition is always
+evaluated first.  Bodies the lanes cannot run exactly set ``reject``:
+``pred_fwd`` (a load would forward from a store under another predicate)
+and ``pred_slot_store`` (a predicated store to a loop-invariant cell that
+another statement also stores).
+
 The same graph doubles as the parallelization advisor: :func:`loop_verdict`
 derives a DOALL / reduction / pipeline / sequential classification from the
 loop-carried edges, and the dynamic-dependence analysis
@@ -38,6 +49,7 @@ the static and profiled classifications can never diverge in logic.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable
 
 from repro.minivm import astnodes as ast
@@ -72,7 +84,9 @@ class MemoryRef:
     iteration's slot value.
     """
 
-    __slots__ = ("kind", "var", "index", "line", "stmt_idx", "shape", "key", "binding")
+    __slots__ = (
+        "kind", "var", "index", "line", "stmt_idx", "shape", "pred", "key", "binding",
+    )
 
     def __init__(
         self,
@@ -82,6 +96,7 @@ class MemoryRef:
         line: int,
         stmt_idx: int,
         shape: str,
+        pred: tuple | None = None,
     ) -> None:
         self.kind = kind
         self.var = var
@@ -89,6 +104,7 @@ class MemoryRef:
         self.line = line
         self.stmt_idx = stmt_idx
         self.shape = shape
+        self.pred = pred  # the owning statement's predicate
         self.key = (var.name, index)
         self.binding: tuple = ("init",)
 
@@ -130,9 +146,20 @@ class DepEdge:
 
 
 class StmtNode:
-    """One classified body statement with its scanned access set."""
+    """One classified body statement with its scanned access set.
 
-    __slots__ = ("idx", "line", "target_reg", "store", "expr", "loads", "reg_binds")
+    A node with neither ``target_reg`` nor ``store`` is an ``if`` condition;
+    ``pred = (cond_idx, taken)`` marks a statement of that ``if``'s then
+    (``taken`` true) or else arm.  ``loads`` lists the reads in emission
+    order (an index's loads before the read they address); ``eval_loads``
+    lists the same refs in expression-walk order (a read before its
+    index's loads), the order the sequential lane meets them.
+    """
+
+    __slots__ = (
+        "idx", "line", "target_reg", "store", "expr", "loads", "eval_loads",
+        "pred", "reg_binds",
+    )
 
     def __init__(
         self,
@@ -142,6 +169,8 @@ class StmtNode:
         store: MemoryRef | None,
         expr: ast.Expr,
         loads: list[MemoryRef],
+        eval_loads: list[MemoryRef],
+        pred: tuple | None = None,
     ) -> None:
         self.idx = idx
         self.line = line
@@ -149,8 +178,16 @@ class StmtNode:
         self.store = store
         self.expr = expr
         self.loads = loads
-        #: register name -> ("post", def_idx) | ("pre", def_idx) | ("inv",)
+        self.eval_loads = eval_loads
+        self.pred = pred
+        #: register name -> ("post", def_idx) | ("pre", def_idx) | ("inv",);
+        #: a predicated SetReg also binds its own target: the value it keeps
+        #: on iterations that skip its arm.
         self.reg_binds: dict[str, tuple] = {}
+
+    @property
+    def is_cond(self) -> bool:
+        return self.target_reg is None and self.store is None
 
 
 class ReductionInfo:
@@ -306,7 +343,9 @@ def _affine_coeffs(e: ast.Expr, ind: str) -> tuple[int, int] | None:
 class DependencyGraph:
     """Static dependence graph of one innermost counted loop body."""
 
-    __slots__ = ("ind", "nodes", "edges", "reg_defs", "mem_stores", "slot_keys")
+    __slots__ = (
+        "ind", "nodes", "edges", "reg_defs", "mem_stores", "slot_keys", "reject",
+    )
 
     def __init__(self, ind: str, nodes: list[StmtNode]) -> None:
         self.ind = ind
@@ -318,21 +357,40 @@ class DependencyGraph:
         self.mem_stores: dict[tuple, list[int]] = {}
         #: memory keys that are loop-invariant cells written every iteration
         self.slot_keys: set[tuple] = set()
+        #: why the predicated lanes cannot run this body exactly, if they can't
+        self.reject: str | None = None
         self._build()
 
     # -- construction ------------------------------------------------------
     def _build(self) -> None:
+        stored_at: dict[str, list[int]] = {}  # array name -> storing stmts
         for node in self.nodes:
             if node.target_reg is not None:
                 self.reg_defs.setdefault(node.target_reg, []).append(node.idx)
+            elif node.store is not None:
+                stored_at.setdefault(node.store.var.name, []).append(node.idx)
         for node in self.nodes:
             self._bind_regs(node)
+            if node.pred is not None:
+                self.edges.append(
+                    DepEdge(node.pred[0], node.idx, "RAW", False, 0, "if")
+                )
         # Keys must capture the *binding context* of index registers: two
         # structurally equal index expressions name the same progression only
-        # when their registers resolve to the same defs.
+        # when their registers resolve to the same defs.  Likewise an index
+        # that loads memory names the same cells at two refs only when no
+        # store to an array it loads sits between them: such refs get keys
+        # of different "epochs" (stores to those arrays before the ref).
         for node in self.nodes:
             for ref in node.loads + ([node.store] if node.store else []):
                 ref.key = self._refined_key(ref, node)
+                if ref.shape == DYNAMIC:  # only a dynamic index can load
+                    epoch = sum(
+                        bisect_left(stored_at.get(var, ()), node.idx)
+                        for var in _loaded_vars(ref.index)
+                    )
+                    if epoch:
+                        ref.key += (epoch,)
         for node in self.nodes:
             if node.store is not None:
                 self.mem_stores.setdefault(node.store.key, []).append(node.idx)
@@ -343,6 +401,13 @@ class DependencyGraph:
             )
             if shape == SLOT:
                 self.slot_keys.add(key)
+                # A predicated cell store keeps the cell's value on skipped
+                # iterations; that is its own previous value only when no
+                # other statement writes the cell.
+                if len(stores) > 1 and any(
+                    self.nodes[i].pred is not None for i in stores
+                ):
+                    self.reject = self.reject or "pred_slot_store"
         for node in self.nodes:
             self._bind_loads(node)
         self._reg_output_edges()
@@ -372,6 +437,13 @@ class DependencyGraph:
             exprs.append(node.store.index)
         for e in exprs:
             _collect_regs(e, names)
+        # A predicated def that only keeps its own previous value on skipped
+        # iterations is a forward fill, not a recurrence: no carried edge.
+        fill = None
+        if node.pred is not None and node.target_reg is not None:
+            if node.target_reg not in names:
+                fill = node.target_reg
+            names.add(node.target_reg)
         for name in sorted(names):
             if name == self.ind or name not in self.reg_defs:
                 node.reg_binds[name] = ("inv",)
@@ -385,9 +457,10 @@ class DependencyGraph:
                 )
             else:
                 node.reg_binds[name] = ("pre", defs[-1])
-                self.edges.append(
-                    DepEdge(defs[-1], node.idx, "RAW", True, 1, name)
-                )
+                if name != fill or defs[-1] != node.idx:
+                    self.edges.append(
+                        DepEdge(defs[-1], node.idx, "RAW", True, 1, name)
+                    )
 
     def _bind_loads(self, node: StmtNode) -> None:
         """Resolve every load to pre-loop memory, a forwarded store, or the
@@ -402,6 +475,10 @@ class DependencyGraph:
             if before:
                 # Same progression, earlier statement: the interpreter's
                 # load observes this iteration's store — forward its value.
+                # A store under another predicate may not have run.
+                src_pred = self.nodes[before[-1]].pred
+                if src_pred is not None and src_pred != node.pred:
+                    self.reject = self.reject or "pred_fwd"
                 ld.binding = ("fwd", before[-1])
                 self.edges.append(
                     DepEdge(before[-1], node.idx, "RAW", False, 0, on)
@@ -419,7 +496,7 @@ class DependencyGraph:
                 # for affine shapes.  A dynamic shape may revisit addresses
                 # across iterations (histogram updates), so it also gets a
                 # carried may-RAW edge — cyclic cases then take the exact
-                # sequential lane; acyclic ones dup-check at gather time.
+                # sequential lane; acyclic ones get a runtime revisit check.
                 ld.binding = ("init",)
                 self.edges.append(
                     DepEdge(node.idx, stores[0], "WAR", False, 0, on)
@@ -518,6 +595,18 @@ class GroupScheduler:
             reason = self._feasible(grp)
             if reason is not None:
                 return None, reason
+        # A sequential group commits its stores after every other group's,
+        # so stores of one progression may not sit in it and elsewhere: a
+        # later statement outside the group would lose to an earlier one in it.
+        seq_of = {
+            i: gi for gi, grp in enumerate(groups) if grp.mode == "sequential"
+            for i in grp.stmts
+        }
+        if seq_of:
+            for stores in g.mem_stores.values():
+                owners = {seq_of.get(i, -1 - i) for i in stores}
+                if len(owners) > 1 and any(i in seq_of for i in stores):
+                    return None, "split_store"
         return groups, None
 
     def _make_group(self, comp: list[int], succ: dict[int, set[int]]) -> StmtGroup:
@@ -628,6 +717,18 @@ def _collect_regs(e: ast.Expr, out: set[str]) -> None:
         _collect_regs(e.operand, out)
     elif isinstance(e, ast.Load) and e.index is not None:
         _collect_regs(e.index, out)
+
+
+def _loaded_vars(e: ast.Expr) -> set[str]:
+    """Names of the arrays ``e`` loads from."""
+    if isinstance(e, ast.Load):
+        inner = set() if e.index is None else _loaded_vars(e.index)
+        return inner | {e.var.name}
+    if isinstance(e, ast.BinOp):
+        return _loaded_vars(e.lhs) | _loaded_vars(e.rhs)
+    if isinstance(e, ast.UnOp):
+        return _loaded_vars(e.operand)
+    return set()
 
 
 def _reads_reg(e: ast.Expr, name: str) -> bool:

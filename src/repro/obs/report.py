@@ -251,11 +251,14 @@ class RunReport:
         coverage = self.gauges.get(
             "producer.fastpath_coverage", fast / total if total else 0.0
         )
-        verdicts = {
-            k.split('verdict="', 1)[1].rstrip('"}'): v
-            for k, v in self.counters.items()
-            if k.startswith("producer.loop_verdicts{")
-        }
+        def by_label(name: str, label: str) -> dict[str, int]:
+            prefix = f'{name}{{{label}="'
+            return {
+                k[len(prefix):].rstrip('"}'): v
+                for k, v in self.counters.items()
+                if k.startswith(prefix)
+            }
+
         return {
             "events_total": total,
             "events_fastpath": fast,
@@ -267,8 +270,12 @@ class RunReport:
             "templates_compiled": family("producer.templates_compiled"),
             "template_rejects": family("producer.template_rejects"),
             "classify_cache_hits": family("producer.classify_cache_hits"),
-            "loop_verdicts": verdicts,
+            "loop_verdicts": by_label("producer.loop_verdicts", "verdict"),
             "bailouts": family("producer.fastpath_bailouts"),
+            # Why loops stay interpreted: static rejects per loop site and
+            # runtime bailouts per loop execution, by reason.
+            "reject_reasons": by_label("producer.template_rejects", "reason"),
+            "bailout_reasons": by_label("producer.fastpath_bailouts", "reason"),
             "trace_cache_hits": family("producer.trace_cache_hits"),
             "trace_cache_misses": family("producer.trace_cache_misses"),
         }
@@ -418,6 +425,13 @@ class RunReport:
                     for k, v in sorted(producer["loop_verdicts"].items())
                 )
                 lines.append(f"  loop verdicts: {pairs}")
+            blockers = [
+                f"{kind} {reason}={n}"
+                for kind, key in (("reject", "reject_reasons"), ("bailout", "bailout_reasons"))
+                for reason, n in sorted(producer[key].items())
+            ]
+            if blockers:
+                lines.append(f"  fast-path blockers: {', '.join(blockers)}")
         if self.provenance is not None:
             n_suspect = sum(1 for r in self.provenance if r["provenance"]["suspect_fp"])
             lines.append(

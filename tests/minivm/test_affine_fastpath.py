@@ -68,8 +68,9 @@ def assert_equivalent(program, schedule=None, args=()):
 N = 70  # global array extent used by most programs here
 
 
-def build(body_fn, n=N, trip=16, step=1, start=None):
-    """One-loop program over arrays a,b,c and scalar s; body_fn(f, i, vars)."""
+def build(body_fn, n=N, trip=16, step=1, start=None, before=None, after=None):
+    """One-loop program over arrays a,b,c and scalar s; body_fn(f, i, vars).
+    ``before``/``after`` (f, vars) add straight-line code around the loop."""
     b = ProgramBuilder("affine-case")
     arrs = {name: b.global_array(name, n) for name in ("a", "b", "c")}
     arrs["s"] = b.global_scalar("s")
@@ -80,12 +81,32 @@ def build(body_fn, n=N, trip=16, step=1, start=None):
         with f.for_loop(j, 0, n):
             f.store(arrs["a"], j, j * 3 - 5)
             f.store(arrs["b"], j, j * 0.5)
+        if before is not None:
+            before(f, arrs)
         if start is None:
             start = trip - 1 if step < 0 else 0
         end = -1 if step < 0 else trip
         with f.for_loop(i, start, end, step):
             body_fn(f, i, arrs)
+        if after is not None:
+            after(f, arrs)
     return b.build()
+
+
+def branchy_body(f, i, v):
+    """if/else whose arms emit different accesses (the benchmark's shape)."""
+    t = f.reg("t")
+    f.set(t, f.load(v["a"], i))
+    with f.if_(t % 2):
+        f.store(v["c"], i, f.load(v["b"], i) + t)
+    with f.else_():
+        f.store(v["c"], i, f.load(v["c"], i) - t)
+
+
+def predicated_sum_body(f, i, v):
+    """A condition that loads memory guarding a slot reduction."""
+    with f.if_(f.load(v["a"], i).gt(f.load(v["c"], i))):
+        f.store(v["s"], None, f.load(v["s"]) + f.load(v["a"], i))
 
 
 class TestClassification:
@@ -116,13 +137,31 @@ class TestClassification:
         tmpl, reason = self.classify(build(body))
         assert tmpl is None and reason == "stmt:for"
 
-    def test_if_rejected(self):
+    def test_if_compiles(self):
         def body(f, i, v):
             with f.if_((i % 2).eq(0)):
                 f.store(v["a"], i, 1)
 
         tmpl, reason = self.classify(build(body))
-        assert tmpl is None and reason == "stmt:if"
+        assert reason is None
+        # The condition is a node of its own; the arm statement runs under it.
+        assert [n.pred for n in tmpl.nodes] == [None, (0, True)]
+        assert tmpl.nodes[0].is_cond
+
+    @pytest.mark.parametrize("inner, reason", [("for", "if_arm:for"), ("if", "if_arm:if")])
+    def test_if_arm_with_control_flow_rejected(self, inner, reason):
+        def body(f, i, v):
+            with f.if_((i % 2).eq(0)):
+                if inner == "for":
+                    k = f.reg("k")
+                    with f.for_loop(k, 0, 4):
+                        f.store(v["a"], i, k)
+                else:
+                    with f.if_(i.gt(3)):
+                        f.store(v["a"], i, 1)
+
+        tmpl, reason_got = self.classify(build(body))
+        assert tmpl is None and reason_got == reason
 
     def test_induction_reassignment_rejected(self):
         def body(f, i, v):
@@ -149,16 +188,44 @@ class TestClassification:
         tmpl, reason = self.classify(build(body))
         assert reason is None and tmpl is not None
 
-    def test_indirect_index_rejected(self):
+    def test_indirect_index_compiles(self):
         p = build(lambda f, i, v: f.store(v["c"], f.load(v["a"], i), 1))
         tmpl, reason = self.classify(p)
-        assert tmpl is None and reason == "indirect_index"
+        assert reason is None
+        # The loaded index is its own read, feeding a dynamic store.
+        assert [(a.var.name, a.shape) for a in tmpl.accesses] == [
+            ("a", "affine"),
+            ("c", "dynamic"),
+        ]
+
+    def test_loaded_index_slots_in_emission_order(self):
+        # Store: value loads, then index loads (innermost first), then write.
+        p = build(
+            lambda f, i, v: f.store(
+                v["c"], f.load(v["a"], f.load(v["b"], i)), f.load(v["s"])
+            )
+        )
+        tmpl, _ = self.classify(p)
+        assert [a.var.name for a in tmpl.accesses] == ["s", "b", "a", "c"]
 
     def test_quadratic_index_compiles_dynamic(self):
         p = build(lambda f, i, v: f.store(v["a"], i * i % N, 1))
         tmpl, reason = self.classify(p)
         assert reason is None
         assert tmpl.accesses[-1].shape == "dynamic"
+
+    def test_store_split_from_sequential_group_rejected(self):
+        # c[39-i] is stored by a sequential-lane statement (its gather may
+        # alias its own store) and by a later vector statement; sequential
+        # groups commit last, so the later statement's value would be lost.
+        def body(f, i, v):
+            f.store(v["c"], 39 - i, f.load(v["c"], (i * 3) % 40))
+            f.store(v["c"], 39 - i, f.load(v["s"]) + 0.5)
+
+        p = build(body, trip=8)
+        tmpl, reason = self.classify(p)
+        assert tmpl is None and reason == "split_store"
+        assert_equivalent(p)
 
     def test_libm_value_rejected(self):
         p = build(lambda f, i, v: f.store(v["a"], i, UnOp("sin", i * 1.0)))
@@ -175,6 +242,7 @@ class TestOracle:
         # vectorized while a bailout reason means only the prologue did.
         if expect == "hit":
             assert stats.loops == 2, (stats.rejects, stats.bailouts)
+            assert not stats.bailouts, stats.bailouts
         else:
             assert stats.loops == 1
             assert expect in stats.bailouts, (stats.rejects, stats.bailouts)
@@ -343,6 +411,178 @@ class TestOracle:
         assert stats.loops == 1
 
 
+    # -- predicated if/else lanes ---------------------------------------
+    def test_if_without_else_hits(self):
+        def body(f, i, v):
+            with f.if_((i % 3).eq(0)):
+                f.store(v["c"], i, f.load(v["a"], i) * 2)
+
+        self.check(body, "hit")
+
+    def test_if_else_arms_emit_different_event_counts(self):
+        def body(f, i, v):
+            t = f.reg("t")
+            with f.if_(f.load(v["a"], i) % 2):  # a[i] = 3i - 5: odd for even i
+                f.set(t, f.load(v["a"], i) + f.load(v["b"], i))
+                f.store(v["c"], i, t)
+            with f.else_():
+                f.store(v["c"], i, 7)
+            f.store(v["a"], i, i)
+
+        stats = self.check(body, "hit")
+        # Rows actually emitted: 8 iterations of [ITER, a, a, b, c, a] and
+        # 8 of [ITER, a, c, a], after the seeding prologue's 3 per element.
+        assert stats.events == N * 3 + 8 * 6 + 8 * 4
+
+    def test_condition_loading_memory_hits(self):
+        # NAS IS full_verify: compare neighbours, count inversions.
+        def body(f, i, v):
+            with f.if_((f.load(v["a"], i) % 4).gt(f.load(v["a"], i + 1) % 4)):
+                f.store(v["s"], None, f.load(v["s"]) + 1_000_000)
+
+        self.check(body, "hit")
+
+    @pytest.mark.parametrize(
+        "init, term",
+        [
+            (0, lambda f, i, v: f.load(v["a"], i)),
+            (-0.0, lambda f, i, v: f.load(v["b"], i) * -0.0),
+            (-0.0, lambda f, i, v: f.load(v["b"], i)),
+            (3, lambda f, i, v: i * 2),
+        ],
+        ids=["int", "float-negzero-terms", "float-negzero-start", "int-register"],
+    )
+    def test_predicated_slot_reduction_hits(self, init, term):
+        # EP / streamcluster: a reduction that folds only taken iterations.
+        # Padding skipped ones with 0.0 would turn -0.0 into 0.0.
+        def body(f, i, v):
+            with f.if_((i % 3).eq(1)):
+                f.store(v["s"], None, f.load(v["s"]) + term(f, i, v))
+
+        def set_s(f, v):
+            f.store(v["s"], None, init)
+
+        self.check(body, "hit", before=set_s)
+
+    def test_predicated_register_reduction_hits(self):
+        def body(f, i, v):
+            r = f.reg("r")
+            with f.if_(f.load(v["a"], i) % 2):
+                f.set(r, r + f.load(v["a"], i))
+            with f.else_():
+                f.set(r, r * 2)
+
+        self.check(
+            body,
+            "hit",
+            before=lambda f, v: f.set(f.reg("r"), 1),
+            after=lambda f, v: f.store(v["s"], None, f.reg("r")),
+        )
+
+    def test_predicated_register_read_after_if_and_next_iteration(self):
+        def body(f, i, v):
+            r = f.reg("r")
+            f.store(v["c"], i, r)  # the previous iteration's r
+            with f.if_((i % 3).eq(0)):
+                f.set(r, f.load(v["a"], i))
+            f.store(v["b"], i, r + 1)  # this iteration's r, taken or not
+
+        self.check(
+            body,
+            "hit",
+            before=lambda f, v: f.set(f.reg("r"), 5),
+            after=lambda f, v: f.store(v["s"], None, f.reg("r")),
+        )
+
+    def test_predicated_register_first_set_inside_arm(self):
+        # Unset before the loop, first taken on a later iteration; read only
+        # under its own predicate (EP's annulus index).
+        def body(f, i, v):
+            q = f.reg("q")
+            with f.if_((i % 4).eq(3)):
+                f.set(q, i % 5)
+                f.store(v["c"], q, f.load(v["c"], q) + 1)
+
+        self.check(body, "hit", after=lambda f, v: f.store(v["s"], None, f.reg("q")))
+
+    def test_untaken_arm_out_of_bounds_index_hits(self):
+        def body(f, i, v):
+            with f.if_(i.gt(100)):
+                f.store(v["c"], i + N, 1)  # affine, never in bounds
+            with f.if_(f.load(v["a"], i).ge(0)):
+                # a[i] is negative on the iterations this arm skips.
+                f.store(v["c"], i, f.load(v["b"], f.load(v["a"], i)))
+
+        self.check(body, "hit")
+
+    def test_untaken_arm_zero_divisor_hits(self):
+        def body(f, i, v):
+            d = i % 4
+            with f.if_(d):
+                f.store(v["c"], i, f.load(v["a"], i) // d + 100 % d)
+            with f.else_():
+                f.store(v["c"], i, f.load(v["b"], i) / (d + 1))
+
+        self.check(body, "hit")
+
+    def test_condition_truthiness_nan_true_negative_zero_false(self):
+        def special(f, v):
+            f.store(v["b"], 1, float("nan"))
+            f.store(v["b"], 2, -0.0)
+
+        def body(f, i, v):
+            with f.if_(f.load(v["b"], i)):
+                f.store(v["c"], i, 1)
+            with f.else_():
+                f.store(v["c"], i, 2)
+
+        p = build(body, before=special)
+        stats = assert_equivalent(p)
+        assert stats.loops == 2 and not stats.bailouts
+        sched = Scheduler(p, fastpath=True)
+        sched.run(())
+        base = sched.interp._global_bases["c"][0]
+        got = [sched.memory.read(base + 8 * k) for k in range(4)]
+        assert got == [2, 1, 2, 1]  # 0.0 false, NaN true, -0.0 false
+
+    # -- loaded-index gathers and scatters -------------------------------
+    def test_gather_through_loaded_index_hits(self):
+        self.check(
+            lambda f, i, v: f.store(v["c"], i, f.load(v["b"], f.load(v["a"], i) % N)),
+            "hit",
+        )
+
+    def test_loaded_index_store_last_writer_wins(self):
+        # a[i] % 5 repeats: later iterations overwrite earlier ones.
+        self.check(lambda f, i, v: f.store(v["c"], f.load(v["a"], i) % 5, i), "hit")
+
+    def test_doubly_indirect_gather_hits(self):
+        def body(f, i, v):
+            inner = f.load(v["a"], f.load(v["a"], i) % N) % N
+            f.store(v["c"], i, f.load(v["b"], inner))
+
+        self.check(body, "hit")
+
+    def test_index_into_stored_array_runs_sequential_lane(self):
+        # The index loads the array the statement updates: the histogram
+        # cycle runs in the exact sequential lane.
+        def body(f, i, v):
+            k = f.load(v["c"], i) % 8
+            f.store(v["c"], k, f.load(v["c"], k) + 1)
+
+        self.check(body, "hit")
+
+    def test_index_from_array_stored_earlier_bails_dup_index(self):
+        # b[i] is stored, then indexes c; c's cells repeat across iterations,
+        # so the gather of c cannot read pre-loop memory.
+        def body(f, i, v):
+            f.store(v["b"], i, f.load(v["a"], i) % 4)
+            f.store(v["s"], None, f.load(v["c"], f.load(v["b"], i)))
+            f.store(v["c"], f.load(v["b"], i), i)
+
+        self.check(body, "dup_index")
+
+
 class TestSchedulingGates:
     def test_multithreaded_region_interpreted(self):
         b = ProgramBuilder("mt")
@@ -406,6 +646,9 @@ class TestRandomizedPrograms:
         lambda f, i, v: (f.set(f.reg("t"), f.load(v["a"], i) + 1),
                          f.store(v["c"], i, f.reg("t") * f.reg("t"))),
         lambda f, i, v: f.store(v["a"], i, f.load(v["c"], N - 1 - i)),
+        branchy_body,
+        predicated_sum_body,
+        lambda f, i, v: f.store(v["b"], f.load(v["a"], i) % N, f.load(v["c"], i)),
     ]
 
     @pytest.mark.parametrize("seed", range(12))

@@ -273,6 +273,38 @@ class TestProducerCoverageSurface:
         assert "fastpath coverage" in text
         assert "loop verdicts:" in text and "reduction=" in text
 
+    def test_blocker_reasons_split_out(self, cg_registry):
+        prod = RunReport.build(cg_registry).producer_summary()
+        # The totals stay (run bundles carry them); the maps say why.
+        assert sum(prod["reject_reasons"].values()) == prod["template_rejects"]
+        assert sum(prod["bailout_reasons"].values()) == prod["bailouts"]
+        assert prod["reject_reasons"]["stmt:for"] > 0
+        assert prod["bailout_reasons"]["short_trip"] > 0
+
+    def test_render_has_blockers_line(self, cg_registry):
+        text = RunReport.build(cg_registry).render()
+        line = next(ln for ln in text.splitlines() if "fast-path blockers:" in ln)
+        assert "reject stmt:for=" in line and "bailout short_trip=" in line
+
+    def test_kmeans_names_its_blockers(self):
+        from repro.minivm import run_program
+        from repro.workloads import get_workload
+
+        wl = get_workload("kmeans")
+        reg = MetricsRegistry()
+        run_program(wl.build_seq(wl.default_scale)[0], registry=reg)
+        prod = RunReport.build(reg).producer_summary()
+        assert set(prod["reject_reasons"]) == {"stmt:for"}
+        assert set(prod["bailout_reasons"]) == {"short_trip"}
+
+    def test_no_blockers_no_line(self):
+        reg = MetricsRegistry(run_id="clean")
+        reg.counter("producer.events_fastpath").inc(10)
+        report = RunReport.build(reg)
+        prod = report.producer_summary()
+        assert prod["reject_reasons"] == {} and prod["bailout_reasons"] == {}
+        assert "fast-path blockers" not in report.render()
+
 
 class TestProducerSectionCacheHitOnly:
     """Regression: a run served entirely from the trace cache has only
