@@ -16,8 +16,12 @@ import numpy as np
 from repro.common.errors import ProfilerError, TraceFormatError
 from repro.trace import LOOP_ENTER, LOOP_EXIT, LOOP_ITER, TraceBatch
 
-#: Loop-nest depth cap for the snapshot index (one int64 column per level).
+#: Loop-nest depth cap for the snapshot index (three columns per level).
 MAX_SNAPSHOT_DEPTH = 63
+#: Sentinel frame of a level that is not live: no timestamp ``ts`` satisfies
+#: ``entry <= ts < iter_start``.
+_NEVER_ENTERED = np.iinfo(np.int64).max
+_NEVER_STARTED = np.iinfo(np.int64).min
 
 #: Rows per window when scanning ``batch.kind`` for loop events.
 _SCAN_WINDOW = 1 << 22
@@ -219,26 +223,6 @@ class LoopIndex:
         return out
 
 
-class _TidLoopStates:
-    """Per-thread loop-frame snapshots, one row per loop event of the thread."""
-
-    __slots__ = ("rows", "depth", "site", "entry", "iterts")
-
-    def __init__(
-        self,
-        rows: np.ndarray,
-        depth: np.ndarray,
-        site: np.ndarray,
-        entry: np.ndarray,
-        iterts: np.ndarray,
-    ) -> None:
-        self.rows = rows  # global row index of each loop event (ascending)
-        self.depth = depth  # (n_states,) stack depth after k loop events
-        self.site = site  # (n_states, D) loop site per level, -1 above depth
-        self.entry = entry  # (n_states, D) entry_ts per level
-        self.iterts = iterts  # (n_states, D) iter_start_ts per level
-
-
 class LoopStateIndex:
     """Loop-frame stack snapshots addressed by *stream position*.
 
@@ -248,15 +232,25 @@ class LoopStateIndex:
     sink in the event stream.  :class:`LoopIndex` approximates that with
     access timestamps, which agrees only when pushes preserve per-thread
     program order.  This index replays the loop events once in global row
-    order, snapshots each thread's stack after every one of its loop events,
-    and answers the carried test for a sink at global row ``i`` with the
-    exact stack the reference engine would have held — which is what the
+    order and snapshots each thread's stack after every one of its loop
+    events, so a sink at global row ``i`` is classified against the exact
+    stack the reference engine would have held — which is what the
     incremental chunk kernel needs to match it bit for bit.
 
-    The build is array code per thread: the stack depth after each loop
-    event is a running sum of +1/-1, and for each nesting level the live
-    frame's ENTER and latest ITER come from a running maximum over event
-    indices.
+    The snapshots form one global *state table*.  State 0 is the empty
+    stack; thread ``t``'s states sit at an offset, starting with its own
+    empty stack before its first loop event.  Level ``l`` of every state is
+    three 1-D columns: ``site[l]``, ``entry[l]`` (the frame's entry
+    timestamp) and ``iterts[l]`` (its current iteration's start).  A level
+    that is not live holds a sentinel frame no timestamp falls into, so the
+    carried test for a source timestamp ``ts`` at level ``l`` of state
+    ``s`` is just ``entry[l][s] <= ts < iterts[l][s]``.  The kernel looks
+    up each access's state once per chunk (:meth:`states_of`).
+
+    The build is array code over all threads at once: the stack depth after
+    each loop event is a per-thread running sum of +1/-1, and for each
+    nesting level the live frame's ENTER and latest ITER come from a
+    running maximum over event indices.
     """
 
     def __init__(self, batch: TraceBatch) -> None:
@@ -269,72 +263,80 @@ class LoopStateIndex:
         tid = tid[order]
         ts = batch.ts[rows].astype(np.int64)
         site = batch.addr[rows].astype(np.int64)
-        #: Deepest stack observed across all threads; the carried-site matrix
-        #: returned by :meth:`carried_sites` has this many columns.
+        #: Deepest stack observed across all threads: the number of levels.
         self.depth = int(depth.max()) if len(depth) else 0
         if self.depth > MAX_SNAPSHOT_DEPTH:
             raise ProfilerError(
                 f"loop nest depth {self.depth} exceeds supported "
                 f"{MAX_SNAPSHOT_DEPTH}"
             )
-        width = max(self.depth, 1)
-        self._tids: dict[int, _TidLoopStates] = {}
-        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            d, k, t_ts, t_site = depth[lo:hi], kind[lo:hi], ts[lo:hi], site[lo:hi]
-            # State 0 is the empty stack; state j + 1 follows the thread's
-            # j-th loop event.
-            n_states = hi - lo + 1
-            dep = np.zeros(n_states, dtype=np.int64)
-            dep[1:] = d
-            sites = np.full((n_states, width), -1, dtype=np.int64)
-            entry = np.zeros((n_states, width), dtype=np.int64)
-            iterts = np.zeros((n_states, width), dtype=np.int64)
-            idx = np.arange(hi - lo, dtype=np.int64)
-            for lvl in range(int(d.max())):
-                # The live frame at this level was pushed by the latest
-                # ENTER that reached depth lvl + 1; its iteration started
-                # at the latest ITER at that depth after the push, or at
-                # the push itself.
-                at = d == lvl + 1
-                ent = np.maximum.accumulate(
-                    np.where(at & (k == LOOP_ENTER), idx, np.int64(-1))
-                )
-                itr = np.maximum.accumulate(
-                    np.where(at & (k == LOOP_ITER), idx, np.int64(-1))
-                )
-                live = d > lvl
-                e = np.maximum(ent, 0)
-                sites[1:, lvl] = np.where(live, t_site[e], -1)
-                entry[1:, lvl] = np.where(live, t_ts[e], 0)
-                started = np.where(itr > ent, t_ts[np.maximum(itr, 0)], t_ts[e])
-                iterts[1:, lvl] = np.where(live, started, 0)
-            self._tids[int(tid[lo])] = _TidLoopStates(
-                rows[lo:hi], dep, sites, entry, iterts
+        n_events = len(rows)
+        starts = bounds[:-1]
+        # Thread j's empty stack is state 1 + starts[j] + j; the state after
+        # its event e (a global ordered index) follows at e + j + 2.
+        thread_of = np.repeat(np.arange(len(starts), dtype=np.int64), np.diff(bounds))
+        after = np.arange(n_events, dtype=np.int64) + thread_of + 2
+        #: Thread id -> (its loop-event rows, ascending; its state offset).
+        self._threads: dict[int, tuple[np.ndarray, int]] = {
+            int(tid[lo]): (rows[lo:hi], 1 + lo + j)
+            for j, (lo, hi) in enumerate(zip(starts.tolist(), bounds[1:].tolist()))
+        }
+        n_states = 1 + n_events + len(starts)
+        self.site: list[np.ndarray] = []
+        self.entry: list[np.ndarray] = []
+        self.iterts: list[np.ndarray] = []
+        idx = np.arange(n_events, dtype=np.int64)
+        for lvl in range(self.depth):
+            # The live frame at this level was pushed by the latest ENTER
+            # that reached depth lvl + 1; its iteration started at the
+            # latest ITER at that depth after the push, or at the push
+            # itself.  A running maximum over all threads' events stays
+            # within the thread wherever the level is live (that thread's
+            # own ENTER is the latest), and an earlier thread's ITER never
+            # postdates this thread's ENTER.
+            at = depth == lvl + 1
+            ent = np.maximum.accumulate(
+                np.where(at & (kind == LOOP_ENTER), idx, np.int64(-1))
             )
+            itr = np.maximum.accumulate(
+                np.where(at & (kind == LOOP_ITER), idx, np.int64(-1))
+            )
+            live = depth > lvl
+            e = np.maximum(ent[live], 0)
+            i = itr[live]
+            lsite = np.full(n_states, -1, dtype=np.int64)
+            lentry = np.full(n_states, _NEVER_ENTERED, dtype=np.int64)
+            liter = np.full(n_states, _NEVER_STARTED, dtype=np.int64)
+            lsite[after[live]] = site[e]
+            lentry[after[live]] = ts[e]
+            liter[after[live]] = np.where(i > e, ts[np.maximum(i, 0)], ts[e])
+            self.site.append(lsite)
+            self.entry.append(lentry)
+            self.iterts.append(liter)
 
-    def carried_sites(
-        self, tid: int, sink_rows: np.ndarray, source_ts: np.ndarray
-    ) -> np.ndarray:
-        """Carried loop sites per (sink row, source ts) pair on one thread.
-
-        Returns an ``(n, depth)`` int64 matrix holding the loop site at each
-        stack level for which ``entry_ts <= source_ts < iter_start_ts`` held
-        in the sink's snapshot, and ``-1`` elsewhere — a fixed-width encoding
-        of the reference engine's ``carried_sites`` frozenset that dedups as
-        plain integer columns.
-        """
-        n = len(sink_rows)
-        if self.depth == 0:
-            return np.full((n, 0), -1, dtype=np.int64)
-        st = self._tids.get(tid)
-        if st is None:
-            return np.full((n, self.depth), -1, dtype=np.int64)
-        k = np.searchsorted(st.rows, sink_rows, side="left")
-        dep = st.depth[k]
-        sites = st.site[k, : self.depth]
-        entry = st.entry[k, : self.depth]
-        iterts = st.iterts[k, : self.depth]
-        lvl = np.arange(self.depth, dtype=np.int64)
-        src = source_ts[:, None]
-        hit = (lvl[None, :] < dep[:, None]) & (entry <= src) & (src < iterts)
-        return np.where(hit, sites, np.int64(-1))
+    def states_of(self, tid: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """State-table index of each access at ascending global ``rows``
+        (``tid`` its thread): the thread's stack before that row."""
+        out = np.zeros(len(rows), dtype=np.int64)
+        if not self._threads or len(rows) == 0:
+            return out
+        if tid.min() == tid.max():
+            groups = [(int(tid[0]), slice(None))]
+        else:
+            # One run of ascending rows per thread (a stable sort keeps
+            # each thread's rows in order).
+            by_tid = np.argsort(tid, kind="stable")
+            t = tid[by_tid]
+            cuts = np.flatnonzero(t[1:] != t[:-1]) + 1
+            groups = [
+                (int(t[lo]), by_tid[lo:hi])
+                for lo, hi in zip(
+                    [0, *cuts.tolist()], [*cuts.tolist(), len(t)]
+                )
+            ]
+        for t, sel in groups:
+            found = self._threads.get(t)
+            if found is not None:
+                ev_rows, offset = found
+                out[sel] = offset + np.searchsorted(ev_rows, rows[sel])
+        return out

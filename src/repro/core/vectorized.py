@@ -15,7 +15,8 @@ computed for all accesses at once:
 5. apply Algorithm 1's branch table as boolean masks,
 6. classify loop-carried dependences through timestamp indexes
    (:class:`~repro.core.controlflow.LoopIndex`),
-7. merge identical records with one ``np.unique`` over the packed columns.
+7. merge identical records with one sort over packed int64 keys
+   (:func:`~repro.common.arrays.group_rows`).
 
 Semantics note: loop-carried classification uses access *timestamps*.  For
 multi-threaded targets whose unsynchronized accesses are pushed out of order
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.common.arrays import group_rows, sort_rows, unique_sorted
 from repro.common.config import ProfilerConfig
 from repro.common.errors import ProfilerError
 from repro.core.controlflow import LoopIndex, LoopStateIndex, extract_loop_info
@@ -47,37 +49,29 @@ _WRITE_CAT = 1
 _KILL_CAT = 2
 
 
-def _group_rows(
-    cols: list[np.ndarray],
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-    """Group identical rows over parallel (non-empty) columns.
-
-    Returns the lexsort order, the columns in that order, and the start
-    index of each group of identical rows within it.
-    """
-    n = len(cols[0])
-    order = np.lexsort(cols[::-1])
-    sorted_cols = [c[order] for c in cols]
-    change = np.zeros(n, dtype=bool)
-    change[0] = True
-    for c in sorted_cols:
-        change[1:] |= c[1:] != c[:-1]
-    return order, sorted_cols, np.flatnonzero(change)
+#: Dependence type of each instance code in the chunk kernel.  The code is
+#: the most significant grouping column, so a chunk merges its records type
+#: by type in this order.
+_EMIT_TYPES = (DepType.RAW, DepType.WAR, DepType.WAW, DepType.RAR, DepType.INIT)
+_CODE = {t: c for c, t in enumerate(_EMIT_TYPES)}
+#: Source timestamp of an instance without a source (INIT): it is never
+#: after the sink (no race) and inside no loop iteration (not carried).
+_NO_TS = np.iinfo(np.int64).min
 
 
 def _unique_rows(cols: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
     """Row-level ``np.unique(..., return_counts=True)`` over parallel columns.
 
     ``np.unique(matrix, axis=0)`` sorts 64-byte void records with memcmp —
-    an order of magnitude slower than a lexsort over the int64 columns,
+    an order of magnitude slower than one sort over packed int64 keys,
     which dominates this engine's runtime on merge-heavy traces.
     """
     n = len(cols[0])
     if n == 0:
         return [c[:0] for c in cols], np.zeros(0, dtype=np.int64)
-    _, sorted_cols, starts = _group_rows(cols)
-    counts = np.diff(np.append(starts, n))
-    return [c[starts] for c in sorted_cols], counts
+    order, starts = group_rows(cols)
+    first = order[starts]
+    return [c[first] for c in cols], np.diff(starts, append=n)
 
 
 class VectorizedEngine:
@@ -375,18 +369,24 @@ class ChunkKernel:
     operations:
 
     1. gather the chunk's rows from the full batch (global positions kept),
+       and look up each access's push-order loop-frame snapshot
+       (:class:`LoopStateIndex`) while the rows are still ascending,
     2. derive tracking keys (hash slot or dense address index),
     3. expand FREE events into per-key kill rows,
-    4. sort by ``(key, position)``, segment at kills, and compute segmented
-       previous-read/previous-write indices,
+    4. sort by ``(key, position)`` (one packed int64 key), segment at kills,
+       and compute segmented previous-read/previous-write indices,
     5. splice the *planes' carry-in state* into each key's first segment —
        the last access before this chunk plays the role of a virtual
-       previous row,
-    6. apply Algorithm 1's branch masks, classify loop-carried sites against
-       push-order loop-frame snapshots (:class:`LoopStateIndex`), dedup, and
-       bulk-merge into the store,
-    7. scatter each key's final state (last read/write after the last kill)
-       back into the planes.
+       previous row, gathered once per key,
+    6. apply Algorithm 1's branch masks to collect *every* dependence
+       instance of the chunk (RAW, WAR, WAW, optional RAR and INIT) into one
+       set of instance columns with a type column; classify loop-carried
+       sites with two comparisons per loop level on the sink's snapshot;
+       then group all instances once over packed keys and merge each
+       group into the store,
+    7. scatter each key's final state back into the planes: the last
+       read/write after the key's last kill, read off the segmented
+       previous-access indices at the key's end row.
 
     Over slot planes (a lossy signature) the same sorted rows carry the
     array signature's collision bookkeeping.  An access *evicts* when its
@@ -463,7 +463,7 @@ class ChunkKernel:
         if isinstance(tracker, DensePlaneTracker):
             return tracker.space.probe_keys(base, base + size, ACCESS_GRANULARITY)
         addrs = np.arange(base, base + size, ACCESS_GRANULARITY, dtype=np.int64)
-        return np.unique(tracker.keys_of(addrs))
+        return unique_sorted(tracker.keys_of(addrs))
 
     # -- the chunk hot path ------------------------------------------------
     def process_rows(self, batch: TraceBatch, rows: np.ndarray) -> None:
@@ -498,7 +498,9 @@ class ChunkKernel:
         loc = batch.loc[acc_rows].astype(np.int64)
         var = batch.var[acc_rows].astype(np.int64)
         tid = batch.tid[acc_rows].astype(np.int64)
-        ts = batch.ts[acc_rows].astype(np.int64)
+        ts = batch.ts[acc_rows].astype(np.int64, copy=False)
+        loop_index = self._loop_index_for(batch)
+        state = loop_index.states_of(tid, acc_rows)
 
         if len(free_rows):
             kp_parts = [pos]
@@ -520,21 +522,22 @@ class ChunkKernel:
                 var = np.concatenate([var, fill - 1])
                 tid = np.concatenate([tid, fill])
                 ts = np.concatenate([ts, fill])
+                state = np.concatenate([state, fill])
 
         if len(pos) == 0:
             # Only FREEs over addresses this worker never tracked.
             self._note_memory()
             return
 
-        order = np.lexsort((pos, key))
+        order = sort_rows([key, pos])
         key = key[order]
         cat = cat[order]
-        pos = pos[order]
         addr = addr[order]
         loc = loc[order]
         var = var[order]
         tid = tid[order]
         ts = ts[order]
+        state = state[order]
         n = len(key)
 
         # -- segmentation: new key, or kill boundary within a key ----------
@@ -567,125 +570,97 @@ class ChunkKernel:
         # -- carry-in: planes act as the virtual row before each key's
         # first (pre-kill) segment ----------------------------------------
         starts = np.flatnonzero(new_key)
+        n_keys = len(starts)
         grp = np.cumsum(new_key, dtype=np.int64) - 1
         first_seg = kills_before == kills_before[starts][grp]
-
-        rp, rp_loc, rp_var, rp_tid, rp_ts = self.read_tracker.gather(key)
-        wp, wp_loc, wp_var, wp_tid, wp_ts = self.write_tracker.gather(key)
-
-        has_w = (prev_w >= 0) | (first_seg & wp)
-        has_r = (prev_r >= 0) | (first_seg & rp)
-        safe_w = np.maximum(prev_w, 0)
-        safe_r = np.maximum(prev_r, 0)
+        gkey = key[starts]
+        wp, wp_loc, wp_var, wp_tid, wp_ts = self.write_tracker.gather(gkey)
+        rp, rp_loc, rp_var, rp_tid, rp_ts = self.read_tracker.gather(gkey)
         in_w = prev_w >= 0
         in_r = prev_r >= 0
-        src_w_loc = np.where(in_w, loc[safe_w], wp_loc)
-        src_w_var = np.where(in_w, var[safe_w], wp_var)
-        src_w_tid = np.where(in_w, tid[safe_w], wp_tid)
-        src_w_ts = np.where(in_w, ts[safe_w], wp_ts)
-        src_r_loc = np.where(in_r, loc[safe_r], rp_loc)
-        src_r_var = np.where(in_r, var[safe_r], rp_var)
-        src_r_tid = np.where(in_r, tid[safe_r], rp_tid)
-        src_r_ts = np.where(in_r, ts[safe_r], rp_ts)
+        has_w = in_w | (first_seg & wp[grp])
+        has_r = in_r | (first_seg & rp[grp])
+        # A source is a row of one table: the chunk's rows, then each key's
+        # write-plane and read-plane records, then a no-source sentinel.
+        src_w = np.where(in_w, prev_w, n + grp)
+        src_r = np.where(in_r, prev_r, n + n_keys + grp)
+        no_src = n + 2 * n_keys
+        src_loc = np.concatenate([loc, wp_loc, rp_loc, [-1]])
+        src_var = np.concatenate([var, wp_var, rp_var, [-1]])
+        src_tid = np.concatenate([tid, wp_tid, rp_tid, [-1]])
+        src_ts = np.concatenate([ts, wp_ts, rp_ts, [_NO_TS]])
 
         # -- slot collisions: evictions and suspect sources ----------------
         suspect_r = suspect_w = None
         if self._slots:
-            suspect_r = self._collisions(
-                self.read_tracker, read_rows, has_r, in_r, safe_r, key, addr,
-                starts, grp,
-            )
+            w_owner, w_evicted = self.write_tracker.gather_owners(gkey)
+            r_owner, r_evicted = self.read_tracker.gather_owners(gkey)
+            owner = np.concatenate([addr, w_owner, r_owner, [-1]])
             suspect_w = self._collisions(
-                self.write_tracker, write_rows, has_w, in_w, safe_w, key, addr,
-                starts, grp,
+                self.write_tracker, write_rows, has_w, owner[src_w],
+                w_evicted[grp], key, addr, starts, grp,
+            )
+            suspect_r = self._collisions(
+                self.read_tracker, read_rows, has_r, owner[src_r],
+                r_evicted[grp], key, addr, starts, grp,
             )
 
-        # -- Algorithm 1 branch table --------------------------------------
-        raw_mask = read_rows & has_w
-        init_mask = write_rows & ~has_w
-        waw_mask = write_rows & has_w
-        war_mask = waw_mask & has_r
-
-        loop_index = self._loop_index_for(batch)
-        src_w = (src_w_loc, src_w_var, src_w_tid, src_w_ts, suspect_w)
-        src_r = (src_r_loc, src_r_var, src_r_tid, src_r_ts, suspect_r)
-        emit_plan = [
-            (DepType.RAW, raw_mask, src_w),
-            (DepType.WAR, war_mask, src_r),
-            (DepType.WAW, waw_mask, src_w),
-        ]
+        # -- Algorithm 1 branch table: every instance of the chunk ---------
+        # Write-side sources feed RAW (read sinks) and WAW (write sinks);
+        # read-side sources feed WAR and, unless ignored, RAR.
+        on_w = np.flatnonzero(has_w & ~is_kill)
+        r_sinks = write_rows & has_w
         if not cfg.ignore_rar:
-            emit_plan.append((DepType.RAR, read_rows & has_r, src_r))
-        for dep_type, mask, (s_loc, s_var, s_tid, s_ts, s_sus) in emit_plan:
-            sel = np.flatnonzero(mask)
-            stats.dep_instances[dep_type] += len(sel)
-            if len(sel) == 0:
-                continue
-            self._emit(
-                dep_type,
-                sink_loc=loc[sel],
-                sink_tid=tid[sel],
-                sink_pos=pos[sel],
-                sink_ts=ts[sel],
-                src_loc=s_loc[sel],
-                src_tid=s_tid[sel],
-                src_var=s_var[sel],
-                src_ts=s_ts[sel],
-                suspect=None if s_sus is None else s_sus[sel],
-                loop_index=loop_index,
+            r_sinks |= read_rows
+        on_r = np.flatnonzero(r_sinks & has_r)
+        init = np.flatnonzero(write_rows & ~has_w)
+        sink = np.concatenate([on_w, on_r, init])
+        code = np.concatenate(
+            [
+                np.where(read_rows[on_w], _CODE[DepType.RAW], _CODE[DepType.WAW]),
+                np.where(read_rows[on_r], _CODE[DepType.RAR], _CODE[DepType.WAR]),
+                np.full(len(init), _CODE[DepType.INIT]),
+            ]
+        )
+        src = np.concatenate(
+            [src_w[on_w], src_r[on_r], np.full(len(init), no_src, dtype=np.int64)]
+        )
+        suspect = None
+        if self._slots:
+            suspect = np.concatenate(
+                [suspect_w[on_w], suspect_r[on_r], np.zeros(len(init), dtype=bool)]
             )
-
-        init_rows = np.flatnonzero(init_mask)
-        stats.dep_instances[DepType.INIT] += len(init_rows)
-        if len(init_rows):
-            self._merge_groups(
-                lambda row: Dependence(
-                    DepType.INIT,
-                    sink_loc=row[0],
-                    sink_tid=row[1],
-                    source_loc=-1,
-                    source_tid=-1,
-                    var=-1,
-                ),
-                [loc[init_rows], tid[init_rows]],
-                ts[init_rows],
-                None,
-            )
+        self._emit(
+            code, loc[sink], tid[sink], ts[sink], state[sink],
+            src_loc[src], src_tid[src], src_var[src], src_ts[src],
+            suspect, loop_index,
+        )
 
         # -- carry-out: scatter each key's end-of-chunk state --------------
         # The surviving record per key is the last read/write *after the
-        # key's last kill* (a kill row itself belongs to the preceding
-        # segment, so segment-local maxima would wrongly resurrect a freed
-        # record when a group ends with its kill).  Run the cummax over
-        # whole key groups and invalidate anything at or before the last
-        # kill.
-        ends = np.append(starts[1:], n) - 1
-        run_r = np.maximum.accumulate(
-            np.where(read_rows, idx, np.int64(-1)) + grp * big
-        )
-        run_w = np.maximum.accumulate(
-            np.where(write_rows, idx, np.int64(-1)) + grp * big
-        )
-        run_k = np.maximum.accumulate(
-            np.where(is_kill, idx, np.int64(-1)) + grp * big
-        )
-        last_kill = run_k[ends] - grp[ends] * big
-        last_r = run_r[ends] - grp[ends] * big
-        last_w = run_w[ends] - grp[ends] * big
-        last_r = np.where(last_r > last_kill, last_r, np.int64(-1))
-        last_w = np.where(last_w > last_kill, last_w, np.int64(-1))
-        group_killed = last_kill >= 0
-        for tracker, last in (
-            (self.read_tracker, last_r),
-            (self.write_tracker, last_w),
+        # key's last kill*.  At the key's end row that is the row itself
+        # when it is an access of that kind, nothing when it is a kill, and
+        # otherwise the segmented previous access (the segment begins after
+        # the last kill).
+        ends = np.empty(n_keys, dtype=np.int64)
+        ends[:-1] = starts[1:] - 1
+        ends[-1] = n - 1
+        end_cat = cat[ends]
+        end_kill = end_cat == _KILL_CAT
+        group_killed = kills_before[ends] + end_kill > kills_before[starts]
+        for tracker, own_cat, prev in (
+            (self.read_tracker, _READ_CAT, prev_r),
+            (self.write_tracker, _WRITE_CAT, prev_w),
         ):
-            upd = last >= 0
-            src = last[upd]
-            tracker.set_rows(
-                key[src], loc[src], var[src], tid[src], ts[src], addr[src]
+            last = np.where(
+                end_cat == own_cat, ends, np.where(end_kill, -1, prev[ends])
             )
-            dead = ~upd & group_killed
-            tracker.clear_keys(key[starts[dead]])
+            upd = last >= 0
+            kept = last[upd]
+            tracker.set_rows(
+                key[kept], loc[kept], var[kept], tid[kept], ts[kept], addr[kept]
+            )
+            tracker.clear_keys(gkey[~upd & group_killed])
         self._note_memory()
 
     @staticmethod
@@ -693,8 +668,8 @@ class ChunkKernel:
         tracker: SlotPlaneTracker,
         own_rows: np.ndarray,
         present: np.ndarray,
-        in_chunk: np.ndarray,
-        prev: np.ndarray,
+        owner: np.ndarray,
+        evicted_in: np.ndarray,
         key: np.ndarray,
         addr: np.ndarray,
         starts: np.ndarray,
@@ -704,11 +679,11 @@ class ChunkKernel:
         and return, per sorted row, whether a record looked up from
         ``tracker`` there is a suspect source.
 
-        ``present``/``in_chunk``/``prev`` describe the slot as the row sees
-        it: occupied at all, occupied by an in-chunk row, and that row.
+        ``present``/``owner`` describe the slot as the row sees it:
+        occupied at all, and by which address (the previous in-chunk row's,
+        or the owner plane's on carry-in); ``evicted_in`` is the slot's
+        evicted plane on carry-in.
         """
-        owner_in, evicted_in = tracker.gather_owners(key)
-        owner = np.where(in_chunk, addr[prev], owner_in)
         evicts = own_rows & tracker.evicts(present, owner, addr)
         tracker.note_evictions(key[evicts], addr[evicts])
         # Evicted earlier in this chunk: an evicting row of the same key
@@ -719,11 +694,11 @@ class ChunkKernel:
 
     def _emit(
         self,
-        dep_type: DepType,
+        code: np.ndarray,
         sink_loc: np.ndarray,
         sink_tid: np.ndarray,
-        sink_pos: np.ndarray,
         sink_ts: np.ndarray,
+        sink_state: np.ndarray,
         src_loc: np.ndarray,
         src_tid: np.ndarray,
         src_var: np.ndarray,
@@ -731,67 +706,61 @@ class ChunkKernel:
         suspect: np.ndarray | None,
         loop_index: "LoopStateIndex",
     ) -> None:
-        """Carried classification + dedup + bulk store merge for one type."""
-        race = src_ts > sink_ts
-        self.stats.races_flagged += int(np.count_nonzero(race))
-        depth = loop_index.depth
-        cols = [sink_loc, sink_tid, src_loc, src_tid, src_var, race.astype(np.int64)]
-        if depth:
-            carried = np.full((len(sink_loc), depth), -1, dtype=np.int64)
-            for t in np.unique(sink_tid):
-                m = sink_tid == t
-                carried[m] = loop_index.carried_sites(
-                    int(t), sink_pos[m], src_ts[m]
-                )
-            cols.extend(carried[:, lvl] for lvl in range(depth))
-        self._merge_groups(
-            lambda row: Dependence(
-                dep_type,
-                sink_loc=row[0],
-                sink_tid=row[1],
-                source_loc=row[2],
-                source_tid=row[3],
-                var=row[4],
-                carried=frozenset(s for s in row[6:] if s >= 0),
-                race=bool(row[5]),
-            ),
-            cols,
-            sink_ts,
-            suspect,
-        )
+        """Classify, group and merge every dependence instance of a chunk.
 
-    def _merge_groups(
-        self,
-        dep_of,
-        cols: list[np.ndarray],
-        sink_ts: np.ndarray,
-        suspect: np.ndarray | None,
-    ) -> None:
-        """Merge identical rows over ``cols`` into the store, one record per
-        group (``dep_of`` builds it from the group's row values); with a
-        provenance collector, fold each group in with its count, first and
-        last sink timestamp and any-suspect flag."""
-        order, sorted_cols, starts = _group_rows(cols)
-        counts = np.diff(np.append(starts, len(order))).tolist()
-        rows = zip(*(c[starts].tolist() for c in sorted_cols))
+        Instance ``i`` has type ``_EMIT_TYPES[code[i]]``.  One grouping over
+        (type, sink, source, variable, race, carried site per loop level)
+        folds identical instances into one record, merged into the store
+        with its count; with a provenance collector each record also folds
+        in its first and last sink timestamp and any-suspect flag.
+        """
+        stats = self.stats
+        for c, n in enumerate(np.bincount(code, minlength=len(_EMIT_TYPES)).tolist()):
+            stats.dep_instances[_EMIT_TYPES[c]] += n
+        if len(code) == 0:
+            return
+        race = src_ts > sink_ts
+        stats.races_flagged += int(np.count_nonzero(race))
+        cols = [code, sink_loc, sink_tid, src_loc, src_tid, src_var, race]
+        for site, entry, iterts in zip(
+            loop_index.site, loop_index.entry, loop_index.iterts
+        ):
+            hit = (entry[sink_state] <= src_ts) & (src_ts < iterts[sink_state])
+            cols.append(np.where(hit, site[sink_state], np.int64(-1)))
+        order, starts = group_rows(cols)
+        first = order[starts]
+        counts = np.diff(starts, append=len(order)).tolist()
+        rows = zip(*(c[first].tolist() for c in cols))
+        deps = [
+            Dependence(
+                _EMIT_TYPES[row[0]],
+                sink_loc=row[1],
+                sink_tid=row[2],
+                source_loc=row[3],
+                source_tid=row[4],
+                var=row[5],
+                carried=frozenset(s for s in row[7:] if s >= 0),
+                race=row[6],
+            )
+            for row in rows
+        ]
         store = self.store
         prov = self.provenance
         if prov is None:
-            for row, c in zip(rows, counts):
-                store.add_merged(dep_of(row), c)
+            for dep, c in zip(deps, counts):
+                store.add_merged(dep, c)
             return
         ts = sink_ts[order]
-        first = np.minimum.reduceat(ts, starts).tolist()
-        last = np.maximum.reduceat(ts, starts).tolist()
+        lo = np.minimum.reduceat(ts, starts).tolist()
+        hi = np.maximum.reduceat(ts, starts).tolist()
         sus = (
             np.logical_or.reduceat(suspect[order], starts).tolist()
             if suspect is not None
             else [False] * len(starts)
         )
-        for row, c, lo, hi, s in zip(rows, counts, first, last, sus):
-            dep = dep_of(row)
+        for dep, c, first_ts, last_ts, s in zip(deps, counts, lo, hi, sus):
             store.add_merged(dep, c)
-            prov.note_group(dep, c, lo, hi, s)
+            prov.note_group(dep, c, first_ts, last_ts, s)
 
     def _note_memory(self) -> None:
         self.stats.tracker_memory_bytes = (

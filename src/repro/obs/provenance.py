@@ -188,7 +188,11 @@ class ProvenanceCollector:
 
 
 def json_key(row: dict[str, Any]) -> tuple:
-    """Stable sort key over serialized provenance rows."""
+    """Sort key over serialized provenance rows.
+
+    It covers every field of the dependence record, so the order of the
+    rows never depends on the order the records were collected in.
+    """
     return (
         row.get("sink_loc", 0),
         row.get("sink_tid", 0),
@@ -196,6 +200,8 @@ def json_key(row: dict[str, Any]) -> tuple:
         row.get("source_loc", 0),
         row.get("source_tid", 0),
         row.get("var", 0),
+        sorted(row.get("carried", ())),
+        row.get("race", False),
     )
 
 

@@ -14,6 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.common.arrays import unique_sorted
 from repro.common.errors import TraceFormatError
 from repro.trace.events import Event, KIND_NAMES, READ, WRITE
 
@@ -83,17 +84,12 @@ class TraceBatch:
     @property
     def n_threads(self) -> int:
         """Number of distinct target-thread ids appearing in the trace."""
-        if len(self.tid) == 0:
-            return 0
-        return int(len(np.unique(self.tid)))
+        return len(unique_sorted(self.tid))
 
     @property
     def n_unique_addresses(self) -> int:
         """Number of distinct addresses touched by READ/WRITE events."""
-        mask = (self.kind == READ) | (self.kind == WRITE)
-        if not mask.any():
-            return 0
-        return int(len(np.unique(self.addr[mask])))
+        return len(unique_sorted(self.addr[self.access_mask()]))
 
     def access_mask(self) -> np.ndarray:
         """Boolean mask selecting READ/WRITE rows."""

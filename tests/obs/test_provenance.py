@@ -85,6 +85,27 @@ class TestCollector:
         json.dumps(rows)  # fully serializable
         assert all("provenance" in r for r in rows)
 
+    def test_to_list_order_ignores_insertion_order(self):
+        """Records differing only in ``carried`` or ``race`` serialize in
+        the same order whichever was collected first."""
+        base = dict(sink_loc=10, sink_tid=0, source_loc=5, source_tid=0, var=1)
+        deps = [
+            Dependence(DepType.RAW, **base, carried=frozenset({7})),
+            Dependence(DepType.RAW, **base),
+            Dependence(DepType.RAW, **base, race=True),
+            Dependence(DepType.RAW, **base, carried=frozenset({3, 7})),
+        ]
+        lists = []
+        for ordered in (deps, deps[::-1]):
+            c = ProvenanceCollector()
+            for d in ordered:
+                c.note(d, ts=1)
+            lists.append(c.to_list())
+        assert lists[0] == lists[1]
+        assert [(r["carried"], r["race"]) for r in lists[0]] == [
+            ([], False), ([], True), ([3, 7], False), ([7], False)
+        ]
+
 
 class TestSuspectFalsePositives:
     def test_signature_reports_slot_conflicts(self):

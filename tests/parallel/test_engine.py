@@ -2,13 +2,16 @@
 sequential engines, load balancing in action, and both queue types."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from repro.common.config import ProfilerConfig
 from repro.core import DependenceProfiler, profile_trace
+from repro.core.deps import DepType
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.provenance import ProvenanceCollector
 from repro.parallel import ParallelProfiler
 from tests.core.test_engine_equivalence import random_ops
-from tests.trace_helpers import seq_trace
+from tests.trace_helpers import reference_pipeline, seq_trace
 
 PERFECT = ProfilerConfig(perfect_signature=True)
 
@@ -68,6 +71,58 @@ class TestEquivalenceWithSequential:
             PERFECT.with_(workers=3, chunk_size=4, queue_depth=2)
         ).profile(batch)
         assert par.store == seq.store
+
+    @pytest.mark.parametrize("ignore_rar", [True, False])
+    @pytest.mark.parametrize("slots", [None, 64])
+    @settings(max_examples=12, deadline=None)
+    @given(ops=random_ops(), chunk_size=st.integers(1, 4))
+    def test_property_kernel_matches_reference_pipeline(
+        self, slots, ignore_rar, ops, chunk_size
+    ):
+        """The pipeline kernel against the reference-worker oracle with
+        provenance on, over the perfect and a colliding 64-slot signature,
+        with and without RAR: merged store with counts, per-type instance
+        counts, races, provenance per dependence (chunk ids aside: the
+        oracle numbers chunks as processes mode does) and eviction
+        telemetry."""
+        batch = seq_trace(ops)
+        base = PERFECT if slots is None else ProfilerConfig(signature_slots=slots)
+        cfg = base.with_(
+            workers=3, chunk_size=chunk_size, queue_depth=2, ignore_rar=ignore_rar
+        )
+        reg = MetricsRegistry()
+        par, _ = ParallelProfiler(cfg, registry=reg, provenance=True).profile(batch)
+        store, engines, ref_reg = reference_pipeline(batch, cfg)
+        assert dict(par.store.items()) == dict(store.items())
+        oracle = ProvenanceCollector()
+        instances = {t: 0 for t in DepType}
+        for eng in engines:
+            oracle.merge(eng.provenance)
+            for t, c in eng.stats.dep_instances.items():
+                instances[t] += c
+        assert par.stats.dep_instances == instances
+        assert par.stats.races_flagged == sum(e.stats.races_flagged for e in engines)
+
+        def rows(prov):
+            return {
+                dep: {k: v for k, v in rec.to_dict().items() if k != "chunks"}
+                for dep, rec in prov
+            }
+
+        assert rows(par.provenance) == rows(oracle)
+
+        def telemetry(r):
+            evictions = {
+                c.labels: c.value for c in r.counters() if c.name == "sigmem.evictions"
+            }
+            conflicts = {
+                h.labels: (tuple(h.counts), h.count)
+                for h in r.histograms()
+                if h.name == "heat.conflicts"
+            }
+            return evictions, conflicts
+
+        assert telemetry(reg) == telemetry(ref_reg)
 
     def test_signature_mode_runs_and_approximates(self):
         batch = small_trace()
