@@ -1,33 +1,38 @@
-"""Throughput of this library's own engines (not a paper artifact).
+"""Throughput of this library's Algorithm 1 (not a paper artifact).
 
-The reproduction keeps two equivalent engines: the event-at-a-time
-reference (the executable spec) and the vectorized numpy engine, whose
-incremental chunk kernel is what pipeline workers run.  This bench records both throughputs — and the
-vectorized/worker-kernel speedups that make whole-suite experiments
-practical — into the ``engine`` suite record, with the >=5x / >=1.5x
-floors declared on the metrics themselves so ``ddprof bench compare``
-enforces them alongside the baseline regression gate.
+Every profiling run executes one implementation of Algorithm 1, the
+vectorized chunk kernel: ``profile_trace`` runs it as a one-worker
+pipeline, and every pipeline worker runs it over its own rows.  The
+event-at-a-time reference engine is its executable spec.  This bench
+records both throughputs — and the kernel's speedups over the reference,
+whole-trace (``profile_trace``) and per worker chunk stream, that make
+whole-suite experiments practical — into the ``engine`` suite record, with
+the >=1.5x / >=8x floors declared on the metrics themselves so ``ddprof
+bench compare`` enforces them alongside the baseline regression gate.
 """
 
 import pytest
 
 from repro.common.config import ProfilerConfig
-from repro.core import DependenceProfiler
+from repro.core import profile_trace
+from repro.core.reference import ReferenceEngine
 from repro.obs import repeat_timed
+from repro.sigmem import PerfectSignature
 from repro.workloads import get_trace
 
 PERFECT = ProfilerConfig(perfect_signature=True)
 SIG = ProfilerConfig(signature_slots=1 << 18)
 
 
-def eps_samples(batch, config, engine, repeats=3, warmup=1):
-    """Per-repeat events/s of one engine over ``batch`` (shared
-    warmup/repeat policy)."""
-    timed = repeat_timed(
-        lambda: DependenceProfiler(config, engine).profile(batch),
-        repeats=repeats,
-        warmup=warmup,
-    )
+def reference_run(batch):
+    """The event-at-a-time reference engine over the whole trace."""
+    return ReferenceEngine(PERFECT, PerfectSignature(), PerfectSignature()).run(batch)
+
+
+def eps_samples(batch, run, repeats=3, warmup=1):
+    """Per-repeat events/s of ``run(batch)`` (shared warmup/repeat
+    policy)."""
+    timed = repeat_timed(lambda: run(batch), repeats=repeats, warmup=warmup)
     return [len(batch) / s for s in timed.seconds]
 
 
@@ -37,8 +42,8 @@ def big_trace():
 
 
 def test_vectorized_speedup(benchmark, big_trace, bench_record):
-    ref = eps_samples(big_trace, PERFECT, "reference")
-    vec = eps_samples(big_trace, PERFECT, "vectorized")
+    ref = eps_samples(big_trace, reference_run)
+    vec = eps_samples(big_trace, lambda b: profile_trace(b, PERFECT))
     r = bench_record.record(
         "engine.reference_eps", samples=ref, unit="events/s",
         direction="higher", warmup=1,
@@ -52,19 +57,20 @@ def test_vectorized_speedup(benchmark, big_trace, bench_record):
         "engine.vectorized_speedup", speedup, unit="x", direction="higher",
         floor=1.5,
     )
-    assert speedup > 1.5  # the vectorized engine must stay clearly ahead
+    assert speedup > 1.5  # the kernel must stay clearly ahead
     benchmark.pedantic(
-        lambda: DependenceProfiler(PERFECT, "vectorized").profile(big_trace),
+        lambda: profile_trace(big_trace, PERFECT),
         rounds=3,
         iterations=1,
     )
 
 
 def test_signature_mode_throughput(benchmark, big_trace, bench_record):
-    """Signature hashing adds little over perfect keys in the vectorized
-    engine (keys are hashed columns either way)."""
-    per = eps_samples(big_trace, PERFECT, "vectorized")
-    sig = eps_samples(big_trace, SIG, "vectorized")
+    """A lossy signature costs the kernel little over perfect keys: keys
+    are hashed columns instead of dense indexes, plus the eviction and
+    suspect-source bookkeeping over the same sorted rows."""
+    per = eps_samples(big_trace, lambda b: profile_trace(b, PERFECT))
+    sig = eps_samples(big_trace, lambda b: profile_trace(b, SIG))
     s = bench_record.record(
         "engine.signature_mode_eps", samples=sig, unit="events/s",
         direction="higher", warmup=1,
@@ -77,7 +83,7 @@ def test_signature_mode_throughput(benchmark, big_trace, bench_record):
     )
     assert ratio > 0.4
     benchmark.pedantic(
-        lambda: DependenceProfiler(SIG, "vectorized").profile(big_trace),
+        lambda: profile_trace(big_trace, SIG),
         rounds=3,
         iterations=1,
     )
@@ -86,7 +92,7 @@ def test_signature_mode_throughput(benchmark, big_trace, bench_record):
 def test_reference_engine_benchmarked(benchmark):
     batch = get_trace("md5")
     benchmark.pedantic(
-        lambda: DependenceProfiler(PERFECT, "reference").profile(batch),
+        lambda: reference_run(batch),
         rounds=3,
         iterations=1,
     )
@@ -112,9 +118,6 @@ def _worker_chunk_run(batch, chunk_size):
 
 def _reference_chunk_run(batch, chunk_size):
     """The event-at-a-time reference engine over the same chunk stream."""
-    from repro.core.reference import ReferenceEngine
-    from repro.sigmem import PerfectSignature
-
     engine = ReferenceEngine(PERFECT, PerfectSignature(), PerfectSignature())
     for rows in _chunks(batch, chunk_size):
         engine.process(batch.select(rows))

@@ -19,6 +19,10 @@ from repro.analyses import analyze_loops
 from repro.workloads import get_trace
 
 PERFECT = ProfilerConfig(perfect_signature=True)
+#: Largest signature the sizing rule may ask for: each slot plane is one
+#: mapping of ``slots * 8`` bytes (2 GiB here), committed page by page as
+#: slots are touched, and a mapping must fit in RAM to be granted.
+MAX_SLOTS = 1 << 28
 
 
 def identified_set(batch, meta, config):
@@ -41,10 +45,11 @@ def table2(nas_names):
         # m >> n^2/2 (birthday bound) — a single conflated address pair can
         # fabricate carried dependences in *every* loop sharing the arrays
         # (FT's butterfly stages), so per-lookup FPR is the wrong yardstick
-        # here.  Slot counts are virtual in the vectorized engine (keys are
-        # hashes; no array is materialized), so the size costs nothing.
+        # here.  Untouched slots cost address space only, so the size is
+        # cheap up to MAX_SLOTS, which only IS's 9k addresses reach (at
+        # 2**28 slots they expect 0.16 conflated pairs).
         n = batch.n_unique_addresses
-        slots = max(1 << 22, 64 * n * n)
+        slots = min(max(1 << 22, 64 * n * n), MAX_SLOTS)
         dp = identified_set(batch, meta, PERFECT)
         sig = identified_set(
             batch, meta, ProfilerConfig(signature_slots=slots)

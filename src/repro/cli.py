@@ -22,9 +22,11 @@ dependence with the workers/chunks/timestamps that produced it and a
 ``suspect_fp`` hash-collision flag), and ``--json`` (append/print the
 machine-readable run report; schemas in docs/observability.md).
 
-``--trace-out`` and ``--provenance`` are pipeline-level features, so either
-flag routes the run through the parallel pipeline (deterministic mode —
-results are identical to the sequential engines) with ``--workers`` workers.
+By default a command profiles sequentially: one Algorithm 1 worker over the
+whole trace, provenance included.  ``--mode`` routes the run through the
+parallel pipeline with ``--workers`` workers, and so does ``--trace-out``
+(the timeline is a pipeline feature; deterministic mode unless ``--mode``
+says otherwise).  ``stats`` and ``trace`` always run the pipeline.
 """
 
 from __future__ import annotations
@@ -59,12 +61,9 @@ def _profiler_args(p: argparse.ArgumentParser) -> None:
         help="signature slots (default: perfect signature)",
     )
     p.add_argument(
-        "--engine", choices=["vectorized", "reference"], default="vectorized"
-    )
-    p.add_argument(
         "--workers", type=int, default=4,
-        help="pipeline worker count (stats/trace, and any --trace-out/"
-        "--provenance run)",
+        help="pipeline worker count (stats/trace, and any --mode/"
+        "--trace-out run)",
     )
     p.add_argument(
         "--mode", choices=["deterministic", "processes"],
@@ -281,7 +280,7 @@ def _ledger_from(args: argparse.Namespace, run_id: str):
         "command": getattr(args, "command", None),
         "workload": getattr(args, "workload", None),
         "variant": getattr(args, "variant", None),
-        "engine": getattr(args, "engine", None),
+        "engine": "pipeline" if _runs_pipeline(args) else "sequential",
         "mode": getattr(args, "mode", None),
         "workers": getattr(args, "workers", None),
         "slots": getattr(args, "slots", None),
@@ -293,11 +292,7 @@ def _ledger_from(args: argparse.Namespace, run_id: str):
 
 
 def _report_from(
-    args: argparse.Namespace,
-    reg: MetricsRegistry,
-    result=None,
-    info=None,
-    engine: str | None = None,
+    args: argparse.Namespace, reg: MetricsRegistry, result=None, info=None
 ) -> RunReport:
     """Freeze telemetry: final snapshot event, close the sink, build report."""
     reg.emit({"type": "snapshot", **reg.snapshot()})
@@ -308,7 +303,7 @@ def _report_from(
         info,
         workload=args.workload,
         variant=args.variant,
-        engine=engine or args.engine,
+        engine="pipeline" if info is not None else "sequential",
     )
     ledger = getattr(args, "_ledger", None)
     if ledger is not None:
@@ -325,9 +320,7 @@ def _finish_telemetry(
     args: argparse.Namespace, reg: MetricsRegistry, result=None, info=None
 ) -> None:
     """Shared tail of every profiling subcommand."""
-    report = _report_from(
-        args, reg, result, info, engine="pipeline" if info is not None else None
-    )
+    report = _report_from(args, reg, result, info)
     _write_trace(args, reg)
     if args.json:
         print(report.to_json())
@@ -344,41 +337,44 @@ def _write_trace(args: argparse.Namespace, reg: MetricsRegistry) -> None:
         )
 
 
-def _pipeline_run(args: argparse.Namespace, reg: MetricsRegistry, batch):
-    """One parallel-pipeline run honouring the telemetry flags."""
-    from repro.parallel import ParallelProfiler
-
-    cfg = _config_from(args).with_(workers=args.workers)
-    wants_prov = getattr(args, "provenance", False)
-    res, info = ParallelProfiler(
-        cfg,
-        mode=getattr(args, "mode", None) or "deterministic",
-        registry=reg,
-        provenance=wants_prov,
-        heartbeat_interval=getattr(args, "heartbeat_interval", 0.05),
-        ledger=getattr(args, "_ledger", None),
-    ).profile(batch)
-    if wants_prov and res.provenance is not None and args.slots is not None:
-        from repro.obs import oracle_cross_check
-
-        # Lossy signature in play: settle the suspect_fp flags against a
-        # perfect-signature rerun.
-        oracle_cross_check(res.provenance, batch, _config_from(args))
-    return res, info
+def _runs_pipeline(args: argparse.Namespace) -> bool:
+    """Whether the run goes through the parallel pipeline: ``stats`` and
+    ``trace`` always do, other commands when ``--mode`` or a timeline
+    (``--trace-out``, a pipeline feature) was asked for."""
+    return getattr(args, "command", None) in ("stats", "trace") or bool(
+        getattr(args, "trace_out", None) or getattr(args, "mode", None)
+    )
 
 
 def _profile_for(args: argparse.Namespace, reg: MetricsRegistry, batch):
-    """Profile ``batch`` the way the flags ask: the sequential engine by
-    default, the parallel pipeline when a timeline or provenance was
-    requested (they are pipeline-level features).  Returns
-    ``(result, info-or-None)``."""
-    if (
-        getattr(args, "trace_out", None)
-        or getattr(args, "provenance", False)
-        or getattr(args, "mode", None)
-    ):
-        return _pipeline_run(args, reg, batch)
-    return profile_trace(batch, _config_from(args), args.engine, registry=reg), None
+    """Profile ``batch`` the way the flags ask: sequentially by default,
+    through the parallel pipeline when :func:`_runs_pipeline` says so.  A
+    lossy run with provenance then settles its ``suspect_fp`` flags against
+    a perfect-signature rerun.  Returns ``(result, info-or-None)``."""
+    cfg = _config_from(args)
+    wants_prov = getattr(args, "provenance", False)
+    if _runs_pipeline(args):
+        from repro.parallel import ParallelProfiler
+
+        res, info = ParallelProfiler(
+            cfg.with_(workers=args.workers),
+            mode=getattr(args, "mode", None) or "deterministic",
+            registry=reg,
+            provenance=wants_prov,
+            heartbeat_interval=getattr(args, "heartbeat_interval", 0.05),
+            ledger=getattr(args, "_ledger", None),
+        ).profile(batch)
+    else:
+        from repro.obs import ProvenanceCollector
+
+        prov = ProvenanceCollector() if wants_prov else None
+        res = profile_trace(batch, cfg, registry=reg, provenance=prov)
+        info = None
+    if wants_prov and args.slots is not None:
+        from repro.obs import oracle_cross_check
+
+        oracle_cross_check(res.provenance, batch, cfg)
+    return res, info
 
 
 def _print_provenance(res) -> None:
@@ -465,8 +461,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     """Run the full parallel pipeline and print its telemetry run-report."""
     reg = _registry_from(args)
     batch = _trace_from(args, reg)
-    res, info = _pipeline_run(args, reg, batch)
-    report = _report_from(args, reg, res, info, engine="pipeline")
+    res, info = _profile_for(args, reg, batch)
+    report = _report_from(args, reg, res, info)
     _write_trace(args, reg)
     if args.json:
         print(report.to_json())
@@ -540,9 +536,7 @@ def cmd_loops(args: argparse.Namespace) -> int:
         )
     # The loops document *is* this command's machine-readable output, so the
     # run report stays off stdout in --json mode (unlike the other commands).
-    _report_from(
-        args, reg, res, info, engine="pipeline" if info is not None else None
-    )
+    _report_from(args, reg, res, info)
     _write_trace(args, reg)
     return 0
 
@@ -687,8 +681,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     args.trace_out = args.out or f"{args.workload}.trace.json"
     reg = _registry_from(args)
     batch = _trace_from(args, reg)
-    res, info = _pipeline_run(args, reg, batch)
-    report = _report_from(args, reg, res, info, engine="pipeline")
+    res, info = _profile_for(args, reg, batch)
+    report = _report_from(args, reg, res, info)
     summary = reg.tracer.summary()
     _write_trace(args, reg)
     if args.json:

@@ -5,18 +5,19 @@ The profiler consumes a :class:`~repro.trace.TraceBatch` and produces a
 for first writes), runtime control-flow information (loop regions with
 iteration counts), and bookkeeping statistics.
 
-Two engines implement identical semantics:
+Every profiling run executes one implementation of Algorithm 1, the chunk
+kernel (:class:`~repro.core.vectorized.ChunkKernel`): a numpy formulation
+that sorts a chunk's accesses by (tracking key, stream position) and
+derives each access's previous read/write via segmented cumulative maxima,
+carrying the signature state from chunk to chunk.  The
+:class:`DependenceProfiler` facade runs it sequentially as a one-worker
+pipeline, with trackers picked from a :class:`~repro.common.ProfilerConfig`
+(array signature or perfect signature); :mod:`repro.parallel` runs one
+kernel per worker.
 
-* :class:`ReferenceEngine` — Algorithm 1 transcribed event-at-a-time; the
-  executable specification.
-* :class:`VectorizedEngine` — a numpy formulation that sorts accesses by
-  (tracking key, stream position) and derives each access's previous
-  read/write via segmented cumulative maxima; orders of magnitude faster and
-  property-tested equal to the reference.
-
-Both are exposed through the :class:`DependenceProfiler` facade, which picks
-trackers from a :class:`~repro.common.ProfilerConfig` (array signature or
-perfect signature) and renders results in the paper's output format.
+:class:`ReferenceEngine` transcribes Algorithm 1 event at a time.  It is
+the executable specification the kernel is tested against, not a runtime
+choice.
 """
 
 from repro.core.deps import (
@@ -26,10 +27,9 @@ from repro.core.deps import (
     instance_rates,
     set_rates,
 )
-from repro.core.controlflow import LoopIndex, LoopInfo, extract_loop_info
+from repro.core.controlflow import LoopInfo, extract_loop_info
 from repro.core.result import ProfileResult, ProfileStats
 from repro.core.reference import ReferenceEngine
-from repro.core.vectorized import VectorizedEngine
 from repro.core.profiler import DependenceProfiler, profile_trace
 from repro.core.output import (
     OutputDiff,
@@ -43,13 +43,11 @@ __all__ = [
     "Dependence",
     "DependenceProfiler",
     "DependenceStore",
-    "LoopIndex",
     "LoopInfo",
     "OutputDiff",
     "ProfileResult",
     "ProfileStats",
     "ReferenceEngine",
-    "VectorizedEngine",
     "diff_outputs",
     "extract_loop_info",
     "format_dependences",

@@ -3,8 +3,9 @@
 The profiler reports, next to the dependences, where control regions begin
 and end and how many iterations each loop executed (the ``BGN loop`` /
 ``END loop 1200`` lines of Figure 1).  This module extracts that view from a
-trace, and builds the per-``(loop site, thread)`` timestamp indexes the
-vectorized engine uses to decide whether a dependence is loop-carried.
+trace, and builds the push-order loop-frame snapshots the chunk kernel
+uses to decide whether a dependence is loop-carried
+(:class:`LoopStateIndex`).
 """
 
 from __future__ import annotations
@@ -113,8 +114,8 @@ class LoopInfo:
 def extract_loop_info(batch: TraceBatch) -> dict[int, LoopInfo]:
     """Collect per-site loop statistics from the trace's loop events.
 
-    Every engine calls this first, so it is also where malformed loop
-    nesting is rejected (:class:`TraceFormatError`).
+    Every profiling run calls this first, so it is also where malformed
+    loop nesting is rejected (:class:`TraceFormatError`).
     """
     rows = loop_event_rows(batch, LOOP_ENTER, LOOP_ITER, LOOP_EXIT)
     kinds = np.asarray(batch.kind[rows])
@@ -151,91 +152,19 @@ def extract_loop_info(batch: TraceBatch) -> dict[int, LoopInfo]:
     return loops
 
 
-class LoopIndex:
-    """Timestamp indexes answering "is this dependence loop-carried?".
-
-    For every ``(site, tid)`` pair we keep two sorted timestamp arrays:
-    loop-entry timestamps and iteration-start timestamps.  A dependence whose
-    sink executed at ``sink_ts`` inside that loop is carried iff the source
-    timestamp falls inside the same dynamic loop execution but *before* the
-    start of the sink's current iteration::
-
-        entry_ts <= source_ts < current_iteration_start_ts
-
-    which is exactly the test the reference engine performs against its live
-    loop-frame stack.
-    """
-
-    def __init__(self, batch: TraceBatch) -> None:
-        entries: dict[tuple[int, int], list[int]] = {}
-        iters: dict[tuple[int, int], list[int]] = {}
-        for i in loop_event_rows(batch, LOOP_ENTER, LOOP_ITER):
-            key = (int(batch.addr[i]), int(batch.tid[i]))
-            ts = int(batch.ts[i])
-            if batch.kind[i] == LOOP_ENTER:
-                entries.setdefault(key, []).append(ts)
-            else:
-                iters.setdefault(key, []).append(ts)
-        # Loop events are pushed in increasing-ts order per thread; sort to be
-        # safe against interleaved multi-thread reordering of pushes.
-        self._entries = {k: np.array(sorted(v), dtype=np.int64) for k, v in entries.items()}
-        self._iters = {k: np.array(sorted(v), dtype=np.int64) for k, v in iters.items()}
-
-    def carried(self, site: int, tid: int, source_ts: int, sink_ts: int) -> bool:
-        """Scalar carried test (reference/spot checks)."""
-        key = (site, tid)
-        ent = self._entries.get(key)
-        its = self._iters.get(key)
-        if ent is None or its is None or len(its) == 0:
-            return False
-        ei = int(np.searchsorted(ent, sink_ts, side="right")) - 1
-        if ei < 0:
-            return False
-        ii = int(np.searchsorted(its, sink_ts, side="right")) - 1
-        if ii < 0:
-            return False
-        entry_ts = int(ent[ei])
-        iter_start = int(its[ii])
-        return entry_ts <= source_ts < iter_start
-
-    def carried_many(
-        self,
-        site: int,
-        tid: int,
-        source_ts: np.ndarray,
-        sink_ts: np.ndarray,
-    ) -> np.ndarray:
-        """Vectorized carried test for aligned source/sink timestamp arrays."""
-        key = (site, tid)
-        ent = self._entries.get(key)
-        its = self._iters.get(key)
-        out = np.zeros(len(sink_ts), dtype=bool)
-        if ent is None or its is None or len(its) == 0:
-            return out
-        ei = np.searchsorted(ent, sink_ts, side="right") - 1
-        ii = np.searchsorted(its, sink_ts, side="right") - 1
-        ok = (ei >= 0) & (ii >= 0)
-        if not ok.any():
-            return out
-        entry_ts = ent[np.clip(ei, 0, None)]
-        iter_start = its[np.clip(ii, 0, None)]
-        out[ok] = (entry_ts[ok] <= source_ts[ok]) & (source_ts[ok] < iter_start[ok])
-        return out
-
-
 class LoopStateIndex:
     """Loop-frame stack snapshots addressed by *stream position*.
 
     The reference engine classifies a dependence as loop-carried against the
     thread's live loop-frame stack at the moment the *sink* event is
     processed — i.e. the stack produced by all loop events preceding the
-    sink in the event stream.  :class:`LoopIndex` approximates that with
-    access timestamps, which agrees only when pushes preserve per-thread
-    program order.  This index replays the loop events once in global row
-    order and snapshots each thread's stack after every one of its loop
-    events, so a sink at global row ``i`` is classified against the exact
-    stack the reference engine would have held — which is what the
-    incremental chunk kernel needs to match it bit for bit.
+    sink in the event stream, not the loop events preceding its access
+    *timestamp* (the two differ when a thread's pushes leave program
+    order).  This index replays the loop events once in global row order
+    and snapshots each thread's stack after every one of its loop events,
+    so a sink at global row ``i`` is classified against the exact stack
+    the reference engine would have held — which is what the incremental
+    chunk kernel needs to match it bit for bit.
 
     The snapshots form one global *state table*.  State 0 is the empty
     stack; thread ``t``'s states sit at an offset, starting with its own

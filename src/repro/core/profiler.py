@@ -1,73 +1,38 @@
 """High-level profiler facade.
 
-Wires a :class:`~repro.common.ProfilerConfig` to trackers and an engine, so
-callers profile a trace in one line::
+Wires a :class:`~repro.common.ProfilerConfig` to the profiler's one
+Algorithm 1 implementation, so callers profile a trace in one line::
 
     result = DependenceProfiler(ProfilerConfig(signature_slots=10**7)).profile(batch)
 
-Engines:
-
-* ``"vectorized"`` (default) — the numpy engine; identical output, fast.
-* ``"reference"``  — Algorithm 1 event-at-a-time; the executable spec.
+A sequential run is the parallel pipeline with one worker and no
+transport: one :class:`~repro.parallel.worker.Worker` (the chunk kernel
+over signature planes) fed the trace in ascending row windows of the
+pipeline's window size.  The worker owns every address, so its signature
+gets all ``signature_slots``.
 
 Telemetry: pass a :class:`~repro.obs.metrics.MetricsRegistry` to record an
-``engine`` span, access/dependence counters, and signature occupancy
-gauges for the run; with no registry the engines run uninstrumented.
+``engine`` span, access/dependence counters, signature evictions and
+address heat for the run; with no registry the worker runs uninstrumented.
+A :class:`~repro.obs.provenance.ProvenanceCollector` attributes every
+dependence to the window (``chunk``) and sink timestamps it came from, with
+the suspect-FP verdict.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
+import numpy as np
+
 from repro.common.config import ProfilerConfig
-from repro.common.errors import ProfilerError
-from repro.core.reference import ReferenceEngine
+from repro.core.controlflow import extract_loop_info
 from repro.core.result import ProfileResult
-from repro.core.vectorized import VectorizedEngine
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import ProvenanceCollector
-from repro.sigmem import ArraySignature, PerfectSignature
-from repro.sigmem.signature import AccessTracker
+from repro.parallel.engine import WINDOW
+from repro.parallel.worker import Worker
 from repro.trace import TraceBatch
-
-ENGINES = ("vectorized", "reference")
-
-
-def make_trackers(
-    config: ProfilerConfig,
-    registry: MetricsRegistry | None = None,
-    track_conflicts: bool = False,
-) -> tuple[AccessTracker, AccessTracker]:
-    """Build the (read, write) tracker pair a configuration calls for.
-
-    With a registry, array signatures count hash-conflict evictions into
-    ``sigmem.evictions{kind=...}`` counters.  ``track_conflicts`` turns on
-    the owner-address plane that :meth:`ArraySignature.suspect_source`
-    needs — provenance collection asks for it even without a registry.
-    """
-    if config.perfect_signature:
-        return PerfectSignature(), PerfectSignature()
-    if registry is not None:
-        return (
-            ArraySignature(
-                config.signature_slots,
-                config.hash_salt,
-                eviction_counter=registry.counter("sigmem.evictions", kind="read"),
-                track_conflicts=track_conflicts,
-            ),
-            ArraySignature(
-                config.signature_slots,
-                config.hash_salt,
-                eviction_counter=registry.counter("sigmem.evictions", kind="write"),
-                track_conflicts=track_conflicts,
-            ),
-        )
-    return (
-        ArraySignature(
-            config.signature_slots, config.hash_salt, track_conflicts=track_conflicts
-        ),
-        ArraySignature(
-            config.signature_slots, config.hash_salt, track_conflicts=track_conflicts
-        ),
-    )
 
 
 class DependenceProfiler:
@@ -76,70 +41,49 @@ class DependenceProfiler:
     def __init__(
         self,
         config: ProfilerConfig | None = None,
-        engine: str = "vectorized",
         registry: MetricsRegistry | None = None,
         provenance: ProvenanceCollector | None = None,
     ) -> None:
-        if engine not in ENGINES:
-            raise ProfilerError(f"unknown engine {engine!r}; pick from {ENGINES}")
         self.config = config if config is not None else ProfilerConfig()
-        # Per-dependence attribution needs the event-at-a-time engine (the
-        # vectorized engine never materialises individual instances), so a
-        # collector silently selects "reference".
-        self.engine_name = "reference" if provenance is not None else engine
         self.registry = registry
         self.provenance = provenance
 
     def profile(self, batch: TraceBatch) -> ProfileResult:
-        """Run the configured engine over ``batch`` and return the result."""
+        """Run Algorithm 1 over ``batch`` and return the result."""
+        cfg = self.config
         reg = self.registry
-        prov = self.provenance
-        if reg is None:
-            # Uninstrumented fast path — identical to the seed behaviour.
-            if self.engine_name == "vectorized":
-                return VectorizedEngine(self.config).run(batch)
-            read_tracker, write_tracker = make_trackers(
-                self.config, track_conflicts=prov is not None
-            )
-            return ReferenceEngine(
-                self.config, read_tracker, write_tracker, provenance=prov
-            ).run(batch)
-
-        with reg.span("engine", engine=self.engine_name):
-            if self.engine_name == "vectorized":
-                result = VectorizedEngine(self.config).run(batch)
-            else:
-                read_tracker, write_tracker = make_trackers(
-                    self.config, reg, track_conflicts=prov is not None
-                )
-                result = ReferenceEngine(
-                    self.config, read_tracker, write_tracker, provenance=prov
-                ).run(batch)
-                reg.gauge_fn("sigmem.occupied", read_tracker.occupied, kind="read")
-                reg.gauge_fn(
-                    "sigmem.occupied", write_tracker.occupied, kind="write"
-                )
-                if isinstance(read_tracker, ArraySignature):
-                    reg.gauge_fn(
-                        "sigmem.fill_ratio", read_tracker.fill_ratio, kind="read"
-                    )
-                    reg.gauge_fn(
-                        "sigmem.fill_ratio",
-                        write_tracker.fill_ratio,
-                        kind="write",
-                    )
-        result.stats.publish(reg)
-        reg.gauge("engine.unique_addresses").set(result.stats.n_unique_addresses)
-        reg.gauge("deps.merged_entries").set(result.store.n_entries)
-        return result
+        loops = extract_loop_info(batch)  # rejects malformed loop nesting
+        worker = Worker(0, cfg.with_(workers=1), reg, self.provenance)
+        n = len(batch)
+        with reg.span("engine") if reg is not None else nullcontext():
+            # Each row window is one chunk of the worker's.
+            for seq, s in enumerate(range(0, n, WINDOW)):
+                rows = np.arange(s, min(s + WINDOW, n), dtype=np.int64)
+                worker.process_rows(batch, rows, seq=seq)
+        stats = worker.engine.stats
+        stats.n_unique_addresses = batch.n_unique_addresses
+        stats.tracker_memory_bytes = worker.memory_bytes
+        if reg is not None:
+            stats.publish(reg)
+            worker.publish_heat()
+            reg.gauge("engine.unique_addresses").set(stats.n_unique_addresses)
+            reg.gauge("deps.merged_entries").set(worker.store.n_entries)
+        return ProfileResult(
+            store=worker.store,
+            loops=loops,
+            stats=stats,
+            var_names=batch.var_names,
+            file_names=batch.file_names,
+            multithreaded=batch.n_threads > 1 or cfg.multithreaded_target,
+            provenance=self.provenance,
+        )
 
 
 def profile_trace(
     batch: TraceBatch,
     config: ProfilerConfig | None = None,
-    engine: str = "vectorized",
     registry: MetricsRegistry | None = None,
     provenance: ProvenanceCollector | None = None,
 ) -> ProfileResult:
     """Convenience one-shot profiling call."""
-    return DependenceProfiler(config, engine, registry, provenance).profile(batch)
+    return DependenceProfiler(config, registry, provenance).profile(batch)

@@ -60,7 +60,9 @@ class ReferenceEngine:
 
     Usable one-shot (:meth:`run`) or incrementally (:meth:`process` called
     per chunk, with trackers, loop frames, store, and stats persisting across
-    calls) — the parallel profiler's workers drive it that way.
+    calls) — the pipeline's test oracle drives one per worker that way.  No
+    profiling run executes it: it is the spec the chunk kernel
+    (:mod:`repro.core.vectorized`) is tested against.
     """
 
     def __init__(

@@ -1,29 +1,17 @@
-"""Vectorized profiling engine.
+"""The vectorized Algorithm 1: the chunk kernel every profiling run executes.
 
-Produces the same :class:`~repro.core.deps.DependenceStore` as the reference
-engine, but in O(n log n) numpy instead of a Python event loop.  The key
-observation: Algorithm 1 is a per-*tracking-key* recurrence (key = address
-for the perfect signature, key = hash slot for the array signature), and the
-"last read / last write before me on my key" quantities it consults can be
-computed for all accesses at once:
-
-1. expand FREE events into per-key *kill* rows (variable-lifetime removal),
-2. stable-sort all rows by ``(key, stream position)``,
-3. split each key's run into *epochs* at kill rows,
-4. compute, per row, the index of the previous read and previous write in
-   its (key, epoch) segment via a segmented cumulative maximum,
-5. apply Algorithm 1's branch table as boolean masks,
-6. classify loop-carried dependences through timestamp indexes
-   (:class:`~repro.core.controlflow.LoopIndex`),
-7. merge identical records with one sort over packed int64 keys
-   (:func:`~repro.common.arrays.group_rows`).
-
-Semantics note: loop-carried classification uses access *timestamps*.  For
-multi-threaded targets whose unsynchronized accesses are pushed out of order
-(the data-race scenarios of Section V-B), the reference engine classifies
-against the loop-frame state at *push* time while this engine classifies
-against *access* time; the two agree whenever each thread's pushes preserve
-its own program order, which locks guarantee (Figure 4).
+:class:`ChunkKernel` produces the same dependences as the event-at-a-time
+reference engine (:mod:`repro.core.reference`, the executable spec), but in
+O(n log n) numpy per chunk instead of a Python event loop.  The key
+observation: Algorithm 1 is a per-*tracking-key* recurrence (key = dense
+address index for the perfect signature, key = hash slot for the array
+signature), and the "last read / last write before me on my key"
+quantities it consults can be computed for all accesses of a chunk at
+once.  The kernel keeps the tracker state between chunks in signature
+planes (:mod:`repro.sigmem.planes`), so a trace may reach it in any number
+of ascending row chunks: the sequential profiler feeds one kernel fixed
+row windows, the parallel pipeline feeds each worker's kernel the rows
+routed to it.
 """
 
 from __future__ import annotations
@@ -33,16 +21,13 @@ import numpy as np
 from repro.common.arrays import group_rows, sort_rows, unique_sorted
 from repro.common.config import ProfilerConfig
 from repro.common.errors import ProfilerError
-from repro.core.controlflow import LoopIndex, LoopStateIndex, extract_loop_info
+from repro.core.controlflow import LoopStateIndex
 from repro.core.deps import DepType, Dependence, DependenceStore
-from repro.core.result import ProfileResult, ProfileStats
+from repro.core.result import ProfileStats
 from repro.core.reference import ACCESS_GRANULARITY
 from repro.obs.provenance import ProvenanceCollector
-from repro.sigmem.hashing import hash_addresses
 from repro.sigmem.planes import DensePlaneTracker, SlotPlaneTracker
 from repro.trace import FREE, READ, WRITE, TraceBatch
-
-_MAX_LOOP_DEPTH = 32
 
 _READ_CAT = 0
 _WRITE_CAT = 1
@@ -59,312 +44,11 @@ _CODE = {t: c for c, t in enumerate(_EMIT_TYPES)}
 _NO_TS = np.iinfo(np.int64).min
 
 
-def _unique_rows(cols: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
-    """Row-level ``np.unique(..., return_counts=True)`` over parallel columns.
-
-    ``np.unique(matrix, axis=0)`` sorts 64-byte void records with memcmp —
-    an order of magnitude slower than one sort over packed int64 keys,
-    which dominates this engine's runtime on merge-heavy traces.
-    """
-    n = len(cols[0])
-    if n == 0:
-        return [c[:0] for c in cols], np.zeros(0, dtype=np.int64)
-    order, starts = group_rows(cols)
-    first = order[starts]
-    return [c[first] for c in cols], np.diff(starts, append=n)
-
-
-class VectorizedEngine:
-    """Batch-vectorized Algorithm 1.
-
-    ``signature_slots=None`` selects perfect (per-address) tracking;
-    otherwise keys are hash slots of an array signature of that size.
-    """
-
-    def __init__(self, config: ProfilerConfig) -> None:
-        self.config = config
-
-    # -- key derivation ------------------------------------------------------
-    def _keys_for(self, addrs: np.ndarray) -> np.ndarray:
-        if self.config.perfect_signature:
-            return addrs
-        return hash_addresses(
-            addrs, self.config.signature_slots, self.config.hash_salt
-        )
-
-    def run(self, batch: TraceBatch) -> ProfileResult:
-        cfg = self.config
-        stats = ProfileStats(n_events=len(batch))
-        store = DependenceStore()
-
-        kind = batch.kind
-        is_read = kind == READ
-        is_write = kind == WRITE
-        acc_mask = is_read | is_write
-        acc_idx = np.flatnonzero(acc_mask)
-        stats.n_reads = int(np.count_nonzero(is_read))
-        stats.n_writes = int(np.count_nonzero(is_write))
-        stats.n_accesses = stats.n_reads + stats.n_writes
-        stats.n_unique_addresses = batch.n_unique_addresses
-        stats.tracker_memory_bytes = self._tracker_memory(batch)
-
-        loops = extract_loop_info(batch)
-        if stats.n_accesses == 0:
-            return ProfileResult(
-                store=store,
-                loops=loops,
-                stats=stats,
-                var_names=batch.var_names,
-                file_names=batch.file_names,
-                multithreaded=batch.n_threads > 1 or cfg.multithreaded_target,
-            )
-
-        # ---- assemble rows: accesses + kill rows from FREE events ---------
-        pos = acc_idx.astype(np.int64)
-        key = self._keys_for(batch.addr[acc_idx])
-        cat = np.where(is_write[acc_idx], _WRITE_CAT, _READ_CAT).astype(np.int8)
-        loc = batch.loc[acc_idx].astype(np.int64)
-        var = batch.var[acc_idx].astype(np.int64)
-        tid = batch.tid[acc_idx].astype(np.int64)
-        ts = batch.ts[acc_idx].astype(np.int64)
-        ctx = batch.ctx[acc_idx].astype(np.int64)
-
-        if cfg.track_lifetime:
-            kp, kk = self._kill_rows(batch)
-            if len(kp):
-                zeros = np.zeros(len(kp), dtype=np.int64)
-                pos = np.concatenate([pos, kp])
-                key = np.concatenate([key, kk])
-                cat = np.concatenate([cat, np.full(len(kp), _KILL_CAT, dtype=np.int8)])
-                loc = np.concatenate([loc, zeros - 1])
-                var = np.concatenate([var, zeros - 1])
-                tid = np.concatenate([tid, zeros])
-                ts = np.concatenate([ts, zeros])
-                ctx = np.concatenate([ctx, zeros - 1])
-
-        # ---- sort by (key, stream position) -------------------------------
-        order = np.lexsort((pos, key))
-        key = key[order]
-        cat = cat[order]
-        pos = pos[order]
-        loc = loc[order]
-        var = var[order]
-        tid = tid[order]
-        ts = ts[order]
-        ctx = ctx[order]
-        n = len(key)
-
-        # ---- segment ids: new key, or kill boundary within a key ----------
-        is_kill = cat == _KILL_CAT
-        kills_before = np.concatenate(
-            [[0], np.cumsum(is_kill[:-1], dtype=np.int64)]
-        )
-        new_key = np.empty(n, dtype=bool)
-        new_key[0] = True
-        new_key[1:] = key[1:] != key[:-1]
-        # Segment at key starts and after each kill; both signals only ever
-        # increase within the sort, so a simple OR of changes suffices.
-        seg_boundary = new_key.copy()
-        seg_boundary[1:] |= kills_before[1:] != kills_before[:-1]
-        seg_id = np.cumsum(seg_boundary, dtype=np.int64)
-
-        # ---- previous read / previous write per segment --------------------
-        big = np.int64(n + 2)
-        idx = np.arange(n, dtype=np.int64)
-
-        def prev_of(candidate_mask: np.ndarray) -> np.ndarray:
-            cand = np.where(candidate_mask, idx, np.int64(-1)) + seg_id * big
-            run = np.maximum.accumulate(cand)
-            prev = np.empty(n, dtype=np.int64)
-            prev[0] = -1
-            prev[1:] = run[:-1] - seg_id[1:] * big
-            prev[prev < 0] = -1
-            return prev
-
-        prev_w = prev_of(cat == _WRITE_CAT)
-        prev_r = prev_of(cat == _READ_CAT)
-
-        # ---- Algorithm 1 branch table as masks ------------------------------
-        read_rows = cat == _READ_CAT
-        write_rows = cat == _WRITE_CAT
-        raw_mask = read_rows & (prev_w >= 0)
-        init_mask = write_rows & (prev_w < 0)
-        waw_mask = write_rows & (prev_w >= 0)
-        war_mask = waw_mask & (prev_r >= 0)
-
-        emit_plan = [
-            (DepType.RAW, raw_mask, prev_w),
-            (DepType.WAR, war_mask, prev_r),
-            (DepType.WAW, waw_mask, prev_w),
-        ]
-        if not cfg.ignore_rar:
-            emit_plan.append((DepType.RAR, read_rows & (prev_r >= 0), prev_r))
-
-        loop_index = LoopIndex(batch)
-        races_total = 0
-        for dep_type, mask, src_of in emit_plan:
-            rows = np.flatnonzero(mask)
-            stats.dep_instances[dep_type] += len(rows)
-            if len(rows) == 0:
-                continue
-            src = src_of[rows]
-            races_total += self._emit(
-                store,
-                dep_type,
-                sink_loc=loc[rows],
-                sink_tid=tid[rows],
-                sink_ts=ts[rows],
-                sink_ctx=ctx[rows],
-                src_loc=loc[src],
-                src_tid=tid[src],
-                src_var=var[src],
-                src_ts=ts[src],
-                loop_index=loop_index,
-                ctx_stacks=batch.ctx_stacks,
-            )
-
-        init_rows = np.flatnonzero(init_mask)
-        stats.dep_instances[DepType.INIT] += len(init_rows)
-        if len(init_rows):
-            (u_loc, u_tid), counts = _unique_rows(
-                [loc[init_rows], tid[init_rows]]
-            )
-            for s_loc, s_tid, c in zip(u_loc, u_tid, counts):
-                store.add_merged(
-                    Dependence(
-                        DepType.INIT,
-                        sink_loc=int(s_loc),
-                        sink_tid=int(s_tid),
-                        source_loc=-1,
-                        source_tid=-1,
-                        var=-1,
-                    ),
-                    count=int(c),
-                )
-
-        stats.races_flagged = races_total
-        return ProfileResult(
-            store=store,
-            loops=loops,
-            stats=stats,
-            var_names=batch.var_names,
-            file_names=batch.file_names,
-            multithreaded=batch.n_threads > 1 or cfg.multithreaded_target,
-        )
-
-    # -- helpers ---------------------------------------------------------------
-    def _kill_rows(self, batch: TraceBatch) -> tuple[np.ndarray, np.ndarray]:
-        """Expand FREE events into (stream position, key) kill rows."""
-        free_idx = np.flatnonzero(batch.kind == FREE)
-        if len(free_idx) == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        pos_parts: list[np.ndarray] = []
-        key_parts: list[np.ndarray] = []
-        for i in free_idx:
-            base = int(batch.addr[i])
-            size = int(batch.aux[i])
-            if size <= 0:
-                continue
-            addrs = np.arange(base, base + size, ACCESS_GRANULARITY, dtype=np.int64)
-            keys = np.unique(self._keys_for(addrs))
-            pos_parts.append(np.full(len(keys), int(i), dtype=np.int64))
-            key_parts.append(keys)
-        if not pos_parts:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        return np.concatenate(pos_parts), np.concatenate(key_parts)
-
-    def _emit(
-        self,
-        store: DependenceStore,
-        dep_type: DepType,
-        sink_loc: np.ndarray,
-        sink_tid: np.ndarray,
-        sink_ts: np.ndarray,
-        sink_ctx: np.ndarray,
-        src_loc: np.ndarray,
-        src_tid: np.ndarray,
-        src_var: np.ndarray,
-        src_ts: np.ndarray,
-        loop_index: LoopIndex,
-        ctx_stacks: tuple[tuple[int, ...], ...],
-    ) -> int:
-        """Classify carried loops, dedup, and insert one dep type. Returns race count."""
-        race = src_ts > sink_ts
-        carried_mask = np.zeros(len(sink_loc), dtype=np.int64)
-        # Group by (ctx, tid): each group shares a static loop stack and the
-        # per-(site, tid) timestamp indexes.
-        packed_grp = sink_ctx * (np.max(sink_tid) + 2) + sink_tid
-        for grp in np.unique(packed_grp):
-            rows = np.flatnonzero(packed_grp == grp)
-            c = int(sink_ctx[rows[0]])
-            if c < 0:
-                continue
-            stack = ctx_stacks[c]
-            if len(stack) > _MAX_LOOP_DEPTH:
-                raise ProfilerError(
-                    f"loop nest depth {len(stack)} exceeds supported "
-                    f"{_MAX_LOOP_DEPTH}"
-                )
-            t = int(sink_tid[rows[0]])
-            for level, site in enumerate(stack):
-                hit = loop_index.carried_many(
-                    site, t, src_ts[rows], sink_ts[rows]
-                )
-                if hit.any():
-                    carried_mask[rows[hit]] |= np.int64(1) << level
-        uniq_cols, counts = _unique_rows(
-            [
-                sink_loc,
-                sink_tid,
-                src_loc,
-                src_tid,
-                src_var,
-                sink_ctx,
-                carried_mask,
-                race.astype(np.int64),
-            ]
-        )
-        for row, c in zip(zip(*uniq_cols), counts):
-            s_loc, s_tid, p_loc, p_tid, p_var, ctx_id, mask, is_race = (
-                int(x) for x in row
-            )
-            carried: frozenset[int] = frozenset()
-            if mask and ctx_id >= 0:
-                stack = ctx_stacks[ctx_id]
-                carried = frozenset(
-                    site for lvl, site in enumerate(stack) if mask & (1 << lvl)
-                )
-            store.add_merged(
-                Dependence(
-                    dep_type,
-                    sink_loc=s_loc,
-                    sink_tid=s_tid,
-                    source_loc=p_loc,
-                    source_tid=p_tid,
-                    var=p_var,
-                    carried=carried,
-                    race=bool(is_race),
-                ),
-                count=int(c),
-            )
-        return int(np.count_nonzero(race))
-
-    def _tracker_memory(self, batch: TraceBatch) -> int:
-        if self.config.perfect_signature:
-            # Matches PerfectSignature's accounting: ~88 bytes/entry, two tables.
-            return 2 * batch.n_unique_addresses * 88
-        # ArraySignature planes: int32 loc + int32 var + int32 tid + int64 ts.
-        return 2 * self.config.signature_slots * (4 + 4 + 4 + 8)
-
-
 class ChunkKernel:
     """Incremental, signature-state-carrying vectorized Algorithm 1.
 
-    The one-shot :class:`VectorizedEngine` needs the whole trace at once; a
-    pipeline worker sees it chunk by chunk.  This kernel keeps the tracker
-    state *between* chunks in a pair of plane trackers
+    The kernel sees a trace chunk by chunk.  It keeps the tracker state
+    *between* chunks in a pair of plane trackers
     (:mod:`repro.sigmem.planes`) and processes each chunk as array
     operations:
 
@@ -404,8 +88,7 @@ class ChunkKernel:
     It reproduces the reference engine bit for bit — same dependences, same
     instance counts, same race flags, same carried sets, same provenance
     and eviction counts — because every one of those steps mirrors a
-    reference-engine rule, including the push-order loop-frame semantics
-    the one-shot engine only approximates.
+    reference-engine rule, including its push-order loop-frame semantics.
 
     :class:`~repro.parallel.worker.Worker` drives it through
     :meth:`process_rows` and reads ``store``, ``stats`` and

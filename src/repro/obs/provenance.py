@@ -116,9 +116,8 @@ class ProvenanceCollector:
     The reference engine calls :meth:`note` once per dependence
     *instance*; the vectorized chunk kernel calls :meth:`note_group` once
     per merged record of a chunk.  The worker sets :attr:`chunk` before
-    each chunk so notes are attributed to the chunk being processed.
-    ``worker=0, chunk=-1`` is the sequential engine's identity (no
-    pipeline).
+    each chunk so notes are attributed to the chunk being processed: a
+    pipeline chunk, or a row window of a sequential run (worker 0).
     """
 
     def __init__(self, worker: int = 0) -> None:
@@ -223,9 +222,7 @@ def oracle_cross_check(
     """
     from repro.core.profiler import profile_trace  # local: avoid obs->core cycle
 
-    oracle_result = profile_trace(
-        batch, config.with_(perfect_signature=True), engine="vectorized"
-    )
+    oracle_result = profile_trace(batch, config.with_(perfect_signature=True))
     truth = oracle_result.store.as_set(with_tids=True, with_carried=True)
     spurious = 0
     for dep, rec in provenance.records.items():

@@ -73,6 +73,9 @@ from repro.trace import TraceBatch
 from repro.trace.shm import share_batch
 
 MODES = ("deterministic", "processes")
+#: Trace rows per producer window: the unit the pipeline routes, and the
+#: unit the sequential profiler hands its single worker.
+WINDOW = 1 << 15
 
 
 @dataclass
@@ -169,7 +172,7 @@ class ParallelProfiler:
         config: ProfilerConfig,
         mode: str = "deterministic",
         rebalance_threshold: float = 1.25,
-        window: int = 1 << 15,
+        window: int = WINDOW,
         registry: MetricsRegistry | None = None,
         provenance: bool = False,
         heartbeat_interval: float | None = 0.05,

@@ -3,7 +3,8 @@
 Each address has its own entry, so membership answers are exact and
 dependences derived from it are ground truth.  The paper uses this to
 quantify the FPR/FNR of the real signature (Table I); we additionally use it
-as the reference tracker for the exactness-checked vectorized engine.
+as the reference engine's tracker when the chunk kernel is checked for
+exactness.
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ gauges work unchanged.
 
 from __future__ import annotations
 
+import mmap
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -39,15 +40,39 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.obs.metrics import Counter
 
 
+#: On Linux numpy asks for transparent huge pages (2 MiB each) for every
+#: array of at least this many bytes.
+_HUGEPAGE_BYTES = 1 << 22
+
+
+def _sparse_zeros(n: int, dtype) -> np.ndarray:
+    """A zeroed slot plane whose memory is committed in base pages as its
+    slots are first written.
+
+    Slot planes are touched sparsely, one slot per tracked address.  On
+    huge pages every touched slot would commit 2 MiB per plane, so a large
+    signature over a few thousand addresses would cost gigabytes; below
+    numpy's huge-page size the plane is a plain ``np.zeros``.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = n * dtype.itemsize
+    if nbytes < _HUGEPAGE_BYTES:
+        return np.zeros(n, dtype=dtype)
+    buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype=dtype)
+
+
 class _PlaneStore:
     """The shared plane mechanics: presence mask + four payload columns."""
 
-    def __init__(self, capacity: int) -> None:
-        self._present = np.zeros(capacity, dtype=bool)
-        self._loc = np.zeros(capacity, dtype=np.int64)
-        self._var = np.zeros(capacity, dtype=np.int64)
-        self._tid = np.zeros(capacity, dtype=np.int64)
-        self._ts = np.zeros(capacity, dtype=np.int64)
+    def __init__(self, capacity: int, zeros=np.zeros) -> None:
+        self._present = zeros(capacity, dtype=bool)
+        self._loc = zeros(capacity, dtype=np.int64)
+        self._var = zeros(capacity, dtype=np.int64)
+        self._tid = zeros(capacity, dtype=np.int64)
+        self._ts = zeros(capacity, dtype=np.int64)
         self._filled = 0
 
     # -- batch ops (the kernel's hot path) --------------------------------
@@ -178,9 +203,9 @@ class SlotPlaneTracker(AccessTracker):
         self.salt = int(salt)
         self.eviction_counter = eviction_counter
         self.conflict_heat = conflict_heat
-        self._store = _PlaneStore(self.n_slots)
-        self._addrs = np.zeros(self.n_slots, dtype=np.int64)
-        self._evicted = np.zeros(self.n_slots, dtype=bool)
+        self._store = _PlaneStore(self.n_slots, zeros=_sparse_zeros)
+        self._addrs = _sparse_zeros(self.n_slots, dtype=np.int64)
+        self._evicted = _sparse_zeros(self.n_slots, dtype=bool)
 
     # -- key derivation ----------------------------------------------------
     def key_of(self, addr: int) -> int:
@@ -342,65 +367,70 @@ class SlotPlaneTracker(AccessTracker):
 class DenseKeySpace:
     """Address -> dense-key mapping shared by one worker's plane pair.
 
-    Keys are handed out on first sight and never recycled: a freed address
-    keeps its key so later reuse of the address maps to the same plane row
-    (whose presence bit the kill cleared) — matching dict-of-address
-    semantics without per-event dict churn in the kernel.
+    Keys are handed out on first sight — in ascending address order within
+    one call — and never recycled: a freed address keeps its key so later
+    reuse of the address maps to the same plane row (whose presence bit the
+    kill cleared).
+
+    The mapping is two sorted numpy columns (known addresses ascending, and
+    the key of each), so every lookup is a ``searchsorted``; a third column,
+    :attr:`addrs`, maps each key back to its address.
     """
 
     def __init__(self) -> None:
-        self._index: dict[int, int] = {}
+        self._sorted = np.empty(0, dtype=np.int64)
+        self._sorted_keys = np.empty(0, dtype=np.int64)
+        #: The address of every key, indexed by key.
+        self.addrs = np.empty(0, dtype=np.int64)
 
     def __len__(self) -> int:
-        return len(self._index)
+        return len(self.addrs)
+
+    def _find(self, addrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of ``addrs`` in the sorted column, and which are known."""
+        pos = np.searchsorted(self._sorted, addrs)
+        hit = pos < len(self._sorted)
+        hit[hit] = self._sorted[pos[hit]] == addrs[hit]
+        return pos, hit
 
     def get(self, addr: int) -> int | None:
-        return self._index.get(addr)
+        pos, hit = self._find(np.array([addr], dtype=np.int64))
+        return int(self._sorted_keys[pos[0]]) if hit[0] else None
 
     def key_for(self, addr: int) -> int:
-        k = self._index.get(addr)
-        if k is None:
-            k = len(self._index)
-            self._index[addr] = k
-        return k
+        return int(self.keys_for(np.array([addr], dtype=np.int64))[0])
 
     def keys_for(self, addrs: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`key_for`: one dict probe per *unique* address."""
-        uniq, inv = np.unique(addrs, return_inverse=True)
-        index = self._index
+        """Key of each address in ``addrs``; unseen addresses get new keys."""
+        addrs = np.asarray(addrs, dtype=np.int64)
+        order = np.argsort(addrs, kind="stable")
+        ordered = addrs[order]
+        first = np.ones(len(ordered), dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        uniq = ordered[first]
+        pos, hit = self._find(uniq)
         keys = np.empty(len(uniq), dtype=np.int64)
-        for j, a in enumerate(uniq.tolist()):
-            k = index.get(a)
-            if k is None:
-                k = len(index)
-                index[a] = k
-            keys[j] = k
-        return keys[inv]
+        keys[hit] = self._sorted_keys[pos[hit]]
+        new = ~hit
+        n_new = int(np.count_nonzero(new))
+        if n_new:
+            fresh = np.arange(len(self), len(self) + n_new, dtype=np.int64)
+            keys[new] = fresh
+            self._sorted = np.insert(self._sorted, pos[new], uniq[new])
+            self._sorted_keys = np.insert(self._sorted_keys, pos[new], fresh)
+            self.addrs = np.concatenate([self.addrs, uniq[new]])
+        out = np.empty(len(addrs), dtype=np.int64)
+        out[order] = keys[np.cumsum(first) - 1]
+        return out
 
     def probe_keys(self, lo: int, hi: int, stride: int) -> np.ndarray:
-        """Keys of known stride-aligned addresses in ``[lo, hi)``.
-
-        Mirrors ``PerfectSignature.remove_range``: probe the range when it is
-        small, scan the index when the range dwarfs it — either way only
-        addresses aligned to ``lo`` modulo ``stride`` are affected.
-        """
+        """Keys of known addresses in ``[lo, hi)`` aligned to ``lo`` modulo
+        ``stride`` (``PerfectSignature.remove_range``'s rule)."""
         if hi <= lo:
             return np.empty(0, dtype=np.int64)
-        index = self._index
-        n_range = -(-(hi - lo) // stride)
-        if n_range <= len(index):
-            keys = [
-                k
-                for addr in range(lo, hi, stride)
-                if (k := index.get(addr)) is not None
-            ]
-        else:
-            keys = [
-                k
-                for addr, k in index.items()
-                if lo <= addr < hi and (addr - lo) % stride == 0
-            ]
-        return np.asarray(keys, dtype=np.int64)
+        a, b = np.searchsorted(self._sorted, [lo, hi])
+        aligned = (self._sorted[a:b] - lo) % stride == 0
+        return self._sorted_keys[a:b][aligned]
 
 
 class DensePlaneTracker(AccessTracker):
@@ -476,11 +506,8 @@ class DensePlaneTracker(AccessTracker):
         """Owner addresses of the live entries, recovered from the key
         space (keys never recycle, so the inverse map is exact)."""
         present = self._store._present
-        n = len(present)
-        addrs = [
-            a for a, k in self.space._index.items() if k < n and present[k]
-        ]
-        return np.asarray(addrs, dtype=np.int64)
+        n = min(len(present), len(self.space))
+        return self.space.addrs[:n][present[:n]]
 
     @property
     def memory_bytes(self) -> int:

@@ -1,17 +1,18 @@
-"""Property-based equivalence: vectorized engine == reference engine.
+"""Property-based equivalence: ``profile_trace`` == the reference engine.
 
 Random event streams (reads/writes/frees/loops over a small address pool so
-collisions and revisits are frequent) must produce byte-identical dependence
-stores, instance counts, and race counts under both engines, for both
-perfect and signature tracking.
+collisions and revisits are frequent, plus reads pushed after later events
+with an earlier timestamp) must produce identical dependence stores,
+instance counts, and race counts under the chunk kernel and the reference
+engine, for both perfect and signature tracking.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.config import ProfilerConfig
-from repro.core import DependenceProfiler
-from tests.trace_helpers import seq_trace
+from repro.core import profile_trace
+from tests.trace_helpers import assert_same_profile, reference_profile, seq_trace
 
 
 @st.composite
@@ -29,21 +30,28 @@ def random_ops(draw):
 
     addr_pool = [0x1000 + 8 * i for i in range(12)]
     loop_sites = [10, 20, 30]
+    held = 0  # timestamps reserved for delayed reads
     for _ in range(n):
         stack = open_loops.setdefault(tid, [])
-        choices = ["r", "w", "free", "tid"]
+        choices = ["r", "w", "free", "tid", "ts"]
+        if held:
+            choices.append("rd")
         if stack:
             choices += ["Li", "L-"]
         if len(stack) < len(loop_sites):
             choices.append("L+")
         op = draw(st.sampled_from(choices))
-        if op == "r" or op == "w":
+        if op in ("r", "w", "rd"):
             # accesses inside a loop body require an iteration to have begun
             if stack and not draw(st.booleans()):
                 ops.append(("Li", stack[-1]))
             addr = draw(st.sampled_from(addr_pool))
             var = draw(st.sampled_from(["a", "b", "c"]))
             ops.append((op, addr, draw(st.integers(1, 9)), var))
+            held -= op == "rd"
+        elif op == "ts":
+            ops.append(("ts",))
+            held += 1
         elif op == "free":
             base = draw(st.sampled_from(addr_pool))
             size = draw(st.sampled_from([8, 16, 64]))
@@ -82,22 +90,15 @@ CONFIG_IDS = ["perfect", "sig-64k", "sig-7", "no-lifetime"]
 @given(ops=random_ops())
 def test_engines_equivalent(config, ops):
     batch = seq_trace(ops)
-    ref = DependenceProfiler(config, "reference").profile(batch)
-    vec = DependenceProfiler(config, "vectorized").profile(batch)
-    assert ref.store == vec.store
-    assert ref.store.instances == vec.store.instances
-    assert ref.stats.dep_instances == vec.stats.dep_instances
-    assert ref.stats.races_flagged == vec.stats.races_flagged
-    assert ref.stats.n_accesses == vec.stats.n_accesses
+    assert_same_profile(profile_trace(batch, config), reference_profile(batch, config))
 
 
 @settings(max_examples=25, deadline=None)
 @given(ops=random_ops(), salt=st.integers(0, 3))
 def test_salt_affects_only_collisions(ops, salt):
-    """Different salts may change collision-induced deps, but both engines
-    must still agree with each other under the same salt."""
+    """Different salts may change collision-induced deps, but the kernel
+    and the reference must still agree with each other under the same
+    salt."""
     config = ProfilerConfig(signature_slots=13, hash_salt=salt)
     batch = seq_trace(ops)
-    ref = DependenceProfiler(config, "reference").profile(batch)
-    vec = DependenceProfiler(config, "vectorized").profile(batch)
-    assert ref.store == vec.store
+    assert_same_profile(profile_trace(batch, config), reference_profile(batch, config))

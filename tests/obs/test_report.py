@@ -36,10 +36,10 @@ class TestRunReport:
     def test_build_from_sequential_run(self, mg_trace):
         reg = MetricsRegistry()
         res = profile_trace(mg_trace, PERFECT, registry=reg)
-        report = RunReport.build(reg, res, workload="mg", engine="vectorized")
+        report = RunReport.build(reg, res, workload="mg", engine="sequential")
         d = report.to_dict()
         assert d["schema"] == "ddprof.run-report/1"
-        assert d["meta"] == {"workload": "mg", "engine": "vectorized"}
+        assert d["meta"] == {"workload": "mg", "engine": "sequential"}
         assert d["profile"]["accesses"] == res.stats.n_accesses
         assert d["profile"]["merged_dependences"] == res.store.n_entries
         assert d["parallel"] is None
@@ -131,9 +131,7 @@ class TestPipelineTelemetry:
         ops = [("w", a, 1) for a in range(64)] + [("r", a, 1) for a in range(64)]
         batch = seq_trace(ops)
         reg = MetricsRegistry()
-        profile_trace(
-            batch, _PC(signature_slots=2), engine="reference", registry=reg
-        )
+        profile_trace(batch, _PC(signature_slots=2), registry=reg)
         assert reg.sum_counters("sigmem.evictions") > 0
 
 

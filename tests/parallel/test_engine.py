@@ -1,17 +1,16 @@
 """End-to-end tests of the parallel pipeline: equivalence with the
-sequential engines, load balancing in action, and both queue types."""
+reference engine, load balancing in action, and both queue types."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.config import ProfilerConfig
-from repro.core import DependenceProfiler, profile_trace
 from repro.core.deps import DepType
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import ProvenanceCollector
 from repro.parallel import ParallelProfiler
 from tests.core.test_engine_equivalence import random_ops
-from tests.trace_helpers import reference_pipeline, seq_trace
+from tests.trace_helpers import reference_pipeline, reference_profile, seq_trace
 
 PERFECT = ProfilerConfig(perfect_signature=True)
 
@@ -30,7 +29,7 @@ class TestEquivalenceWithSequential:
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_perfect_mode_matches_sequential(self, workers):
         batch = small_trace()
-        seq = profile_trace(batch, PERFECT, "reference")
+        seq = reference_profile(batch, PERFECT)
         par, info = ParallelProfiler(PERFECT.with_(workers=workers)).profile(batch)
         assert par.store == seq.store
         assert par.stats.dep_instances == seq.stats.dep_instances
@@ -41,7 +40,7 @@ class TestEquivalenceWithSequential:
         batch = small_trace()
         cfg = PERFECT.with_(workers=4, lock_free_queues=lock_free, chunk_size=16)
         par, info = ParallelProfiler(cfg).profile(batch)
-        seq = profile_trace(batch, PERFECT, "reference")
+        seq = reference_profile(batch, PERFECT)
         assert par.store == seq.store
         if not lock_free:
             assert info.lock_ops > 0
@@ -58,7 +57,7 @@ class TestEquivalenceWithSequential:
         ops += [("L-", 10), ("free", 0x1000, 64, 13)]
         ops += [("w", 0x1000, 14, "z")]
         batch = seq_trace(ops)
-        seq = profile_trace(batch, PERFECT, "reference")
+        seq = reference_profile(batch, PERFECT)
         par, _ = ParallelProfiler(PERFECT.with_(workers=3, chunk_size=8)).profile(batch)
         assert par.store == seq.store
 
@@ -66,7 +65,7 @@ class TestEquivalenceWithSequential:
     @given(ops=random_ops())
     def test_property_equivalence_random_traces(self, ops):
         batch = seq_trace(ops)
-        seq = DependenceProfiler(PERFECT, "reference").profile(batch)
+        seq = reference_profile(batch, PERFECT)
         par, _ = ParallelProfiler(
             PERFECT.with_(workers=3, chunk_size=4, queue_depth=2)
         ).profile(batch)
@@ -128,7 +127,7 @@ class TestEquivalenceWithSequential:
         batch = small_trace()
         cfg = ProfilerConfig(signature_slots=1 << 18, workers=4)
         par, _ = ParallelProfiler(cfg).profile(batch)
-        seq = profile_trace(batch, PERFECT, "reference")
+        seq = reference_profile(batch, PERFECT)
         # Large per-worker signatures: no collisions expected at this scale.
         assert par.store == seq.store
 
@@ -165,7 +164,7 @@ class TestLoadBalancing:
         )
         par, info = ParallelProfiler(cfg, window=256).profile(batch)
         assert info.rebalance_rounds >= 1
-        seq = profile_trace(batch, PERFECT, "reference")
+        seq = reference_profile(batch, PERFECT)
         assert par.store == seq.store  # migration preserved per-address state
 
 

@@ -2,7 +2,7 @@
 shared-memory trace block.
 
 Everything here asserts *equality with the deterministic mode* (itself
-equivalence-tested against the sequential engines) plus the merge
+equivalence-tested against the reference engine) plus the merge
 machinery: per-worker stores, metrics state folding, provenance, tracer
 adoption, and shared-memory hygiene.
 """
@@ -14,14 +14,13 @@ import pytest
 
 from repro.common.config import ProfilerConfig
 from repro.common.errors import ProfilerError
-from repro.core import profile_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import ProvenanceCollector
 from repro.obs.tracing import Tracer
 from repro.parallel import ParallelProfiler
 from repro.trace import attach_batch, share_batch
 from repro.workloads import get_trace
-from tests.trace_helpers import reference_pipeline, seq_trace
+from tests.trace_helpers import reference_pipeline, reference_profile, seq_trace
 
 PERFECT = ProfilerConfig(perfect_signature=True)
 
@@ -74,7 +73,7 @@ class TestProcessesMode:
         rows as a worker process does."""
         batch = get_trace("ep")
         cfg = PERFECT.with_(workers=workers, chunk_size=512)
-        seq = profile_trace(batch, PERFECT, "reference")
+        seq = reference_profile(batch, PERFECT)
         par, info = ParallelProfiler(
             cfg, mode="processes", provenance=engine == "reference"
         ).profile(batch)
@@ -112,7 +111,7 @@ class TestProcessesMode:
                 ops += [("r", a, 11, "s"), ("w", a, 12, "s")]
         ops += [("L-", 10), ("free", 0x1000, 48, 13), ("w", 0x1000, 14, "z")]
         batch = seq_trace(ops)
-        seq = profile_trace(batch, PERFECT, "reference")
+        seq = reference_profile(batch, PERFECT)
         par, _ = ParallelProfiler(
             PERFECT.with_(workers=3, chunk_size=8), mode="processes"
         ).profile(batch)
@@ -124,7 +123,7 @@ class TestProcessesMode:
         batch = get_trace("ep")
         cfg = PERFECT.with_(workers=2, chunk_size=256, queue_depth=1)
         par, _ = ParallelProfiler(cfg, mode="processes", window=1 << 10).profile(batch)
-        seq = profile_trace(batch, PERFECT, "reference")
+        seq = reference_profile(batch, PERFECT)
         assert par.store == seq.store
 
     def test_metrics_fold_into_parent_registry(self):

@@ -201,13 +201,13 @@ class TestPipelineDrainPaths:
         )
 
     def test_deterministic_wraparound_and_backpressure(self):
-        from repro.core import profile_trace
         from repro.parallel import ParallelProfiler
+        from tests.trace_helpers import reference_profile
 
         batch = self._batch()
         cfg = self._tiny_cfg()
         det, info = ParallelProfiler(cfg, mode="deterministic").profile(batch)
-        seq = profile_trace(batch, cfg.with_(workers=1), "reference")
+        seq = reference_profile(batch, cfg.with_(workers=1))
         assert det.store == seq.store
         # The ring held at most queue_depth chunks but carried hundreds.
         assert info.n_chunks > 10 * cfg.queue_depth * cfg.workers

@@ -163,7 +163,7 @@ def test_worker_engine_option_removed(capsys):
     from repro.cli import main
 
     with pytest.raises(TypeError):
-        ProfilerConfig(worker_engine="reference")
+        ProfilerConfig(worker_engine="kernel")
     with pytest.raises(SystemExit) as exc:
         main(["stats", "ep", "--worker-engine", "reference"])
     assert exc.value.code == 2

@@ -19,8 +19,14 @@ class TestLedgerWrites:
         assert doc["status"] == "ok"
         assert doc["meta"]["command"] == "profile"
         assert doc["meta"]["workload"] == "cg"
+        assert doc["meta"]["engine"] == doc["report"]["meta"]["engine"] == "sequential"
         assert doc["dependences"]["n_edges"] > 0
         assert doc["report"]["counters"]
+
+    def test_pipeline_runs_say_so(self, tmp_path, capsys):
+        profile(tmp_path, "--run-id", "a", "--mode", "deterministic")
+        doc = load_bundle(tmp_path / "a")
+        assert doc["meta"]["engine"] == doc["report"]["meta"]["engine"] == "pipeline"
 
     def test_no_ledger_opts_out(self, tmp_path, capsys):
         profile(tmp_path, "--no-ledger", "--run-id", "a")

@@ -165,6 +165,40 @@ class TestCliTracing:
         row = rows[0]["provenance"]
         assert {"workers", "chunks", "ts", "count", "suspect_fp"} <= set(row)
 
+    def test_lossy_provenance_stays_sequential(self, capsys):
+        """``--provenance`` without ``--mode`` runs the sequential profiler:
+        one row per merged dependence, each settled by the oracle
+        cross-check, and the run's eviction counters."""
+        import json
+
+        assert main(
+            ["profile", "is", "--slots", "256", "--provenance", "--json", "--no-ledger"]
+        ) == 0
+        out = capsys.readouterr().out
+        report = json.loads(out[out.index("\n{\n") + 1:])
+        assert report["meta"]["engine"] == "sequential"
+        assert report["parallel"] is None
+        rows = report["provenance"]
+        assert len(rows) == report["profile"]["merged_dependences"] > 0
+        assert all(r["provenance"]["oracle_spurious"] is not None for r in rows)
+        evictions = sum(
+            v for k, v in report["counters"].items() if k.startswith("sigmem.evictions")
+        )
+        assert evictions > 0
+        assert report["memory"]["heatmap"]["total_conflicts"] == evictions
+
+    def test_mode_runs_pipeline(self, capsys):
+        import json
+
+        assert main(
+            ["profile", "is", "--mode", "deterministic", "--workers", "2", "--json",
+             "--no-ledger"]
+        ) == 0
+        out = capsys.readouterr().out
+        report = json.loads(out[out.index("\n{\n") + 1:])
+        assert report["meta"]["engine"] == "pipeline"
+        assert report["parallel"]["workers"] == 2
+
     def test_trace_json_report_has_track_summary(self, tmp_path, capsys):
         import json
 

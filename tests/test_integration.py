@@ -1,7 +1,7 @@
 """Cross-module integration and property tests.
 
 These exercise full paths a downstream user would take: workload -> trace ->
-(save/load) -> profiler (all engines, all pipeline modes) -> analyses ->
+(save/load) -> profiler (kernel, reference oracle, pipeline) -> analyses ->
 text output -> parser, and invariants connecting them.
 """
 
@@ -10,18 +10,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import (
-    DependenceProfiler,
     ParallelProfiler,
     ProfilerConfig,
     format_dependences,
     parse_dependences,
     profile_trace,
 )
-from repro.core.profiler import make_trackers
-from repro.core.reference import ReferenceEngine
 from repro.trace import load_trace, save_trace
 from tests.core.test_engine_equivalence import random_ops
-from tests.trace_helpers import seq_trace
+from tests.trace_helpers import reference_engine, reference_profile, seq_trace
 
 PERFECT = ProfilerConfig(perfect_signature=True)
 
@@ -35,8 +32,8 @@ class TestEndToEnd:
         save_trace(batch, tmp_path / "mg.npz")
         loaded = load_trace(tmp_path / "mg.npz")
 
-        vec = profile_trace(loaded, PERFECT, "vectorized")
-        ref = profile_trace(loaded, PERFECT, "reference")
+        vec = profile_trace(loaded, PERFECT)
+        ref = reference_profile(loaded, PERFECT)
         par, _ = ParallelProfiler(PERFECT.with_(workers=4)).profile(loaded)
         assert vec.store == ref.store == par.store
 
@@ -79,9 +76,9 @@ class TestIncrementalProcessing:
     def test_incremental_equals_oneshot(self, ops, cut):
         batch = seq_trace(ops)
         k = min(len(batch), cut)
-        oneshot = DependenceProfiler(PERFECT, "reference").profile(batch)
+        oneshot = reference_profile(batch, PERFECT)
 
-        engine = ReferenceEngine(PERFECT, *make_trackers(PERFECT))
+        engine = reference_engine(PERFECT)
         idx = np.arange(len(batch))
         engine.process(batch.select(idx[:k]))
         engine.process(batch.select(idx[k:]))
@@ -92,8 +89,8 @@ class TestIncrementalProcessing:
     @given(ops=random_ops())
     def test_many_tiny_chunks(self, ops):
         batch = seq_trace(ops)
-        oneshot = DependenceProfiler(PERFECT, "reference").profile(batch)
-        engine = ReferenceEngine(PERFECT, *make_trackers(PERFECT))
+        oneshot = reference_profile(batch, PERFECT)
+        engine = reference_engine(PERFECT)
         idx = np.arange(len(batch))
         for s in range(0, len(batch), 3):
             engine.process(batch.select(idx[s : s + 3]))

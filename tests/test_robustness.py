@@ -5,71 +5,69 @@ import numpy as np
 import pytest
 
 from repro.common.config import ProfilerConfig
-from repro.common.errors import ProfilerError, TraceFormatError
-from repro.core import DependenceProfiler, profile_trace
+from repro.common.errors import TraceFormatError
+from repro.core import profile_trace
 from repro.parallel import ParallelProfiler
 from repro.trace import LOOP_ENTER, TraceBuilder, TraceRecorder
-from tests.trace_helpers import seq_trace
+from tests.trace_helpers import PROFILERS, seq_trace
 
 PERFECT = ProfilerConfig(perfect_signature=True)
-ENGINES = ["reference", "vectorized"]
 
 
-@pytest.fixture(params=ENGINES)
-def engine(request):
+@pytest.fixture(params=list(PROFILERS.values()), ids=list(PROFILERS))
+def profile(request):
     return request.param
 
 
 class TestDegenerateTraces:
-    def test_single_event(self, engine):
-        res = profile_trace(seq_trace([("w", 0x8, 1)]), PERFECT, engine)
+    def test_single_event(self, profile):
+        res = profile(seq_trace([("w", 0x8, 1)]), PERFECT)
         assert len(res.store) == 1  # just the INIT
 
-    def test_control_only_trace(self, engine):
+    def test_control_only_trace(self, profile):
         ops = [("L+", 10), ("Li", 10), ("Li", 10), ("L-", 10)]
-        res = profile_trace(seq_trace(ops), PERFECT, engine)
+        res = profile(seq_trace(ops), PERFECT)
         assert len(res.store) == 0
         assert res.loops and res.stats.n_accesses == 0
 
-    def test_free_only_trace(self, engine):
-        res = profile_trace(seq_trace([("free", 0x1000, 64, 1)]), PERFECT, engine)
+    def test_free_only_trace(self, profile):
+        res = profile(seq_trace([("free", 0x1000, 64, 1)]), PERFECT)
         assert len(res.store) == 0
 
-    def test_zero_size_free(self, engine):
+    def test_zero_size_free(self, profile):
         ops = [("w", 0x1000, 1, "a"), ("free", 0x1000, 0, 2), ("r", 0x1000, 3, "a")]
-        res = profile_trace(seq_trace(ops), PERFECT, engine)
+        res = profile(seq_trace(ops), PERFECT)
         # A zero-byte free removes nothing.
         assert any(d.dep_type.name == "RAW" for d in res.store)
 
-    def test_huge_addresses(self, engine):
+    def test_huge_addresses(self, profile):
         big = (1 << 47) - 8  # top of a canonical userspace address space
         ops = [("w", big, 1, "p"), ("r", big, 2, "p")]
-        res = profile_trace(seq_trace(ops), PERFECT, engine)
+        res = profile(seq_trace(ops), PERFECT)
         assert any(d.dep_type.name == "RAW" for d in res.store)
 
-    def test_same_line_everything(self, engine):
+    def test_same_line_everything(self, profile):
         """All accesses on one source line still merge into sane records."""
         ops = [("w", 0x8 * i, 7, "v") for i in range(50)]
         ops += [("r", 0x8 * i, 7, "v") for i in range(50)]
-        res = profile_trace(seq_trace(ops), PERFECT, engine)
+        res = profile(seq_trace(ops), PERFECT)
         assert res.store.n_sinks == 1
         assert len(res.store) == 2  # one INIT + one RAW record
 
-    def test_many_threads(self, engine):
+    def test_many_threads(self, profile):
         r = TraceRecorder()
         v = r.intern_var("g")
         for tid in range(64):
             r.write(0x8, loc=1, var=v, tid=tid)
-        res = profile_trace(
-            r.build(), PERFECT.with_(multithreaded_target=True), engine
-        )
+        res = profile(
+            r.build(), PERFECT.with_(multithreaded_target=True))
         assert len(res.store) == 64  # INIT + 63 distinct cross-thread WAWs
 
 
 class TestExtremeConfigs:
-    def test_one_slot_signature(self, engine):
+    def test_one_slot_signature(self, profile):
         batch = seq_trace([("w", 0x8 * i, 1) for i in range(20)])
-        res = profile_trace(batch, ProfilerConfig(signature_slots=1), engine)
+        res = profile(batch, ProfilerConfig(signature_slots=1))
         assert res.stats.n_writes == 20
 
     def test_parallel_more_workers_than_addresses(self):
@@ -93,15 +91,11 @@ class TestExtremeConfigs:
         assert par.stats.n_writes == 10
         assert info.n_chunks == 10
 
-    def test_profiler_rejects_engine_typo(self):
-        with pytest.raises(ProfilerError):
-            DependenceProfiler(PERFECT, engine="vectorised")
-
 
 class TestMalformedLoopNesting:
     """A trace whose LOOP_ITER/LOOP_EXIT has no enclosing LOOP_ENTER on its
     thread (a truncated or hand-edited cached trace, say) is rejected up
-    front by every engine with one TraceFormatError naming the thread and
+    front by every profiler with one TraceFormatError naming the thread and
     the row — never a bare KeyError from deep inside a replay."""
 
     @staticmethod
@@ -114,10 +108,10 @@ class TestMalformedLoopNesting:
 
     ITER_ERROR = r"LOOP_ITER on thread 2 at trace row 1 has no enclosing LOOP_ENTER"
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_dependence_profiler_rejects(self, engine):
+    @pytest.mark.parametrize("profile", list(PROFILERS.values()), ids=list(PROFILERS))
+    def test_dependence_profiler_rejects(self, profile):
         with pytest.raises(TraceFormatError, match=self.ITER_ERROR):
-            profile_trace(self.enter_dropped(), PERFECT, engine)
+            profile(self.enter_dropped(), PERFECT)
 
     @pytest.mark.parametrize("mode", ["deterministic", "processes"])
     def test_pipeline_rejects(self, mode):
@@ -144,11 +138,11 @@ class TestResultObject:
         assert res.var_name(-1) == "*"
         assert res.var_name(10**6) == "*"
 
-    def test_stats_consistency(self, engine):
+    def test_stats_consistency(self, profile):
         ops = [("w", 0x8 * i, 1) for i in range(30)] + [
             ("r", 0x8 * i, 2) for i in range(30)
         ]
-        res = profile_trace(seq_trace(ops), PERFECT, engine)
+        res = profile(seq_trace(ops), PERFECT)
         assert res.stats.n_accesses == res.stats.n_reads + res.stats.n_writes
         assert res.stats.total_instances == res.store.instances
         assert res.stats.n_unique_addresses == 30

@@ -10,19 +10,30 @@
     ("Li", line)                 loop iteration start
     ("L-", line)                 loop exit
     ("tid", t)                   switch current thread for subsequent ops
+    ("ts",)                      reserve an access timestamp and hold it
+    ("rd", addr, line)           read pushed late: it takes the oldest held
+                                 timestamp (var optional 4th field)
 
 Lines are encoded with file id 0, so ``loc == line`` for readability in
 assertions (line < 2**20).
 
-``reference_pipeline`` is the pipeline's differential oracle: the same
-routing and per-worker chunking, with the event-at-a-time reference engine
-in every worker.
+``reference_profile`` is the sequential profiler's differential oracle:
+the event-at-a-time reference engine over the whole trace.
+``reference_pipeline`` is the pipeline's: the same routing and per-worker
+chunking, with the reference engine in every worker.  Both build a
+worker's scalar trackers the same way (:func:`reference_engine`).
+
+``PROFILERS`` names the two implementations semantic tests run against:
+``reference`` (the oracle) and ``vectorized`` (``profile_trace``, i.e. the
+chunk kernel of :mod:`repro.core.vectorized`, diffed against the oracle on
+every call).
 """
 
 from __future__ import annotations
 
 from repro.common.sourceloc import encode_location
 from repro.core.deps import DependenceStore
+from repro.core.profiler import profile_trace
 from repro.core.reference import ReferenceEngine
 from repro.obs.heatmap import AddressHeatmap
 from repro.obs.metrics import MetricsRegistry
@@ -36,12 +47,16 @@ def seq_trace(ops, file_name: str = "test.c") -> TraceBatch:
     r = TraceRecorder()
     r.intern_file(file_name)
     tid = 0
+    held: list[int] = []
     for op in ops:
         code = op[0]
-        if code == "r":
+        if code in ("r", "rd"):
             _, addr, line = op[:3]
             var = r.intern_var(op[3]) if len(op) > 3 else -1
-            r.read(addr, loc=encode_location(0, line), var=var, tid=tid)
+            ts = held.pop(0) if code == "rd" else None
+            r.read(addr, loc=encode_location(0, line), var=var, tid=tid, ts=ts)
+        elif code == "ts":
+            held.append(r.next_ts())
         elif code == "w":
             _, addr, line = op[:3]
             var = r.intern_var(op[3]) if len(op) > 3 else -1
@@ -71,33 +86,70 @@ def loc(line: int) -> int:
     return encode_location(0, line)
 
 
+def reference_engine(cfg, n_slots=None, reg=None, w: int = 0, provenance=None):
+    """A reference-engine worker over scalar signatures of ``n_slots`` slots
+    (default: all ``signature_slots``; or perfect ones) whose evictions
+    land in ``sigmem.evictions`` and ``heat.conflicts`` of ``reg``,
+    labelled by worker ``w``."""
+    n_slots = cfg.signature_slots if n_slots is None else n_slots
+    reg = reg if reg is not None else MetricsRegistry()
+    heat = AddressHeatmap(reg, w)
+
+    def tracker(kind):
+        if cfg.perfect_signature:
+            return PerfectSignature(geometry=cfg.bank_geometry)
+        return ArraySignature(
+            n_slots, cfg.hash_salt,
+            eviction_counter=reg.counter("sigmem.evictions", worker=w, kind=kind),
+            track_conflicts=True, conflict_heat=heat.record_conflict,
+            geometry=cfg.bank_geometry,
+        )
+
+    return ReferenceEngine(cfg, tracker("read"), tracker("write"), provenance=provenance)
+
+
+def reference_profile(batch: TraceBatch, cfg, provenance=None):
+    """Sequential oracle for ``profile_trace``: one reference engine over the
+    whole trace, its signatures holding all ``signature_slots``."""
+    return reference_engine(cfg, provenance=provenance).run(batch)
+
+
+def assert_same_profile(got, want) -> None:
+    """Two profiles of one trace agree on everything Algorithm 1 decides:
+    the store with its counts, instance and race counts, access counts."""
+    assert dict(got.store.items()) == dict(want.store.items())
+    assert got.stats.dep_instances == want.stats.dep_instances
+    assert got.stats.races_flagged == want.stats.races_flagged
+    assert got.stats.n_reads == want.stats.n_reads
+    assert got.stats.n_writes == want.stats.n_writes
+    assert got.stats.n_events == want.stats.n_events
+
+
+def kernel_profile(batch: TraceBatch, cfg):
+    """``profile_trace``, checked against ``reference_profile`` on the same
+    trace before it is returned."""
+    res = profile_trace(batch, cfg)
+    assert_same_profile(res, reference_profile(batch, cfg))
+    return res
+
+
+PROFILERS = {"reference": reference_profile, "vectorized": kernel_profile}
+
+
 def reference_pipeline(batch: TraceBatch, cfg, window: int = 1 << 15):
     """Reference-worker oracle for ``ParallelProfiler``: windows routed by
     ``route_window``, each worker's rows cut into chunks as a worker process
     cuts them (so provenance chunk ids match processes mode), and every
-    worker running ``ReferenceEngine`` over scalar signatures whose
-    evictions land in ``sigmem.evictions`` and ``heat.conflicts``.
+    worker a :func:`reference_engine` with ``slots_per_worker`` slots.
 
     Returns ``(store, engines, registry)``; each engine carries its
     worker's ``stats`` and ``provenance``.
     """
     reg = MetricsRegistry()
-    engines = []
-    for w in range(cfg.workers):
-        heat = AddressHeatmap(reg, w)
-
-        def tracker(kind, w=w, heat=heat):
-            if cfg.perfect_signature:
-                return PerfectSignature(geometry=cfg.bank_geometry)
-            return ArraySignature(
-                cfg.slots_per_worker, cfg.hash_salt,
-                eviction_counter=reg.counter("sigmem.evictions", worker=w, kind=kind),
-                track_conflicts=True, conflict_heat=heat.record_conflict,
-                geometry=cfg.bank_geometry,
-            )
-
-        prov = ProvenanceCollector(worker=w)
-        engines.append(ReferenceEngine(cfg, tracker("read"), tracker("write"), provenance=prov))
+    engines = [
+        reference_engine(cfg, cfg.slots_per_worker, reg, w, ProvenanceCollector(worker=w))
+        for w in range(cfg.workers)
+    ]
     amap = AddressMap(cfg.workers, bank_geometry=cfg.bank_geometry)
     for s in range(0, len(batch), window):
         route = route_window(batch, s, min(s + window, len(batch)), amap)
