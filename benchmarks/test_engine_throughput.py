@@ -108,9 +108,12 @@ def _chunks(batch, chunk_size):
 def _worker_chunk_run(batch, chunk_size):
     """One pipeline Worker fed the whole trace in chunks — the quantity
     the processes mode actually parallelizes."""
+    from repro.core.controlflow import LoopStateIndex
     from repro.parallel.worker import Worker
 
-    worker = Worker(0, PERFECT.with_(workers=1, chunk_size=chunk_size))
+    worker = Worker(
+        0, PERFECT.with_(workers=1, chunk_size=chunk_size), LoopStateIndex(batch)
+    )
     for seq, rows in enumerate(_chunks(batch, chunk_size)):
         worker.process_rows(batch, rows, seq=seq)
     return worker

@@ -10,8 +10,8 @@ tier streams both through the processes pipeline, and we record
   profiling throughput (floor-gated so a pipeline regression fails
   ``ddprof bench compare``), and
 * ``scale.peak_rss_mb_1e6`` / ``scale.peak_rss_mb_1e7`` — the maximum
-  per-worker peak RSS, ceiling-gated with the *same* ceiling at both sizes:
-  a 10× longer trace must not move the memory bound.
+  peak RSS over the parent and every worker, ceiling-gated with the *same*
+  ceiling at both sizes: a 10× longer trace must not move the memory bound.
 
 Ground truth rides along for free: every tile of the amplified trace
 reproduces the base trace's dependences on disjoint addresses, so the

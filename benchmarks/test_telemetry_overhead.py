@@ -100,10 +100,12 @@ def test_heatmap_overhead(benchmark, bench_record):
 
     import numpy as np
 
+    from repro.core.controlflow import LoopStateIndex
     from repro.obs.heatmap import heatmap_summary
     from repro.parallel.worker import Worker
 
     batch = get_trace("kmeans")
+    loop_index = LoopStateIndex(batch)
     n = len(batch.addr)
     step = ProfilerConfig().chunk_size
     blocks = [np.arange(i, min(i + step, n)) for i in range(0, n, step)]
@@ -115,8 +117,10 @@ def test_heatmap_overhead(benchmark, bench_record):
         dt = 0.0
         for _ in range(inner):
             reg = MetricsRegistry()
-            w = Worker(0, ProfilerConfig(workers=1, heatmap=heat_on), registry=reg)
-            w.process_rows(batch, blocks[0])  # loop-index build: not timed
+            w = Worker(
+                0, ProfilerConfig(workers=1, heatmap=heat_on), loop_index, registry=reg
+            )
+            w.process_rows(batch, blocks[0])  # warm-up chunk: not timed
             t0 = time.perf_counter()
             for rows in blocks[1:]:
                 w.process_rows(batch, rows)

@@ -69,8 +69,8 @@ def _profiler_args(p: argparse.ArgumentParser) -> None:
         "--mode", choices=["deterministic", "processes"],
         default=None,
         help="pipeline execution mode; giving it routes the run through the "
-        "parallel pipeline ('processes' = real multi-core over a "
-        "shared-memory trace; see docs/parallel.md)",
+        "parallel pipeline ('processes' = real multi-core, forked workers "
+        "that inherit the trace; needs fork; see docs/parallel.md)",
     )
     p.add_argument(
         "--metrics-out", metavar="FILE", default=None,

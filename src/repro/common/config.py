@@ -39,8 +39,9 @@ class ProfilerConfig:
         Use the exact (collision-free) signature instead of the fixed-size
         array.  This is the paper's baseline for measuring FPR/FNR.
     workers:
-        Worker-thread count of the parallel pipeline.  ``1`` with
-        ``parallel=False`` engines means the serial profiler.
+        Worker count of the parallel pipeline.  The sequential profiler
+        (:func:`~repro.core.profiler.profile_trace`) ignores it and runs one
+        worker that owns every address.
     chunk_size:
         Number of memory accesses per chunk pushed to a worker queue.
     queue_depth:

@@ -2,10 +2,11 @@
 
 The profiler reports, next to the dependences, where control regions begin
 and end and how many iterations each loop executed (the ``BGN loop`` /
-``END loop 1200`` lines of Figure 1).  This module extracts that view from a
-trace, and builds the push-order loop-frame snapshots the chunk kernel
-uses to decide whether a dependence is loop-carried
-(:class:`LoopStateIndex`).
+``END loop 1200`` lines of Figure 1).  :class:`LoopStateIndex` reads that
+view off the trace's loop events in the same scan that builds the
+push-order loop-frame snapshots the chunk kernel uses to decide whether a
+dependence is loop-carried.  Every profiling run builds one index, once,
+before its worker(s) start.
 """
 
 from __future__ import annotations
@@ -114,23 +115,30 @@ class LoopInfo:
 def extract_loop_info(batch: TraceBatch) -> dict[int, LoopInfo]:
     """Collect per-site loop statistics from the trace's loop events.
 
-    Every profiling run calls this first, so it is also where malformed
-    loop nesting is rejected (:class:`TraceFormatError`).
+    The table is a by-product of the loop-event scan :class:`LoopStateIndex`
+    makes, so this is also where malformed loop nesting is rejected
+    (:class:`TraceFormatError`).
     """
-    rows = loop_event_rows(batch, LOOP_ENTER, LOOP_ITER, LOOP_EXIT)
-    kinds = np.asarray(batch.kind[rows])
-    tids = batch.tid[rows]
-    _thread_nesting(rows, kinds, tids)
-    marks = rows[kinds != LOOP_ITER]
+    return LoopStateIndex(batch).loops
+
+
+def _loop_table(
+    kinds: np.ndarray,
+    sites: np.ndarray,
+    tids: np.ndarray,
+    iter_counts: np.ndarray,
+    end_locs: np.ndarray,
+) -> dict[int, LoopInfo]:
+    """Fold loop ENTER/EXIT events, in stream order, into per-site facts."""
     loops: dict[int, LoopInfo] = {}
     # Track the enclosing site per thread to attribute parents.
     stacks: dict[int, list[int]] = {}
     for kind, site, tid, iters, end_loc in zip(
-        np.asarray(batch.kind[marks]).tolist(),
-        batch.addr[marks].tolist(),
-        batch.tid[marks].tolist(),
-        batch.aux[marks].tolist(),
-        batch.loc[marks].tolist(),
+        kinds.tolist(),
+        sites.tolist(),
+        tids.tolist(),
+        iter_counts.tolist(),
+        end_locs.tolist(),
     ):
         stack = stacks.setdefault(tid, [])
         if kind == LOOP_ENTER:
@@ -179,7 +187,9 @@ class LoopStateIndex:
     The build is array code over all threads at once: the stack depth after
     each loop event is a per-thread running sum of +1/-1, and for each
     nesting level the live frame's ENTER and latest ITER come from a
-    running maximum over event indices.
+    running maximum over event indices.  The same scan of the loop events
+    also yields the run's :class:`LoopInfo` table (:attr:`loops`), so a run
+    reads the loop events once and checks their nesting once.
     """
 
     def __init__(self, batch: TraceBatch) -> None:
@@ -187,11 +197,22 @@ class LoopStateIndex:
         kind = np.asarray(batch.kind[rows])
         tid = batch.tid[rows].astype(np.int64)
         order, bounds, depth = _thread_nesting(rows, kind, tid)
+        site = batch.addr[rows].astype(np.int64)
+        marks = kind != LOOP_ITER
+        #: Per-site loop statistics (:class:`LoopInfo`), folded in stream
+        #: order from the same scan.
+        self.loops = _loop_table(
+            kind[marks],
+            site[marks],
+            tid[marks],
+            batch.aux[rows[marks]],
+            batch.loc[rows[marks]],
+        )
         rows = rows[order]
         kind = kind[order]
         tid = tid[order]
+        site = site[order]
         ts = batch.ts[rows].astype(np.int64)
-        site = batch.addr[rows].astype(np.int64)
         #: Deepest stack observed across all threads: the number of levels.
         self.depth = int(depth.max()) if len(depth) else 0
         if self.depth > MAX_SNAPSHOT_DEPTH:

@@ -11,9 +11,11 @@ over signature planes) fed the trace in ascending row windows of the
 pipeline's window size.  The worker owns every address, so its signature
 gets all ``signature_slots``.
 
-Telemetry: pass a :class:`~repro.obs.metrics.MetricsRegistry` to record an
-``engine`` span, access/dependence counters, signature evictions and
-address heat for the run; with no registry the worker runs uninstrumented.
+Telemetry: pass a :class:`~repro.obs.metrics.MetricsRegistry` to record a
+``loop-index`` span (the run's one loop-snapshot index, built before the
+worker starts), an ``engine`` span, access/dependence counters, signature
+evictions and address heat for the run; with no registry the worker runs
+uninstrumented.
 A :class:`~repro.obs.provenance.ProvenanceCollector` attributes every
 dependence to the window (``chunk``) and sink timestamps it came from, with
 the suspect-FP verdict.
@@ -26,7 +28,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from repro.common.config import ProfilerConfig
-from repro.core.controlflow import extract_loop_info
+from repro.core.controlflow import LoopStateIndex
 from repro.core.result import ProfileResult
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import ProvenanceCollector
@@ -52,8 +54,9 @@ class DependenceProfiler:
         """Run Algorithm 1 over ``batch`` and return the result."""
         cfg = self.config
         reg = self.registry
-        loops = extract_loop_info(batch)  # rejects malformed loop nesting
-        worker = Worker(0, cfg.with_(workers=1), reg, self.provenance)
+        with reg.span("loop-index") if reg is not None else nullcontext():
+            loop_index = LoopStateIndex(batch)  # rejects malformed nesting
+        worker = Worker(0, cfg.with_(workers=1), loop_index, reg, self.provenance)
         n = len(batch)
         with reg.span("engine") if reg is not None else nullcontext():
             # Each row window is one chunk of the worker's.
@@ -70,7 +73,7 @@ class DependenceProfiler:
             reg.gauge("deps.merged_entries").set(worker.store.n_entries)
         return ProfileResult(
             store=worker.store,
-            loops=loops,
+            loops=loop_index.loops,
             stats=stats,
             var_names=batch.var_names,
             file_names=batch.file_names,

@@ -98,6 +98,7 @@ class ChunkKernel:
     def __init__(
         self,
         config: ProfilerConfig,
+        loop_index: LoopStateIndex,
         read_tracker,
         write_tracker,
         store: DependenceStore | None = None,
@@ -107,6 +108,9 @@ class ChunkKernel:
         if type(read_tracker) is not type(write_tracker):
             raise ProfilerError("read/write plane trackers must match")
         self.config = config
+        #: Push-order loop-frame snapshots of the trace being profiled: the
+        #: run builds one index and every worker's kernel reads it.
+        self.loop_index = loop_index
         self.read_tracker = read_tracker
         self.write_tracker = write_tracker
         #: Optional address-heat recorder (see :mod:`repro.obs.heatmap`).
@@ -118,26 +122,9 @@ class ChunkKernel:
         self.provenance = provenance
         self.store = store if store is not None else DependenceStore()
         self.stats = ProfileStats()
-        #: Push-order loop-frame snapshots for the batch being profiled.
-        #: The pipeline builds one index per batch and shares it across its
-        #: same-process workers; unset, the kernel builds its own lazily.
-        self.loop_index: "LoopStateIndex | None" = None
-        self._batch_id: int | None = None
         self._slots = isinstance(read_tracker, SlotPlaneTracker)
 
     # -- helpers -----------------------------------------------------------
-    def bind_loop_index(self, batch: TraceBatch, index: "LoopStateIndex") -> None:
-        """Adopt a prebuilt snapshot index for ``batch`` (one per pipeline
-        run, shared across this process's workers)."""
-        self.loop_index = index
-        self._batch_id = id(batch)
-
-    def _loop_index_for(self, batch: TraceBatch) -> "LoopStateIndex":
-        if self.loop_index is None or self._batch_id != id(batch):
-            self.loop_index = LoopStateIndex(batch)
-        self._batch_id = id(batch)
-        return self.loop_index
-
     def _kill_keys(self, base: int, size: int) -> np.ndarray:
         """Keys removed by one FREE, in this kernel's key space."""
         if size <= 0:
@@ -150,7 +137,8 @@ class ChunkKernel:
 
     # -- the chunk hot path ------------------------------------------------
     def process_rows(self, batch: TraceBatch, rows: np.ndarray) -> None:
-        """Run Algorithm 1 over ``rows`` (ascending global row indices)."""
+        """Run Algorithm 1 over ``rows`` (ascending global row indices) of
+        ``batch``, the trace :attr:`loop_index` was built from."""
         cfg = self.config
         stats = self.stats
         stats.n_events += len(rows)
@@ -182,7 +170,7 @@ class ChunkKernel:
         var = batch.var[acc_rows].astype(np.int64)
         tid = batch.tid[acc_rows].astype(np.int64)
         ts = batch.ts[acc_rows].astype(np.int64, copy=False)
-        loop_index = self._loop_index_for(batch)
+        loop_index = self.loop_index
         state = loop_index.states_of(tid, acc_rows)
 
         if len(free_rows):
@@ -387,7 +375,7 @@ class ChunkKernel:
         src_var: np.ndarray,
         src_ts: np.ndarray,
         suspect: np.ndarray | None,
-        loop_index: "LoopStateIndex",
+        loop_index: LoopStateIndex,
     ) -> None:
         """Classify, group and merge every dependence instance of a chunk.
 

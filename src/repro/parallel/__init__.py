@@ -21,7 +21,7 @@ Pieces:
   private trackers,
 * :class:`ParallelProfiler` — the pipeline over one of two transports:
   ``deterministic`` (in-process queues, drained inline) or ``processes``
-  (worker processes over a shared-memory trace).
+  (forked worker processes that inherit the trace).
 """
 
 from repro.parallel.queues import LockedQueue, SpscRingQueue

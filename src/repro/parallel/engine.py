@@ -19,13 +19,19 @@ Two transports carry the routed rows (``mode``):
   Section IV-A load balancer and is the cost model's source of pipeline
   statistics (its ``chunk_log`` is replayed there).
 * ``processes`` — real ``multiprocessing`` workers with private
-  signatures, reading the trace zero-copy out of one shared-memory block
-  (:mod:`repro.trace.shm`); only window index ranges cross the task
-  queues and each worker routes its windows itself, so this mode shows
-  *measured* multi-core speedup.  Load rebalancing and the gauge sampler
+  signatures.  They are forked, so each inherits the trace, the run's loop
+  index and the heartbeat board from the parent's address space; only
+  window index ranges cross the task queues and each worker routes its
+  windows itself, so this mode shows *measured* multi-core speedup.  It
+  needs the ``fork`` start method.  Load rebalancing and the gauge sampler
   are producer-side features and are disabled here (static address
   partition); worker processes ship their published parts, metrics state,
   tracer events, chunk logs and broadcast counts home for the merge.
+
+Before dispatch, every run builds its one
+:class:`~repro.core.controlflow.LoopStateIndex` (the loop-frame snapshots
+every worker's kernel reads, and the run's loop table) inside one
+``loop-index`` span.
 
 Telemetry: the run is instrumented through one
 :class:`~repro.obs.metrics.MetricsRegistry` — stall counters live *inside*
@@ -50,7 +56,7 @@ import numpy as np
 
 from repro.common.config import ProfilerConfig
 from repro.common.errors import ProfilerError
-from repro.core.controlflow import LoopStateIndex, extract_loop_info
+from repro.core.controlflow import LoopStateIndex
 from repro.core.deps import DependenceStore
 from repro.core.result import ProfileResult, ProfileStats
 from repro.obs.environment import peak_rss_bytes
@@ -70,7 +76,6 @@ from repro.parallel.procworker import run_worker
 from repro.parallel.queues import LockedQueue, SpscRingQueue
 from repro.parallel.worker import Worker
 from repro.trace import TraceBatch
-from repro.trace.shm import share_batch
 
 MODES = ("deterministic", "processes")
 #: Trace rows per producer window: the unit the pipeline routes, and the
@@ -180,6 +185,13 @@ class ParallelProfiler:
     ) -> None:
         if mode not in MODES:
             raise ProfilerError(f"unknown mode {mode!r}; pick from {MODES}")
+        if mode == "processes" and "fork" not in multiprocessing.get_all_start_methods():
+            raise ProfilerError(
+                "processes mode needs the 'fork' start method, which this "
+                "platform does not offer"
+            )
+        if window < 1:
+            raise ProfilerError(f"window must be a positive row count, got {window}")
         self.config = config
         self.mode = mode
         self.rebalance_threshold = rebalance_threshold
@@ -224,14 +236,15 @@ class ParallelProfiler:
                 tracer.set_track(worker_track(w), f"worker {w}")
         # Producer-side facts are read off the trace before dispatch; from
         # then on only the workers read it (a spilled trace stays paged out).
-        loops = extract_loop_info(batch)
+        with reg.span("loop-index"):
+            loop_index = LoopStateIndex(batch)  # rejects malformed nesting
         n_unique_addresses = batch.n_unique_addresses
         multithreaded = batch.n_threads > 1 or cfg.multithreaded_target
         transport = (
             self._run_processes if self.mode == "processes" else self._run_in_process
         )
         try:
-            parts, chunk_log, rebalance_audit = transport(batch, reg)
+            parts, chunk_log, rebalance_audit = transport(batch, loop_index, reg)
             store, prov, stats = self._merge(reg, parts)
         finally:
             # Telemetry written so far must survive a failure propagating
@@ -248,7 +261,7 @@ class ParallelProfiler:
         )
         result = ProfileResult(
             store=store,
-            loops=loops,
+            loops=loop_index.loops,
             stats=stats,
             var_names=batch.var_names,
             file_names=batch.file_names,
@@ -287,7 +300,7 @@ class ParallelProfiler:
 
     # ------------------------------------------------------------------
     def _run_in_process(
-        self, batch: TraceBatch, reg: MetricsRegistry
+        self, batch: TraceBatch, loop_index: LoopStateIndex, reg: MetricsRegistry
     ) -> tuple[list[dict], list[tuple[int, int]], list[dict]]:
         """In-process transport: rings the producer drains inline when full.
 
@@ -300,17 +313,12 @@ class ParallelProfiler:
             Worker(
                 w,
                 cfg,
+                loop_index,
                 reg,
                 provenance=ProvenanceCollector(worker=w) if self.provenance else None,
             )
             for w in range(cfg.workers)
         ]
-        # One push-order loop-snapshot index per run, shared by every
-        # in-process kernel (it is batch-global, read-only).
-        with reg.span("loop-index"):
-            shared_loops = LoopStateIndex(batch)
-        for w in workers:
-            w.engine.bind_loop_index(batch, shared_loops)
         if cfg.lock_free_queues:
             queues: list[SpscRingQueue | LockedQueue] = [
                 SpscRingQueue(
@@ -500,11 +508,14 @@ class ParallelProfiler:
 
     # ------------------------------------------------------------------
     def _run_processes(
-        self, batch: TraceBatch, reg: MetricsRegistry
+        self, batch: TraceBatch, loop_index: LoopStateIndex, reg: MetricsRegistry
     ) -> tuple[list[dict], list[tuple[int, int]], list[dict]]:
-        """Processes transport: worker processes over one shared trace block.
+        """Processes transport: forked worker processes over the parent's trace.
 
-        The producer ships only ``(start, end, window_idx)`` index ranges;
+        Each worker is forked with the batch, the loop index and the
+        heartbeat board as its ``Process`` arguments, so it reads them in
+        the pages it inherited: nothing is copied or attached by name.  The
+        producer ships only ``(start, end, window_idx)`` index ranges;
         each worker process routes its windows with the same
         :func:`route_window` (see :mod:`repro.parallel.procworker`).  The
         static address partition makes results independent of scheduling,
@@ -515,13 +526,7 @@ class ParallelProfiler:
         """
         cfg = self.config
         tracer = reg.tracer
-        methods = multiprocessing.get_all_start_methods()
-        # fork shares the parent's pages (cheap start, no re-import);
-        # required anyway for the monkeypatch-based tests, preferred always.
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else methods[0]
-        )
-        shared = share_batch(batch)
+        ctx = multiprocessing.get_context("fork")
         task_qs = [ctx.Queue(maxsize=cfg.queue_depth) for _ in range(cfg.workers)]
         result_q = ctx.Queue()
         hb_interval = self.heartbeat_interval
@@ -534,12 +539,12 @@ class ParallelProfiler:
             "provenance": self.provenance,
             "trace": tracer.enabled,
             "run_id": reg.run_id,
-            "heartbeat": board.meta if board is not None else None,
+            "heartbeat": board,
         }
         procs = [
             ctx.Process(
                 target=run_worker,
-                args=(w, cfg, shared.meta, task_qs[w], result_q, opts),
+                args=(w, cfg, batch, loop_index, task_qs[w], result_q, opts),
                 daemon=True,
                 name=f"ddprof-worker-{w}",
             )
@@ -624,7 +629,6 @@ class ParallelProfiler:
                     p.terminate()
             if board is not None:
                 board.close()
-            shared.close()
 
         parts = [payloads[w] for w in range(cfg.workers)]
         # Producer-order chunk log for the cost model: interleave the

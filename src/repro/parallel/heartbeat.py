@@ -4,10 +4,11 @@ A forked worker that deadlocks, spins, or gets OOM-killed is invisible to
 the parent until a queue timeout fires; the heartbeat plane makes worker
 health *observable while the run executes*.  Two halves:
 
-* :class:`HeartbeatBoard` — a tiny shared-memory array, one ``(monotonic
-  timestamp, beat count)`` float64 pair per worker.  Workers stamp their
-  slot at startup, per task, and per chunk (:func:`HeartbeatBoard.beat` is
-  two array stores — nanoseconds, safe on the hot path).  ``time.monotonic``
+* :class:`HeartbeatBoard` — a tiny anonymous shared map, one ``(monotonic
+  timestamp, beat count)`` float64 pair per worker, which the workers
+  inherit through ``fork``.  Workers stamp their slot at startup, per task,
+  and per chunk (:func:`HeartbeatBoard.beat` is two array stores —
+  nanoseconds, safe on the hot path).  ``time.monotonic``
   is ``CLOCK_MONOTONIC`` on Linux, one system-wide clock, so the parent can
   subtract a child's stamp from its own reading directly.
 * :class:`WorkerWatchdog` — a parent-side daemon thread ticking on the
@@ -30,9 +31,9 @@ hang on a dead worker.
 
 from __future__ import annotations
 
+import mmap
 import threading
 import time
-from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -55,65 +56,31 @@ STALL_AFTER_INTERVALS = 10
 
 
 class HeartbeatBoard:
-    """Shared-memory heartbeat slots: ``(n_workers, 2)`` float64.
+    """Heartbeat slots in an anonymous shared map: ``(n_workers, 2)`` float64.
 
     Column 0 is the worker's last ``time.monotonic()`` stamp, column 1 its
     cumulative beat count.  Slots are pre-stamped at creation so a worker
     that dies before its first beat ages from run start instead of from the
-    monotonic epoch.  Same ownership protocol as the shared trace block:
-    the creator (parent) unlinks via :meth:`close`, workers attach with
-    resource-tracker registration suppressed and only ever ``close()``
-    their mapping.
+    monotonic epoch.  The map is ``MAP_SHARED | MAP_ANONYMOUS``: worker
+    processes forked after :meth:`create` inherit it, so a child's stamps
+    land in the pages the parent reads, with no name to attach by and
+    nothing to unlink.
     """
 
     SLOTS = 2  # timestamp, beat count
 
-    def __init__(
-        self,
-        shm: shared_memory.SharedMemory,
-        n_workers: int,
-        owner: bool,
-    ) -> None:
-        self.shm = shm
+    def __init__(self, n_workers: int) -> None:
         self.n_workers = n_workers
-        self._owner = owner
+        self._map = mmap.mmap(-1, n_workers * self.SLOTS * 8)
         self.arr = np.ndarray(
-            (n_workers, self.SLOTS), dtype=np.float64, buffer=shm.buf
+            (n_workers, self.SLOTS), dtype=np.float64, buffer=self._map
         )
+        self.arr[:, 0] = time.monotonic()
+        self.arr[:, 1] = 0.0
 
-    # -- construction -------------------------------------------------------
     @classmethod
     def create(cls, n_workers: int) -> "HeartbeatBoard":
-        size = n_workers * cls.SLOTS * 8
-        shm = shared_memory.SharedMemory(create=True, size=size)
-        board = cls(shm, n_workers, owner=True)
-        board.arr[:, 0] = time.monotonic()
-        board.arr[:, 1] = 0.0
-        return board
-
-    @property
-    def meta(self) -> tuple[str, int]:
-        """Picklable attach descriptor: ``(shm name, n_workers)``."""
-        return (self.shm.name, self.n_workers)
-
-    @classmethod
-    def attach(cls, meta: tuple[str, int]) -> "HeartbeatBoard":
-        name, n_workers = meta
-        # Same 3.11 resource_tracker workaround as trace/shm.py: an
-        # attachment must not be registered, or the tracker unlinks the
-        # block out from under the creator when this process exits.
-        orig_register = resource_tracker.register
-
-        def _no_register(name: str, rtype: str) -> None:  # pragma: no cover
-            if rtype != "shared_memory":
-                orig_register(name, rtype)
-
-        resource_tracker.register = _no_register
-        try:
-            shm = shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = orig_register
-        return cls(shm, n_workers, owner=False)
+        return cls(n_workers)
 
     # -- worker side ---------------------------------------------------------
     def beat(self, wid: int) -> None:
@@ -131,17 +98,12 @@ class HeartbeatBoard:
         return int(self.arr[wid, 1])
 
     def close(self) -> None:
-        """Release the mapping; the creator also unlinks.  Idempotent."""
+        """Drop the view and close the map.  Idempotent."""
         self.arr = None  # drop the view before closing the buffer
         try:
-            self.shm.close()
+            self._map.close()
         except BufferError:  # a live export still pins the buffer
-            return
-        if self._owner:
-            try:
-                self.shm.unlink()
-            except FileNotFoundError:
-                pass
+            pass
 
 
 class WorkerWatchdog:

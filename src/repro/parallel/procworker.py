@@ -1,14 +1,17 @@
 """Worker-process entry point for the ``processes`` execution mode.
 
-Each worker process attaches the shared-memory trace
-(:func:`repro.trace.shm.attach_batch`), rebuilds the same
-:class:`~repro.parallel.worker.Worker` the in-process pipeline uses, and
-consumes *window index ranges* — ``(start, end, window_idx)`` tuples, a few
-dozen bytes each — from a task queue.  Routing happens worker-side through
-the pipeline's one routing rule
+Worker processes are forked, so each one starts with the parent's objects
+in its address space: the :class:`~repro.trace.batch.TraceBatch` (in-memory
+columns or a spilled batch's file mappings), the run's one
+:class:`~repro.core.controlflow.LoopStateIndex` and the
+:class:`~repro.parallel.heartbeat.HeartbeatBoard`.  The worker builds the
+same :class:`~repro.parallel.worker.Worker` the in-process pipeline uses
+and consumes *window index ranges* — ``(start, end, window_idx)`` tuples,
+a few dozen bytes each — from a task queue.  Routing happens worker-side
+through the pipeline's one routing rule
 (:func:`~repro.parallel.address_map.route_window`): every process routes
-the same window over the shared columns and keeps only its own rows (plus
-the broadcast rows everyone needs), so no per-row data ever crosses a
+the same window over the inherited columns and keeps only its own rows
+(plus the broadcast rows everyone needs), so no per-row data ever crosses a
 process boundary.
 
 At shutdown (a ``None`` sentinel) the worker calls
@@ -25,20 +28,21 @@ import traceback
 from typing import Any
 
 from repro.common.config import ProfilerConfig
+from repro.core.controlflow import LoopStateIndex
 from repro.obs.environment import peak_rss_bytes
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import ProvenanceCollector
 from repro.obs.tracing import Tracer, worker_track
 from repro.parallel.address_map import AddressMap, route_window
-from repro.parallel.heartbeat import HeartbeatBoard
 from repro.parallel.worker import Worker
-from repro.trace.shm import SharedBatchMeta, attach_batch
+from repro.trace import TraceBatch
 
 
 def run_worker(
     wid: int,
     config: ProfilerConfig,
-    meta: SharedBatchMeta,
+    batch: TraceBatch,
+    loop_index: LoopStateIndex,
     task_q: Any,
     result_q: Any,
     opts: dict[str, Any],
@@ -47,18 +51,14 @@ def run_worker(
 
     ``opts`` keys: ``provenance`` (bool) and ``trace`` (bool) mirror the
     parent pipeline's observability switches; ``run_id`` propagates the
-    parent's correlation id; ``heartbeat`` is a
-    :class:`~repro.parallel.heartbeat.HeartbeatBoard` attach descriptor
-    (``None`` disables stamping).
+    parent's correlation id; ``heartbeat`` is the run's
+    :class:`~repro.parallel.heartbeat.HeartbeatBoard` (``None`` disables
+    stamping).
     """
-    shm = None
-    hb = None
     try:
-        batch, shm = attach_batch(meta)
-        hb_meta = opts.get("heartbeat")
-        if hb_meta is not None:
-            hb = HeartbeatBoard.attach(hb_meta)
-            hb.beat(wid)  # first stamp: attach succeeded, worker is up
+        hb = opts.get("heartbeat")
+        if hb is not None:
+            hb.beat(wid)  # first stamp: the worker is up
         tracer = Tracer() if opts.get("trace") else None
         reg = MetricsRegistry(tracer=tracer, run_id=opts.get("run_id"))
         if tracer is not None:
@@ -66,7 +66,7 @@ def run_worker(
         prov = (
             ProvenanceCollector(worker=wid) if opts.get("provenance") else None
         )
-        worker = Worker(wid, config, reg, provenance=prov)
+        worker = Worker(wid, config, loop_index, reg, provenance=prov)
         amap = AddressMap(config.workers, bank_geometry=config.bank_geometry)
         # Only the window being processed should be resident: a spilled
         # batch may be far larger than RAM.
@@ -112,8 +112,3 @@ def run_worker(
         result_q.put(("ok", part))
     except BaseException:  # noqa: BLE001 — ship the traceback to the parent
         result_q.put(("error", wid, traceback.format_exc()))
-    finally:
-        if hb is not None:
-            hb.close()
-        if shm is not None:
-            shm.close()

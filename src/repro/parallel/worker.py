@@ -7,6 +7,7 @@ import time
 import numpy as np
 
 from repro.common.config import ProfilerConfig
+from repro.core.controlflow import LoopStateIndex
 from repro.core.deps import DependenceStore
 from repro.core.vectorized import ChunkKernel
 from repro.obs.heatmap import AddressHeatmap
@@ -33,6 +34,10 @@ class Worker:
     :class:`~repro.core.reference.ReferenceEngine` is the test oracle the
     kernel is diffed against, not a runtime choice.
 
+    ``loop_index`` is the run's one
+    :class:`~repro.core.controlflow.LoopStateIndex` over the trace the
+    worker will be fed; the profiler builds it before any worker exists.
+
     When a :class:`~repro.obs.metrics.MetricsRegistry` is supplied the
     worker instruments itself: per-chunk latency histogram, signature
     hash-conflict eviction counters (``sigmem.evictions``, lossy
@@ -47,6 +52,7 @@ class Worker:
         self,
         wid: int,
         config: ProfilerConfig,
+        loop_index: LoopStateIndex,
         registry: MetricsRegistry | None = None,
         provenance: ProvenanceCollector | None = None,
     ) -> None:
@@ -66,6 +72,7 @@ class Worker:
         self._keyspace = DenseKeySpace() if config.perfect_signature else None
         self.engine = ChunkKernel(
             config,
+            loop_index,
             self._make_tracker("read"),
             self._make_tracker("write"),
             heat=self._heat,

@@ -37,12 +37,6 @@ from repro.trace.events import (
 from repro.trace.batch import TraceBatch, TraceBuilder
 from repro.trace.recorder import TraceRecorder
 from repro.trace.serialize import load_trace, save_trace
-from repro.trace.shm import (
-    SharedBatch,
-    SharedBatchMeta,
-    attach_batch,
-    share_batch,
-)
 from repro.trace.spill import (
     SpilledTraceBatch,
     TraceSpillWriter,
@@ -67,18 +61,14 @@ __all__ = [
     "THREAD_START",
     "WRITE",
     "Event",
-    "SharedBatch",
-    "SharedBatchMeta",
     "SpilledTraceBatch",
     "TraceBatch",
     "TraceBuilder",
     "TraceRecorder",
     "TraceSpillWriter",
-    "attach_batch",
     "is_spill",
     "load_trace",
     "open_spill",
     "save_trace",
-    "share_batch",
     "spill_batch",
 ]

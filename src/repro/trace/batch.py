@@ -18,6 +18,9 @@ from repro.common.arrays import unique_sorted
 from repro.common.errors import TraceFormatError
 from repro.trace.events import Event, KIND_NAMES, READ, WRITE
 
+#: Rows per window when scanning a whole column (see ``n_threads``).
+_SCAN_WINDOW = 1 << 20
+
 _COLUMNS = (
     ("kind", np.uint8),
     ("tid", np.int32),
@@ -83,8 +86,25 @@ class TraceBatch:
 
     @property
     def n_threads(self) -> int:
-        """Number of distinct target-thread ids appearing in the trace."""
-        return len(unique_sorted(self.tid))
+        """Number of distinct target-thread ids appearing in the trace.
+
+        Scans ``tid`` window by window and releases each window of a
+        spilled batch behind itself, so the count never holds (or pages
+        in) the whole column at once.
+        """
+        release = getattr(self, "release_window", None)
+        n = len(self.tid)
+        seen = np.empty(0, dtype=self.tid.dtype)
+        for s in range(0, n, _SCAN_WINDOW):
+            e = min(n, s + _SCAN_WINDOW)
+            window = np.asarray(self.tid[s:e])
+            # A one-thread window (the common case) needs no sort.
+            one = window.min() == window.max()
+            distinct = window[:1] if one else unique_sorted(window)
+            seen = unique_sorted(np.concatenate([seen, distinct]))
+            if release is not None:
+                release(s, e)
+        return len(seen)
 
     @property
     def n_unique_addresses(self) -> int:

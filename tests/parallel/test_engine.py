@@ -190,3 +190,23 @@ class TestRunInfo:
 
         with pytest.raises(ProfilerError):
             ParallelProfiler(PERFECT, mode="gpu")
+
+
+@pytest.mark.parametrize("mode", ["sequential", "deterministic", "processes"])
+def test_one_loop_index_span_per_run(mode):
+    """Every run builds its loop-snapshot index once, before dispatch, in
+    one ``loop-index`` span; no worker or window builds another."""
+    from repro.core.profiler import profile_trace
+    from repro.workloads import get_trace
+
+    batch = get_trace("mg")  # nested loops over several windows
+    cfg = PERFECT.with_(workers=2, chunk_size=512)
+    reg = MetricsRegistry()
+    if mode == "sequential":
+        res = profile_trace(batch, cfg, registry=reg)
+    else:
+        res, _ = ParallelProfiler(cfg, mode=mode, registry=reg, window=1 << 12).profile(
+            batch
+        )
+    assert reg.phase_totals()["loop-index"]["count"] == 1
+    assert res.loops

@@ -1,15 +1,14 @@
-"""The ``processes`` execution mode: real multi-process workers over one
-shared-memory trace block.
+"""The ``processes`` execution mode: real multi-process workers forked with
+the parent's trace and loop index.
 
 Everything here asserts *equality with the deterministic mode* (itself
 equivalence-tested against the reference engine) plus the merge
 machinery: per-worker stores, metrics state folding, provenance, tracer
-adoption, and shared-memory hygiene.
+adoption, and a transport that needs no POSIX shared memory.
 """
 
-import os
+import multiprocessing
 
-import numpy as np
 import pytest
 
 from repro.common.config import ProfilerConfig
@@ -18,50 +17,11 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import ProvenanceCollector
 from repro.obs.tracing import Tracer
 from repro.parallel import ParallelProfiler
-from repro.trace import attach_batch, share_batch
+from repro.trace import spill_batch
 from repro.workloads import get_trace
 from tests.trace_helpers import reference_pipeline, reference_profile, seq_trace
 
 PERFECT = ProfilerConfig(perfect_signature=True)
-
-
-def _shm_entries():
-    try:
-        return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
-    except FileNotFoundError:  # non-Linux: skip the hygiene accounting
-        return set()
-
-
-class TestSharedBatch:
-    def test_roundtrip_zero_copy(self):
-        batch = get_trace("ep")
-        before = _shm_entries()
-        shared = share_batch(batch)
-        try:
-            remote, handle = attach_batch(shared.meta)
-            try:
-                for col in ("kind", "tid", "loc", "addr", "aux", "var", "ts", "ctx"):
-                    np.testing.assert_array_equal(
-                        getattr(remote, col), getattr(batch, col)
-                    )
-                assert remote.var_names == batch.var_names
-                assert remote.ctx_stacks == batch.ctx_stacks
-                assert not remote.addr.flags.writeable
-            finally:
-                handle.close()
-        finally:
-            shared.close()
-        assert _shm_entries() == before
-
-    def test_empty_batch(self):
-        batch = seq_trace([])
-        shared = share_batch(batch)
-        try:
-            remote, handle = attach_batch(shared.meta)
-            assert len(remote) == 0
-            handle.close()
-        finally:
-            shared.close()
 
 
 class TestProcessesMode:
@@ -211,12 +171,72 @@ class TestProcessesMode:
         reg.close()
         assert any(e["type"] == "run.aborted" for e in read_jsonl(path))
 
-    def test_no_shared_memory_leak(self):
+    def test_runs_without_posix_shm_or_helper_processes(self, monkeypatch):
+        """Workers read the trace, the loop index and the heartbeat board
+        in the pages they inherit through fork.  With every POSIX
+        shared-memory open failing (what a ``SharedMemory`` block needs to
+        be created or attached) and every helper-process start failing
+        (the multiprocessing resource tracker is started through
+        ``spawnv_passfds``), a run still equals deterministic mode: it
+        leaves no block to leak and starts no resource tracker."""
+        import _posixshmem
+        import multiprocessing.util
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("processes mode must not use this")
+
+        monkeypatch.setattr(_posixshmem, "shm_open", refuse)
+        monkeypatch.setattr(multiprocessing.util, "spawnv_passfds", refuse)
         batch = get_trace("ep")
-        before = _shm_entries()
-        cfg = PERFECT.with_(workers=2, chunk_size=1024)
-        ParallelProfiler(cfg, mode="processes").profile(batch)
-        assert _shm_entries() == before
+        cfg = ProfilerConfig(signature_slots=1 << 12, workers=2, chunk_size=1024)
+        det, _ = ParallelProfiler(cfg, provenance=True).profile(batch)
+        par, _ = ParallelProfiler(
+            cfg, mode="processes", provenance=True, heartbeat_interval=0.01
+        ).profile(batch)
+        assert par.store == det.store
+
+        def rows(prov):  # chunk ids follow each transport's own chunking
+            return {d: {**r.to_dict(), "chunks": None} for d, r in prov}
+
+        assert rows(par.provenance) == rows(det.provenance)
+
+    def test_empty_trace(self):
+        par, info = ParallelProfiler(
+            PERFECT.with_(workers=2), mode="processes"
+        ).profile(seq_trace([]))
+        assert len(par.store) == 0 and par.loops == {}
+        assert info.n_chunks == 0 and info.per_worker_accesses == [0, 0]
+
+    def test_fork_required(self, monkeypatch):
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"]
+        )
+        with pytest.raises(ProfilerError, match="'fork' start method"):
+            ParallelProfiler(PERFECT, mode="processes")
+        ParallelProfiler(PERFECT, mode="deterministic")  # needs no fork
+
+    @pytest.mark.parametrize("mode", ["deterministic", "processes"])
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_window_must_be_positive(self, mode, window):
+        with pytest.raises(ProfilerError, match="window must be a positive"):
+            ParallelProfiler(PERFECT, mode=mode, window=window)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [PERFECT, ProfilerConfig(signature_slots=1 << 12, signature_banks=4)],
+        ids=["perfect", "banked"],
+    )
+    def test_spilled_trace_matches_deterministic(self, cfg, tmp_path):
+        """Workers inherit a spilled batch's file mappings and release each
+        window behind themselves."""
+        batch = spill_batch(get_trace("cg"), tmp_path / "cg.trace.spill")
+        cfg = cfg.with_(workers=2, chunk_size=512)
+        det, det_info = ParallelProfiler(cfg, window=1 << 11).profile(batch)
+        par, par_info = ParallelProfiler(
+            cfg, mode="processes", window=1 << 11
+        ).profile(batch)
+        assert par.store == det.store
+        assert par_info.per_worker_accesses == det_info.per_worker_accesses
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ProfilerError):
@@ -244,7 +264,7 @@ class TestProcessesMode:
         import repro.parallel.engine as engine_mod
         from repro.obs import RunLedger, load_bundle
 
-        def silent_worker(wid, config, meta, task_q, result_q, opts):
+        def silent_worker(wid, config, batch, loop_index, task_q, result_q, opts):
             while task_q.get() is not None:
                 pass
 

@@ -1,4 +1,4 @@
-"""mmap trace spill tier: format, streaming writes, zero-copy transport."""
+"""mmap trace spill tier: format, streaming writes, windowed scans."""
 
 import numpy as np
 import pytest
@@ -10,10 +10,8 @@ from repro.trace import (
     SpilledTraceBatch,
     TraceBuilder,
     TraceSpillWriter,
-    attach_batch,
     is_spill,
     open_spill,
-    share_batch,
     spill_batch,
 )
 
@@ -117,27 +115,22 @@ class TestReleaseWindow:
         assert np.array_equal(np.asarray(sp.addr), before)
 
 
-class TestSharedTransport:
-    def test_spilled_batch_ships_by_path_not_copy(self, tmp_path):
-        sp = spill_batch(small_batch(), tmp_path / "s.trace.spill")
-        shared = share_batch(sp)
-        assert shared.nbytes == 0  # no shm block allocated
-        assert shared.meta.path == str(tmp_path / "s.trace.spill")
-        batch, shm = attach_batch(shared.meta)
-        assert shm is None
-        assert isinstance(batch, SpilledTraceBatch)
-        assert np.array_equal(np.asarray(batch.ts), np.asarray(sp.ts))
-        shared.close()  # must be a no-op, not an error
+class TestThreadCount:
+    def test_n_threads_scans_windows(self, tmp_path, monkeypatch):
+        """A spilled multi-thread trace spanning several scan windows (some
+        of one thread, some mixed) counts each thread once, and releases
+        every window it scanned."""
+        import repro.trace.batch as batch_mod
 
-    def test_in_memory_batch_still_uses_shm(self):
-        batch = small_batch()
-        shared = share_batch(batch)
-        try:
-            assert shared.meta.path is None
-            assert shared.nbytes > 0
-            attached, shm = attach_batch(shared.meta)
-            assert shm is not None
-            assert np.array_equal(np.asarray(attached.addr), np.asarray(batch.addr))
-            shm.close()
-        finally:
-            shared.close()
+        tids = np.array([0] * 40 + [3] * 20 + [1, 2] * 30 + [7] * 10 + [0] * 30)
+        b = TraceBuilder()
+        b.append_rows(len(tids), kind=READ, tid=tids, addr=8 * np.arange(len(tids)))
+        sp = spill_batch(b.build(), tmp_path / "t.spill")
+        monkeypatch.setattr(batch_mod, "_SCAN_WINDOW", 16)
+        released = []
+        monkeypatch.setattr(
+            SpilledTraceBatch, "release_window", lambda self, s, e: released.append((s, e))
+        )
+        assert sp.n_threads == len(set(tids.tolist())) == 5
+        n = len(tids)
+        assert released == [(s, min(s + 16, n)) for s in range(0, n, 16)]
