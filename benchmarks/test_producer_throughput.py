@@ -6,7 +6,8 @@ bench records producer throughput with the fast path on and off into the
 ``engine`` suite record so regressions in either path are visible, declares
 the >=5x floor on the speedup metric itself (the CI gate enforces it via
 ``ddprof bench compare``), and folds the producer's own telemetry counters
-(fast-path event share) into the same record via the run report.
+(fast-path event share) into the same record via the run report.  A second
+floor (>=10x) gates the exact scalar lane that runs recurrences.
 """
 
 import numpy as np
@@ -14,8 +15,10 @@ import numpy as np
 from repro.minivm import ProgramBuilder, run_program
 from repro.obs import MetricsRegistry, RunReport, repeat_timed
 from repro.workloads import get_workload
+from repro.workloads.kernels import LCG_A, LCG_C, LCG_M
 
 N = 20000
+KEYS = 1000
 
 
 def affine_dominated_program():
@@ -33,6 +36,28 @@ def affine_dominated_program():
             f.store(b, i, f.load(a, i) + 7)
         with f.for_loop(i, 0, N):
             f.store(c, i, f.load(a, i) * f.load(b, i))
+    return pb.build()
+
+
+def recurrence_dominated_program():
+    """Three loops that run in the fast path's exact scalar lane: an LCG
+    register chain, a shifted recurrence and a histogram through a loaded
+    index."""
+    pb = ProgramBuilder("recurrence-bench")
+    key = pb.global_array("key", N)
+    x = pb.global_array("x", N)
+    cnt = pb.global_array("cnt", KEYS)
+    with pb.function("main") as f:
+        i, s, k = f.reg("i"), f.reg("s"), f.reg("k")
+        f.set(s, 12345)
+        with f.for_loop(i, 0, N):
+            f.set(s, (s * LCG_A + LCG_C) % LCG_M)
+            f.store(key, i, s % KEYS)
+        with f.for_loop(i, 1, N):
+            f.store(x, i, (f.load(x, i - 1) + f.load(key, i)) % 1000)
+        with f.for_loop(i, 0, N):
+            f.set(k, f.load(key, i))
+            f.store(cnt, k, f.load(cnt, k) + 1)
     return pb.build()
 
 
@@ -81,6 +106,43 @@ def test_affine_fastpath_speedup(benchmark, bench_record):
     assert speedup >= 5.0, (
         f"affine fast path only {speedup:.1f}x over the interpreter "
         f"(needs >=5x on affine-dominated loops)"
+    )
+    benchmark.pedantic(
+        lambda: producer_eps(build, True, repeats=1, warmup=0),
+        rounds=3,
+        iterations=1,
+    )
+
+
+def test_sequential_lane_speedup(benchmark, bench_record):
+    """Recurrences run in the fast path's compiled scalar lane; it must
+    beat the tree-walking producer by >=10x on them, while producing a
+    bit-identical trace."""
+    build = recurrence_dominated_program
+    reg = MetricsRegistry()
+    interp_med, _, interp_batch = producer_eps(build, False)
+    fast_med, _, fast_batch = producer_eps(build, True, registry=reg)
+    for col in ("kind", "tid", "loc", "addr", "aux", "var", "ts", "ctx"):
+        assert np.array_equal(
+            getattr(fast_batch, col), getattr(interp_batch, col)
+        ), col
+    assert fast_batch.var_names == interp_batch.var_names
+    # Every loop took the fast path: the speedup is the lane's own.
+    missed = [
+        name for name in reg.snapshot()["counters"]
+        if name.startswith(("producer.fastpath_bailouts", "producer.template_rejects"))
+    ]
+    assert not missed, missed
+    speedup = fast_med / interp_med
+    # A ratio of two wall-clock medians: the floor is the guarantee, and
+    # the regression band gets the producer suite's headroom.
+    bench_record.record(
+        "producer.sequential_lane_speedup", speedup, unit="x",
+        direction="higher", floor=10.0, tolerance=0.5, events=len(fast_batch),
+    )
+    assert speedup >= 10.0, (
+        f"sequential lane only {speedup:.1f}x over the interpreter "
+        f"(needs >=10x on recurrence-dominated loops)"
     )
     benchmark.pedantic(
         lambda: producer_eps(build, True, repeats=1, warmup=0),

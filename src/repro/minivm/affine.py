@@ -26,7 +26,9 @@ in dependence order:
   interpreter's own evaluation order,
 * **sequential** groups (any other recurrence: LCG chains, stencils,
   histogram updates) replay just the cyclic statements through an exact
-  Python-scalar lane using the interpreter's own operator tables, while
+  Python-scalar lane: each group is compiled once per template into one
+  generated function holding the whole iteration loop over locals, with
+  the interpreter's operator semantics and evaluation order, while
   everything downstream still vectorizes.
 
 Execution is two-phase so a bailout is always safe:
@@ -79,11 +81,6 @@ MIN_TRIP = 8
 _INT63 = 1 << 63
 _INT62 = 1 << 62
 _EXACT_FLOAT = 1 << 53  # ints below this round-trip through float64
-
-#: Unary operators with numpy equivalents proven bit-identical to the
-#: interpreter's scalar semantics.  ``sin``/``cos`` are deliberately absent
-#: (vector groups reject them; the sequential lane replays libm itself).
-_ALLOWED_UNOPS = frozenset({"-", "not", "int", "abs", "sqrt"})
 
 
 class Bailout(Exception):
@@ -847,6 +844,247 @@ def _pure_eval(expr: ast.Expr, regs: dict) -> Any:
     raise Bailout("index_expr")
 
 
+def _store_list(ctx: _Ctx, idx: int) -> list | None:
+    """Per-iteration values of store ``idx``; ``None`` for a predicated
+    store whose arm never ran (its readers share the predicate, so they
+    never run either)."""
+    v = ctx.store_post[idx]
+    return None if v is None else ctx.as_list(v)
+
+
+class _SeqLane:
+    """A compiled ``sequential`` group: ``fn`` runs the whole iteration
+    loop, ``inputs`` compute its per-execution arguments from a
+    :class:`_Ctx`, and ``dyn_refs`` name the address logs ``fn`` returns,
+    in the order one iteration logs them."""
+
+    __slots__ = ("fn", "inputs", "dyn_refs")
+
+    def __init__(self, fn, inputs: list, dyn_refs: list[MemoryRef]) -> None:
+        self.fn = fn
+        self.inputs = inputs
+        self.dyn_refs = dyn_refs
+
+
+#: Binary operators written inline; the rest call the interpreter's table.
+_INLINE_BINOPS = {
+    **{op: "{a} %s {b}" % op for op in ("+", "-", "*", "<<", ">>", "&", "|", "^")},
+    "min": "min({a}, {b})",
+    "max": "max({a}, {b})",
+    "/": "{a} / {b} if {b} else 0.0",
+    "//": "{a} // {b} if {b} else 0",
+    "%": "{a} % {b} if {b} else 0",
+    "<": "int({a} < {b})",
+}
+
+
+class _LaneSource:
+    """Generates one sequential group as a Python function holding the
+    whole ``for k in range(n)`` loop.
+
+    Each in-group register is a local (``_UNSET`` until its first
+    definition) and each subexpression a temporary, evaluated in the
+    interpreter's order: operands left to right, a load's index before its
+    read, a store's value before its address.  Everything that varies per
+    execution -- constants, out-of-group value lists, addresses and bounds,
+    outside gates, pre-loop cells -- arrives as an argument, so the source
+    depends on the template alone and the function is built once per group.
+    Reads of pre-loop registers stay lazy (``regs[name]`` where the value
+    is used), so an unset one raises exactly where the interpreter would.
+    """
+
+    def __init__(self, tmpl: "AffineTemplate", grp: StmtGroup) -> None:
+        self.ind = tmpl.ind
+        self.group = set(grp.stmts)
+        self.nodes = [tmpl.nodes[i] for i in grp.stmts]
+        self.params: list[str] = []
+        self.inputs: list = []  # one getter ``ctx -> value`` per param
+        self._param_of: dict[tuple, str] = {}
+        self.regs: dict[str, str] = {}  # in-group register -> local
+        self.dyn_refs: list[MemoryRef] = []
+        self.setup: list[str] = []  # before the loop
+        self.body: list[str] = []  # one iteration
+        self.n_tmp = 0
+        self.uses_ind = False
+
+    def build(self) -> _SeqLane:
+        for node in self.nodes:
+            self._stmt(node)
+        args = ", ".join(["n", "start", "step", "regs", "read", *self.params])
+        lines = [f"def lane({args}):", "    ov = {}"]
+        lines += [f"    {r} = _UNSET" for r in self.regs.values()]
+        lines += ["    " + ln for ln in self.setup]
+        lines.append("    for k in range(n):")
+        if self.uses_ind:
+            lines.append("        iv = start + step * k")
+        lines += ["        " + ln for ln in self.body]
+        outs = ", ".join(f"o{node.idx}" for node in self.nodes)
+        logs = ", ".join(f"l{j}" for j in range(len(self.dyn_refs)))
+        lines.append(f"    return ov, [{outs}], [{logs}]")
+        namespace = {"Bailout": Bailout, "_UNSET": _UNSET}
+        exec(compile("\n".join(lines), "<sequential lane>", "exec"), namespace)
+        return _SeqLane(namespace["lane"], self.inputs, self.dyn_refs)
+
+    # -- helpers -----------------------------------------------------------
+    def _param(self, key: tuple, get) -> str:
+        name = self._param_of.get(key)
+        if name is None:
+            name = self._param_of[key] = f"p{len(self.params)}"
+            self.params.append(name)
+            self.inputs.append(get)
+        return name
+
+    def _let(self, out: list[str], src: str) -> str:
+        t = f"t{self.n_tmp}"
+        self.n_tmp += 1
+        out.append(f"{t} = {src}")
+        return t
+
+    def _reg(self, name: str) -> str:
+        return self.regs.setdefault(name, f"r{len(self.regs)}")
+
+    def _cell(self, ref: MemoryRef) -> str:
+        """A slot ref's pre-loop value."""
+        return self._param(
+            ("cell", id(ref)),
+            lambda ctx: ctx.interp.mem.read(ctx.res[id(ref)].addr0),
+        )
+
+    # -- statements --------------------------------------------------------
+    def _stmt(self, node: StmtNode) -> None:
+        add = f"o{node.idx}_add"
+        self.setup += [f"o{node.idx} = []", f"{add} = o{node.idx}.append"]
+        lds = iter(node.eval_loads)
+        run: list[str] = []
+        v = self._expr(node.expr, node, lds, run)
+        if node.target_reg is not None:
+            run.append(f"{self._reg(node.target_reg)} = {v}")
+        elif node.store is not None:
+            addr = self._addr(node.store, node, lds, run)
+            run.append(f"ov[{addr}] = {v}")
+        else:  # an if condition
+            run.append(f"c{node.idx} = bool({v})")
+            v = f"c{node.idx}"
+        run.append(f"{add}({v})")
+        gate = self._gate(node)
+        if gate is None:
+            self.body += run
+            return
+        # Skipped: a register or slot cell keeps the value it had.
+        skip: list[str] = []
+        if node.target_reg is not None:
+            r = self._reg(node.target_reg)
+            kept = self._read_reg(node.target_reg, node, skip)
+            if kept != r:
+                skip.append(f"{r} = {kept}")
+            skip.append(f"{add}({r})")
+        elif node.store.shape == SLOT:
+            prev = f"q{node.idx}"
+            self.setup.append(f"{prev} = {self._cell(node.store)}")
+            run.append(f"{prev} = {v}")
+            skip.append(f"{add}({prev})")
+        else:
+            skip.append(f"{add}(None)")
+        self.body.append(f"if {gate}:")
+        self.body += ["    " + ln for ln in run]
+        self.body.append("else:")
+        self.body += ["    " + ln for ln in skip]
+
+    def _gate(self, node: StmtNode) -> str | None:
+        p = node.pred
+        if p is None:
+            return None
+        if p[0] in self.group:
+            return f"c{p[0]}" if p[1] else f"not c{p[0]}"
+        mask = self._param(
+            ("gate", p),
+            lambda ctx: (ctx.masks[p[0]] if p[1] else ~ctx.masks[p[0]]).tolist(),
+        )
+        return f"{mask}[k]"
+
+    # -- expressions -------------------------------------------------------
+    def _expr(self, e: ast.Expr, node: StmtNode, lds: Iterator, out: list) -> str:
+        if isinstance(e, ast.Const):
+            return self._param(("const", id(e)), lambda ctx: e.value)
+        if isinstance(e, ast.Reg):
+            return self._read_reg(e.name, node, out)
+        if isinstance(e, ast.Load):
+            return self._load(next(lds), node, lds, out)
+        if isinstance(e, ast.BinOp):
+            a = self._expr(e.lhs, node, lds, out)
+            b = self._expr(e.rhs, node, lds, out)
+            src = _INLINE_BINOPS.get(e.op)
+            if src is None:
+                fn = self._param(("binop", e.op), lambda ctx: ast._BINOPS[e.op])
+                src = fn + "({a}, {b})"
+            return self._let(out, src.format(a=a, b=b))
+        if isinstance(e, ast.UnOp):
+            a = self._expr(e.operand, node, lds, out)
+            fn = self._param(("unop", e.op), lambda ctx: ast._UNOPS[e.op])
+            return self._let(out, f"{fn}({a})")
+        raise Bailout("expr_type")
+
+    def _read_reg(self, name: str, node: StmtNode, out: list) -> str:
+        """A register's value at ``node`` in iteration ``k``."""
+        if name == self.ind:
+            self.uses_ind = True
+            return "iv"
+        b = node.reg_binds.get(name)
+        if b is None or b[0] == "inv":
+            return self._let(out, f"regs[{name!r}]")
+        if b[1] in self.group:
+            # "post" reads see this iteration's def (textually earlier);
+            # "pre" reads happen before the def, so the local still holds
+            # last iteration's value, or nothing before the first one.
+            r = self._reg(name)
+            if b[0] == "post":
+                return r
+            return self._let(out, f"{r} if {r} is not _UNSET else regs[{name!r}]")
+        lst = self._param(
+            ("reg_post", b[1]), lambda ctx: ctx.as_list(ctx.reg_post[b[1]])
+        )
+        if b[0] == "post":
+            t = self._let(out, f"{lst}[k]")
+        else:
+            t = self._let(out, f"{lst}[k - 1] if k else regs[{name!r}]")
+        # The interpreter raises here: leave it the loop.
+        out.append(f"if {t} is _UNSET: raise Bailout('unset_register')")
+        return t
+
+    def _load(self, ld: MemoryRef, node: StmtNode, lds: Iterator, out: list) -> str:
+        b = ld.binding
+        if b[0] != "init" and b[1] not in self.group:
+            if ld.shape == DYNAMIC:  # its index loads still run
+                self._addr(ld, node, lds, out)
+            lst = self._param(("store_post", b[1]), lambda ctx: _store_list(ctx, b[1]))
+            if b[0] == "fwd":
+                return self._let(out, f"{lst}[k]")
+            return self._let(out, f"{lst}[k - 1] if k else {self._cell(ld)}")
+        addr = self._addr(ld, node, lds, out)
+        return self._let(out, f"ov[{addr}] if {addr} in ov else read({addr})")
+
+    def _addr(self, ref: MemoryRef, node: StmtNode, lds: Iterator, out: list) -> str:
+        if ref.shape != DYNAMIC:
+            addr0 = self._param(("addr0", id(ref)), lambda ctx: ctx.res[id(ref)].addr0)
+            if ref.shape == SLOT:
+                return addr0
+            stride = self._param(
+                ("stride", id(ref)), lambda ctx: ctx.res[id(ref)].astride
+            )
+            return self._let(out, f"{addr0} + {stride} * k")
+        idx = self._expr(ref.index, node, lds, out)
+        base = self._param(("base", id(ref)), lambda ctx: ctx.res[id(ref)].base)
+        size = self._param(("size", id(ref)), lambda ctx: ctx.res[id(ref)].size)
+        i = self._let(out, f"int({idx})")  # the interpreter's _addr coercion
+        out.append(f"if not 0 <= {i} < {size}: raise Bailout('oob_index')")
+        addr = self._let(out, f"{base} + {ELEM_SIZE} * {i}")
+        log = f"l{len(self.dyn_refs)}"
+        self.dyn_refs.append(ref)
+        self.setup += [f"{log} = []", f"{log}_add = {log}.append"]
+        out.append(f"{log}_add({addr})")
+        return addr
+
+
 class AffineTemplate:
     """A compiled loop: a dependence-scheduled sequence of statement groups
     executing the whole iteration space at once."""
@@ -862,6 +1100,7 @@ class AffineTemplate:
         "_seq_stmts",
         "_seq_group_of",
         "_revisit_sets",
+        "_lanes",
     )
 
     def __init__(
@@ -889,6 +1128,8 @@ class AffineTemplate:
                     self._seq_stmts.add(si)
                     self._seq_group_of[si] = gi
         self._revisit_sets = self._revisit_candidates()
+        #: first statement of a sequential group -> its compiled lane
+        self._lanes: dict[int, _SeqLane] = {}
 
     def _revisit_candidates(self) -> list[list[MemoryRef]]:
         """Refs of one dynamic key that must not touch a cell on two
@@ -1162,167 +1403,38 @@ class AffineTemplate:
 
     # -- sequential groups -------------------------------------------------
     def _eval_sequential(self, grp: StmtGroup, ctx: _Ctx) -> None:
-        """Exact scalar lane: replay the group's statements per iteration
-        with the interpreter's own operator tables, skipping a predicated
-        statement on the iterations its arm does not run.  In-group memory
-        traffic goes through an address-keyed overlay, which reproduces
-        chronological read/write interleavings (stencils, histograms) by
-        construction."""
-        nodes = [self.nodes[i] for i in grp.stmts]
-        group = set(grp.stmts)
-        overlay: dict[int, Any] = {}
-        reg_state: dict[str, Any] = {}
-        outputs: dict[int, list] = {i: [] for i in grp.stmts}
-        dyn_logs: dict[int, tuple[MemoryRef, list]] = {}
-        truth: dict[int, bool] = {}  # in-group condition -> this iteration
-        gates: list = []  # per node: None (always runs), a pred, or a list
-        for node in nodes:
-            p = node.pred
-            if p is None or p[0] in group:
-                gates.append(p)
-            else:
-                m = ctx.masks[p[0]]
-                gates.append((m if p[1] else ~m).tolist())
-        mem = ctx.interp.mem
-        seval, seq_addr = self._seval, self._seq_addr
-        plan = [(node, gate, outputs[node.idx]) for node, gate in zip(nodes, gates)]
-        for k in range(ctx.n):
-            i_val = ctx.start + ctx.step * k
-            for node, gate, out in plan:
-                if gate is not None and not (
-                    gate[k] if type(gate) is list else truth[gate[0]] == gate[1]
-                ):
-                    # Skipped: a register or cell keeps the value it had.
-                    if node.target_reg is not None:
-                        v = reg_state[node.target_reg] = self._seq_reg(
-                            node.target_reg, node, ctx, k, group, reg_state
-                        )
-                    elif node.store.shape == SLOT:
-                        v = out[k - 1] if k else mem.read(ctx.res[id(node.store)].addr0)
-                    else:
-                        v = None
-                    out.append(v)
-                    continue
-                it = iter(node.eval_loads)
-                v = seval(
-                    node.expr, node, ctx, k, i_val, group, reg_state, overlay,
-                    dyn_logs, it,
-                )
-                if node.target_reg is not None:
-                    reg_state[node.target_reg] = v
-                elif node.store is not None:
-                    addr = seq_addr(
-                        node.store, node, ctx, k, i_val, group, reg_state,
-                        overlay, dyn_logs, it,
-                    )
-                    overlay[addr] = v
-                else:  # an if condition
-                    v = truth[node.idx] = bool(v)
-                out.append(v)
-        for node in nodes:
-            out = outputs[node.idx]
+        """Exact scalar lane: run the group's compiled iteration loop
+        (:class:`_LaneSource`, built on the group's first execution), then
+        publish its per-iteration values, masks, dynamic addresses and
+        overlay.  In-group memory traffic goes through an address-keyed
+        overlay, which reproduces chronological read/write interleavings
+        (stencils, histograms) by construction."""
+        lane = self._lanes.get(grp.stmts[0])
+        if lane is None:
+            lane = self._lanes[grp.stmts[0]] = _LaneSource(self, grp).build()
+        overlay, outs, logs = lane.fn(
+            ctx.n, ctx.start, ctx.step, ctx.act.regs, ctx.interp.mem.read,
+            *[get(ctx) for get in lane.inputs],
+        )
+        for idx, out in zip(grp.stmts, outs):
+            node = self.nodes[idx]
             if node.is_cond:
-                ctx.masks[node.idx] = np.array(out, dtype=bool)
+                ctx.masks[idx] = np.array(out, dtype=bool)
             elif node.target_reg is not None:
-                ctx.reg_post[node.idx] = _SeqVal(out)
+                ctx.reg_post[idx] = _SeqVal(out)
             else:
-                ctx.store_post[node.idx] = _SeqVal(out)
-        for ref, log in dyn_logs.values():
+                ctx.store_post[idx] = _SeqVal(out)
+        # A ref logs once per iteration its statement runs, so refs of one
+        # key and predicate log on the same iterations, and the order one
+        # iteration logs them in is the order they were first logged in:
+        # setdefault keeps the first.
+        for ref, log in zip(lane.dyn_refs, logs):
+            if not log:
+                continue
             addrs = np.array(log, dtype=np.int64)
             ctx.res[id(ref)].addrs = addrs
             ctx.dyn_addrs.setdefault((ref.key, ref.pred), addrs)
         ctx.overlays.append(overlay)
-
-    def _seq_addr(
-        self, ref, node, ctx, k, i_val, group, reg_state, overlay, dyn_logs,
-        load_iter: Iterator[MemoryRef],
-    ) -> int:
-        r = ctx.res[id(ref)]
-        if r.shape != DYNAMIC:
-            return r.addr0 + r.astride * k
-        iv = self._seval(
-            ref.index, node, ctx, k, i_val, group, reg_state, overlay,
-            dyn_logs, load_iter,
-        )
-        idx = int(iv)  # the interpreter's _addr coercion
-        if not 0 <= idx < r.size:
-            raise Bailout("oob_index")
-        addr = r.base + ELEM_SIZE * idx
-        entry = dyn_logs.get(id(ref))
-        if entry is None:
-            entry = dyn_logs[id(ref)] = (ref, [])
-        entry[1].append(addr)
-        return addr
-
-    def _seq_reg(self, name, node, ctx, k, group, reg_state) -> Any:
-        """A register's value at ``node`` in iteration ``k``."""
-        b = node.reg_binds.get(name)
-        if b is None or b[0] == "inv":
-            return ctx.act.regs[name]
-        if b[1] in group:
-            # "post" reads see this iteration's def (textually earlier);
-            # "pre" reads happen before the def, so the state still holds
-            # last iteration's value (or the pre-loop register).
-            if b[0] == "post" or name in reg_state:
-                return reg_state[name]
-            return ctx.act.regs[name]
-        lst = ctx.as_list(ctx.reg_post[b[1]])
-        if b[0] == "post":
-            v = lst[k]
-        else:
-            v = lst[k - 1] if k else ctx.act.regs[name]
-        if v is _UNSET:  # the interpreter raises here: leave it the loop
-            raise Bailout("unset_register")
-        return v
-
-    def _seval(
-        self, e, node, ctx, k, i_val, group, reg_state, overlay, dyn_logs,
-        load_iter: Iterator[MemoryRef],
-    ) -> Any:
-        if isinstance(e, ast.Const):
-            return e.value
-        if isinstance(e, ast.Reg):
-            if e.name == self.ind:
-                return i_val
-            return self._seq_reg(e.name, node, ctx, k, group, reg_state)
-        if isinstance(e, ast.Load):
-            ld = next(load_iter)
-            b = ld.binding
-            if b[0] != "init" and b[1] not in group:
-                if ld.shape == DYNAMIC:  # its index loads still run
-                    self._seq_addr(
-                        ld, node, ctx, k, i_val, group, reg_state, overlay,
-                        dyn_logs, load_iter,
-                    )
-                lst = ctx.as_list(ctx.store_post[b[1]])
-                if b[0] == "fwd":
-                    return lst[k]
-                return lst[k - 1] if k else ctx.interp.mem.read(ctx.res[id(ld)].addr0)
-            addr = self._seq_addr(
-                ld, node, ctx, k, i_val, group, reg_state, overlay, dyn_logs,
-                load_iter,
-            )
-            if addr in overlay:
-                return overlay[addr]
-            return ctx.interp.mem.read(addr)
-        if isinstance(e, ast.BinOp):
-            lhs = self._seval(
-                e.lhs, node, ctx, k, i_val, group, reg_state, overlay,
-                dyn_logs, load_iter,
-            )
-            rhs = self._seval(
-                e.rhs, node, ctx, k, i_val, group, reg_state, overlay,
-                dyn_logs, load_iter,
-            )
-            return e.apply(lhs, rhs)
-        if isinstance(e, ast.UnOp):
-            return e.apply(
-                self._seval(
-                    e.operand, node, ctx, k, i_val, group, reg_state, overlay,
-                    dyn_logs, load_iter,
-                )
-            )
-        raise Bailout("expr_type")
 
     # -- alias checks (end of prepare, still pure) -------------------------
     def _alias_checks(self, ctx: _Ctx) -> None:

@@ -545,6 +545,18 @@ class TestOracle:
         got = [sched.memory.read(base + 8 * k) for k in range(4)]
         assert got == [2, 1, 2, 1]  # 0.0 false, NaN true, -0.0 false
 
+    def test_sequential_lane_forwarding_from_untaken_arm_hits(self):
+        # The recurrence forwards c[i] from a store of the same arm, which
+        # runs in another group and never runs at all: the lane takes that
+        # store's (empty) values as an input and must never read them.
+        def body(f, i, v):
+            r = f.reg("r")
+            with f.if_(i.gt(100)):
+                f.store(v["c"], i, f.load(v["a"], i) * 2)
+                f.set(r, (r + f.load(v["c"], i)) % 7)
+
+        self.check(body, "hit", before=lambda f, v: f.set(f.reg("r"), 1))
+
     # -- loaded-index gathers and scatters -------------------------------
     def test_gather_through_loaded_index_hits(self):
         self.check(
@@ -581,6 +593,53 @@ class TestOracle:
             f.store(v["c"], f.load(v["b"], i), i)
 
         self.check(body, "dup_index")
+
+
+class TestSequentialLaneBailouts:
+    """The sequential lane hands a loop back to the interpreter where the
+    interpreter raises, so the run fails exactly as it does interpreted."""
+
+    def check(self, body, reason, trip=16, before=None):
+        p = build(body, trip=trip, before=before)
+        loop = [s for s in p.function("main").body if isinstance(s, For)][-1]
+        tmpl, _ = affine.classify_loop(loop)
+        assert "sequential" in [g.mode for g in tmpl.groups]
+        errors = []
+        for fastpath in (True, False):
+            sched = Scheduler(p, fastpath=fastpath)
+            with pytest.raises(MiniVmError) as exc:
+                sched.run(())
+            errors.append(str(exc.value))
+            if fastpath:
+                stats = sched.interp.fastpath_stats
+        assert errors[0] == errors[1]
+        assert stats.bailouts == {reason: 1}
+        assert stats.loops == 1  # the seeding prologue only
+
+    def test_histogram_index_leaving_the_array(self):
+        # a[i] + 5 = 3i walks past c's 70 cells at i = 24.
+        def body(f, i, v):
+            k = f.load(v["a"], i) + 5
+            f.store(v["c"], k, f.load(v["c"], k) + 1)
+
+        self.check(body, "oob_index", trip=30)
+
+    def test_register_read_before_any_definition(self):
+        def body(f, i, v):
+            r = f.reg("r")
+            f.set(r, (r * 3 + f.load(v["a"], i)) % 7)
+
+        self.check(body, "error:KeyError")
+
+    def test_predicated_definition_not_run_yet(self):
+        # q is first set on iteration 3; the recurrence reads it on 0.
+        def body(f, i, v):
+            q, r = f.reg("q"), f.reg("r")
+            with f.if_((i % 4).eq(3)):
+                f.set(q, i % 5)
+            f.set(r, (r + q) % 7)
+
+        self.check(body, "unset_register", before=lambda f, v: f.set(f.reg("r"), 1))
 
 
 class TestSchedulingGates:
