@@ -29,7 +29,6 @@ def slowdown(batch, params=None, **cfg_kwargs):
         result.stats.n_accesses,
         len(result.store),
         params=params,
-        lock_free=cfg.lock_free_queues,
         queue_depth=cfg.queue_depth,
     ).slowdown
 

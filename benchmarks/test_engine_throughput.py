@@ -114,8 +114,8 @@ def _worker_chunk_run(batch, chunk_size):
     worker = Worker(
         0, PERFECT.with_(workers=1, chunk_size=chunk_size), LoopStateIndex(batch)
     )
-    for seq, rows in enumerate(_chunks(batch, chunk_size)):
-        worker.process_rows(batch, rows, seq=seq)
+    for rows in _chunks(batch, chunk_size):
+        worker.process_rows(batch, rows)
     return worker
 
 

@@ -22,23 +22,25 @@ from repro.workloads import get_trace
 
 PERFECT = ProfilerConfig(perfect_signature=True)
 
+#: Worker count and the modelled queue kind: the lock-based variant is a
+#: cost-model ablation of the same measured run.
 CONFIGS = {
-    "8T_lock-based": dict(workers=8, lock_free_queues=False),
-    "8T_lock-free": dict(workers=8, lock_free_queues=True),
-    "16T_lock-free": dict(workers=16, lock_free_queues=True),
+    "8T_lock-based": dict(workers=8, lock_free=False),
+    "8T_lock-free": dict(workers=8, lock_free=True),
+    "16T_lock-free": dict(workers=16, lock_free=True),
 }
 
 
-def pipeline_slowdown(batch, mt_target=False, **cfg_kwargs):
+def pipeline_slowdown(batch, workers, lock_free=True, mt_target=False):
     cfg = PERFECT.with_(
-        chunk_size=256, rebalance_interval_chunks=50, **cfg_kwargs
+        workers=workers, chunk_size=256, rebalance_interval_chunks=50
     )
     result, info = ParallelProfiler(cfg, window=4096).profile(batch)
     est = estimate_parallel(
         info,
         result.stats.n_accesses,
         len(result.store),
-        lock_free=cfg.lock_free_queues,
+        lock_free=lock_free,
         queue_depth=cfg.queue_depth,
         mt_target=mt_target,
     )

@@ -11,7 +11,6 @@ from repro.common.config import ProfilerConfig
 from repro.common.errors import (
     MiniVmError,
     ProfilerError,
-    QueueClosedError,
     ReproError,
     TraceFormatError,
     WorkloadError,
@@ -30,7 +29,6 @@ __all__ = [
     "MiniVmError",
     "ProfilerConfig",
     "ProfilerError",
-    "QueueClosedError",
     "ReproError",
     "SourceLocation",
     "TraceFormatError",

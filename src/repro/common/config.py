@@ -4,7 +4,6 @@ One frozen dataclass carries every knob the paper exposes:
 
 * signature sizing (Section III-B; Table I sweeps the slot count),
 * worker-thread count and chunk size of the parallel pipeline (Section IV),
-* the lock-free/lock-based queue choice (Figure 5 ablation),
 * load-balancing cadence (Section IV-A: re-check every 50 000 chunks,
   redistribute the top ten hottest addresses),
 * multi-threaded-target options (Section V: timestamps and race flagging).
@@ -43,12 +42,10 @@ class ProfilerConfig:
         (:func:`~repro.core.profiler.profile_trace`) ignores it and runs one
         worker that owns every address.
     chunk_size:
-        Number of memory accesses per chunk pushed to a worker queue.
+        Number of trace rows per chunk a worker runs through its kernel.
     queue_depth:
-        Capacity (in chunks) of each worker's ring queue.
-    lock_free_queues:
-        ``True`` -> single-producer/single-consumer lock-free rings;
-        ``False`` -> mutex-protected queues (the paper's lock-based ablation).
+        Capacity (in windows) of each worker process's task queue, and the
+        per-worker chunk queue the cost model replays the run through.
     rebalance_interval_chunks / hot_addresses:
         Load-balancing cadence and the number of hot addresses kept evenly
         distributed (Section IV-A).
@@ -88,7 +85,6 @@ class ProfilerConfig:
     workers: int = 1
     chunk_size: int = 4096
     queue_depth: int = 32
-    lock_free_queues: bool = True
     rebalance_interval_chunks: int = DEFAULT_REBALANCE_INTERVAL_CHUNKS
     hot_addresses: int = DEFAULT_HOT_ADDRESS_COUNT
     track_lifetime: bool = True

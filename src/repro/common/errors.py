@@ -28,9 +28,5 @@ class WorkloadError(ReproError):
     """Unknown workload name or invalid workload parameters."""
 
 
-class QueueClosedError(ReproError):
-    """Push attempted on a queue whose producer side has been closed."""
-
-
 class ObsError(ReproError):
     """Telemetry misuse: e.g. emitting to a sink that was already closed."""

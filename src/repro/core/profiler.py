@@ -60,9 +60,9 @@ class DependenceProfiler:
         n = len(batch)
         with reg.span("engine") if reg is not None else nullcontext():
             # Each row window is one chunk of the worker's.
-            for seq, s in enumerate(range(0, n, WINDOW)):
+            for s in range(0, n, WINDOW):
                 rows = np.arange(s, min(s + WINDOW, n), dtype=np.int64)
-                worker.process_rows(batch, rows, seq=seq)
+                worker.process_rows(batch, rows)
         stats = worker.engine.stats
         stats.n_unique_addresses = batch.n_unique_addresses
         stats.tracker_memory_bytes = worker.memory_bytes

@@ -5,9 +5,11 @@ The profiler's resident memory decomposes into
 * **signatures** — configured: ``2 x slots_per_worker x slot_bytes`` per
   worker (the paper's accounting uses 4-byte slots; ours carry a wider
   payload, selectable via ``slot_bytes``),
-* **queues/chunks** — measured: the chunk pool's high-water mark times the
-  bytes one buffered access record occupies (back-pressure from slow workers
-  shows up here, which is what makes md5\\@16T the paper's outlier),
+* **queues/chunks** — modelled from the run's measured chunk log: the peak
+  number of chunks buffered in the paper's per-worker queues
+  (:func:`queued_chunks`) times the bytes one buffered access record
+  occupies (back-pressure from slow workers shows up here, which is what
+  makes md5\\@16T the paper's outlier),
 * **dependence store** — measured entry count times a per-entry estimate,
 * **target footprint** — the traced program's own data (unique addresses x
   element size) plus interpreter constant,
@@ -17,6 +19,7 @@ The profiler's resident memory decomposes into
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.common.config import ProfilerConfig
@@ -59,6 +62,28 @@ class MemoryEstimate:
         return self.total / (1 << 20)
 
 
+def queued_chunks(
+    chunk_log: list[tuple[int, int]], n_workers: int, queue_depth: int
+) -> int:
+    """Peak chunk buffers the paper's pipeline holds for ``chunk_log``.
+
+    Each worker has one chunk open for filling, and its queue keeps up to
+    ``queue_depth`` pushed chunks until a rebalance quiesce (a ``(-1, 0)``
+    marker) or the end of the run drains every queue.  Recycled buffers are
+    reused, so the peak is ``n_workers`` plus, over the rebalance epochs,
+    the largest ``sum over workers of min(chunks pushed, queue_depth)``.
+    """
+    epochs = [Counter()]
+    for w, _rows in chunk_log:
+        if w < 0:
+            epochs.append(Counter())
+        else:
+            epochs[-1][w] += 1
+    return n_workers + max(
+        sum(min(n, queue_depth) for n in epoch.values()) for epoch in epochs
+    )
+
+
 def estimate_memory(
     config: ProfilerConfig,
     info: ParallelRunInfo | None,
@@ -70,11 +95,12 @@ def estimate_memory(
 ) -> MemoryEstimate:
     """Combine configured signature sizes with measured run volumes.
 
-    ``info=None`` models the serial profiler (no queues or chunk pool).
+    ``info=None`` models the serial profiler (no queues or chunk buffers).
     """
     signatures = 2 * config.slots_per_worker * slot_bytes * config.workers
     if info is not None:
-        queues = info.chunks_allocated * config.chunk_size * ACCESS_RECORD_BYTES
+        chunks = queued_chunks(info.chunk_log, config.workers, config.queue_depth)
+        queues = chunks * config.chunk_size * ACCESS_RECORD_BYTES
     else:
         queues = 0
     dep_store = store_entries * DEP_ENTRY_BYTES

@@ -1,7 +1,7 @@
 """repro.obs — the profiler's telemetry subsystem.
 
 A first-class measurement plane for the whole pipeline, kept free of
-profiler imports so every layer (queues, signatures, engines, CLI) can
+profiler imports so every layer (workers, signatures, engines, CLI) can
 depend on it without cycles:
 
 * :class:`MetricsRegistry` + :class:`Counter` / :class:`Gauge` /

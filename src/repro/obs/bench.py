@@ -321,7 +321,7 @@ class BenchRecorder:
 
     def record_run_report(self, report: Any, prefix: str) -> list[MetricRecord]:
         """Fold a :class:`~repro.obs.report.RunReport`'s pipeline health
-        numbers (producer fast-path share, queue stalls, load imbalance)
+        numbers (producer fast-path share, load imbalance)
         into this suite so they ride the same regression gate."""
         out: list[MetricRecord] = []
         producer = report.producer_summary()
@@ -334,18 +334,10 @@ class BenchRecorder:
                 )
             )
         if report.parallel:
-            pa = report.parallel
-            out.append(
-                self.record(
-                    f"{prefix}.queue_stalls",
-                    pa["push_stalls"] + pa["pop_stalls"],
-                    unit="stalls", direction="lower",
-                )
-            )
             out.append(
                 self.record(
                     f"{prefix}.access_imbalance",
-                    pa["access_imbalance"],
+                    report.parallel["access_imbalance"],
                     unit="max/mean", direction="lower", tolerance=0.05,
                 )
             )

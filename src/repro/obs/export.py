@@ -6,7 +6,7 @@
 flat ``{sample_name: value}`` dict so tests (and scrapers without a real
 Prometheus) can round-trip the export.
 
-Metric names use dots internally (``queue.push_stalls``); the exporter
+Metric names use dots internally (``worker.chunks``); the exporter
 maps every non ``[a-zA-Z0-9_:]`` character to ``_`` per the Prometheus
 naming rules, prefixed with ``ddprof_``.
 

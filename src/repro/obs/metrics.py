@@ -4,9 +4,9 @@ Three instrument kinds, modelled on the Prometheus data model but kept
 deliberately tiny so the profiler's hot paths can own them directly:
 
 * :class:`Counter` — a monotonically increasing integer.  ``inc()`` is one
-  attribute add; pipeline queues hold their stall counters as plain
-  ``Counter`` objects, which makes the registry the *single* source of
-  truth for stall accounting (no end-of-run re-summation of private
+  attribute add; hot objects (signature trackers, the rebalancer) hold
+  their counters as plain ``Counter`` objects, which makes the registry
+  the *single* source of truth (no end-of-run re-summation of private
   fields).
 * :class:`Gauge` — a point-in-time value, either set explicitly or backed
   by a callback evaluated at read time (``gauge_fn``), so e.g. signature
@@ -52,8 +52,8 @@ def format_name(name: str, labels: LabelKey) -> str:
 
 
 class Counter:
-    """Monotonic integer counter.  Free-standing construction is allowed so
-    hot objects (queues) can be built before/without a registry."""
+    """Monotonic integer counter.  Free-standing construction is allowed;
+    a registry hands out the ones it tracks."""
 
     __slots__ = ("name", "labels", "value")
 

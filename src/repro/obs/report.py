@@ -4,7 +4,7 @@
 (plus, when available, the :class:`~repro.core.result.ProfileResult` and
 :class:`~repro.parallel.engine.ParallelRunInfo`) into a single
 machine-readable document.  This is the profiler's quantitative contract:
-every number the paper charts — slowdown phases, memory, queue stalls,
+every number the paper charts — slowdown phases, memory, chunk counts,
 load imbalance — appears under a stable key, so before/after comparisons
 across PRs are a JSON diff instead of log archaeology.
 
@@ -15,7 +15,7 @@ Schema (``ddprof.run-report/1``)::
       "meta":       {workload, variant, engine, workers, ...},
       "environment": {git_sha, cpus, platform, python, numpy, ...},
       "phases":     [{"phase": ..., "seconds": ..., "count": ...}, ...],
-      "counters":   {"queue.push_stalls{worker=\"0\"}": 3, ...},
+      "counters":   {"worker.chunks{worker=\"0\"}": 3, ...},
       "gauges":     {...},
       "histograms": {name: {buckets, counts, sum, count}, ...},
       "profile":    {accesses, reads, writes, deps, races, memory, ...},
@@ -152,13 +152,8 @@ def _parallel_section(info: "ParallelRunInfo") -> dict[str, Any]:
         "per_worker_accesses": list(info.per_worker_accesses),
         "per_worker_chunks": list(info.per_worker_chunks),
         "access_imbalance": info.access_imbalance,
-        "push_stalls": info.push_stalls,
-        "pop_stalls": info.pop_stalls,
-        "lock_ops": info.lock_ops,
         "rebalance_rounds": info.rebalance_rounds,
         "addresses_migrated": info.addresses_migrated,
-        "chunks_allocated": info.chunks_allocated,
-        "queue_memory_bytes": info.queue_memory_bytes,
         "signature_memory_bytes": info.signature_memory_bytes,
     }
 
@@ -349,7 +344,6 @@ class RunReport:
             lines.append(
                 f"  pipeline: {pa['workers']} workers, {pa['chunks']} chunks, "
                 f"imbalance {pa['access_imbalance']:.2f}, "
-                f"stalls push={pa['push_stalls']} pop={pa['pop_stalls']}, "
                 f"rebalances {pa['rebalance_rounds']} "
                 f"({pa['addresses_migrated']} addresses moved)"
             )

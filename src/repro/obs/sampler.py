@@ -1,10 +1,10 @@
 """Periodic gauge sampling — the telemetry time-series plane.
 
 Scalar counters tell you *how much*; the sampler tells you *when*.  It
-polls a set of registered probes (per-worker queue occupancy, signature
-slot fill, chunk-pool size, ...) and emits one ``sample`` event per poll
-carrying every probed value, so a JSONL log becomes a time series that can
-show queue back-pressure building or a signature filling up mid-run.
+polls a set of registered probes (per-worker signature slot occupancy and
+fill, peak RSS, ...) and emits one ``sample`` event per poll carrying every
+probed value, so a JSONL log becomes a time series that can show a
+signature filling up mid-run.
 
 The deterministic producer calls :meth:`Sampler.poll` once per trace
 window; polls are rate-limited by ``min_interval_s`` (0 = every call).

@@ -2,8 +2,8 @@
 
 Polls the in-process HTTP exporter (:mod:`repro.obs.httpd`) — ``/snapshot``
 for the instrument values and ``/heatmap`` for the memory plane — and
-renders one self-contained frame per interval: per-worker throughput, queue
-depth, signature fill, heartbeat verdicts, and the hottest address buckets
+renders one self-contained frame per interval: per-worker throughput,
+signature fill, heartbeat verdicts, and the hottest address buckets
 as a bar chart.  Pure functions throughout: :func:`render_top` maps the two
 JSON documents to a string, so tests exercise the rendering without a
 socket, and the CLI loop is a trivial fetch/clear/print cycle.
@@ -103,11 +103,10 @@ def render_top(
 
     run_id = snapshot.get("run_id") or "?"
     chunks = sum(_family(counters, "pipeline.chunks").values())
-    lines.append(f"ddprof top — run {run_id}  ({int(chunks)} chunks pushed)")
+    lines.append(f"ddprof top — run {run_id}  ({int(chunks)} chunks)")
 
     accesses = _by_worker(counters, "worker.accesses")
     wchunks = _by_worker(counters, "worker.chunks")
-    occupancy = _by_worker(gauges, "queue.occupancy")
     hb_state = _by_worker(gauges, "worker.heartbeat.state")
     rss = _by_worker(gauges, "process.peak_rss_bytes")
     fill: dict[str, float] = {}
@@ -124,8 +123,7 @@ def render_top(
     )
     if workers:
         lines.append(
-            "  worker   accesses   chunks  queue   fill    state      "
-            "heat r/w"
+            "  worker   accesses   chunks   fill    state      heat r/w"
         )
         for w in workers:
             code = int(hb_state.get(w, -1))
@@ -141,12 +139,9 @@ def render_top(
             lines.append(
                 f"  {w:>6s} {_fmt_count(accesses.get(w, 0)):>10s} "
                 f"{_fmt_count(wchunks.get(w, 0)):>8s} "
-                f"{int(occupancy.get(w, 0)):>6d} "
                 f"{fill.get(w, 0.0) * 100:5.1f}%  {state:<9s}  {heat}"
             )
 
-    stalls_push = sum(_family(counters, "queue.push_stalls").values())
-    stalls_pop = sum(_family(counters, "queue.pop_stalls").values())
     backpressure = sum(
         _family(counters, "pipeline.backpressure_stalls").values()
     )
@@ -158,10 +153,9 @@ def render_top(
     if bank_moves:
         moved += f", {int(bank_moves)} banks"
     lines.append(
-        f"  stalls push={int(stalls_push)} pop={int(stalls_pop)}"
-        + (f" backpressure={int(backpressure)}" if backpressure else "")
-        + f"  rebalances {int(rounds)} ({moved})  "
-        f"evictions {int(evictions)}"
+        "  "
+        + (f"backpressure={int(backpressure)}  " if backpressure else "")
+        + f"rebalances {int(rounds)} ({moved})  evictions {int(evictions)}"
     )
     if rss:
         parts = ", ".join(

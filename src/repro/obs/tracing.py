@@ -1,9 +1,9 @@
 """Execution-timeline tracing — *when* did each pipeline actor do what.
 
 The metrics registry answers "how much"; the tracer answers "when and in
-what order".  It records pipeline lifecycle events (chunks pushed by the
-producer, chunks processed per worker, queue-stall intervals, load-balancing
-redistributions, merge phases) on a set of *tracks* — track 0 is the main
+what order".  It records pipeline lifecycle events (chunks processed per
+worker, load-balancing quiesces and redistributions, heartbeat stalls,
+merge phases) on a set of *tracks* — track 0 is the main
 thread, track ``w + 1`` is worker ``w`` — with timestamps from one shared
 ``perf_counter`` epoch, so the whole run can be laid out as a timeline and
 exported to Chrome ``trace_event`` JSON (:mod:`repro.obs.chrometrace`).

@@ -11,21 +11,16 @@ together.
 
 Pieces:
 
-* :class:`SpscRingQueue` — the lock-free single-producer/single-consumer
-  ring buffer (and :class:`LockedQueue`, the mutex ablation of Figure 5),
-* :class:`Chunk` / :class:`ChunkPool` — recycled index buffers,
 * :class:`AddressMap` — modulo distribution + redistribution overrides,
 * :class:`AccessStats` / :class:`Rebalancer` — hot-address tracking and the
   top-ten redistribution policy (Section IV-A),
-* :class:`Worker` — chunk consumer running the vectorized chunk kernel on
-  private trackers,
+* :class:`Worker` — cuts its routed rows into chunks and runs the
+  vectorized chunk kernel on private trackers,
 * :class:`ParallelProfiler` — the pipeline over one of two transports:
-  ``deterministic`` (in-process queues, drained inline) or ``processes``
-  (forked worker processes that inherit the trace).
+  ``deterministic`` (workers fed in process, window by window) or
+  ``processes`` (forked worker processes that inherit the trace).
 """
 
-from repro.parallel.queues import LockedQueue, SpscRingQueue
-from repro.parallel.chunks import Chunk, ChunkPool
 from repro.parallel.address_map import AddressMap
 from repro.parallel.balance import AccessStats, Rebalancer
 from repro.parallel.worker import Worker
@@ -34,12 +29,8 @@ from repro.parallel.engine import ParallelProfiler, ParallelRunInfo
 __all__ = [
     "AccessStats",
     "AddressMap",
-    "Chunk",
-    "ChunkPool",
-    "LockedQueue",
     "ParallelProfiler",
     "ParallelRunInfo",
     "Rebalancer",
-    "SpscRingQueue",
     "Worker",
 ]

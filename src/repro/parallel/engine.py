@@ -13,11 +13,11 @@ minor overhead since the local maps are free of duplicates").
 
 Two transports carry the routed rows (``mode``):
 
-* ``deterministic`` — in-process queues: the producer fills fixed-size
-  chunks of row indices, pushes them onto per-worker rings, and drains a
-  ring inline whenever it fills.  Fully reproducible; it runs the
-  Section IV-A load balancer and is the cost model's source of pipeline
-  statistics (its ``chunk_log`` is replayed there).
+* ``deterministic`` — in process: the producer routes each window and
+  feeds every worker its rows in worker order, on its own thread.  Fully
+  reproducible; it runs the Section IV-A load balancer and is the cost
+  model's source of pipeline statistics (its ``chunk_log`` is replayed
+  there).
 * ``processes`` — real ``multiprocessing`` workers with private
   signatures.  They are forked, so each inherits the trace, the run's loop
   index and the heartbeat board from the parent's address space; only
@@ -28,19 +28,24 @@ Two transports carry the routed rows (``mode``):
   partition); worker processes ship their published parts, metrics state,
   tracer events, chunk logs and broadcast counts home for the merge.
 
+Both transports run one worker loop: :meth:`Worker.feed` cuts a worker's
+rows into ``chunk_size`` chunks that span windows and :meth:`Worker.flush`
+runs the partial chunk at a rebalance quiesce and at the end, so both
+modes cut the same chunks and log them in the same order.
+
 Before dispatch, every run builds its one
 :class:`~repro.core.controlflow.LoopStateIndex` (the loop-frame snapshots
 every worker's kernel reads, and the run's loop table) inside one
 ``loop-index`` span.
 
 Telemetry: the run is instrumented through one
-:class:`~repro.obs.metrics.MetricsRegistry` — stall counters live *inside*
-the queues, rebalance counters inside the :class:`Rebalancer`, per-chunk
-latencies inside the workers, and a :class:`~repro.obs.sampler.Sampler`
-scrapes queue occupancy / signature fill / chunk-pool gauges once per
-producer window in deterministic mode.  :class:`ParallelRunInfo` and the
-aggregate :class:`~repro.core.result.ProfileStats` are derived *views* of
-that registry rather than independently maintained bookkeeping.  Pass a
+:class:`~repro.obs.metrics.MetricsRegistry` — rebalance counters live
+inside the :class:`Rebalancer`, per-chunk latencies inside the workers,
+and a :class:`~repro.obs.sampler.Sampler` scrapes signature fill and peak
+RSS once per producer window in deterministic mode.
+:class:`ParallelRunInfo` and the aggregate
+:class:`~repro.core.result.ProfileStats` are derived *views* of that
+registry rather than independently maintained bookkeeping.  Pass a
 registry with a sink to capture the event stream; the default private
 registry has a ``NullSink`` and costs only the plain counters.
 """
@@ -51,8 +56,6 @@ import multiprocessing
 import queue as queue_mod
 import time
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.common.config import ProfilerConfig
 from repro.common.errors import ProfilerError
@@ -66,14 +69,12 @@ from repro.obs.sampler import Sampler
 from repro.obs.tracing import MAIN_TRACK, worker_track
 from repro.parallel.address_map import AddressMap, route_window
 from repro.parallel.balance import AccessStats, Rebalancer
-from repro.parallel.chunks import Chunk, ChunkPool
 from repro.parallel.heartbeat import (
     HeartbeatBoard,
     WorkerWatchdog,
     process_exitcodes,
 )
 from repro.parallel.procworker import run_worker
-from repro.parallel.queues import LockedQueue, SpscRingQueue
 from repro.parallel.worker import Worker
 from repro.trace import TraceBatch
 
@@ -88,9 +89,9 @@ class ParallelRunInfo:
     """Pipeline statistics of one run — the cost model's raw material.
 
     Constructed by :meth:`from_registry` as a frozen view over the run's
-    metrics registry (stall counters are the queues' own counters, worker
-    loads the workers' published counters, and so on); the dataclass keeps
-    the cost model's stable field-level API.
+    metrics registry (worker loads are the workers' published counters,
+    rebalance counts the rebalancer's, and so on); the dataclass keeps the
+    cost model's stable field-level API.
     """
 
     n_workers: int = 0
@@ -107,11 +108,6 @@ class ParallelRunInfo:
     #: (-1, 0) markers at rebalance quiesce points — the cost model replays
     #: this sequence through its discrete-event pipeline.
     chunk_log: list[tuple[int, int]] = field(default_factory=list)
-    push_stalls: int = 0
-    pop_stalls: int = 0
-    lock_ops: int = 0
-    chunks_allocated: int = 0
-    queue_memory_bytes: int = 0
     signature_memory_bytes: int = 0
     #: Full audit trail of the run's rebalancing decisions (one dict per
     #: round, see :attr:`~repro.parallel.balance.Rebalancer.audit`).  Empty
@@ -159,18 +155,13 @@ class ParallelRunInfo:
             addresses_migrated=registry.counter("rebalance.moves").value,
             banks_migrated=registry.counter("rebalance.bank_moves").value,
             chunk_log=chunk_log,
-            push_stalls=registry.sum_counters("queue.push_stalls"),
-            pop_stalls=registry.sum_counters("queue.pop_stalls"),
-            lock_ops=registry.sum_counters("queue.lock_ops"),
-            chunks_allocated=gauge_value("chunkpool.allocated"),
-            queue_memory_bytes=gauge_value("chunkpool.memory_bytes"),
             signature_memory_bytes=gauge_value("engine.tracker_memory_bytes"),
             rebalance_audit=rebalance_audit if rebalance_audit is not None else [],
         )
 
 
 class ParallelProfiler:
-    """The chunk/queue/worker pipeline of Section IV."""
+    """The route/chunk/worker pipeline of Section IV."""
 
     def __init__(
         self,
@@ -302,7 +293,8 @@ class ParallelProfiler:
     def _run_in_process(
         self, batch: TraceBatch, loop_index: LoopStateIndex, reg: MetricsRegistry
     ) -> tuple[list[dict], list[tuple[int, int]], list[dict]]:
-        """In-process transport: rings the producer drains inline when full.
+        """In-process transport: route each window, then feed the workers
+        in order on this thread.
 
         Returns the workers' parts, the producer-order chunk log and the
         rebalancer's audit trail.
@@ -319,27 +311,6 @@ class ParallelProfiler:
             )
             for w in range(cfg.workers)
         ]
-        if cfg.lock_free_queues:
-            queues: list[SpscRingQueue | LockedQueue] = [
-                SpscRingQueue(
-                    cfg.queue_depth,
-                    push_stalls=reg.counter("queue.push_stalls", worker=w),
-                    pop_stalls=reg.counter("queue.pop_stalls", worker=w),
-                )
-                for w in range(cfg.workers)
-            ]
-        else:
-            queues = [
-                LockedQueue(
-                    cfg.queue_depth,
-                    push_stalls=reg.counter("queue.push_stalls", worker=w),
-                    pop_stalls=reg.counter("queue.pop_stalls", worker=w),
-                    lock_ops_counter=reg.counter("queue.lock_ops", worker=w),
-                )
-                for w in range(cfg.workers)
-            ]
-        pool = ChunkPool(cfg.chunk_size)
-        open_chunks: list[Chunk] = [pool.acquire() for _ in range(cfg.workers)]
         amap = AddressMap(cfg.workers, bank_geometry=cfg.bank_geometry)
         stats = AccessStats()
         rebalancer = Rebalancer(amap, cfg.hot_addresses, registry=reg)
@@ -349,9 +320,6 @@ class ParallelProfiler:
         # -- periodic telemetry sampling --------------------------------
         sampler = Sampler(reg)
         for w in range(cfg.workers):
-            sampler.add(
-                "queue.occupancy", queues[w].__len__, worker=w
-            )
             tr = workers[w].engine.read_tracker
             tw = workers[w].engine.write_tracker
             sampler.add("sigmem.occupied", tr.occupied, worker=w, kind="read")
@@ -361,48 +329,15 @@ class ParallelProfiler:
                 sampler.add(
                     "sigmem.fill_ratio", tw.fill_ratio, worker=w, kind="write"
                 )
-        sampler.add("chunkpool.free", lambda: pool.free_count)
-        sampler.add("chunkpool.allocated", lambda: pool.allocated)
-        sampler.add("chunkpool.memory_bytes", lambda: pool.memory_bytes)
         sampler.add("process.peak_rss_bytes", peak_rss_bytes)
 
-        def drain(w: int, limit: int | None = None) -> None:
-            popped = 0
-            while limit is None or popped < limit:
-                ok, chunk = queues[w].try_pop()
-                if not ok:
-                    return
-                workers[w].process_chunk(batch, chunk)
-                pool.release(chunk)
-                popped += 1
+        def log_chunks(w: int, sizes: list[int]) -> None:
+            chunk_counter.inc(len(sizes))
+            chunk_log.extend((w, rows) for rows in sizes)
 
-        def push_chunk(w: int) -> None:
-            chunk = open_chunks[w]
-            if chunk.count == 0:
-                return
-            chunk.seq = chunk_counter.value
-            if not queues[w].try_push(chunk):
-                stall_t0 = time.perf_counter() if tracer.enabled else 0.0
-                while True:
-                    drain(w, limit=1)
-                    if queues[w].try_push(chunk):
-                        break
-                if tracer.enabled:
-                    tracer.complete("queue.push_stall", MAIN_TRACK, stall_t0, worker=w)
-            if tracer.enabled:
-                tracer.instant(
-                    "chunk.push", MAIN_TRACK, worker=w, seq=chunk.seq, rows=chunk.count
-                )
-            chunk_counter.inc()
-            chunk_log.append((w, chunk.count))
-            open_chunks[w] = pool.acquire()
-
-        def bulk_append(w: int, rows: np.ndarray) -> None:
-            i, n = 0, len(rows)
-            while i < n:
-                i += open_chunks[w].extend(rows, start=i)
-                if open_chunks[w].full:
-                    push_chunk(w)
+        def flush_all() -> None:
+            for w, worker in enumerate(workers):
+                log_chunks(w, worker.flush(batch))
 
         # Hysteresis: remember the hot-load ratio right after the previous
         # redistribution.  If the current ratio is no worse, the previous
@@ -419,16 +354,12 @@ class ParallelProfiler:
             prev = post_rebalance_imbalance[0]
             if prev is not None and imbalance <= prev * 1.1:
                 return
-            # Flush buffered rows first: rows sitting in open chunks were
-            # routed under the old rules and must land in their worker's
-            # trackers *before* state is exported, or the migrated bank
-            # would miss them (surfacing as phantom INIT dependences).
-            for w in range(cfg.workers):
-                push_chunk(w)
-            # Quiesce: preserve per-address ordering across the move.
+            # Quiesce: rows held in partial chunks were routed under the old
+            # rules and must land in their worker's trackers *before* state
+            # is exported, or the migrated bank would miss them (surfacing
+            # as phantom INIT dependences).
             t0 = time.perf_counter() if tracer.enabled else 0.0
-            for w in range(cfg.workers):
-                drain(w)
+            flush_all()
             if tracer.enabled:
                 tracer.complete("pipeline.quiesce", MAIN_TRACK, t0)
             decision = rebalancer.rebalance(stats)
@@ -451,14 +382,10 @@ class ParallelProfiler:
 
         # ---- producer loop over windows of the trace ------------------
         bcast_counter = reg.counter("pipeline.broadcast_rows")
-        # Spilled batches support dropping consumed windows' resident pages.
-        # Purely an RSS hint (dropped pages re-read transparently), so the
-        # lag bound only has to be generous, not exact: pushed rows sit in at
-        # most queue_depth+1 chunks per worker plus the current window.
+        # Spilled batches support dropping consumed windows' resident pages
+        # (an RSS hint: dropped pages re-read transparently).  After a
+        # window is fed, the workers still read only their partial chunks.
         release = getattr(batch, "release_window", None)
-        release_lag = (
-            self.window + cfg.workers * (cfg.queue_depth + 2) * cfg.chunk_size
-        )
         released_upto = 0
         # The paper re-checks the access statistics every 50 000 chunks; we
         # measure the interval in *routed accesses* (interval x chunk_size)
@@ -478,29 +405,22 @@ class ParallelProfiler:
                     if len(acc_addrs):
                         stats.record_many(acc_addrs)
                         accesses_routed += len(acc_addrs)
-                with reg.span("push", window_start=s):
-                    for w in range(cfg.workers):
-                        wrows = route.rows_for(w)
-                        if len(wrows):
-                            bulk_append(w, wrows)
+                with reg.span("drain", window_start=s):
+                    for w, worker in enumerate(workers):
+                        log_chunks(w, worker.feed(batch, route.rows_for(w)))
                 sampler.poll()
                 if accesses_routed - accesses_at_last_check >= rebalance_every:
                     accesses_at_last_check = accesses_routed
                     maybe_rebalance()
                 if release is not None:
-                    upto = max(0, e - release_lag)
+                    upto = min(worker.resume_row(e) for worker in workers)
                     if upto - released_upto >= (1 << 22):
                         release(released_upto, upto)
                         released_upto = upto
 
-            # ---- flush + drain + publish ----------------------------------
+            # ---- flush + publish ------------------------------------------
             with reg.span("drain"):
-                for w in range(cfg.workers):
-                    push_chunk(w)
-                    queues[w].close()
-                for w in range(cfg.workers):
-                    drain(w)
-                    reg.gauge("queue.high_water", worker=w).set(queues[w].high_water)
+                flush_all()
                 parts = [worker.publish() for worker in workers]
         finally:
             sampler.poll(force=True)  # final post-drain sample, even on abort
@@ -521,8 +441,9 @@ class ParallelProfiler:
         static address partition makes results independent of scheduling,
         so this mode is bit-for-bit equivalent to ``deterministic`` minus
         the load balancer (which needs producer-side signature migration).
-        Returns the workers' parts, their chunk logs folded into window
-        order, and an empty rebalance audit.
+        Returns the workers' parts, their chunk logs folded into the order
+        the in-process transport logs the same chunks in, and an empty
+        rebalance audit.
         """
         cfg = self.config
         tracer = reg.tracer
@@ -632,8 +553,9 @@ class ParallelProfiler:
 
         parts = [payloads[w] for w in range(cfg.workers)]
         # Producer-order chunk log for the cost model: interleave the
-        # workers' chunks in window order, matching how the in-process
-        # producer would have pushed them.
+        # workers' chunks by the window each was cut in, then by worker —
+        # the order the in-process transport logs the same chunks in.
+        # The sort is stable, so each worker's chunks keep their order.
         entries = [(widx, p["wid"], rows) for p in parts for widx, rows in p["chunk_log"]]
         entries.sort(key=lambda t: (t[0], t[1]))
         chunk_log = [(wid, rows) for _, wid, rows in entries]

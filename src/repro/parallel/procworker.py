@@ -18,7 +18,8 @@ At shutdown (a ``None`` sentinel) the worker calls
 :meth:`~repro.parallel.worker.Worker.publish` into a private
 :class:`~repro.obs.metrics.MetricsRegistry` and ships that part home with
 the registry's :meth:`~repro.obs.metrics.MetricsRegistry.state`, optional
-tracer events, its chunk log and its broadcast-row count.  The parent folds
+tracer events, its chunk log (each chunk tagged with the window it was
+cut in) and its broadcast-row count.  The parent folds
 these in the pipeline's one merge.
 """
 
@@ -66,15 +67,15 @@ def run_worker(
         prov = (
             ProvenanceCollector(worker=wid) if opts.get("provenance") else None
         )
-        worker = Worker(wid, config, loop_index, reg, provenance=prov)
+        worker = Worker(wid, config, loop_index, reg, provenance=prov, heartbeat=hb)
         amap = AddressMap(config.workers, bank_geometry=config.bank_geometry)
-        # Only the window being processed should be resident: a spilled
-        # batch may be far larger than RAM.
+        # Only the rows this worker still reads should be resident: a
+        # spilled batch may be far larger than RAM.
         release = getattr(batch, "release_window", None)
-        chunk_size = config.chunk_size
+        released = 0
         chunk_log: list[tuple[int, int]] = []
         n_broadcast = 0
-        seq = 0
+        widx = -1
         while True:
             task = task_q.get()
             if hb is not None:
@@ -86,16 +87,16 @@ def run_worker(
             # Every worker sees every broadcast row, so each one's count
             # is the run's count.
             n_broadcast += route.n_broadcast
-            wrows = route.rows_for(wid)
-            for i in range(0, len(wrows), chunk_size):
-                crows = wrows[i : i + chunk_size]
-                worker.process_rows(batch, crows, seq=seq)
-                chunk_log.append((widx, len(crows)))
-                seq += 1
-                if hb is not None:
-                    hb.beat(wid)
+            for rows in worker.feed(batch, route.rows_for(wid)):
+                chunk_log.append((widx, rows))
             if release is not None:
-                release(s, e)
+                # Keep the partial chunk's pages: it reads them when it runs.
+                upto = worker.resume_row(e)
+                release(released, upto)
+                released = upto
+        # The partial chunk runs after the last window, as in-process.
+        for rows in worker.flush(batch):
+            chunk_log.append((widx + 1, rows))
         # -- publish & ship ------------------------------------------------
         part = worker.publish()
         reg.gauge("process.peak_rss_bytes", worker=wid).set(peak_rss_bytes())

@@ -14,18 +14,24 @@ from repro.obs.heatmap import AddressHeatmap
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import ProvenanceCollector
 from repro.obs.tracing import NULL_TRACER, worker_track
-from repro.parallel.chunks import Chunk
+from repro.parallel.heartbeat import HeartbeatBoard
 from repro.sigmem import DenseKeySpace, DensePlaneTracker, SlotPlaneTracker
 from repro.sigmem.signature import AccessRecord, AccessTracker
 from repro.trace import TraceBatch
 
 
 class Worker:
-    """Consumes chunks, runs Algorithm 1 on its private trackers.
+    """Cuts its rows into chunks and runs Algorithm 1 on its private trackers.
 
     Each worker is exclusively responsible for the addresses routed to it,
     so its read/write signature pair and its dependence map need no
     synchronization — the core of the paper's parallelization argument.
+
+    Both transports drive the same loop: :meth:`feed` takes the worker's
+    rows of one routed window, runs every full ``chunk_size`` chunk and
+    keeps the remainder for the next window; :meth:`flush` runs that
+    remainder at a rebalance quiesce and at the end of the run.  A worker's
+    chunks therefore span windows, and it numbers them itself from 0.
 
     Every worker runs the incremental array kernel
     (:class:`~repro.core.vectorized.ChunkKernel`) over numpy signature
@@ -37,6 +43,8 @@ class Worker:
     ``loop_index`` is the run's one
     :class:`~repro.core.controlflow.LoopStateIndex` over the trace the
     worker will be fed; the profiler builds it before any worker exists.
+    A worker process passes its :class:`~repro.parallel.heartbeat.HeartbeatBoard`
+    as ``heartbeat``.
 
     When a :class:`~repro.obs.metrics.MetricsRegistry` is supplied the
     worker instruments itself: per-chunk latency histogram, signature
@@ -55,6 +63,7 @@ class Worker:
         loop_index: LoopStateIndex,
         registry: MetricsRegistry | None = None,
         provenance: ProvenanceCollector | None = None,
+        heartbeat: HeartbeatBoard | None = None,
     ) -> None:
         self.wid = wid
         self.config = config
@@ -79,6 +88,10 @@ class Worker:
             provenance=provenance,
         )
         self.provenance = provenance
+        #: Stamped after every chunk, so a long window never reads as a stall.
+        self._heartbeat = heartbeat
+        #: Rows fed but not yet run: less than one chunk, in trace order.
+        self._pending = np.empty(0, dtype=np.int64)
         self.accesses_processed = 0
         self.chunks_processed = 0
         self._chunk_hist = (
@@ -117,14 +130,43 @@ class Worker:
     def store(self) -> DependenceStore:
         return self.engine.store
 
-    def process_rows(
-        self, batch: TraceBatch, rows: np.ndarray, seq: int = -1
-    ) -> None:
-        """Run this worker's kernel over ``rows`` of ``batch`` (one chunk)."""
+    def resume_row(self, end: int) -> int:
+        """The first row this worker still reads after being fed every row
+        before ``end``: the first of its partial chunk, else ``end``."""
+        return int(self._pending[0]) if len(self._pending) else end
+
+    def feed(self, batch: TraceBatch, rows: np.ndarray) -> list[int]:
+        """Take this worker's ``rows`` of one window (ascending, after every
+        row fed before): run each full chunk now, keep the remainder.
+
+        Returns the row count of every chunk run, in order.
+        """
+        if len(self._pending):
+            rows = np.concatenate((self._pending, rows))
+        size = self.config.chunk_size
+        full = len(rows) - len(rows) % size
+        for i in range(0, full, size):
+            self.process_rows(batch, rows[i : i + size])
+        self._pending = rows[full:].copy()
+        return [size] * (full // size)
+
+    def flush(self, batch: TraceBatch) -> list[int]:
+        """Run the partial chunk :meth:`feed` kept, if any (a rebalance
+        quiesce, or the end of the run); returns its row count as
+        :meth:`feed` does."""
+        rows, self._pending = self._pending, self._pending[:0]
+        if not len(rows):
+            return []
+        self.process_rows(batch, rows)
+        return [len(rows)]
+
+    def process_rows(self, batch: TraceBatch, rows: np.ndarray) -> None:
+        """Run this worker's kernel over ``rows`` of ``batch`` as its next chunk."""
         hist = self._chunk_hist
         tracer = self._tracer
         need_t = hist is not None or tracer.enabled
         t0 = time.perf_counter() if need_t else 0.0
+        seq = self.chunks_processed
         if self.provenance is not None:
             self.provenance.chunk = seq
         before = self.engine.stats.n_accesses
@@ -144,9 +186,8 @@ class Worker:
                     seq=seq,
                     rows=len(rows),
                 )
-
-    def process_chunk(self, batch: TraceBatch, chunk: Chunk) -> None:
-        self.process_rows(batch, chunk.view(), seq=chunk.seq)
+        if self._heartbeat is not None:
+            self._heartbeat.beat(self.wid)
 
     # -- signature-state migration (redistribution support) -----------------
     def migrate_out(

@@ -64,6 +64,10 @@ class SpilledTraceBatch(TraceBatch):
         Resident pages of a file-backed mapping count toward ``ru_maxrss``
         like anonymous memory, so a streaming consumer that never releases
         would show trace-sized peak RSS even though nothing was copied.
+        Only pages wholly before ``end`` are dropped: a page that still
+        holds a row the caller reads later would fault back in, and the
+        fault maps its whole page-cache folio (up to hundreds of KiB,
+        released pages included) back into the process.
         """
         if end <= start:
             return
@@ -74,7 +78,7 @@ class SpilledTraceBatch(TraceBatch):
             if mm is None or not hasattr(mm, "madvise"):
                 continue  # plain array column, or platform without madvise
             lo = (start * col.itemsize) // page * page
-            hi = min(len(mm), -(-(end * col.itemsize) // page) * page)
+            hi = min(len(mm), (end * col.itemsize) // page * page)
             if hi > lo:
                 mm.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
 

@@ -10,7 +10,6 @@ class TestValidation:
     def test_defaults_are_valid(self):
         cfg = ProfilerConfig()
         assert cfg.workers == 1
-        assert cfg.lock_free_queues
 
     @pytest.mark.parametrize(
         "field",
@@ -41,9 +40,9 @@ class TestDerived:
 
     def test_with_returns_modified_copy(self):
         cfg = ProfilerConfig()
-        cfg2 = cfg.with_(workers=8, lock_free_queues=False)
+        cfg2 = cfg.with_(workers=8, queue_depth=4)
         assert cfg2.workers == 8
-        assert not cfg2.lock_free_queues
+        assert cfg2.queue_depth == 4
         assert cfg.workers == 1  # original untouched
 
     def test_with_validates(self):

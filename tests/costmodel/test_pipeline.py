@@ -10,6 +10,7 @@ from repro.costmodel import (
     estimate_parallel,
     estimate_serial,
 )
+from repro.costmodel.memory import queued_chunks
 from repro.parallel import ParallelProfiler, ParallelRunInfo
 from tests.trace_helpers import seq_trace
 
@@ -150,9 +151,10 @@ class TestMemoryModel:
 
     def test_components_accumulate(self):
         cfg = ProfilerConfig(signature_slots=10**6, workers=8)
-        info = ParallelRunInfo(n_workers=8, chunks_allocated=100)
+        # 8 open chunks + 12 queued per worker.
+        info = ParallelRunInfo(n_workers=8, chunk_log=[(w, 1) for w in range(8)] * 12)
         est = estimate_memory(cfg, info, store_entries=5000, n_unique_addresses=10**5)
-        assert est.queues == 100 * cfg.chunk_size * 24
+        assert est.queues == (8 + 8 * 12) * cfg.chunk_size * 24
         assert est.dep_store == 5000 * 96
         assert est.total > est.signatures
 
@@ -163,7 +165,7 @@ class TestMemoryModel:
 
     def test_mt_target_costs_more(self):
         cfg = ProfilerConfig(signature_slots=10**6, workers=8)
-        info = ParallelRunInfo(n_workers=8, chunks_allocated=64)
+        info = ParallelRunInfo(n_workers=8, chunk_log=[(w, 1) for w in range(8)] * 7)
         seq = estimate_memory(cfg, info, 1000, 1000)
         mt = estimate_memory(cfg, info, 1000, 1000, n_sync_events=500, mt_target=True)
         assert mt.total > seq.total
@@ -181,3 +183,31 @@ class TestMemoryModel:
             None, 0, 0,
         ).signatures
         assert m16 == 2 * m8
+
+
+class TestQueueTerm:
+    """The memory model's queue term, from synthetic chunk logs: one open
+    chunk per worker plus, over rebalance epochs, the most chunks the
+    per-worker queues buffer at once."""
+
+    def test_one_worker_under_queue_depth(self):
+        assert queued_chunks([(0, 8)] * 3, n_workers=1, queue_depth=4) == 1 + 3
+
+    def test_one_worker_over_queue_depth(self):
+        # A full queue makes the producer wait; buffers are recycled.
+        assert queued_chunks([(0, 8)] * 10, n_workers=1, queue_depth=4) == 1 + 4
+
+    def test_several_workers_add_up(self):
+        log = [(0, 8)] * 10 + [(1, 8)] * 2 + [(2, 5)]
+        assert queued_chunks(log, n_workers=4, queue_depth=4) == 4 + 4 + 2 + 1
+
+    def test_rebalance_marker_splits_epochs(self):
+        # The quiesce at (-1, 0) drains every queue: the peak is the larger
+        # epoch's, not the sum over the run.
+        log = [(0, 8)] * 3 + [(1, 8)] * 3 + [(-1, 0)] + [(0, 8)] * 2
+        assert queued_chunks(log, n_workers=2, queue_depth=4) == 2 + 6
+        log += [(1, 8)] * 5
+        assert queued_chunks(log, n_workers=2, queue_depth=4) == 2 + 2 + 4
+
+    def test_empty_log_keeps_open_chunks(self):
+        assert queued_chunks([], n_workers=3, queue_depth=32) == 3

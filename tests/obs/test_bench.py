@@ -281,7 +281,7 @@ def test_record_run_report_folds_pipeline_health():
     r = recorder()
     recs = r.record_run_report(report, "pipe")
     ids = {m.id for m in recs}
-    assert "pipe.queue_stalls" in ids and "pipe.access_imbalance" in ids
+    assert "pipe.access_imbalance" in ids
     assert all(math.isfinite(m.value) for m in recs)
 
 

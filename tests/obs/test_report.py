@@ -57,8 +57,8 @@ class TestRunReport:
         d = report.to_dict()
         assert d["parallel"]["workers"] == 4
         assert d["parallel"]["chunks"] == info.n_chunks
-        assert d["parallel"]["push_stalls"] == info.push_stalls
-        assert {"route", "push", "drain", "merge"} <= {
+        assert d["parallel"]["per_worker_chunks"] == info.per_worker_chunks
+        assert {"route", "drain", "merge"} <= {
             p["phase"] for p in d["phases"]
         }
         assert d["counters"]['worker.accesses{worker="0"}'] == (
@@ -77,19 +77,6 @@ class TestRunReport:
 
 class TestPipelineTelemetry:
     """The registry is the single source of truth for pipeline statistics."""
-
-    def test_stall_counters_single_source_of_truth(self, mg_trace):
-        reg = MetricsRegistry()
-        cfg = PERFECT.with_(workers=2, chunk_size=8, queue_depth=1)
-        _, info = ParallelProfiler(cfg, registry=reg).profile(mg_trace)
-        assert info.push_stalls == reg.sum_counters("queue.push_stalls") > 0
-        assert info.pop_stalls == reg.sum_counters("queue.pop_stalls")
-
-    def test_locked_queue_lock_ops_via_registry(self, mg_trace):
-        reg = MetricsRegistry()
-        cfg = PERFECT.with_(workers=2, lock_free_queues=False)
-        _, info = ParallelProfiler(cfg, registry=reg).profile(mg_trace)
-        assert info.lock_ops == reg.sum_counters("queue.lock_ops") > 0
 
     def test_info_views_match_registry(self, mg_trace):
         reg = MetricsRegistry()
@@ -158,21 +145,20 @@ class TestStatsCli:
 
         spans = [e for e in events if e["type"] == "span"]
         span_phases = {e["phase"] for e in spans}
-        assert {"trace-build", "route", "push", "drain", "merge"} <= span_phases
+        assert {"trace-build", "route", "drain", "merge"} <= span_phases
         assert all(e["seconds"] >= 0 for e in spans)
 
         samples = [e for e in events if e["type"] == "sample"]
         assert samples
         sample_keys = set().union(*(e["values"].keys() for e in samples))
-        assert 'queue.occupancy{worker="0"}' in sample_keys
-        assert 'queue.occupancy{worker="3"}' in sample_keys
-        assert any(k.startswith("sigmem.occupied{") for k in sample_keys)
+        assert 'sigmem.occupied{kind="read",worker="0"}' in sample_keys
+        assert 'sigmem.occupied{kind="write",worker="3"}' in sample_keys
 
         snapshots = [e for e in events if e["type"] == "snapshot"]
         assert len(snapshots) == 1
         counters = snapshots[0]["counters"]
-        assert 'queue.push_stalls{worker="0"}' in counters
-        assert 'queue.pop_stalls{worker="0"}' in counters
+        assert 'worker.chunks{worker="0"}' in counters
+        assert 'worker.chunks{worker="3"}' in counters
         gauges = snapshots[0]["gauges"]
         assert any(g.startswith("sigmem.occupied{") for g in gauges)
 
@@ -183,7 +169,7 @@ class TestStatsCli:
         from repro.obs import parse_prometheus
 
         samples = parse_prometheus(path.read_text())
-        assert any(k.startswith("ddprof_queue_push_stalls") for k in samples)
+        assert any(k.startswith("ddprof_worker_chunks") for k in samples)
 
     def test_stats_with_signature_slots_has_fill_ratio(self, tmp_path, capsys):
         path = tmp_path / "m.jsonl"

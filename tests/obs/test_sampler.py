@@ -87,17 +87,15 @@ class TestPipelineAbort:
 
         boom = RuntimeError("worker exploded")
 
-        def exploding(self, batch, chunk):
+        def exploding(self, batch, rows):
             raise boom
 
-        monkeypatch.setattr(Worker, "process_chunk", exploding)
+        monkeypatch.setattr(Worker, "process_rows", exploding)
         sink = MemorySink()
         reg = MetricsRegistry(sink)
-        # queue_depth=1 makes the producer drain inline mid-stream, so the
-        # failure fires inside the producer loop, not only at the end.
-        cfg = ProfilerConfig(
-            perfect_signature=True, workers=2, chunk_size=8, queue_depth=1
-        )
+        # Tiny chunks fill in the first window, so the failure fires inside
+        # the producer loop, not only at the final flush.
+        cfg = ProfilerConfig(perfect_signature=True, workers=2, chunk_size=8)
         prof = ParallelProfiler(cfg, registry=reg)
         with pytest.raises(RuntimeError, match="worker exploded"):
             prof.profile(self.throwing_trace())

@@ -20,10 +20,8 @@ def make_registry():
     reg.counter("worker.accesses", worker=1).inc(800)
     reg.counter("worker.chunks", worker=0).inc(4)
     reg.counter("worker.chunks", worker=1).inc(3)
-    reg.counter("queue.push_stalls", worker=0).inc(2)
     reg.counter("rebalance.rounds").inc(1)
     reg.counter("rebalance.moves").inc(3)
-    reg.gauge("queue.occupancy", worker=0).set(5)
     reg.gauge("worker.heartbeat.state", worker=0).set(0)
     reg.gauge("worker.heartbeat.state", worker=1).set(2)
     reg.gauge("sigmem.fill_ratio", worker=0, kind="read").set(0.5)
@@ -51,7 +49,7 @@ class TestRender:
             {"run_id": "toprun", **reg.snapshot()}, heatmap_dict(reg)
         )
         assert "run toprun" in frame
-        assert "7 chunks pushed" in frame
+        assert "(7 chunks)" in frame
         assert "live" in frame and "dead" in frame  # heartbeat verdicts
         assert "1200" in frame  # worker 0 accesses
         assert "rebalances 1 (3 moved)" in frame

@@ -156,23 +156,12 @@ class TestPipelineTimeline:
             names = {e.name for e in tr.events_on(worker_track(w))}
             assert "chunk.process" in names
         main_names = {e.name for e in tr.events_on(MAIN_TRACK)}
-        assert {"chunk.push", "route", "push", "drain", "merge"} <= main_names
+        assert {"route", "drain", "merge"} <= main_names
         obj = chrome_trace_dict(tr, meta={})
         assert validate_chrome_trace(obj) == []
         # One metadata row and >= one event row per worker track.
         tids = {e["tid"] for e in obj["traceEvents"] if e["ph"] != "M"}
         assert {worker_track(w) for w in range(3)} <= tids
-
-    def test_push_stall_intervals_recorded_when_queue_fills(self):
-        batch = small_trace(rounds=8)
-        cfg = ProfilerConfig(
-            perfect_signature=True, workers=2, chunk_size=4, queue_depth=2
-        )
-        reg = MetricsRegistry(tracer=Tracer())
-        ParallelProfiler(cfg, registry=reg).profile(batch)
-        stalls = reg.tracer.of_name("queue.push_stall")
-        assert stalls, "tiny queues must produce push-stall intervals"
-        assert all(e.is_complete and e.track == MAIN_TRACK for e in stalls)
 
     def test_untraced_pipeline_never_touches_the_tracer(self):
         batch = small_trace()

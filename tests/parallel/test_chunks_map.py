@@ -1,56 +1,45 @@
-"""Tests for chunks, the chunk pool, and the address map."""
+"""Tests for the worker's chunk cutting and the address map."""
 
 import numpy as np
 import pytest
 
+from repro.common.config import ProfilerConfig
+from repro.core.controlflow import LoopStateIndex
 from repro.parallel.address_map import AddressMap
-from repro.parallel.chunks import Chunk, ChunkPool
+from repro.parallel.worker import Worker
+from tests.trace_helpers import seq_trace
 
 
-class TestChunk:
-    def test_append_until_full(self):
-        c = Chunk(4)
-        for i in range(4):
-            assert not c.full
-            c.append(i)
-        assert c.full
-        assert c.view().tolist() == [0, 1, 2, 3]
+class TestWorkerChunks:
+    """A worker cuts the rows it is fed into ``chunk_size`` chunks itself."""
 
-    def test_view_is_prefix(self):
-        c = Chunk(8)
-        c.append(7)
-        assert c.view().tolist() == [7]
+    def worker(self, chunk_size):
+        batch = seq_trace([("w", 0x1000 + 8 * i, 1, "a") for i in range(10)])
+        cfg = ProfilerConfig(perfect_signature=True, chunk_size=chunk_size)
+        return batch, Worker(0, cfg, LoopStateIndex(batch))
 
-    def test_reset(self):
-        c = Chunk(4)
-        c.append(1)
-        c.seq = 9
-        c.reset()
-        assert c.count == 0 and c.seq == -1
+    def test_feed_runs_each_full_chunk(self):
+        batch, w = self.worker(4)
+        assert w.feed(batch, np.arange(3)) == []  # not full yet: kept
+        assert w.chunks_processed == 0
+        # The kept rows lead the next window's: one stream across windows.
+        assert w.feed(batch, np.arange(3, 10)) == [4, 4]
+        assert w.chunks_processed == 2 and w.accesses_processed == 8
 
+    def test_flush_runs_the_partial_chunk(self):
+        batch, w = self.worker(4)
+        w.feed(batch, np.arange(10))
+        assert w.flush(batch) == [2]
+        assert w.accesses_processed == 10
 
-class TestChunkPool:
-    def test_recycling_reuses_buffers(self):
-        pool = ChunkPool(16)
-        a = pool.acquire()
-        pool.release(a)
-        b = pool.acquire()
-        assert b is a  # the paper's chunk recycling
-        assert pool.allocated == 1
-
-    def test_allocation_high_water_mark(self):
-        pool = ChunkPool(16)
-        chunks = [pool.acquire() for _ in range(5)]
-        for c in chunks:
-            pool.release(c)
-        for _ in range(5):
-            pool.acquire()
-        assert pool.allocated == 5
-        assert pool.memory_bytes == 5 * 16 * 8
-
-    def test_rejects_bad_capacity(self):
-        with pytest.raises(ValueError):
-            ChunkPool(0)
+    def test_flush_leaves_nothing_pending(self):
+        batch, w = self.worker(4)
+        w.feed(batch, np.arange(6))
+        assert w.flush(batch) == [2]
+        assert w.flush(batch) == []  # nothing left to run
+        # Chunk numbers continue after a flush (provenance chunk ids).
+        assert w.feed(batch, np.arange(6, 10)) == [4]
+        assert w.chunks_processed == 3
 
 
 class TestAddressMap:

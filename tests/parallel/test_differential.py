@@ -105,17 +105,14 @@ def free_trace():
 
 
 class TestTransportContract:
-    """Both transports share one router and one merge, so everything but
-    the transport's own bookkeeping must agree: stores, broadcast rows,
-    per-worker accesses and every engine counter."""
+    """Both transports share one router, one worker loop and one merge, so
+    everything but the transport's own bookkeeping must agree: stores,
+    chunks, provenance (chunk ids included), broadcast rows, per-worker
+    accesses and every engine counter."""
 
     @staticmethod
-    def transport_specific(name, multi_window):
-        if name.startswith("queue.") or name == "pipeline.backpressure_stalls":
-            return True
-        # Chunks straddle windows in-process but are cut per window by a
-        # worker process, so chunk counts agree only within one window.
-        return multi_window and name in ("pipeline.chunks", "worker.chunks")
+    def transport_specific(name):
+        return name == "pipeline.backpressure_stalls"
 
     @pytest.mark.parametrize("window", [1 << 15, 1 << 11])
     @pytest.mark.parametrize("name", ["ep", "water-spatial", "free-trace"])
@@ -131,6 +128,7 @@ class TestTransportContract:
                 window=window,
                 rebalance_threshold=float("inf"),
                 registry=reg,
+                provenance=True,
             ).profile(batch)
             counters = {(c.name, c.labels): c.value for c in reg.counters()}
             runs[mode] = result, info, counters
@@ -140,15 +138,22 @@ class TestTransportContract:
         assert pi.n_broadcast_rows == di.n_broadcast_rows > 0
         if name == "free-trace":
             assert FREE in set(batch.kind.tolist())
-        multi = len(batch) > window
+        # Chunks span windows in both transports, so multi-window runs cut
+        # and number them alike too.
+        assert pi.chunk_log == di.chunk_log
+        assert {d: r.to_dict() for d, r in prc.provenance} == {
+            d: r.to_dict() for d, r in det.provenance
+        }
         shared = {
             key
             for key in dc.keys() | pc.keys()
-            if not self.transport_specific(key[0], multi)
+            if not self.transport_specific(key[0])
         }
         assert {k[0] for k in shared} >= {
             "pipeline.broadcast_rows",
+            "pipeline.chunks",
             "worker.accesses",
+            "worker.chunks",
         }
         assert any(k[0].startswith("engine.") for k in shared)
         for key in sorted(shared):

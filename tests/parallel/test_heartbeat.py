@@ -241,10 +241,10 @@ class TestProcessesIntegration:
 
         orig = worker_mod.Worker.process_rows
 
-        def slow(self, batch, rows, seq=-1):
-            if self.wid == 1 and seq == 0:
+        def slow(self, batch, rows):
+            if self.wid == 1 and self.chunks_processed == 0:
                 time.sleep(0.6)  # one long pause >> stall_after (0.1s)
-            return orig(self, batch, rows, seq=seq)
+            return orig(self, batch, rows)
 
         monkeypatch.setattr(worker_mod.Worker, "process_rows", slow)
         batch = get_trace("ep")

@@ -30,7 +30,7 @@ class TestProcessesMode:
     def test_matches_sequential(self, workers, engine):
         """``reference`` also diffs the run, provenance chunk ids included,
         against the reference-worker oracle, which chunks each worker's
-        rows as a worker process does."""
+        rows as a pipeline worker does."""
         batch = get_trace("ep")
         cfg = PERFECT.with_(workers=workers, chunk_size=512)
         seq = reference_profile(batch, PERFECT)
@@ -237,6 +237,38 @@ class TestProcessesMode:
         ).profile(batch)
         assert par.store == det.store
         assert par_info.per_worker_accesses == det_info.per_worker_accesses
+
+    def test_workers_never_read_a_released_row(self, tmp_path, monkeypatch):
+        """A worker process releases only rows it will not read again: the
+        partial chunk it carries into the next window keeps its pages, since
+        re-reading a released page faults its whole page-cache folio back
+        in.  Each process checks its own releases (the parent's loop scan
+        releases the whole trace before the fork)."""
+        import os
+
+        import repro.parallel.worker as worker_mod
+        from repro.trace.spill import SpilledTraceBatch
+
+        released: dict[int, int] = {}
+        orig_release = SpilledTraceBatch.release_window
+        orig_rows = worker_mod.Worker.process_rows
+
+        def release(self, start, end):
+            released[os.getpid()] = max(released.get(os.getpid(), 0), end)
+            orig_release(self, start, end)
+
+        def process_rows(self, batch, rows):
+            upto = released.get(os.getpid(), 0)
+            if rows[0] < upto:
+                raise AssertionError(f"row {rows[0]} read after release to {upto}")
+            orig_rows(self, batch, rows)
+
+        monkeypatch.setattr(SpilledTraceBatch, "release_window", release)
+        monkeypatch.setattr(worker_mod.Worker, "process_rows", process_rows)
+        batch = spill_batch(get_trace("cg"), tmp_path / "cg.trace.spill")
+        cfg = PERFECT.with_(workers=2, chunk_size=512)
+        par, info = ParallelProfiler(cfg, mode="processes", window=1 << 11).profile(batch)
+        assert par.store.n_entries > 0 and info.n_chunks > 0
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ProfilerError):

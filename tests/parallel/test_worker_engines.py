@@ -8,8 +8,8 @@ per-worker chunks).  On every bundled program, for the perfect, the lossy
 and the banked lossy signature, the two must agree on the merged store,
 the per-type instance counts, every provenance field (suspect-FP flags
 included) and the eviction telemetry (``sigmem.evictions{worker,kind}``,
-``heat.conflicts``).  Provenance chunk ids are compared in processes mode,
-whose per-worker chunk numbering the oracle mirrors.
+``heat.conflicts``).  Provenance chunk ids are compared too: both
+transports number each worker's chunks from 0, as the oracle does.
 """
 
 import multiprocessing
@@ -44,14 +44,8 @@ def _trace(name, variant):
     return get_trace(name, scale=1)
 
 
-def _provenance(prov, chunks):
-    rows = {}
-    for dep, rec in prov:
-        row = rec.to_dict()
-        if not chunks:
-            del row["chunks"]
-        rows[dep] = row
-    return rows
+def _provenance(prov):
+    return {dep: rec.to_dict() for dep, rec in prov}
 
 
 def _telemetry(reg):
@@ -78,7 +72,7 @@ def _oracle(batch, cfg):
         for t, c in eng.stats.dep_instances.items():
             instances[t] = instances.get(t, 0) + c
     n_accesses = sum(e.stats.n_reads + e.stats.n_writes for e in engines)
-    return store, instances, n_accesses, _provenance(prov, chunks=True), _telemetry(reg)
+    return store, instances, n_accesses, _provenance(prov), _telemetry(reg)
 
 
 PAR_WORKLOADS = ["md5", "rgbyuv"]
@@ -126,11 +120,7 @@ def assert_matches_reference(case, oracle_future, mode):
     assert result.store == store
     assert result.stats.dep_instances == instances
     assert result.stats.n_accesses == n_accesses
-    chunks = mode == "processes"
-    expected = prov if chunks else {
-        dep: {k: v for k, v in row.items() if k != "chunks"} for dep, row in prov.items()
-    }
-    assert _provenance(result.provenance, chunks) == expected
+    assert _provenance(result.provenance) == prov
     assert _telemetry(reg) == telemetry
     return result, reg
 

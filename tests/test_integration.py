@@ -136,39 +136,3 @@ class TestOutputRoundtrip:
     def test_verbose_output_also_parses(self, ops):
         res = profile_trace(seq_trace(ops), PERFECT)
         parse_dependences(format_dependences(res, verbose=True))
-
-
-class TestQueueModel:
-    """Model-based check of the SPSC ring against a plain deque."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        actions=st.lists(
-            st.one_of(st.integers(min_value=0, max_value=99), st.none()),
-            max_size=200,
-        ),
-        capacity=st.integers(min_value=1, max_value=9),
-    )
-    def test_ring_matches_deque_model(self, actions, capacity):
-        from collections import deque
-
-        from repro.parallel.queues import SpscRingQueue
-
-        q = SpscRingQueue(capacity)
-        model: deque = deque()
-        cap = q.capacity
-        for a in actions:
-            if a is None:  # pop
-                ok, v = q.try_pop()
-                if model:
-                    assert ok and v == model.popleft()
-                else:
-                    assert not ok
-            else:  # push
-                ok = q.try_push(a)
-                if len(model) < cap:
-                    assert ok
-                    model.append(a)
-                else:
-                    assert not ok
-            assert len(q) == len(model)

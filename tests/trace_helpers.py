@@ -20,7 +20,7 @@ assertions (line < 2**20).
 ``reference_profile`` is the sequential profiler's differential oracle:
 the event-at-a-time reference engine over the whole trace.
 ``reference_pipeline`` is the pipeline's: the same routing and per-worker
-chunking, with the reference engine in every worker.  Both build a
+chunks, with the reference engine in every worker.  Both build a
 worker's scalar trackers the same way (:func:`reference_engine`).
 
 ``PROFILERS`` names the two implementations semantic tests run against:
@@ -30,6 +30,8 @@ every call).
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.common.sourceloc import encode_location
 from repro.core.deps import DependenceStore
@@ -138,9 +140,10 @@ PROFILERS = {"reference": reference_profile, "vectorized": kernel_profile}
 
 def reference_pipeline(batch: TraceBatch, cfg, window: int = 1 << 15):
     """Reference-worker oracle for ``ParallelProfiler``: windows routed by
-    ``route_window``, each worker's rows cut into chunks as a worker process
-    cuts them (so provenance chunk ids match processes mode), and every
-    worker a :func:`reference_engine` with ``slots_per_worker`` slots.
+    ``route_window``, each worker's rows cut into ``chunk_size`` chunks as
+    one stream across windows, as a pipeline worker cuts them (so provenance
+    chunk ids match both transports), and every worker a
+    :func:`reference_engine` with ``slots_per_worker`` slots.
 
     Returns ``(store, engines, registry)``; each engine carries its
     worker's ``stats`` and ``provenance``.
@@ -151,13 +154,15 @@ def reference_pipeline(batch: TraceBatch, cfg, window: int = 1 << 15):
         for w in range(cfg.workers)
     ]
     amap = AddressMap(cfg.workers, bank_geometry=cfg.bank_geometry)
-    for s in range(0, len(batch), window):
-        route = route_window(batch, s, min(s + window, len(batch)), amap)
-        for w, eng in enumerate(engines):
-            rows = route.rows_for(w)
-            for i in range(0, len(rows), cfg.chunk_size):
-                eng.provenance.chunk += 1  # worker-local seq from 0 (starts at -1)
-                eng.process(batch.select(rows[i : i + cfg.chunk_size]))
+    routes = [
+        route_window(batch, s, min(s + window, len(batch)), amap)
+        for s in range(0, len(batch), window)
+    ]
+    for w, eng in enumerate(engines):
+        rows = np.concatenate([r.rows_for(w) for r in routes] or [np.empty(0, np.int64)])
+        for i in range(0, len(rows), cfg.chunk_size):
+            eng.provenance.chunk += 1  # worker-local seq from 0 (starts at -1)
+            eng.process(batch.select(rows[i : i + cfg.chunk_size]))
     store = DependenceStore()
     for eng in engines:
         store.merge(eng.store)
