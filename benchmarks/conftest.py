@@ -94,21 +94,21 @@ def bench_record(bench_session, request):
 
 @pytest.fixture
 def metrics_registry(tmp_path, request):
-    """A metrics registry writing its event stream to a throwaway file.
+    """A metrics registry writing its telemetry stream to a throwaway file.
 
-    Pass it as ``registry=`` to any profiler; span/sample/snapshot events
-    are written to ``<tmp_path>/<test_name>.metrics.jsonl``.  Tests that
-    need the stream read it back via ``reg.sink.path``; nothing lands in
-    ``benchmarks/results/`` (checked-in artifacts are the curated ``*.txt``
-    / ``*.csv`` tables only).
+    Pass it as ``registry=`` to any profiler; the stream (registry deltas
+    at the default cadence plus sample/rebalance records, closed by a
+    ``final`` snapshot) goes to ``<tmp_path>/<test_name>.metrics.jsonl``.
+    Tests that need the stream read it back via ``reg.sink.path``; nothing
+    lands in ``benchmarks/results/`` (checked-in artifacts are the curated
+    ``*.txt`` / ``*.csv`` tables only).
     """
-    from repro.obs import JsonlSink, MetricsRegistry
+    from repro.obs import MetricsRegistry, TelemetryStreamer
 
     path = tmp_path / f"{request.node.name}.metrics.jsonl"
-    reg = MetricsRegistry(JsonlSink(path))
-    yield reg
-    reg.emit({"type": "snapshot", **reg.snapshot()})
-    reg.close()
+    reg = MetricsRegistry()
+    with TelemetryStreamer(reg, path):
+        yield reg
 
 
 @pytest.fixture(scope="session")

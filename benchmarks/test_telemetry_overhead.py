@@ -1,24 +1,25 @@
 """Telemetry overhead: instrumented vs. uninstrumented profiling runs.
 
 The observability layer promises near-zero cost when no sink is attached
-(counters are plain attribute bumps; event construction is guarded by
-``sink.enabled``) and modest cost with the JSONL sink on.  This experiment
-measures both deltas on a real pipeline run, records the overhead ratios
-into the ``obs`` suite record (with the tracing budget declared as a
-ceiling on the metric itself), and folds the instrumented run's own
-pipeline-health numbers — producer fast-path share, load imbalance — into
-the same record through :meth:`BenchRecorder.record_run_report`.
+(counters are plain attribute bumps; record construction is guarded by
+``sink.enabled``) and modest cost with the telemetry stream on.  This
+experiment measures both deltas on a real pipeline run, records the
+overhead ratios into the ``obs`` suite record (with the tracing budget
+declared as a ceiling on the metric itself), and folds the instrumented
+run's own pipeline-health numbers — producer fast-path share, load
+imbalance — into the same record through
+:meth:`BenchRecorder.record_run_report`.
 """
 
 from repro.common.config import ProfilerConfig
 from repro.obs import (
     NULL_TRACER,
-    JsonlSink,
     MetricsRegistry,
     RunReport,
+    TelemetryStreamer,
     Tracer,
-    read_jsonl,
     repeat_timed,
+    replay_stream,
 )
 from repro.parallel import ParallelProfiler
 from repro.workloads import get_trace
@@ -46,31 +47,35 @@ def _timed(batch, make_registry, repeats=3):
 
 
 def test_telemetry_overhead(benchmark, bench_record, tmp_path):
-    """Null-sink and JSONL-sink overhead against the uninstrumented run.
-    Each round runs the two instrumented configurations next to a plain
-    run, so machine drift cancels; the gated values are the median
+    """Null-sink and telemetry-stream overhead against the uninstrumented
+    run (the JSONL arm writes the run's one stream at its default
+    cadence).  Each round runs the two instrumented configurations next to
+    a plain run, so machine drift cancels; the gated values are the median
     pairwise ratios, and their spread is the metric's noise band."""
     import time
 
     batch = get_trace("kmeans")
-    sinks = []
 
-    def once(registry):
+    def once(registry, stream_path=None):
         t0 = time.perf_counter()
-        out = _run(batch, registry)
+        if stream_path is None:
+            out = _run(batch, registry)
+        else:
+            with TelemetryStreamer(registry, stream_path):
+                out = _run(batch, registry)
         return time.perf_counter() - t0, out
 
-    def jsonl_registry(k):
-        sinks.append(JsonlSink(tmp_path / f"telemetry-{k}.jsonl"))
-        return MetricsRegistry(sinks[-1])
+    def jsonl_path(k):
+        return tmp_path / f"telemetry-{k}.jsonl"
 
-    once(None), once(MetricsRegistry()), once(jsonl_registry("warmup"))
+    once(None), once(MetricsRegistry())
+    once(MetricsRegistry(), jsonl_path("warmup"))
     plain_s, null_s, jsonl_s = [], [], []
     for k in range(7):
         dt, (r_counters, _) = once(MetricsRegistry())
         null_s.append(dt)
-        jsonl_reg = jsonl_registry(k)
-        dt, (r_jsonl, info_jsonl) = once(jsonl_reg)
+        jsonl_reg = MetricsRegistry()
+        dt, (r_jsonl, info_jsonl) = once(jsonl_reg, jsonl_path(k))
         jsonl_s.append(dt)
         dt, (r_plain, _) = once(None)
         plain_s.append(dt)
@@ -111,8 +116,6 @@ def test_telemetry_overhead(benchmark, bench_record, tmp_path):
     # record.
     report = RunReport.build(jsonl_reg, r_jsonl, info_jsonl, workload="kmeans")
     bench_record.record_run_report(report, "obs.kmeans_pipeline")
-    for sink in sinks:
-        sink.close()
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
@@ -287,8 +290,6 @@ def test_streaming_overhead_guard(benchmark, bench_record, tmp_path):
     import statistics
     import time
 
-    from repro.obs import TelemetryStreamer, replay_stream
-
     batch = get_trace("kmeans")
     stream_path = tmp_path / "stream.jsonl"
 
@@ -336,17 +337,19 @@ def test_streaming_overhead_guard(benchmark, bench_record, tmp_path):
 
 
 def test_metrics_jsonl_event_stream(metrics_registry, results_dir, benchmark):
-    """The fixture captures a readable JSONL event stream — in a temp dir,
+    """The fixture captures a readable telemetry stream — in a temp dir,
     never under ``benchmarks/results/`` (only curated tables are checked
-    in)."""
+    in) — whose deltas carry the run's spans."""
     batch = get_trace("ep")
     ParallelProfiler(PERFECT.with_(workers=2), registry=metrics_registry).profile(batch)
-    metrics_registry.sink.flush()
-    path = metrics_registry.sink.path
+    stream = metrics_registry.sink
+    stream.stop()
+    path = stream.path
     assert path.exists()
     assert results_dir not in path.parents
-    events = read_jsonl(path)
-    assert any(e["type"] == "span" for e in events)
+    replayed, info = replay_stream(path)
+    assert {"route", "drain", "merge"} <= {s.name for s in replayed.spans}
+    assert replayed.snapshot()["counters"] == info["final"]["counters"]
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 

@@ -34,7 +34,6 @@ from repro.core import (
 )
 from repro.minivm import ProgramBuilder, ScheduleConfig, run_program
 from repro.obs import (
-    JsonlSink,
     MemorySink,
     MetricsRegistry,
     NullSink,
@@ -52,7 +51,6 @@ __all__ = [
     "Dependence",
     "DependenceProfiler",
     "DependenceStore",
-    "JsonlSink",
     "MemorySink",
     "MetricsRegistry",
     "NullSink",

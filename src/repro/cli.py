@@ -14,8 +14,8 @@ Subcommands::
     ddprof trace <workload> [...]          pipeline timeline as Chrome trace JSON
     ddprof bench run|compare|report        structured benchmark records + gate
 
-Every profiling subcommand accepts ``--metrics-out FILE`` (write the
-telemetry event stream as JSONL), ``--trace-out FILE`` (record the pipeline
+Every profiling subcommand accepts ``--live-metrics FILE`` (write the run's
+one telemetry stream as JSONL), ``--trace-out FILE`` (record the pipeline
 execution timeline and export Chrome ``trace_event`` JSON — load it in
 Perfetto / ``chrome://tracing``), ``--provenance`` (annotate every reported
 dependence with the workers/chunks/timestamps that produced it and a
@@ -37,7 +37,7 @@ import sys
 from repro.common.config import ProfilerConfig
 from repro.core import format_dependences, profile_trace
 from repro.minivm import ScheduleConfig, run_program
-from repro.obs import JsonlSink, MetricsRegistry, RunReport, Tracer, write_chrome_trace
+from repro.obs import MetricsRegistry, RunReport, Tracer, write_chrome_trace
 
 
 def _run_id_arg(value: str) -> str:
@@ -71,10 +71,6 @@ def _profiler_args(p: argparse.ArgumentParser) -> None:
         help="pipeline execution mode; giving it routes the run through the "
         "parallel pipeline ('processes' = real multi-core, forked workers "
         "that inherit the trace; needs fork; see docs/parallel.md)",
-    )
-    p.add_argument(
-        "--metrics-out", metavar="FILE", default=None,
-        help="write the telemetry event stream (JSONL) to FILE",
     )
     p.add_argument(
         "--trace-out", metavar="FILE", default=None,
@@ -115,13 +111,9 @@ def _profiler_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--live-metrics", metavar="FILE", default=None,
-        help="stream delta snapshots of the metrics registry to FILE as "
-        "JSONL while the run executes (tail it for a live view)",
-    )
-    p.add_argument(
-        "--log-json", metavar="FILE", default=None,
-        help="write correlated structured logs (JSON lines, stamped with "
-        "the run id) to FILE; '-' logs to stderr",
+        help="write the run's telemetry stream to FILE as JSONL while it "
+        "executes: registry deltas plus sample, rebalance and heartbeat "
+        "records (tail it for a live view)",
     )
     p.add_argument(
         "--http-port", type=int, metavar="N", default=None,
@@ -168,22 +160,26 @@ def _config_from(args: argparse.Namespace) -> ProfilerConfig:
 
 
 class _TelemetryPlane:
-    """The CLI run's live surfaces: streamer, HTTP exporter, log stream.
+    """The CLI run's live surfaces: the telemetry stream and HTTP exporter.
 
     Owned by ``args`` so the report path (:func:`_report_from`) can tear the
-    plane down in the right order: streamer final records first, then the
-    HTTP exporter (after an optional linger window so external scrapers can
-    collect the final state), then the log stream.
+    plane down in the right order: the stream's final record first, then
+    the HTTP exporter (after an optional linger window so external
+    scrapers can collect the final state).
     """
 
     def __init__(self, registry: MetricsRegistry, args: argparse.Namespace) -> None:
         from repro.obs import TelemetryHTTPServer, TelemetryStreamer
 
         self.registry = registry
-        self.log_stream = None  # owned file handle, None for stderr/disabled
         self.linger_s = float(getattr(args, "http_linger", 0.0) or 0.0)
         self.streamer = (
-            TelemetryStreamer(registry, args.live_metrics)
+            TelemetryStreamer(
+                registry,
+                args.live_metrics,
+                command=getattr(args, "command", None),
+                workload=getattr(args, "workload", None),
+            )
             if getattr(args, "live_metrics", None)
             else None
         )
@@ -205,11 +201,13 @@ class _TelemetryPlane:
                 file=sys.stderr,
             )
 
-    def stop(self) -> None:
+    def stop(self, **final) -> None:
+        """Close the stream (``final`` fields ride on its last record),
+        then the HTTP exporter.  Idempotent."""
         import time
 
         if self.streamer is not None:
-            self.streamer.stop()
+            self.streamer.stop(**final)
             self.streamer = None
         if self.httpd is not None:
             if self.linger_s > 0:
@@ -220,46 +218,27 @@ class _TelemetryPlane:
                 time.sleep(self.linger_s)
             self.httpd.stop()
             self.httpd = None
-        if self.log_stream is not None:
-            self.log_stream.close()
-            self.log_stream = None
 
 
 def _registry_from(args: argparse.Namespace) -> MetricsRegistry:
-    """Telemetry registry for one CLI run (JSONL sink / tracer on request).
+    """Telemetry registry for one CLI run (stream / tracer on request).
 
-    Every CLI run gets a fresh ``run_id``; it is stamped on sink events,
-    log lines, stream records, the trace export, and the run report, so all
+    Every CLI run gets a fresh ``run_id``; it is stamped on every stream
+    record, the trace export, the run report and the ledger bundle, so all
     of one run's telemetry artifacts can be joined on it.
     """
-    from repro.obs import StructLogger, new_run_id
+    from repro.obs import new_run_id
 
     run_id = getattr(args, "run_id", None) or new_run_id()
-    sink = JsonlSink(args.metrics_out) if args.metrics_out else None
     tracer = (
         Tracer(run_id=run_id) if getattr(args, "trace_out", None) else None
     )
-    log = None
-    log_path = getattr(args, "log_json", None)
-    owned_stream = None
-    if log_path:
-        if log_path == "-":
-            stream = sys.stderr
-        else:
-            stream = owned_stream = open(log_path, "w", encoding="utf-8")
-        log = StructLogger(stream, run_id=run_id)
-    reg = MetricsRegistry(sink, tracer=tracer, run_id=run_id, log=log)
+    reg = MetricsRegistry(tracer=tracer, run_id=run_id)
     plane = _TelemetryPlane(reg, args)
-    plane.log_stream = owned_stream
     plane.start()
     args._plane = plane
     args._registry = reg
     args._ledger = _ledger_from(args, run_id)
-    reg.log.info(
-        "run.start",
-        command=getattr(args, "command", None),
-        workload=getattr(args, "workload", None),
-    )
     return reg
 
 
@@ -294,9 +273,7 @@ def _ledger_from(args: argparse.Namespace, run_id: str):
 def _report_from(
     args: argparse.Namespace, reg: MetricsRegistry, result=None, info=None
 ) -> RunReport:
-    """Freeze telemetry: final snapshot event, close the sink, build report."""
-    reg.emit({"type": "snapshot", **reg.snapshot()})
-    reg.close()
+    """Build the report, write the ledger bundle, close the live plane."""
     report = RunReport.build(
         reg,
         result,
@@ -306,13 +283,12 @@ def _report_from(
         engine="pipeline" if info is not None else "sequential",
     )
     ledger = getattr(args, "_ledger", None)
+    path = None
     if ledger is not None:
         path = ledger.finalize(reg, report, result=result, info=info)
-        reg.log.info("ledger.write", path=str(path))
-    reg.log.info("run.finish", phases=len(report.phases))
     plane = getattr(args, "_plane", None)
     if plane is not None:
-        plane.stop()
+        plane.stop(ledger=path)
     return report
 
 
@@ -1210,9 +1186,10 @@ def main(argv: list[str] | None = None) -> int:
 
         ledger = getattr(args, "_ledger", None)
         reg = getattr(args, "_registry", None)
+        path = None
         if ledger is not None and not ledger.finalized and reg is not None:
             with contextlib.suppress(Exception):
-                ledger.finalize(
+                path = ledger.finalize(
                     reg,
                     status="crashed",
                     error=f"{type(exc).__name__}: {exc}",
@@ -1220,7 +1197,7 @@ def main(argv: list[str] | None = None) -> int:
         plane = getattr(args, "_plane", None)
         if plane is not None:
             with contextlib.suppress(Exception):
-                plane.stop()
+                plane.stop(ledger=path)
         raise
 
 

@@ -7,9 +7,12 @@ depend on it without cycles:
 * :class:`MetricsRegistry` + :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` — the instrument registry (``metrics``);
 * ``registry.span(name)`` — phase timing as a context manager;
-* :class:`Sampler` — periodic gauge sampling into time-series events;
-* sinks — :class:`NullSink` (default, zero overhead), :class:`MemorySink`,
-  :class:`JsonlSink`, :class:`TeeSink`;
+* :class:`Sampler` — periodic gauge sampling into ``sample`` records;
+* :class:`TelemetryStreamer` — the run's one telemetry stream: registry
+  deltas plus the discrete records (``sample``, ``rebalance``,
+  ``heartbeat``) in one JSONL file, folded back by :func:`replay_stream`;
+* sinks — :class:`NullSink` (default, zero overhead) and
+  :class:`MemorySink` (tests); the streamer is the one file sink;
 * :class:`Tracer` / :class:`NullTracer` — the execution-timeline plane
   (``tracing``), exportable as Chrome ``trace_event`` JSON
   (``chrometrace``);
@@ -23,7 +26,7 @@ depend on it without cycles:
   the run report (``environment``).
 
 Hot-path contract: plain counters are always live (an ``inc()`` is one
-integer add), while *event* construction is guarded by ``sink.enabled``
+integer add), while *record* construction is guarded by ``sink.enabled``
 and timeline recording by ``tracer.enabled``, so a run without a
 configured sink or tracer does no extra allocation.
 """
@@ -70,10 +73,10 @@ from repro.obs.ledger import (
     gc_ledger,
     list_runs,
     load_bundle,
+    new_run_id,
     resolve_bundle,
     validate_run_id,
 )
-from repro.obs.log import NULL_LOG, NullLogger, StructLogger, new_run_id
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -100,14 +103,7 @@ from repro.obs.rundiff import (
     diff_bundles,
 )
 from repro.obs.sampler import Sampler, deadline_loop
-from repro.obs.sinks import (
-    JsonlSink,
-    MemorySink,
-    NullSink,
-    Sink,
-    TeeSink,
-    read_jsonl,
-)
+from repro.obs.sinks import MemorySink, NullSink, Sink, read_jsonl
 from repro.obs.streamer import TelemetryStreamer, replay_stream, state_delta
 from repro.obs.top import render_top, run_top
 from repro.obs.tracing import (
@@ -129,16 +125,13 @@ __all__ = [
     "HEARTBEAT_STATES",
     "HEAT_BOUNDS",
     "Histogram",
-    "JsonlSink",
     "MAIN_TRACK",
     "MemorySink",
     "MetricComparison",
     "MetricDelta",
     "MetricRecord",
     "MetricsRegistry",
-    "NULL_LOG",
     "NULL_TRACER",
-    "NullLogger",
     "NullSink",
     "NullTracer",
     "ProvenanceCollector",
@@ -149,8 +142,6 @@ __all__ = [
     "Sampler",
     "Sink",
     "SpanRecord",
-    "StructLogger",
-    "TeeSink",
     "TelemetryHTTPServer",
     "TelemetryStreamer",
     "TimedSamples",

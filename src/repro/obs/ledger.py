@@ -34,6 +34,7 @@ import hashlib
 import json
 import os
 import shutil
+import uuid
 from pathlib import Path
 from typing import Any, TYPE_CHECKING
 
@@ -60,6 +61,11 @@ def default_ledger_dir() -> Path:
     """``DDPROF_LEDGER`` env override, else ``~/.ddprof/runs``."""
     env = os.environ.get("DDPROF_LEDGER")
     return Path(env) if env else Path.home() / ".ddprof" / "runs"
+
+
+def new_run_id() -> str:
+    """A fresh 12-hex-char correlation id for one profiling run."""
+    return uuid.uuid4().hex[:12]
 
 
 def validate_run_id(run_id: str) -> str:

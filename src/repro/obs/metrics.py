@@ -17,7 +17,7 @@ deliberately tiny so the profiler's hot paths can own them directly:
 Metrics are identified by ``(name, labels)``; ``registry.counter("x",
 worker=3)`` returns the same object on every call.  A
 :class:`MetricsRegistry` also times phases via :meth:`MetricsRegistry.span`
-and forwards structured events to its sink (``NullSink`` by default — see
+and forwards discrete records to its sink (``NullSink`` by default — see
 :mod:`repro.obs.sinks` for the zero-overhead contract).
 """
 
@@ -27,7 +27,6 @@ import time
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
-from repro.obs.log import NULL_LOG, NullLogger, StructLogger
 from repro.obs.sinks import NULL_SINK, Sink
 from repro.obs.tracing import MAIN_TRACK, NULL_TRACER, NullTracer, Tracer
 
@@ -169,7 +168,7 @@ class MetricsRegistry:
 
     One registry per profiling run.  Instruments live for the registry's
     lifetime; ``snapshot()`` freezes every value into plain dicts for the
-    run report, and ``emit()`` forwards structured events to the sink.
+    run report, and ``emit()`` forwards discrete records to the sink.
     """
 
     def __init__(
@@ -177,18 +176,15 @@ class MetricsRegistry:
         sink: Sink | None = None,
         tracer: "Tracer | NullTracer | None" = None,
         run_id: str | None = None,
-        log: "StructLogger | NullLogger | None" = None,
     ) -> None:
         self.sink = sink if sink is not None else NULL_SINK
         #: Timeline tracer; the shared ``NULL_TRACER`` by default, so the
         #: untraced hot path is one ``enabled`` check away from free.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Correlation id of this run; when set, every sink event is stamped
-        #: with it (and the CLI propagates the same id into the tracer, the
-        #: structured log, and the run report).
+        #: Correlation id of this run; when set, every sink record is
+        #: stamped with it (and the CLI propagates the same id into the
+        #: tracer, the run report and the ledger bundle).
         self.run_id = run_id
-        #: Structured logger; the shared ``NULL_LOG`` by default.
-        self.log = log if log is not None else NULL_LOG
         self._metrics: dict[tuple[str, LabelKey], Counter | Gauge | Histogram] = {}
         self.spans: list[SpanRecord] = []
 
@@ -237,7 +233,9 @@ class MetricsRegistry:
 
     # -- iteration / snapshot -------------------------------------------------
     def __iter__(self) -> Iterator[Counter | Gauge | Histogram]:
-        return iter(self._metrics.values())
+        # Iterate a copy: the stream thread walks the registry while the
+        # producer (or the watchdog) creates instruments.
+        return iter(list(self._metrics.values()))
 
     def __len__(self) -> int:
         return len(self._metrics)
@@ -333,7 +331,7 @@ class MetricsRegistry:
     # -- spans ----------------------------------------------------------------
     @contextmanager
     def span(self, name: str, **attrs: Any) -> Iterator[None]:
-        """Time a pipeline phase; records a histogram sample + sink event."""
+        """Time a pipeline phase; records a span and a histogram sample."""
         t0 = time.perf_counter()
         try:
             yield
@@ -343,8 +341,6 @@ class MetricsRegistry:
             self.histogram("span.seconds", phase=name).observe(dt)
             if self.tracer.enabled:
                 self.tracer.complete(name, MAIN_TRACK, t0, t0 + dt, **attrs)
-            if self.sink.enabled:
-                self.emit({"type": "span", "phase": name, "seconds": dt, **attrs})
 
     def phase_totals(self) -> dict[str, dict[str, float]]:
         """Per-phase aggregate of recorded spans: total seconds + count."""
@@ -357,7 +353,7 @@ class MetricsRegistry:
 
     # -- events ---------------------------------------------------------------
     def emit(self, event: dict[str, Any]) -> None:
-        """Forward one structured event to the sink (stamped with ``ts``)."""
+        """Forward one discrete record to the sink (stamped with ``ts``)."""
         if not self.sink.enabled:
             return
         if "ts" not in event:

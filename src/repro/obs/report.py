@@ -163,9 +163,9 @@ class RunReport:
     """Frozen view of one run's telemetry."""
 
     meta: dict[str, Any] = field(default_factory=dict)
-    #: Correlation id of the run.  The same id is stamped on every sink
-    #: event, every structured-log line, the telemetry stream, and the
-    #: Chrome trace export, so all planes of one run can be joined on it.
+    #: Correlation id of the run.  The same id is stamped on every record
+    #: of the telemetry stream, the Chrome trace export and the ledger
+    #: bundle, so all planes of one run can be joined on it.
     run_id: str | None = None
     #: Provenance of the machine/commit that produced the run — the same
     #: fingerprint ``BENCH_*.json`` records carry (one shared helper,

@@ -2,9 +2,10 @@
 
 Scalar counters tell you *how much*; the sampler tells you *when*.  It
 polls a set of registered probes (per-worker signature slot occupancy and
-fill, peak RSS, ...) and emits one ``sample`` event per poll carrying every
-probed value, so a JSONL log becomes a time series that can show a
-signature filling up mid-run.
+fill, peak RSS, ...) and emits one ``sample`` record per poll carrying
+every probed value (``n`` numbers the polls), so the run's telemetry
+stream becomes a time series that can show a signature filling up
+mid-run.
 
 The deterministic producer calls :meth:`Sampler.poll` once per trace
 window; polls are rate-limited by ``min_interval_s`` (0 = every call).
@@ -66,7 +67,7 @@ def deadline_loop(
 
 
 class Sampler:
-    """Polls registered probes into gauges + ``sample`` events."""
+    """Polls registered probes into gauges + ``sample`` records."""
 
     def __init__(
         self,
@@ -102,6 +103,6 @@ class Sampler:
         if self.registry.sink.enabled:
             values = {name: float(fn()) for name, fn in self._probes}
             self.registry.emit(
-                {"type": "sample", "seq": self.n_samples, "values": values}
+                {"type": "sample", "n": self.n_samples, "values": values}
             )
         return True

@@ -1,27 +1,27 @@
-"""Telemetry sinks — where emitted events go.
+"""Telemetry sinks — where a registry's discrete records go.
 
-A sink receives *events*: flat dicts with a ``"type"`` key (``span``,
-``sample``, ``rebalance``, ...) plus a ``"ts"`` wall-clock stamp added by the
-registry.  Sinks are deliberately dumb — no buffering policy, no schema —
-so the hot path pays only a dict construction and one call.
+A sink receives *records*: flat dicts with a ``"type"`` key (``sample``,
+``rebalance``, ``heartbeat``) plus the ``"ts"`` wall-clock stamp and
+``"run_id"`` the registry adds.  A run has at most one real sink, the
+:class:`~repro.obs.streamer.TelemetryStreamer`, which writes these records
+into the run's one telemetry stream next to its registry deltas.
 
 ``NullSink`` is the default everywhere.  Its ``enabled`` flag is ``False``,
-which lets instrumented code skip even *building* the event dict::
+which lets instrumented code skip even *building* the record dict::
 
     if registry.sink.enabled:
         registry.emit({"type": "sample", ...})
 
 so a profiler run with no sink configured costs nothing beyond the plain
-integer counters it would keep anyway.
+integer counters it would keep anyway.  ``MemorySink`` keeps records in a
+list for tests.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, IO
-
-from repro.common.errors import ObsError
+from typing import Any
 
 
 class Sink:
@@ -32,21 +32,12 @@ class Sink:
     def emit(self, event: dict[str, Any]) -> None:  # pragma: no cover
         raise NotImplementedError
 
-    def flush(self) -> None:
-        """Push buffered events to durable storage (no-op by default)."""
-
     def close(self) -> None:
-        """Flush and release resources (idempotent)."""
-
-    def __enter__(self) -> "Sink":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
+        """Release resources (idempotent)."""
 
 
 class NullSink(Sink):
-    """Discards everything; ``enabled=False`` disables event construction."""
+    """Discards everything; ``enabled=False`` disables record construction."""
 
     enabled = False
 
@@ -59,7 +50,7 @@ NULL_SINK = NullSink()
 
 
 class MemorySink(Sink):
-    """Keeps events in a list; the unit-test and introspection sink."""
+    """Keeps records in a list; the unit-test and introspection sink."""
 
     def __init__(self) -> None:
         self.events: list[dict[str, Any]] = []
@@ -71,97 +62,8 @@ class MemorySink(Sink):
         return [e for e in self.events if e.get("type") == kind]
 
 
-class JsonlSink(Sink):
-    """Appends one JSON object per line to a file (the event-log format).
-
-    Field order is stable (sorted keys) so logs diff cleanly across runs.
-    The file opens lazily on the first event and is created empty on
-    ``close()`` if nothing was ever emitted — callers can rely on the file
-    existing after a run.
-
-    ``close()`` is idempotent; emitting after close raises
-    :class:`~repro.common.errors.ObsError` instead of a bare I/O error.
-    ``flush_every=N`` flushes to disk every ``N`` events so long runs do
-    not sit on an unbounded OS buffer (0/None = flush only on demand).
-    """
-
-    def __init__(self, path: str | Path, flush_every: int | None = None) -> None:
-        if flush_every is not None and flush_every < 0:
-            raise ValueError("flush_every must be non-negative")
-        self.path = Path(path)
-        self.flush_every = flush_every or 0
-        self._fh: IO[str] | None = None
-        self._closed = False
-        self.n_events = 0
-
-    def _file(self) -> IO[str]:
-        if self._fh is None:
-            self._fh = self.path.open("w", encoding="utf-8")
-        return self._fh
-
-    def emit(self, event: dict[str, Any]) -> None:
-        if self._closed:
-            raise ObsError(f"emit() on closed JsonlSink({self.path})")
-        self._file().write(
-            json.dumps(event, sort_keys=True, separators=(",", ":"), default=str)
-            + "\n"
-        )
-        self.n_events += 1
-        if self.flush_every and self.n_events % self.flush_every == 0:
-            self._fh.flush()  # type: ignore[union-attr]
-
-    def flush(self) -> None:
-        if self._fh is not None:
-            self._fh.flush()
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        if self._fh is None:
-            # Guarantee the file exists even for an event-free run.
-            self.path.touch()
-        else:
-            fh, self._fh = self._fh, None
-            fh.close()
-
-
-class TeeSink(Sink):
-    """Fans every event out to several sinks (e.g. memory + JSONL)."""
-
-    def __init__(self, *sinks: Sink) -> None:
-        self.sinks = [s for s in sinks if s.enabled]
-        self.enabled = bool(self.sinks)
-        self._closed = False
-
-    def emit(self, event: dict[str, Any]) -> None:
-        if self._closed:
-            raise ObsError("emit() on closed TeeSink")
-        for s in self.sinks:
-            s.emit(event)
-
-    def flush(self) -> None:
-        for s in self.sinks:
-            s.flush()
-
-    def close(self) -> None:
-        """Close every member even if one raises (first error re-raised)."""
-        if self._closed:
-            return
-        self._closed = True
-        first: Exception | None = None
-        for s in self.sinks:
-            try:
-                s.close()
-            except Exception as exc:  # noqa: BLE001 - collect, close the rest
-                if first is None:
-                    first = exc
-        if first is not None:
-            raise first
-
-
 def read_jsonl(path: str | Path) -> list[dict[str, Any]]:
-    """Parse a JSONL event log back into dicts (round-trip helper)."""
+    """Parse a JSONL file back into dicts, one per non-blank line."""
     out: list[dict[str, Any]] = []
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         if line.strip():

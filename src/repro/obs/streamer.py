@@ -1,45 +1,55 @@
-"""Live metrics streaming — delta snapshots of a registry as JSONL.
+"""The run's one telemetry stream — registry deltas and discrete records.
 
-The post-hoc planes (``RunReport``, the final ``snapshot`` event) only
-exist once a run finishes; the :class:`TelemetryStreamer` makes the same
-registry observable *while it runs*.  A daemon thread wakes on a
+The post-hoc planes (``RunReport``, the ledger bundle) only exist once a
+run finishes; the :class:`TelemetryStreamer` makes the same registry
+observable *while it runs*, in one JSONL file.  A daemon thread wakes on a
 drift-free deadline grid (:func:`~repro.obs.sampler.deadline_loop`),
 freezes the registry with :meth:`~repro.obs.metrics.MetricsRegistry.state`,
-and emits only what changed since the previous tick as one schema-versioned
-JSONL record.  Because deltas are expressed in the exact shape
+and writes only what changed since the previous tick as one ``delta``
+record.  Deltas have the exact shape
 :meth:`~repro.obs.metrics.MetricsRegistry.merge_state` consumes — counters
 as increments, gauges as last values, histograms as bucket-count deltas,
-spans as the newly appended records — a consumer reconstructs the live
-registry at any point by folding records in order; :func:`replay_stream`
-does exactly that and is the round-trip test's oracle.
+spans as the newly appended records — so a consumer rebuilds the live
+registry at any point by folding them in order; :func:`replay_stream`
+does exactly that and is the round-trip tests' oracle.
 
-Stream layout (``ddprof.telemetry-stream/1``)::
+The streamer is also the registry's sink: the discrete records the
+pipeline emits (``sample`` from the producer, ``rebalance`` at a
+redistribution round, ``heartbeat`` from the processes-mode watchdog)
+land in the same file.  One lock orders all writers, so ``seq`` counts
+records 0, 1, 2, ... in file order whichever thread wrote them.
 
-    {"type": "header", "schema": ..., "run_id": ..., "interval_s": ..., "ts": ...}
-    {"type": "delta", "seq": 1, "run_id": ..., "ts": ...,
-     "counters": [[name, [[k, v], ...], increment], ...],
+Stream layout (``ddprof.telemetry-stream/2``); every record carries
+``type``, ``seq``, ``ts`` and ``run_id``::
+
+    {"type": "header", "seq": 0, "schema": ..., "interval_s": ...,
+     "command": ..., "workload": ...}
+    {"type": "delta", "seq": 1, "counters": [[name, [[k, v], ...], inc], ...],
      "gauges": [...], "histograms": [...], "spans": [...]}
+    {"type": "sample", "seq": 2, "n": 1, "values": {...}}
+    {"type": "heartbeat", "seq": 3, "worker": 1, "state": "stalled", ...}
     ...
-    {"type": "final", "seq": N, ...full display snapshot..., "deltas": N-?}
+    {"type": "final", "seq": N, ...full display snapshot..., "ledger": ...}
 
-Every record carries the run's ``run_id``, so a live scraper tailing the
-file can join it against the metrics event log and the structured log
-stream.  Ticks on which nothing changed emit nothing — an idle run costs
-one ``state()`` walk per interval and zero I/O.
+Every record is written and flushed as one line, so a reader tailing the
+file never sees a torn record.  Ticks on which nothing changed write
+nothing — an idle run costs one ``state()`` walk per interval and zero I/O.
 """
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from pathlib import Path
 from typing import Any
 
+from repro.common.errors import ObsError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sampler import deadline_loop
-from repro.obs.sinks import JsonlSink, Sink
+from repro.obs.sinks import Sink, read_jsonl
 
-SCHEMA = "ddprof.telemetry-stream/1"
+SCHEMA = "ddprof.telemetry-stream/2"
 
 #: Default emission cadence (seconds) — coarse enough to stay far off the
 #: hot path, fine enough that a dashboard feels live.
@@ -113,60 +123,76 @@ def is_empty_delta(delta: dict[str, Any]) -> bool:
     )
 
 
-class TelemetryStreamer:
-    """Streams registry deltas to a JSONL sink on a fixed cadence.
+class TelemetryStreamer(Sink):
+    """Writes a run's registry deltas and discrete records to one file.
 
-    Pass a path (the streamer owns and closes a :class:`JsonlSink` with
-    per-record flushing, so tailing the file always sees whole lines) or
-    any :class:`Sink` (caller keeps ownership).  Driving is either
-    threaded (:meth:`start` / :meth:`stop`) or manual (:meth:`tick` from a
-    producer loop, mirroring the :class:`~repro.obs.sampler.Sampler`).
+    Construction opens ``path``, writes the ``header`` record (``meta``
+    fields ride on it) and installs the streamer as ``registry.sink``, so
+    the file exists from the start of any run that asked for it.  Driving
+    is either threaded (:meth:`start` / :meth:`stop`) or manual
+    (:meth:`tick`).
 
     :meth:`stop` takes one final delta tick and appends a ``final`` record
-    with the full display snapshot, so a consumer that only reads the last
-    line still gets the end-of-run totals.
+    with the full display snapshot (plus any fields passed to it), so a
+    consumer that only reads the last line still gets the end-of-run
+    totals.  ``stop`` and ``close`` are idempotent; emitting after either
+    raises :class:`~repro.common.errors.ObsError`.
     """
 
     def __init__(
         self,
         registry: MetricsRegistry,
-        sink: Sink | str | Path,
+        path: str | Path,
         interval_s: float = DEFAULT_INTERVAL_S,
-        run_id: str | None = None,
+        **meta: Any,
     ) -> None:
         if interval_s <= 0:
             raise ValueError("interval_s must be positive")
         self.registry = registry
-        if isinstance(sink, Sink):
-            self.sink = sink
-            self._own_sink = False
-        else:
-            self.sink = JsonlSink(sink, flush_every=1)
-            self._own_sink = True
+        self.path = Path(path)
         self.interval_s = interval_s
-        self.run_id = run_id if run_id is not None else registry.run_id
+        self.run_id = registry.run_id
+        #: Records written so far; the next record's ``seq``.
         self.seq = 0
-        self.n_records = 0
         self.ticks_missed = 0
         self._prev: dict[str, Any] | None = None
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
         self._lock = threading.Lock()
         self._closed = False
+        self._fh = self.path.open("w", encoding="utf-8")
+        self._write(
+            {"type": "header", "schema": SCHEMA, "interval_s": interval_s, **meta}
+        )
+        registry.sink = self
 
     # -- record emission ----------------------------------------------------
-    def _emit(self, record: dict[str, Any]) -> None:
+    def _write(self, record: dict[str, Any]) -> None:
+        """Stamp and write one record; the caller holds ``_lock``."""
+        if self._closed:
+            raise ObsError(f"emit() on closed telemetry stream ({self.path})")
+        record["seq"] = self.seq
         record["ts"] = round(time.time(), 6)
         if self.run_id is not None:
             record["run_id"] = self.run_id
-        self.sink.emit(record)
-        self.n_records += 1
+        self._fh.write(
+            json.dumps(record, sort_keys=True, separators=(",", ":"), default=str)
+            + "\n"
+        )
+        self._fh.flush()
+        self.seq += 1
+
+    def emit(self, event: dict[str, Any]) -> None:
+        """Write one discrete record (``sample``, ``rebalance``, ...)."""
+        with self._lock:
+            self._write(event)
 
     def tick(self) -> bool:
-        """Emit one delta record if anything changed; True when emitted.
+        """Write one delta record if anything changed; True when written.
 
-        Serialized by a lock: the final forced tick from :meth:`stop` and a
-        late grid tick from the thread cannot interleave their state reads.
+        Serialized by the lock: the final forced tick from :meth:`stop` and
+        a late grid tick from the thread cannot interleave their state
+        reads.
         """
         with self._lock:
             if self._closed:
@@ -176,18 +202,14 @@ class TelemetryStreamer:
             self._prev = cur
             if is_empty_delta(delta):
                 return False
-            self.seq += 1
-            self._emit({"type": "delta", "seq": self.seq, **delta})
+            self._write({"type": "delta", **delta})
             return True
 
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> None:
-        """Write the header record and start the streaming thread."""
+        """Start the streaming thread."""
         if self._thread is not None:
             return
-        self._emit(
-            {"type": "header", "schema": SCHEMA, "interval_s": self.interval_s}
-        )
         self._stop.clear()
 
         def on_missed(n: int) -> None:
@@ -202,11 +224,13 @@ class TelemetryStreamer:
         )
         self._thread.start()
 
-    def stop(self) -> None:
-        """Final delta + ``final`` full-snapshot record; close an owned sink.
+    def stop(self, **final: Any) -> None:
+        """Final delta + ``final`` full-snapshot record, then close the file.
 
-        Idempotent, and safe to call without :meth:`start` (manual driving):
-        the trailing records are written exactly once.
+        ``final`` fields (the CLI passes the ledger bundle path) ride on the
+        ``final`` record.  Idempotent, and safe to call without
+        :meth:`start` (manual driving): the trailing records are written
+        exactly once.
         """
         if self._closed:
             return
@@ -216,14 +240,14 @@ class TelemetryStreamer:
             self._thread = None
         self.tick()  # flush whatever changed since the last grid point
         with self._lock:
+            if self._closed:
+                return
+            self._write({"type": "final", **self.registry.snapshot(), **final})
             self._closed = True
-            self.seq += 1
-            self._emit(
-                {"type": "final", "seq": self.seq, **self.registry.snapshot()}
-            )
-            self.sink.flush()
-            if self._own_sink:
-                self.sink.close()
+            self._fh.close()
+
+    def close(self) -> None:
+        self.stop()
 
     @property
     def running(self) -> bool:
@@ -238,23 +262,24 @@ class TelemetryStreamer:
 
 
 def replay_stream(path: str | Path) -> tuple[MetricsRegistry, dict[str, Any]]:
-    """Reconstruct a registry from a streamed JSONL file.
+    """Reconstruct a registry from a telemetry stream file.
 
     Folds every ``delta`` record into a fresh registry via ``merge_state``
-    and returns ``(registry, info)`` where ``info`` carries the header
-    fields, the record counts, and the embedded ``final`` snapshot (if the
-    stream was closed cleanly).  The round-trip contract —
+    and returns ``(registry, info)``.  ``info`` carries the ``header``
+    record, the embedded ``final`` snapshot (if the stream was closed
+    cleanly), the delta count, the set of ``run_ids`` seen, and
+    ``records``: every discrete record (``sample``, ``rebalance``,
+    ``heartbeat``) in file order.  The round-trip contract —
     ``replay_stream(p)[0].snapshot() == final snapshot`` — is what makes
     the stream a faithful live view rather than a lossy log.
     """
-    from repro.obs.sinks import read_jsonl
-
     reg = MetricsRegistry()
     info: dict[str, Any] = {
         "header": None,
         "final": None,
         "n_deltas": 0,
         "run_ids": set(),
+        "records": [],
     }
     for rec in read_jsonl(path):
         if "run_id" in rec:
@@ -274,4 +299,6 @@ def replay_stream(path: str | Path) -> tuple[MetricsRegistry, dict[str, Any]]:
             )
         elif kind == "final":
             info["final"] = rec
+        else:
+            info["records"].append(rec)
     return reg, info

@@ -148,7 +148,7 @@ class Tracer:
         self.max_events = max_events
         #: Correlation id of the run this timeline belongs to (lands in the
         #: Chrome trace export's ``otherData`` so a trace file can be matched
-        #: to its metrics/log streams).
+        #: to its telemetry stream).
         self.run_id = run_id
         self.events: list[TraceEvent] = []
         self.track_names: dict[int, str] = {MAIN_TRACK: "main"}

@@ -45,9 +45,10 @@ and a :class:`~repro.obs.sampler.Sampler` scrapes signature fill and peak
 RSS once per producer window in deterministic mode.
 :class:`ParallelRunInfo` and the aggregate
 :class:`~repro.core.result.ProfileStats` are derived *views* of that
-registry rather than independently maintained bookkeeping.  Pass a
-registry with a sink to capture the event stream; the default private
-registry has a ``NullSink`` and costs only the plain counters.
+registry rather than independently maintained bookkeeping.  Attach a
+:class:`~repro.obs.streamer.TelemetryStreamer` to the registry to capture
+the run's telemetry stream; the default private registry has a
+``NullSink`` and costs only the plain counters.
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ class ParallelProfiler:
         #: ``0`` disables the heartbeat plane entirely.
         self.heartbeat_interval = heartbeat_interval
         #: Telemetry registry; ``None`` means each run builds a private
-        #: sinkless one (counters still work, no event stream).
+        #: sinkless one (counters still work, no telemetry stream).
         self.registry = registry
         #: When True, every worker keeps a :class:`ProvenanceCollector`
         #: (attributing each dependence to worker/chunk/timestamps) and the
@@ -238,10 +239,9 @@ class ParallelProfiler:
             parts, chunk_log, rebalance_audit = transport(batch, loop_index, reg)
             store, prov, stats = self._merge(reg, parts)
         finally:
-            # Telemetry written so far must survive a failure propagating
-            # out of this frame: flush (never close — the caller may still
-            # emit a final snapshot) and checkpoint on every path.
-            reg.sink.flush()
+            # Checkpoint on every path.  The sink stays open: the caller
+            # writes the stream's final record, and the stream flushed
+            # every record it wrote before a failure.
             self._ledger_checkpoint(reg)
         # The per-worker sums double-count broadcast rows; the producer's
         # facts replace them.
@@ -354,15 +354,20 @@ class ParallelProfiler:
             prev = post_rebalance_imbalance[0]
             if prev is not None and imbalance <= prev * 1.1:
                 return
+            decision = rebalancer.rebalance(stats)
+            post_rebalance_imbalance[0] = rebalancer.imbalance(stats)
+            if not (decision.n_moves or decision.n_bank_moves):
+                return  # nothing migrates, so nothing needs to quiesce
             # Quiesce: rows held in partial chunks were routed under the old
             # rules and must land in their worker's trackers *before* state
             # is exported, or the migrated bank would miss them (surfacing
-            # as phantom INIT dependences).
+            # as phantom INIT dependences).  The marker closes the epoch in
+            # the chunk log, so the cost model replays the quiesce.
             t0 = time.perf_counter() if tracer.enabled else 0.0
             flush_all()
             if tracer.enabled:
                 tracer.complete("pipeline.quiesce", MAIN_TRACK, t0)
-            decision = rebalancer.rebalance(stats)
+            chunk_log.append((-1, 0))
             for addr, old, new in decision.moves:
                 r, wrec = workers[old].migrate_out(addr)
                 workers[new].migrate_in(addr, r, wrec)
@@ -376,9 +381,6 @@ class ParallelProfiler:
                     if w == new:
                         continue
                     workers[new].migrate_bank_in(worker.migrate_bank_out(bank))
-            post_rebalance_imbalance[0] = rebalancer.imbalance(stats)
-            if decision.n_moves or decision.n_bank_moves:
-                chunk_log.append((-1, 0))
 
         # ---- producer loop over windows of the trace ------------------
         bcast_counter = reg.counter("pipeline.broadcast_rows")
@@ -414,9 +416,8 @@ class ParallelProfiler:
                     maybe_rebalance()
                 if release is not None:
                     upto = min(worker.resume_row(e) for worker in workers)
-                    if upto - released_upto >= (1 << 22):
-                        release(released_upto, upto)
-                        released_upto = upto
+                    release(released_upto, upto)
+                    released_upto = upto
 
             # ---- flush + publish ------------------------------------------
             with reg.span("drain"):

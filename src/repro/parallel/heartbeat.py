@@ -19,10 +19,12 @@ health *observable while the run executes*.  Two halves:
   the *single* source of truth every consumer reads
   (:func:`~repro.obs.report.liveness_summary`, the HTTP ``/healthz``
   endpoint, the run report's liveness section).  Stall episodes additionally
-  bump a ``worker.heartbeat.stalls`` counter, land in the structured log,
-  and are recorded as ``worker.heartbeat_stall`` slices on the worker's
-  tracer track (the ``_stall`` suffix folds them into the existing
-  busy/stall/idle timeline accounting).
+  bump a ``worker.heartbeat.stalls`` counter and are recorded as
+  ``worker.heartbeat_stall`` slices on the worker's tracer track (the
+  ``_stall`` suffix folds them into the existing busy/stall/idle timeline
+  accounting).  Each transition to ``stalled`` or ``dead``, and each
+  recovery from a stall, is one ``heartbeat`` record in the run's
+  telemetry stream.
 
 The watchdog only ever *reports* — recovery (kill, raise, rebalance) stays
 with the engine, whose queue timeouts already guarantee the parent cannot
@@ -190,22 +192,17 @@ class WorkerWatchdog:
             if state == STATE_STALLED and prev != STATE_STALLED:
                 self._stall_t0[w] = now - age  # stall began at the last beat
                 reg.counter("worker.heartbeat.stalls", worker=w).inc()
-                reg.log.warning(
-                    "worker.stalled", worker=w,
-                    age_seconds=round(age, 3), beats=self.board.beats(w),
-                )
                 reg.emit(
                     {"type": "heartbeat", "worker": w, "state": "stalled",
-                     "age_seconds": round(age, 6)}
+                     "age_seconds": round(age, 6), "beats": self.board.beats(w)}
                 )
             elif state != STATE_STALLED and prev == STATE_STALLED:
                 self._end_stall(w, now)
                 if state == STATE_LIVE:
-                    reg.log.info("worker.recovered", worker=w)
+                    reg.emit(
+                        {"type": "heartbeat", "worker": w, "state": "recovered"}
+                    )
             if state == STATE_DEAD and prev != STATE_DEAD:
-                reg.log.error(
-                    "worker.dead", worker=w, exitcode=self.exitcodes(w)
-                )
                 reg.emit(
                     {"type": "heartbeat", "worker": w, "state": "dead",
                      "exitcode": self.exitcodes(w)}

@@ -18,6 +18,7 @@ from repro.obs import (
     gc_ledger,
     list_runs,
     load_bundle,
+    new_run_id,
     resolve_bundle,
     validate_run_id,
 )
@@ -29,6 +30,12 @@ PERFECT = ProfilerConfig(perfect_signature=True, workers=2)
 
 
 class TestRunId:
+    def test_new_run_id_shape_and_uniqueness(self):
+        ids = {new_run_id() for _ in range(64)}
+        assert len(ids) == 64
+        assert all(len(i) == 12 and i == i.lower() for i in ids)
+        assert all(validate_run_id(i) == i for i in ids)
+
     @pytest.mark.parametrize("rid", ["a", "run-1", "2026-08-08T12.00.00-ab12"])
     def test_accepts_safe_components(self, rid):
         assert validate_run_id(rid) == rid

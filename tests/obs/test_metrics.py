@@ -87,16 +87,19 @@ class TestFormatName:
 
 
 class TestSpan:
-    def test_span_records_histogram_and_event(self):
+    def test_span_records_histogram_not_a_sink_record(self):
+        """A span lands in ``reg.spans`` and the ``span.seconds`` histogram,
+        which the telemetry stream carries in its deltas; the sink gets no
+        record of its own."""
         sink = MemorySink()
         reg = MetricsRegistry(sink)
-        with reg.span("route"):
+        with reg.span("route", window_start=0):
             pass
         assert len(reg.spans) == 1 and reg.spans[0].name == "route"
+        assert reg.spans[0].attrs == {"window_start": 0}
         h = reg.histogram("span.seconds", phase="route")
         assert h.count == 1
-        [ev] = sink.of_type("span")
-        assert ev["phase"] == "route" and ev["seconds"] >= 0.0 and "ts" in ev
+        assert sink.events == []
 
     def test_span_records_even_on_exception(self):
         reg = MetricsRegistry()
@@ -113,6 +116,20 @@ class TestSpan:
         totals = reg.phase_totals()
         assert totals["route"]["count"] == 3
         assert totals["route"]["seconds"] >= 0.0
+
+
+class TestRunIdStamp:
+    def test_registry_stamps_events_with_run_id(self):
+        sink = MemorySink()
+        reg = MetricsRegistry(sink, run_id="runx")
+        reg.emit({"type": "sample", "n": 1})
+        assert sink.events[0]["run_id"] == "runx"
+
+    def test_no_run_id_no_stamp(self):
+        sink = MemorySink()
+        reg = MetricsRegistry(sink)
+        reg.emit({"type": "sample", "n": 1})
+        assert "run_id" not in sink.events[0]
 
 
 class TestNullSinkOverhead:
@@ -155,7 +172,7 @@ class TestSampler:
         assert len(events) == 2
         assert events[0]["values"]['q.occ{worker="0"}'] == 10.0
         assert events[1]["values"]['q.occ{worker="0"}'] == 11.0
-        assert events[1]["seq"] == 2
+        assert events[1]["n"] == 2 and "seq" not in events[1]
 
     def test_rate_limit(self):
         reg = MetricsRegistry(MemorySink())

@@ -1,9 +1,9 @@
 """Run-report construction, pipeline telemetry views, and the CLI surface.
 
 ``TestStatsCli`` is the acceptance check for the telemetry subsystem:
-``ddprof stats kmeans --metrics-out FILE`` must produce valid JSONL with
-per-phase span durations, per-worker queue occupancy samples, stall
-counters, and signature fill gauges.
+``ddprof stats kmeans --live-metrics FILE`` must produce valid JSONL with
+per-phase span durations, per-worker signature occupancy samples, and a
+final snapshot of every counter and gauge.
 """
 
 import json
@@ -20,7 +20,7 @@ from repro import (
     profile_trace,
 )
 from repro.cli import main
-from repro.obs import read_jsonl
+from repro.obs import read_jsonl, replay_stream
 
 PERFECT = ProfilerConfig(perfect_signature=True)
 
@@ -135,18 +135,17 @@ class TestStatsCli:
         assert doc["meta"]["workload"] == "mg"
         assert doc["parallel"]["workers"] == 2
 
-    def test_stats_metrics_out_acceptance(self, tmp_path, capsys):
-        """The ISSUE acceptance criterion, verbatim."""
+    def test_stats_live_metrics_acceptance(self, tmp_path, capsys):
         path = tmp_path / "m.jsonl"
-        assert main(["stats", "kmeans", "--metrics-out", str(path)]) == 0
+        assert main(["stats", "kmeans", "--live-metrics", str(path)]) == 0
         capsys.readouterr()
         events = read_jsonl(path)  # every line is valid JSON
         assert events
 
-        spans = [e for e in events if e["type"] == "span"]
-        span_phases = {e["phase"] for e in spans}
+        spans = [sp for e in events if e["type"] == "delta" for sp in e["spans"]]
+        span_phases = {name for name, _, _ in spans}
         assert {"trace-build", "route", "drain", "merge"} <= span_phases
-        assert all(e["seconds"] >= 0 for e in spans)
+        assert all(seconds >= 0 for _, seconds, _ in spans)
 
         samples = [e for e in events if e["type"] == "sample"]
         assert samples
@@ -154,12 +153,12 @@ class TestStatsCli:
         assert 'sigmem.occupied{kind="read",worker="0"}' in sample_keys
         assert 'sigmem.occupied{kind="write",worker="3"}' in sample_keys
 
-        snapshots = [e for e in events if e["type"] == "snapshot"]
-        assert len(snapshots) == 1
-        counters = snapshots[0]["counters"]
+        finals = [e for e in events if e["type"] == "final"]
+        assert len(finals) == 1 and events[-1] is finals[0]
+        counters = finals[0]["counters"]
         assert 'worker.chunks{worker="0"}' in counters
         assert 'worker.chunks{worker="3"}' in counters
-        gauges = snapshots[0]["gauges"]
+        gauges = finals[0]["gauges"]
         assert any(g.startswith("sigmem.occupied{") for g in gauges)
 
     def test_stats_prometheus_out(self, tmp_path, capsys):
@@ -174,7 +173,7 @@ class TestStatsCli:
     def test_stats_with_signature_slots_has_fill_ratio(self, tmp_path, capsys):
         path = tmp_path / "m.jsonl"
         assert main(
-            ["stats", "mg", "--slots", "4096", "--metrics-out", str(path)]
+            ["stats", "mg", "--slots", "4096", "--live-metrics", str(path)]
         ) == 0
         capsys.readouterr()
         samples = [e for e in read_jsonl(path) if e["type"] == "sample"]
@@ -191,13 +190,14 @@ class TestStatsCli:
         assert doc["profile"]["accesses"] > 0
         assert {"trace-build", "engine"} <= {p["phase"] for p in doc["phases"]}
 
-    def test_profile_metrics_out(self, tmp_path, capsys):
+    def test_profile_live_metrics(self, tmp_path, capsys):
         path = tmp_path / "p.jsonl"
-        assert main(["profile", "ep", "--metrics-out", str(path)]) == 0
+        assert main(["profile", "ep", "--live-metrics", str(path)]) == 0
         capsys.readouterr()
-        events = read_jsonl(path)
-        assert any(e["type"] == "span" for e in events)
-        assert any(e["type"] == "snapshot" for e in events)
+        replayed, info = replay_stream(path)
+        assert info["header"]["command"] == "profile"
+        assert "engine" in {s.name for s in replayed.spans}
+        assert replayed.snapshot()["counters"] == info["final"]["counters"]
 
     def test_loops_json_flag(self, capsys):
         """loops --json emits a single ddprof.loops/1 document (the run

@@ -1,76 +1,18 @@
-"""Sink behaviour: JSONL event log and Prometheus text export round-trips."""
-
-import json
+"""Sink behaviour and Prometheus text export round-trips."""
 
 import pytest
 
 from repro.common.errors import ObsError
 from repro.obs import (
-    JsonlSink,
-    MemorySink,
     MetricsRegistry,
     NullSink,
-    TeeSink,
     parse_prometheus,
     prometheus_text,
-    read_jsonl,
 )
 from repro.obs.export import escape_label_value, sanitize_label_name
 
 
-class TestJsonlSink:
-    def test_one_event_per_line_and_roundtrip(self, tmp_path):
-        path = tmp_path / "run.metrics.jsonl"
-        sink = JsonlSink(path)
-        reg = MetricsRegistry(sink)
-        reg.emit({"type": "span", "phase": "route", "seconds": 0.25})
-        reg.emit({"type": "sample", "seq": 1, "values": {"q": 3}})
-        reg.close()
-
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        events = [json.loads(l) for l in lines]  # every line parses alone
-        assert events == read_jsonl(path)
-        assert events[0]["type"] == "span"
-        assert events[0]["phase"] == "route"
-        assert events[1]["values"] == {"q": 3}
-        assert all("ts" in e for e in events)
-
-    def test_stable_field_order(self, tmp_path):
-        path = tmp_path / "m.jsonl"
-        sink = JsonlSink(path)
-        sink.emit({"b": 1, "a": 2, "type": "x"})
-        sink.close()
-        line = path.read_text().strip()
-        assert line == '{"a":2,"b":1,"type":"x"}'
-
-    def test_empty_run_still_creates_file(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        JsonlSink(path).close()
-        assert path.exists() and path.read_text() == ""
-
-    def test_counts_events(self, tmp_path):
-        sink = JsonlSink(tmp_path / "n.jsonl")
-        for i in range(5):
-            sink.emit({"type": "e", "i": i})
-        assert sink.n_events == 5
-        sink.close()
-
-
-class TestTeeAndNull:
-    def test_tee_fans_out(self, tmp_path):
-        mem = MemorySink()
-        jsonl = JsonlSink(tmp_path / "t.jsonl")
-        tee = TeeSink(mem, jsonl)
-        tee.emit({"type": "e"})
-        tee.close()
-        assert len(mem.events) == 1
-        assert len(read_jsonl(tmp_path / "t.jsonl")) == 1
-
-    def test_tee_drops_disabled_members(self):
-        tee = TeeSink(NullSink())
-        assert not tee.enabled  # nothing enabled -> emit is skipped upstream
-
+class TestNullSink:
     def test_null_sink_is_disabled(self):
         assert not NullSink().enabled
 
@@ -121,70 +63,6 @@ class TestPrometheusExport:
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_prometheus("!!! not a sample")
-
-
-class TestSinkCloseSemantics:
-    def test_jsonl_close_is_idempotent(self, tmp_path):
-        sink = JsonlSink(tmp_path / "m.jsonl")
-        sink.emit({"type": "x"})
-        sink.close()
-        sink.close()  # second close: no error, no re-open
-        assert len(read_jsonl(tmp_path / "m.jsonl")) == 1
-
-    def test_jsonl_emit_after_close_raises_obs_error(self, tmp_path):
-        sink = JsonlSink(tmp_path / "m.jsonl")
-        sink.close()
-        with pytest.raises(ObsError, match="closed JsonlSink"):
-            sink.emit({"type": "x"})
-
-    def test_jsonl_flush_every(self, tmp_path):
-        path = tmp_path / "m.jsonl"
-        sink = JsonlSink(path, flush_every=2)
-        sink.emit({"type": "a"})
-        sink.emit({"type": "b"})  # second event triggers a flush
-        assert len(read_jsonl(path)) == 2  # durable without close()
-        with pytest.raises(ValueError):
-            JsonlSink(path, flush_every=-1)
-
-    def test_jsonl_eventless_close_touches_file(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        JsonlSink(path).close()
-        assert path.exists() and read_jsonl(path) == []
-
-    def test_tee_emit_after_close_raises(self):
-        tee = TeeSink(MemorySink())
-        tee.close()
-        with pytest.raises(ObsError, match="closed TeeSink"):
-            tee.emit({"type": "x"})
-
-    def test_tee_close_is_exception_safe(self):
-        class BrokenSink(MemorySink):
-            def close(self):
-                raise OSError("disk gone")
-
-        good = JsonlSinkSpy()
-        tee = TeeSink(BrokenSink(), good)
-        with pytest.raises(OSError, match="disk gone"):
-            tee.close()
-        assert good.closed  # the failure did not skip the other member
-        tee.close()  # already closed: no second raise
-
-    def test_registry_close_propagates(self, tmp_path):
-        sink = JsonlSink(tmp_path / "m.jsonl")
-        reg = MetricsRegistry(sink)
-        reg.emit({"type": "x"})
-        reg.close()
-        with pytest.raises(ObsError):
-            sink.emit({"type": "y"})
-
-
-class JsonlSinkSpy(MemorySink):
-    def __init__(self):
-        super().__init__()
-        self.closed = False
-
-    def close(self):
-        self.closed = True
 
 
 class TestLabelEscaping:

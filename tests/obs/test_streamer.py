@@ -1,11 +1,12 @@
-"""Telemetry streaming: delta computation, JSONL stream, replay round-trip."""
+"""The telemetry stream: delta computation, the one JSONL file, replay."""
 
+import json
 import threading
 
 import pytest
 
+from repro.common.errors import ObsError
 from repro.obs import (
-    MemorySink,
     MetricsRegistry,
     TelemetryStreamer,
     read_jsonl,
@@ -78,44 +79,181 @@ class TestStateDelta:
 
 
 class TestStreamerManual:
-    def test_tick_emits_only_on_change(self):
+    def test_tick_emits_only_on_change(self, tmp_path):
+        path = tmp_path / "s.jsonl"
         reg = MetricsRegistry(run_id="r1")
-        sink = MemorySink()
-        s = TelemetryStreamer(reg, sink)
+        s = TelemetryStreamer(reg, path)
         reg.counter("c").inc()
         assert s.tick() is True
         assert s.tick() is False  # nothing changed
         reg.counter("c").inc()
         assert s.tick() is True
         s.stop()
-        kinds = [e["type"] for e in sink.events]
-        assert kinds == ["delta", "delta", "final"]
-        assert [e["seq"] for e in sink.events] == [1, 2, 3]
-        assert all(e["run_id"] == "r1" for e in sink.events)
+        records = read_jsonl(path)
+        kinds = [e["type"] for e in records]
+        assert kinds == ["header", "delta", "delta", "final"]
+        assert [e["seq"] for e in records] == [0, 1, 2, 3]
+        assert all(e["run_id"] == "r1" for e in records)
 
-    def test_stop_is_idempotent_and_final_has_snapshot(self):
+    def test_stop_is_idempotent_and_final_has_snapshot(self, tmp_path):
+        path = tmp_path / "s.jsonl"
         reg = MetricsRegistry()
-        sink = MemorySink()
-        s = TelemetryStreamer(reg, sink)
+        s = TelemetryStreamer(reg, path)
         reg.counter("c").inc(9)
+        s.stop(ledger="bundle.json")
         s.stop()
-        s.stop()
-        finals = [e for e in sink.events if e["type"] == "final"]
+        finals = [e for e in read_jsonl(path) if e["type"] == "final"]
         assert len(finals) == 1
         assert finals[0]["counters"] == {"c": 9}
+        assert finals[0]["ledger"] == "bundle.json"
 
-    def test_interval_must_be_positive(self):
+    def test_interval_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError):
-            TelemetryStreamer(MetricsRegistry(), MemorySink(), interval_s=0)
+            TelemetryStreamer(MetricsRegistry(), tmp_path / "s.jsonl", interval_s=0)
 
-    def test_tick_after_stop_is_noop(self):
+    def test_tick_after_stop_is_noop(self, tmp_path):
+        path = tmp_path / "s.jsonl"
         reg = MetricsRegistry()
-        sink = MemorySink()
-        s = TelemetryStreamer(reg, sink)
+        s = TelemetryStreamer(reg, path)
         s.stop()
         reg.counter("c").inc()
         assert s.tick() is False
-        assert [e["type"] for e in sink.events] == ["final"]
+        assert [e["type"] for e in read_jsonl(path)] == ["header", "final"]
+
+
+class TestStreamFile:
+    """The stream is the registry's one file sink: every record is one
+    sorted-key line, flushed as written, numbered by ``seq``."""
+
+    def test_one_record_per_line_and_roundtrip(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        reg = MetricsRegistry(run_id="r2")
+        s = TelemetryStreamer(reg, path)
+        reg.emit({"type": "rebalance", "round": 1, "moves": 3})
+        reg.emit({"type": "sample", "n": 1, "values": {"q": 3}})
+        s.stop()
+        lines = path.read_text().splitlines()
+        records = [json.loads(line) for line in lines]  # every line alone
+        assert records == read_jsonl(path)
+        assert [r["type"] for r in records] == [
+            "header", "rebalance", "sample", "final",
+        ]
+        assert records[1]["moves"] == 3 and records[2]["values"] == {"q": 3}
+        assert all({"ts", "run_id", "seq"} <= r.keys() for r in records)
+        assert {r["run_id"] for r in records} == {"r2"}
+        _, info = replay_stream(path)
+        assert info["records"] == records[1:3]
+
+    def test_stable_field_order(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        reg = MetricsRegistry()
+        s = TelemetryStreamer(reg, path)
+        reg.emit({"b": 1, "a": 2, "type": "x"})
+        s.stop()
+        for line in path.read_text().splitlines():
+            keys = list(json.loads(line))
+            assert keys == sorted(keys)
+
+    def test_seq_counts_every_record(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        reg = MetricsRegistry()
+        s = TelemetryStreamer(reg, path)
+        for i in range(5):
+            reg.emit({"type": "e", "i": i})
+        assert s.seq == 6  # header + 5 records
+        s.stop()
+        assert [r["seq"] for r in read_jsonl(path)] == list(range(7))
+
+    def test_file_exists_from_construction(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        s = TelemetryStreamer(MetricsRegistry(), path)
+        (header,) = read_jsonl(path)
+        assert header["type"] == "header" and header["schema"] == SCHEMA
+        s.stop()
+
+    def test_recordless_close_leaves_header_and_final(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        TelemetryStreamer(MetricsRegistry(), path).close()
+        assert [r["type"] for r in read_jsonl(path)] == ["header", "final"]
+
+    def test_every_record_is_durable_before_close(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        reg = MetricsRegistry()
+        s = TelemetryStreamer(reg, path)
+        reg.emit({"type": "a"})
+        reg.emit({"type": "b"})
+        assert [r["type"] for r in read_jsonl(path)] == ["header", "a", "b"]
+        s.stop()
+
+    def test_close_is_idempotent(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        reg = MetricsRegistry()
+        s = TelemetryStreamer(reg, path)
+        reg.emit({"type": "x"})
+        s.close()
+        s.close()  # second close: no error, no second final record
+        s.stop()
+        assert [r["type"] for r in read_jsonl(path)] == ["header", "x", "final"]
+
+    def test_emit_after_close_raises_obs_error(self, tmp_path):
+        s = TelemetryStreamer(MetricsRegistry(), tmp_path / "s.jsonl")
+        s.close()
+        with pytest.raises(ObsError, match="closed telemetry stream"):
+            s.emit({"type": "x"})
+
+    def test_registry_close_closes_the_stream(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        reg = MetricsRegistry()
+        s = TelemetryStreamer(reg, path)
+        reg.emit({"type": "x"})
+        reg.close()
+        assert read_jsonl(path)[-1]["type"] == "final"
+        with pytest.raises(ObsError):
+            s.emit({"type": "y"})
+
+    def test_writer_threads_share_one_seq(self, tmp_path):
+        """Records from several threads interleave in the file, but one
+        lock orders them: ``seq`` is 0..N-1 in file order.  The writers
+        also create instruments while the stream thread walks the
+        registry, which must not kill the stream thread."""
+        import sys
+
+        path = tmp_path / "s.jsonl"
+        reg = MetricsRegistry()
+        s = TelemetryStreamer(reg, path, interval_s=0.001)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            s.start()
+
+            def create(k):  # new instruments, outside the stream's lock
+                for i in range(1000):
+                    reg.counter("w", k=k, i=i).inc()
+
+            def emit(k):
+                for i in range(300):
+                    reg.emit({"type": "sample", "n": i, "values": {}})
+
+            threads = [
+                threading.Thread(target=fn, args=(k,))
+                for fn in (create, emit)
+                for k in range(2)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert s.running  # the stream thread survived the writers
+        finally:
+            sys.setswitchinterval(interval)
+            s.stop()
+        records = read_jsonl(path)
+        assert [r["seq"] for r in records] == list(range(len(records)))
+        assert sum(r["type"] == "sample" for r in records) == 600
+        replayed, info = replay_stream(path)
+        assert replayed.snapshot()["counters"] == info["final"]["counters"]
+        assert len(info["final"]["counters"]) == 2000
 
 
 class TestStreamerThreaded:
@@ -142,8 +280,8 @@ class TestStreamerThreaded:
         assert snap["counters"]["work.items"] == 40
 
     def test_every_line_is_valid_json_while_running(self, tmp_path):
-        """flush_every=1 on the owned sink: a tail-reader never sees a torn
-        line, even mid-run."""
+        """Every record is flushed as one line: a tail-reader never sees a
+        torn line, even mid-run."""
         path = tmp_path / "stream.jsonl"
         reg = MetricsRegistry()
         s = TelemetryStreamer(reg, path, interval_s=0.01)
@@ -151,7 +289,7 @@ class TestStreamerThreaded:
         try:
             reg.counter("c").inc()
             deadline = 200
-            while s.n_records < 2 and deadline:  # header + first delta
+            while s.seq < 2 and deadline:  # header + first delta
                 deadline -= 1
                 threading.Event().wait(0.005)
             events = read_jsonl(path)  # parses or raises
@@ -168,3 +306,98 @@ class TestStreamerThreaded:
         s.stop()
         kinds = [e["type"] for e in read_jsonl(path)]
         assert kinds == ["header", "final"]
+
+
+@pytest.fixture
+def fast_cli_stream(monkeypatch):
+    """CLI streams tick every millisecond, so the stream thread races the
+    producer and the watchdog for the file."""
+    import repro.obs
+
+    class FastStreamer(TelemetryStreamer):
+        def __init__(self, registry, path, **meta):
+            super().__init__(registry, path, interval_s=0.001, **meta)
+
+    monkeypatch.setattr(repro.obs, "TelemetryStreamer", FastStreamer)
+
+
+class TestOneStreamCli:
+    """A ``--live-metrics`` run writes every record the run's telemetry
+    has in one file, one ``seq`` order and one ``run_id``."""
+
+    def check_stream(self, path, command, workload):
+        from pathlib import Path
+
+        records = read_jsonl(path)
+        assert [r["seq"] for r in records] == list(range(len(records)))
+        assert len({r["run_id"] for r in records}) == 1
+        header, final = records[0], records[-1]
+        assert header["type"] == "header" and header["schema"] == SCHEMA
+        assert header["command"] == command and header["workload"] == workload
+        assert final["type"] == "final"
+        assert Path(final["ledger"]).name == "bundle.json"
+        assert Path(final["ledger"]).is_file()
+        kinds = [r["type"] for r in records]
+        assert kinds.count("header") == kinds.count("final") == 1
+        assert "delta" in kinds
+        assert not {"span", "snapshot"} & set(kinds)  # deltas carry spans
+        replayed, info = replay_stream(path)
+        assert replayed.snapshot()["counters"] == final["counters"]
+        assert {"loop-index", "merge"} <= {s.name for s in replayed.spans}
+        assert info["records"] == [
+            r for r in records if r["type"] not in ("header", "delta", "final")
+        ]
+        return info["records"]
+
+    def test_deterministic_rebalancing_run(
+        self, tmp_path, monkeypatch, capsys, fast_cli_stream
+    ):
+        import repro.cli as cli
+
+        config_from = cli._config_from
+        monkeypatch.setattr(
+            cli,
+            "_config_from",
+            lambda args: config_from(args).with_(
+                chunk_size=256, rebalance_interval_chunks=4
+            ),
+        )
+        path = tmp_path / "det.jsonl"
+        assert cli.main(["stats", "ep", "--live-metrics", str(path)]) == 0
+        capsys.readouterr()
+        records = self.check_stream(path, "stats", "ep")
+        kinds = {r["type"] for r in records}
+        assert kinds == {"sample", "rebalance"}
+        (rebalance,) = [r for r in records if r["type"] == "rebalance"]
+        assert rebalance["moves"] > 0
+        samples = [r for r in records if r["type"] == "sample"]
+        assert [r["n"] for r in samples] == list(range(1, len(samples) + 1))
+
+    def test_processes_stall_and_recovery_run(
+        self, tmp_path, monkeypatch, capsys, fast_cli_stream
+    ):
+        import time
+
+        import repro.parallel.worker as worker_mod
+        from repro.cli import main
+
+        process_rows = worker_mod.Worker.process_rows
+
+        def slow(self, batch, rows):
+            if self.wid == 1 and self.chunks_processed == 0:
+                time.sleep(0.6)  # >> the 0.1 s stall threshold
+            return process_rows(self, batch, rows)
+
+        monkeypatch.setattr(worker_mod.Worker, "process_rows", slow)
+        path = tmp_path / "proc.jsonl"
+        assert main(
+            ["stats", "ep", "--mode", "processes", "--workers", "2",
+             "--heartbeat-interval", "0.01", "--live-metrics", str(path)]
+        ) == 0
+        capsys.readouterr()
+        records = self.check_stream(path, "stats", "ep")
+        assert {r["type"] for r in records} == {"heartbeat"}
+        slow_worker = [r for r in records if r["worker"] == 1]
+        assert [r["state"] for r in slow_worker[:2]] == ["stalled", "recovered"]
+        assert slow_worker[0]["age_seconds"] > 0.1
+        assert slow_worker[0]["beats"] >= 1

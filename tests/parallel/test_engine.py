@@ -147,6 +147,22 @@ class TestLoadBalancing:
         _, info_off = ParallelProfiler(cfg_off, window=256).profile(batch)
         assert info.access_imbalance < info_off.access_imbalance
 
+        # A round that moves nothing does not quiesce: rgbyuv in Fig. 5's
+        # configuration runs one such round, which flushes no partial chunk
+        # and logs no epoch marker, so the run cuts the chunks processes
+        # mode (which never rebalances) cuts.
+        from repro.workloads import get_trace
+
+        rgbyuv = get_trace("rgbyuv")
+        fig5 = PERFECT.with_(workers=8, chunk_size=256, rebalance_interval_chunks=50)
+        _, det = ParallelProfiler(fig5, window=4096).profile(rgbyuv)
+        _, proc = ParallelProfiler(fig5, mode="processes", window=4096).profile(
+            rgbyuv
+        )
+        assert [a["n_moves"] + a["n_bank_moves"] for a in det.rebalance_audit] == [0]
+        assert (-1, 0) not in det.chunk_log
+        assert det.n_chunks == proc.n_chunks
+
     def test_rebalanced_results_still_exact(self):
         batch = self.make_skewed_trace(hot_rounds=200)
         cfg = PERFECT.with_(

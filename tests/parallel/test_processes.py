@@ -146,30 +146,37 @@ class TestProcessesMode:
     def test_worker_failure_flushes_sink_with_complete_jsonl(
         self, monkeypatch, tmp_path
     ):
-        """The engine's exception path must flush (not abandon) the metrics
-        sink: after a worker crash the JSONL file on disk parses cleanly,
-        line by line, with the events emitted before the failure intact."""
+        """A worker crash must not cost the telemetry stream a record: after
+        the failure propagates, the stream file parses cleanly line by line
+        with every record written before the failure intact, and the stream
+        is still open for the caller's final record."""
         import repro.parallel.worker as worker_mod
-        from repro.obs import JsonlSink, read_jsonl
+        from repro.obs import TelemetryStreamer, read_jsonl, replay_stream
 
-        def boom(self, batch, rows, seq=-1):
+        def boom(self, batch, rows):
             raise RuntimeError("injected worker crash")
 
         monkeypatch.setattr(worker_mod.Worker, "process_rows", boom)
-        path = tmp_path / "metrics.jsonl"
-        sink = JsonlSink(path, flush_every=10_000)  # never auto-flushes here
-        reg = MetricsRegistry(sink)
+        path = tmp_path / "stream.jsonl"
+        reg = MetricsRegistry(run_id="crash")
+        stream = TelemetryStreamer(reg, path)
         reg.emit({"type": "run.config", "workers": 2})
         batch = get_trace("ep")
         cfg = PERFECT.with_(workers=2, chunk_size=512)
         with pytest.raises(ProfilerError, match="injected worker crash"):
             ParallelProfiler(cfg, mode="processes", registry=reg).profile(batch)
-        events = read_jsonl(path)  # parses or raises: no torn/missing lines
-        assert any(e["type"] == "run.config" for e in events)
-        # The sink survived the abort open for the caller's final report.
+        records = read_jsonl(path)  # parses or raises: no torn/missing lines
+        assert [r["type"] for r in records] == ["header", "run.config"]
+        # The stream survived the abort open for the caller's final record.
         reg.emit({"type": "run.aborted"})
-        reg.close()
-        assert any(e["type"] == "run.aborted" for e in read_jsonl(path))
+        stream.stop(status="crashed")
+        records = read_jsonl(path)
+        kinds = [r["type"] for r in records]
+        assert "run.aborted" in kinds and kinds[-1] == "final"
+        assert [r["seq"] for r in records] == list(range(len(records)))
+        replayed, info = replay_stream(path)
+        assert info["final"]["status"] == "crashed"
+        assert replayed.snapshot()["counters"] == info["final"]["counters"]
 
     def test_runs_without_posix_shm_or_helper_processes(self, monkeypatch):
         """Workers read the trace, the loop index and the heartbeat board
@@ -238,23 +245,29 @@ class TestProcessesMode:
         assert par.store == det.store
         assert par_info.per_worker_accesses == det_info.per_worker_accesses
 
-    def test_workers_never_read_a_released_row(self, tmp_path, monkeypatch):
-        """A worker process releases only rows it will not read again: the
-        partial chunk it carries into the next window keeps its pages, since
-        re-reading a released page faults its whole page-cache folio back
-        in.  Each process checks its own releases (the parent's loop scan
-        releases the whole trace before the fork)."""
+    @pytest.mark.parametrize("mode", ["processes", "deterministic"])
+    def test_workers_never_read_a_released_row(self, tmp_path, monkeypatch, mode):
+        """Both transports release a spilled trace's pages behind the
+        workers, once per window, and only rows no worker reads again: the
+        partial chunk a worker carries into the next window keeps its
+        pages, since re-reading a released page faults its whole page-cache
+        folio back in.  Each process checks its own releases; the producer's
+        scans before dispatch release the whole trace, so a run's releases
+        are counted from the transport on."""
         import os
 
         import repro.parallel.worker as worker_mod
         from repro.trace.spill import SpilledTraceBatch
 
         released: dict[int, int] = {}
+        calls: list[tuple[int, int]] = []
         orig_release = SpilledTraceBatch.release_window
         orig_rows = worker_mod.Worker.process_rows
+        orig_transport = ParallelProfiler._run_in_process
 
         def release(self, start, end):
             released[os.getpid()] = max(released.get(os.getpid(), 0), end)
+            calls.append((start, end))
             orig_release(self, start, end)
 
         def process_rows(self, batch, rows):
@@ -263,12 +276,21 @@ class TestProcessesMode:
                 raise AssertionError(f"row {rows[0]} read after release to {upto}")
             orig_rows(self, batch, rows)
 
+        def run_in_process(self, *args):
+            released.clear()
+            calls.clear()
+            return orig_transport(self, *args)
+
         monkeypatch.setattr(SpilledTraceBatch, "release_window", release)
         monkeypatch.setattr(worker_mod.Worker, "process_rows", process_rows)
+        monkeypatch.setattr(ParallelProfiler, "_run_in_process", run_in_process)
         batch = spill_batch(get_trace("cg"), tmp_path / "cg.trace.spill")
         cfg = PERFECT.with_(workers=2, chunk_size=512)
-        par, info = ParallelProfiler(cfg, mode="processes", window=1 << 11).profile(batch)
+        window = 1 << 11
+        par, info = ParallelProfiler(cfg, mode=mode, window=window).profile(batch)
         assert par.store.n_entries > 0 and info.n_chunks > 0
+        if mode == "deterministic":
+            assert len(calls) == -(-len(batch) // window)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ProfilerError):
