@@ -28,8 +28,10 @@ def run_and_model(batch, workers, mt_target=False):
         multithreaded_target=mt_target,
     )
     result, info = ParallelProfiler(cfg, window=4096).profile(batch)
-    mem_cfg = ProfilerConfig(
-        signature_slots=SLOTS_PER_WORKER * workers, workers=workers
+    # The run's config with the modelled signature: buffered chunks are
+    # priced at the chunk size the run cut them at.
+    mem_cfg = cfg.with_(
+        perfect_signature=False, signature_slots=SLOTS_PER_WORKER * workers
     )
     from repro.trace import LOCK_ACQ, LOCK_REL
     import numpy as np

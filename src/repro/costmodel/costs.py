@@ -24,6 +24,11 @@ sequential *per address*, which is why the critical (most-loaded) worker is
 charged in series with the producer (``overlap = 1``): they contend for the
 same memory system, and the paper's own scaling numbers fit that additive
 coupling, not a perfectly overlapped pipeline.
+
+Control events (loop markers, alloc/free, locks) are not accesses: the
+producer records each once, into the loop index, and no worker sees one.
+They cost ``control_event`` each, once per run, in the serial and the
+parallel estimate alike.
 """
 
 from __future__ import annotations
@@ -46,12 +51,10 @@ class CostParams:
     analyze: float = 114.0
     #: Per-chunk queue handoff (push + pop), lock-free.
     chunk_handoff: float = 200.0
-    #: Worker-side cost of a broadcast control row (loop-frame push/pop,
-    #: free-range trigger) — far cheaper than signature analysis.
-    broadcast_row: float = 5.0
-    #: Producer-side cost of replicating one control row into one worker's
-    #: chunk — a single buffered append.
-    broadcast_append: float = 0.5
+    #: Producer-side cost of one control event (loop marker, alloc/free,
+    #: lock): recorded once, into the loop index — far cheaper than an
+    #: access, and never shipped to a worker.
+    control_event: float = 5.0
     #: Extra per-access cost of the lock-based queue variant (fine-grained
     #: synchronization of the shared buffer that chunked lock-free queues
     #: eliminate).

@@ -4,11 +4,13 @@
 :class:`~repro.parallel.ParallelProfiler` run produced (``info.chunk_log``)
 through a virtual-time model of Figure 2's pipeline:
 
-* the producer spends ``capture`` per access and a handoff per chunk; if the
-  target queue is full (``queue_depth`` chunks in flight), it stalls until
-  the worker starts an older chunk — exactly the back-pressure of the real
-  implementation;
-* each worker processes its chunks FIFO at ``analyze`` per access;
+* the producer spends ``capture`` per routed row, ``control_event`` once
+  per control event (spread evenly over the rows it routes) and a handoff
+  per chunk; if the target queue is full (``queue_depth`` chunks in
+  flight), it stalls until the worker starts an older chunk — exactly the
+  back-pressure of the real implementation;
+* each worker processes its chunks FIFO at ``analyze`` per row (its
+  accesses, plus every FREE);
 * rebalance markers quiesce the pipeline (producer waits for all workers)
   and charge the migration cost;
 * the makespan couples the producer with the critical worker according to
@@ -52,13 +54,14 @@ def estimate_serial(
 
     ``n_control_events`` (loop markers, alloc/free) adds the per-benchmark
     variation around the ~190x anchor: loop-dense programs pay more
-    bookkeeping per access.
+    bookkeeping per access.  Each costs ``control_event``, as in
+    :func:`estimate_parallel`.
     """
     p = params if params is not None else CostParams()
     per_access = p.native_access + p.capture + p.analyze
     if mt_target:
         per_access += p.mt_capture_extra + (p.mt_worker_factor - 1.0) * p.analyze
-    total = n_accesses * per_access + n_control_events * p.broadcast_row
+    total = n_accesses * per_access + n_control_events * p.control_event
     native = max(n_accesses, 1) * p.native_access
     return total / native if n_accesses else per_access / p.native_access
 
@@ -72,43 +75,23 @@ def estimate_parallel(
     queue_depth: int = 32,
     mt_target: bool = False,
 ) -> PipelineEstimate:
-    """Replay ``info.chunk_log`` through the virtual-time pipeline."""
+    """Replay ``info.chunk_log`` through the virtual-time pipeline.
+
+    Chunks hold only rows a worker reads, so every chunk row costs
+    ``analyze`` on its worker and ``capture`` on the producer.  The
+    producer also pays ``control_event`` once for each of
+    ``info.n_control_events``, spread evenly over the rows it routes.
+    """
     p = params if params is not None else CostParams()
     n_workers = max(info.n_workers, 1)
 
-    capture = p.capture + (p.mt_capture_extra if mt_target else 0.0)
-    analyze = p.analyze * (p.mt_worker_factor if mt_target else 1.0)
     lock_tax = 0.0 if lock_free else p.lock_tax_per_access
-
-    # Chunk rows mix memory accesses with broadcast control rows (loop
-    # markers, frees) that every worker receives but processes at a tiny
-    # cost.  Scale each side's per-row charge so that per-worker totals
-    # equal accesses*analyze + broadcast*broadcast_row (and analogously for
-    # the producer), using the measured per-worker access loads.
-    rows_per_worker = [0] * n_workers
-    for w, rows in info.chunk_log:
-        if w >= 0:
-            rows_per_worker[w] += rows
-    total_rows = sum(rows_per_worker)
-    # Without measured per-worker access counts, treat every row as an
-    # access (synthetic chunk logs in tests and what-if studies).
-    accesses_per_worker = list(info.per_worker_accesses) or list(rows_per_worker)
-    worker_row_cost = []
-    for w in range(n_workers):
-        rw = rows_per_worker[w]
-        aw = min(accesses_per_worker[w] if w < len(accesses_per_worker) else 0, rw)
-        cost = (aw * (analyze + lock_tax) + (rw - aw) * p.broadcast_row) / rw if rw else 0.0
-        worker_row_cost.append(cost)
-    total_acc = min(sum(accesses_per_worker), total_rows) if total_rows else 0
-    producer_row_cost = (
-        (
-            total_acc * (capture + lock_tax)
-            + (total_rows - total_acc) * p.broadcast_append
-        )
-        / total_rows
-        if total_rows
-        else 0.0
-    )
+    # Per chunk row: capture on the producer, analysis on the worker.
+    capture = p.capture + (p.mt_capture_extra if mt_target else 0.0) + lock_tax
+    analyze = p.analyze * (p.mt_worker_factor if mt_target else 1.0) + lock_tax
+    total_rows = sum(rows for w, rows in info.chunk_log if w >= 0)
+    if total_rows:
+        capture += info.n_control_events * p.control_event / total_rows
 
     producer = 0.0
     queue_wait = 0.0
@@ -129,7 +112,7 @@ def estimate_parallel(
             )
             producer += migrated * p.migrate_per_address
             continue
-        producer += rows * producer_row_cost + p.chunk_handoff / 2.0
+        producer += rows * capture + p.chunk_handoff / 2.0
         # Back-pressure: wait for a free slot in worker w's ring.
         fl = in_flight[w]
         while len(fl) >= queue_depth:
@@ -138,7 +121,7 @@ def estimate_parallel(
                 queue_wait += start - producer
                 producer = start
         start = max(worker_free[w], producer)
-        cost = rows * worker_row_cost[w] + p.chunk_handoff / 2.0
+        cost = rows * analyze + p.chunk_handoff / 2.0
         worker_free[w] = start + cost
         worker_busy[w] += cost
         fl.append(start)

@@ -148,7 +148,6 @@ def _parallel_section(info: "ParallelRunInfo") -> dict[str, Any]:
     return {
         "workers": info.n_workers,
         "chunks": info.n_chunks,
-        "broadcast_rows": info.n_broadcast_rows,
         "per_worker_accesses": list(info.per_worker_accesses),
         "per_worker_chunks": list(info.per_worker_chunks),
         "access_imbalance": info.access_imbalance,

@@ -154,7 +154,6 @@ class TelemetryStreamer(Sink):
         self.run_id = registry.run_id
         #: Records written so far; the next record's ``seq``.
         self.seq = 0
-        self.ticks_missed = 0
         self._prev: dict[str, Any] | None = None
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
@@ -211,14 +210,10 @@ class TelemetryStreamer(Sink):
         if self._thread is not None:
             return
         self._stop.clear()
-
-        def on_missed(n: int) -> None:
-            self.ticks_missed += n
-
         self._thread = threading.Thread(
             target=deadline_loop,
             args=(self.tick, self.interval_s, self._stop.wait),
-            kwargs={"on_missed": on_missed},
+            kwargs={"registry": self.registry, "label": "stream"},
             name="obs-streamer",
             daemon=True,
         )

@@ -4,10 +4,10 @@ The producer walks the instrumented event stream window by window and
 routes it with one rule (:func:`~repro.parallel.address_map.route_window`):
 each memory access goes to the worker that owns its address (per-address
 redistribution overrides, then bank rules, then ``(addr >> 3) % W``), and
-FREE and loop events are broadcast to every worker.  Workers run
-Algorithm 1 against their private signature pair and collect dependences
-into private stores; one cheap merge folds the duplicate-free local maps
-together.
+each FREE goes to every worker.  Loop markers reach no worker: the kernel
+reads loop state from the run's one loop index.  Workers run Algorithm 1
+against their private signature pair and collect dependences into private
+stores; one cheap merge folds the duplicate-free local maps together.
 
 Pieces:
 

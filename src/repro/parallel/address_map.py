@@ -7,7 +7,8 @@ than the modulo function").
 
 :func:`route_window` is the pipeline's single routing rule: both the
 in-process producer and every worker process call it on the same trace
-window, so the rows a worker receives cannot depend on the transport.
+window, so the rows a worker receives cannot depend on the transport.  A
+worker receives only rows it reads: the accesses it owns and every FREE.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sigmem.banks import BankGeometry
-from repro.trace import FREE, LOOP_ENTER, LOOP_EXIT, LOOP_ITER, READ, WRITE, TraceBatch
+from repro.trace import FREE, READ, WRITE, TraceBatch
 
 
 class AddressMap:
@@ -128,15 +129,10 @@ class WindowRoute:
     addr: np.ndarray
     #: READ/WRITE rows: each goes to the one worker owning its address.
     access: np.ndarray
-    #: Rows every worker gets: FREE for lifetime analysis, loop markers for
-    #: carried-dependence classification.
+    #: FREE rows, which every worker gets: a freed range may span owners.
     broadcast: np.ndarray
     #: Owning worker of every row's address.
     owner: np.ndarray
-
-    @property
-    def n_broadcast(self) -> int:
-        return int(np.count_nonzero(self.broadcast))
 
     def rows_for(self, worker: int) -> np.ndarray:
         """Trace rows ``worker`` processes, in stream order."""
@@ -147,19 +143,18 @@ class WindowRoute:
 def route_window(batch: TraceBatch, start: int, end: int, amap: AddressMap) -> WindowRoute:
     """Route one trace window under ``amap``'s current rules.
 
-    Masks cover one window, never the full trace: with an mmap-spilled
-    batch the trace may dwarf RAM, and trace-length masks would defeat the
-    bounded-memory claim.
+    Workers get only the rows they read: accesses and FREEs.  Loop
+    markers and the other control events go nowhere; the kernel reads each
+    access's loop state from the run's one loop index.  Masks cover one
+    window, never the full trace: with an mmap-spilled batch the trace may
+    dwarf RAM, and trace-length masks would defeat the bounded-memory claim.
     """
     kind = np.asarray(batch.kind[start:end])
     addr = np.asarray(batch.addr[start:end])
-    broadcast = (
-        (kind == FREE) | (kind == LOOP_ENTER) | (kind == LOOP_ITER) | (kind == LOOP_EXIT)
-    )
     return WindowRoute(
         start=start,
         addr=addr,
         access=(kind == READ) | (kind == WRITE),
-        broadcast=broadcast,
+        broadcast=kind == FREE,
         owner=amap.workers_of(addr),
     )

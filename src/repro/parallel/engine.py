@@ -3,9 +3,8 @@
 ``ParallelProfiler.profile`` plays the producer role over an instrumented
 trace.  Every trace window is routed by the one rule in
 :func:`~repro.parallel.address_map.route_window`: each memory access goes
-to the worker owning its address, and the events every worker needs for
-context (FREE for lifetime analysis, loop markers for carried-dependence
-classification) are broadcast.  Workers run the Algorithm 1 kernel on
+to the worker owning its address, and FREEs, whose ranges may span
+owners, go to every worker.  Workers run the Algorithm 1 kernel on
 private trackers, publish their totals through
 :meth:`~repro.parallel.worker.Worker.publish`, and one merge folds the
 duplicate-free local stores together at the end ("this step incurs only
@@ -26,7 +25,7 @@ Two transports carry the routed rows (``mode``):
   needs the ``fork`` start method.  Load rebalancing and the gauge sampler
   are producer-side features and are disabled here (static address
   partition); worker processes ship their published parts, metrics state,
-  tracer events, chunk logs and broadcast counts home for the merge.
+  tracer events and chunk logs home for the merge.
 
 Both transports run one worker loop: :meth:`Worker.feed` cuts a worker's
 rows into ``chunk_size`` chunks that span windows and :meth:`Worker.flush`
@@ -36,7 +35,8 @@ modes cut the same chunks and log them in the same order.
 Before dispatch, every run builds its one
 :class:`~repro.core.controlflow.LoopStateIndex` (the loop-frame snapshots
 every worker's kernel reads, and the run's loop table) inside one
-``loop-index`` span.
+``loop-index`` span.  It is the only consumer of the loop markers: no
+worker is fed a control event.
 
 Telemetry: the run is instrumented through one
 :class:`~repro.obs.metrics.MetricsRegistry` — rebalance counters live
@@ -97,7 +97,10 @@ class ParallelRunInfo:
 
     n_workers: int = 0
     n_chunks: int = 0
-    n_broadcast_rows: int = 0
+    #: Trace rows that are not memory accesses (loop markers, alloc/free,
+    #: locks, ...), each recorded once by the producer; set by
+    #: :meth:`ParallelProfiler.profile`, not read from the registry.
+    n_control_events: int = 0
     per_worker_accesses: list[int] = field(default_factory=list)
     per_worker_chunks: list[int] = field(default_factory=list)
     rebalance_rounds: int = 0
@@ -149,7 +152,6 @@ class ParallelRunInfo:
         return cls(
             n_workers=n_workers,
             n_chunks=registry.counter("pipeline.chunks").value,
-            n_broadcast_rows=registry.counter("pipeline.broadcast_rows").value,
             per_worker_accesses=per_worker("worker.accesses"),
             per_worker_chunks=per_worker("worker.chunks"),
             rebalance_rounds=registry.counter("rebalance.rounds").value,
@@ -243,13 +245,16 @@ class ParallelProfiler:
             # writes the stream's final record, and the stream flushed
             # every record it wrote before a failure.
             self._ledger_checkpoint(reg)
-        # The per-worker sums double-count broadcast rows; the producer's
-        # facts replace them.
+        # Workers see accesses (each once) and FREEs (each once per
+        # worker); the producer's facts replace their event sum.
         stats.n_events = len(batch)
         stats.n_unique_addresses = n_unique_addresses
         info = ParallelRunInfo.from_registry(
             reg, cfg.workers, chunk_log, rebalance_audit=rebalance_audit
         )
+        # Not ``batch.n_accesses``: its trace-length masks would page a
+        # spilled trace back in.
+        info.n_control_events = len(batch) - stats.n_accesses
         result = ProfileResult(
             store=store,
             loops=loop_index.loops,
@@ -383,7 +388,6 @@ class ParallelProfiler:
                     workers[new].migrate_bank_in(worker.migrate_bank_out(bank))
 
         # ---- producer loop over windows of the trace ------------------
-        bcast_counter = reg.counter("pipeline.broadcast_rows")
         # Spilled batches support dropping consumed windows' resident pages
         # (an RSS hint: dropped pages re-read transparently).  After a
         # window is fed, the workers still read only their partial chunks.
@@ -391,8 +395,8 @@ class ParallelProfiler:
         released_upto = 0
         # The paper re-checks the access statistics every 50 000 chunks; we
         # measure the interval in *routed accesses* (interval x chunk_size)
-        # so the cadence does not depend on how many workers the control
-        # rows are replicated to.
+        # so the cadence does not depend on the trace's control events or on
+        # how many workers a FREE is sent to.
         rebalance_every = cfg.rebalance_interval_chunks * cfg.chunk_size
         accesses_at_last_check = 0
         accesses_routed = 0
@@ -402,7 +406,6 @@ class ParallelProfiler:
                 e = min(s + self.window, n)
                 with reg.span("route", window_start=s):
                     route = route_window(batch, s, e, amap)
-                    bcast_counter.inc(route.n_broadcast)
                     acc_addrs = route.addr[route.access]
                     if len(acc_addrs):
                         stats.record_many(acc_addrs)
@@ -561,6 +564,4 @@ class ParallelProfiler:
         entries.sort(key=lambda t: (t[0], t[1]))
         chunk_log = [(wid, rows) for _, wid, rows in entries]
         reg.counter("pipeline.chunks").inc(len(chunk_log))
-        # Every worker routed every window, so any one's count is the run's.
-        reg.counter("pipeline.broadcast_rows").inc(parts[0]["n_broadcast"])
         return parts, chunk_log, []

@@ -145,7 +145,6 @@ class WorkerWatchdog:
         #: monotonic stamp of each worker's ongoing stall episode (-1 = none).
         self._stall_t0 = [-1.0] * n
         self.n_ticks = 0
-        self.ticks_missed = 0
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
 
@@ -210,9 +209,6 @@ class WorkerWatchdog:
             self.states[w] = state
 
     # -- lifecycle -----------------------------------------------------------
-    def _on_missed(self, n: int) -> None:
-        self.ticks_missed += n
-
     def start(self) -> None:
         if self._thread is not None:
             return
@@ -220,7 +216,7 @@ class WorkerWatchdog:
         self._thread = threading.Thread(
             target=deadline_loop,
             args=(self.tick, self.interval_s, self._stop.wait),
-            kwargs={"on_missed": self._on_missed},
+            kwargs={"registry": self.registry, "label": "watchdog"},
             name="obs-watchdog",
             daemon=True,
         )

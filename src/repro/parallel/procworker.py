@@ -11,16 +11,15 @@ a few dozen bytes each — from a task queue.  Routing happens worker-side
 through the pipeline's one routing rule
 (:func:`~repro.parallel.address_map.route_window`): every process routes
 the same window over the inherited columns and keeps only its own rows
-(plus the broadcast rows everyone needs), so no per-row data ever crosses a
-process boundary.
+(its accesses, and every FREE), so no per-row data ever crosses a process
+boundary.
 
 At shutdown (a ``None`` sentinel) the worker calls
 :meth:`~repro.parallel.worker.Worker.publish` into a private
 :class:`~repro.obs.metrics.MetricsRegistry` and ships that part home with
 the registry's :meth:`~repro.obs.metrics.MetricsRegistry.state`, optional
-tracer events, its chunk log (each chunk tagged with the window it was
-cut in) and its broadcast-row count.  The parent folds
-these in the pipeline's one merge.
+tracer events and its chunk log (each chunk tagged with the window it
+was cut in).  The parent folds these in the pipeline's one merge.
 """
 
 from __future__ import annotations
@@ -74,7 +73,6 @@ def run_worker(
         release = getattr(batch, "release_window", None)
         released = 0
         chunk_log: list[tuple[int, int]] = []
-        n_broadcast = 0
         widx = -1
         while True:
             task = task_q.get()
@@ -84,9 +82,6 @@ def run_worker(
                 break
             s, e, widx = task
             route = route_window(batch, s, e, amap)
-            # Every worker sees every broadcast row, so each one's count
-            # is the run's count.
-            n_broadcast += route.n_broadcast
             for rows in worker.feed(batch, route.rows_for(wid)):
                 chunk_log.append((widx, rows))
             if release is not None:
@@ -108,7 +103,6 @@ def run_worker(
                 else None
             ),
             chunk_log=chunk_log,
-            n_broadcast=n_broadcast,
         )
         result_q.put(("ok", part))
     except BaseException:  # noqa: BLE001 — ship the traceback to the parent

@@ -140,6 +140,42 @@ class TestShapeProperties:
             assert 0 < est.slowdown < estimate_serial(res.stats.n_accesses)
 
 
+class TestControlEvents:
+    """Control events (loop markers, alloc/free, locks) reach no worker:
+    the producer records each once, so the model charges each
+    ``control_event`` once, on the producer."""
+
+    @pytest.mark.parametrize("workers", [1, 8, 16])
+    def test_charged_once_on_the_producer(self, workers):
+        info = balanced_info(workers, chunks_per_worker=96 // workers)
+        n = total_rows(info)
+        # A queue as deep as the log: no back-pressure wait absorbs the charge.
+        depth = len(info.chunk_log)
+        base = estimate_parallel(info, n, 1000, queue_depth=depth)
+        info.n_control_events = 5000
+        more = estimate_parallel(info, n, 1000, queue_depth=depth)
+        assert more.producer_time - base.producer_time == pytest.approx(
+            5000 * CostParams().control_event
+        )
+        assert more.worker_busy == base.worker_busy
+
+    def test_serial_prices_control_events_alike(self):
+        p = CostParams()
+        extra = estimate_serial(1000, n_control_events=400) - estimate_serial(1000)
+        assert extra == pytest.approx(400 * p.control_event / (1000 * p.native_access))
+
+    @pytest.mark.parametrize("mode", ["deterministic", "processes"])
+    def test_run_counts_control_events(self, mode):
+        ops = [("L+", 1)]
+        for _ in range(3):
+            ops += [("Li", 1), ("w", 0x1000, 2, "x"), ("r", 0x1008, 3, "y")]
+        ops += [("L-", 1), ("free", 0x1000, 16, 4)]
+        batch = seq_trace(ops)
+        res, info = ParallelProfiler(PERFECT.with_(workers=3), mode=mode).profile(batch)
+        assert res.stats.n_accesses == 6
+        assert info.n_control_events == len(batch) - 6 == 6
+
+
 class TestMemoryModel:
     def test_signature_bytes_match_paper_config(self):
         """16 threads x 6.25e6 slots x 4 B x 2 signatures = 382 MB? The

@@ -20,15 +20,16 @@ class FakeTime:
 
     ``wait`` advances the clock by the requested delay (a perfect sleep);
     ``tick`` records the fire time and burns ``tick_cost`` simulated
-    seconds of work.  The loop stops once ``max_fires`` ticks have fired.
+    seconds of work, then raises if its fire number is in ``fail_at``.
+    The loop stops once ``max_fires`` ticks have fired.
     """
 
-    def __init__(self, tick_cost, max_fires):
+    def __init__(self, tick_cost, max_fires, fail_at=()):
         self.t = 0.0
         self.fired = []
         self.tick_cost = tick_cost
         self.max_fires = max_fires
-        self.missed = []
+        self.fail_at = fail_at
 
     def clock(self):
         return self.t
@@ -40,9 +41,8 @@ class FakeTime:
     def tick(self):
         self.fired.append(self.t)
         self.t += self.tick_cost
-
-    def on_missed(self, n):
-        self.missed.append(n)
+        if len(self.fired) in self.fail_at:
+            raise RuntimeError(f"tick {len(self.fired)} failed")
 
 
 class TestDeadlineGrid:
@@ -51,18 +51,29 @@ class TestDeadlineGrid:
         t0 + k*period grid — a sleep(period)-after-tick loop would fire at
         1.0, 2.7, 4.4 instead."""
         ft = FakeTime(tick_cost=0.7, max_fires=3)
-        deadline_loop(ft.tick, 1.0, ft.wait, clock=ft.clock, on_missed=ft.on_missed)
+        deadline_loop(ft.tick, 1.0, ft.wait, clock=ft.clock)
         assert ft.fired == [1.0, 2.0, 3.0]
-        assert ft.missed == []
 
-    def test_overrun_fires_once_counts_missed_and_realigns(self):
-        """A tick overrunning 2.5 periods fires once, reports the skipped
-        grid points, and realigns to the next future grid point — no
-        back-to-back catch-up burst."""
-        ft = FakeTime(tick_cost=2.5, max_fires=2)
-        deadline_loop(ft.tick, 1.0, ft.wait, clock=ft.clock, on_missed=ft.on_missed)
-        assert ft.fired == [1.0, 4.0]  # grid points 2.0 and 3.0 skipped
-        assert ft.missed == [2, 2]
+    def test_overrun_fires_once_and_realigns(self):
+        """A tick overrunning 2.5 periods fires once and realigns to the
+        next future grid point — no back-to-back catch-up burst: grid
+        points 2.0 and 3.0, then 5.0 and 6.0, are skipped."""
+        ft = FakeTime(tick_cost=2.5, max_fires=3)
+        deadline_loop(ft.tick, 1.0, ft.wait, clock=ft.clock)
+        assert ft.fired == [1.0, 4.0, 7.0]
+
+    def test_failing_ticks_are_counted_and_keep_the_grid(self, capsys):
+        """A tick that raises ends neither the loop nor its cadence: each
+        failure is counted under the loop's label, and only the first
+        traceback is printed."""
+        ft = FakeTime(tick_cost=0.2, max_fires=4, fail_at=(1, 3))
+        reg = MetricsRegistry()
+        deadline_loop(ft.tick, 1.0, ft.wait, clock=ft.clock, registry=reg, label="test")
+        assert ft.fired == [1.0, 2.0, 3.0, 4.0]
+        assert reg.counter("obs.tick_errors", loop="test").value == 2
+        err = capsys.readouterr().err
+        assert err.count("Traceback") == 1
+        assert "tick 1 failed" in err and "tick 3 failed" not in err
 
     def test_period_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -297,6 +297,42 @@ class TestStreamerThreaded:
         finally:
             s.stop()
 
+    def test_failing_tick_keeps_the_stream_alive(self, tmp_path, monkeypatch):
+        """A registry whose ``state()`` raises once costs one tick: the
+        stream thread goes on writing deltas, and the failure is counted in
+        ``obs.tick_errors{loop="stream"}``, which the final record shows."""
+        path = tmp_path / "stream.jsonl"
+        reg = MetricsRegistry()
+        calls = []
+        state = reg.state
+
+        def flaky_state():
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("state failed")
+            return state()
+
+        monkeypatch.setattr(reg, "state", flaky_state)
+        s = TelemetryStreamer(reg, path, interval_s=0.005)
+        s.start()
+        try:
+            for _ in range(400):
+                reg.counter("work.items").inc()
+                if len(calls) >= 4:
+                    break
+                threading.Event().wait(0.005)
+            assert s.running
+        finally:
+            s.stop()
+        records = read_jsonl(path)
+        deltas = [r for r in records if r["type"] == "delta"]
+        assert deltas, [r["type"] for r in records]
+        key = 'obs.tick_errors{loop="stream"}'
+        assert reg.snapshot()["counters"][key] == 1
+        assert records[-1]["counters"][key] == 1
+        replayed, _ = replay_stream(path)
+        assert replayed.snapshot()["counters"][key] == 1
+
     def test_quiet_registry_emits_no_deltas(self, tmp_path):
         path = tmp_path / "stream.jsonl"
         reg = MetricsRegistry()

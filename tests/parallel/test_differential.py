@@ -13,7 +13,7 @@ import pytest
 from repro.common.config import ProfilerConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.engine import ParallelProfiler
-from repro.trace import FREE
+from repro.trace import FREE, LOOP_ENTER, LOOP_EXIT, LOOP_ITER
 from repro.workloads import get_trace
 from tests.trace_helpers import reference_pipeline, seq_trace
 
@@ -107,8 +107,8 @@ def free_trace():
 class TestTransportContract:
     """Both transports share one router, one worker loop and one merge, so
     everything but the transport's own bookkeeping must agree: stores,
-    chunks, provenance (chunk ids included), broadcast rows, per-worker
-    accesses and every engine counter."""
+    chunks, provenance (chunk ids included), the rows fed to each worker,
+    per-worker accesses and every engine counter."""
 
     @staticmethod
     def transport_specific(name):
@@ -135,7 +135,6 @@ class TestTransportContract:
         (det, di, dc), (prc, pi, pc) = runs["deterministic"], runs["processes"]
         assert prc.store == det.store
         assert pi.per_worker_accesses == di.per_worker_accesses
-        assert pi.n_broadcast_rows == di.n_broadcast_rows > 0
         if name == "free-trace":
             assert FREE in set(batch.kind.tolist())
         # Chunks span windows in both transports, so multi-window runs cut
@@ -150,14 +149,42 @@ class TestTransportContract:
             if not self.transport_specific(key[0])
         }
         assert {k[0] for k in shared} >= {
-            "pipeline.broadcast_rows",
+            "engine.events",
             "pipeline.chunks",
             "worker.accesses",
             "worker.chunks",
         }
-        assert any(k[0].startswith("engine.") for k in shared)
+        fed = sorted(k for k in shared if k[0] == "engine.events")
+        assert len(fed) == cfg.workers
+        assert [pc.get(k) for k in fed] == [dc.get(k) for k in fed]
         for key in sorted(shared):
             assert pc.get(key, 0) == dc.get(key, 0), key
+
+    @pytest.mark.parametrize("mode", ["deterministic", "processes"])
+    @pytest.mark.parametrize("name", ["ep", "free-trace"])
+    def test_workers_get_only_accesses_and_frees(self, name, mode):
+        """Each access reaches its owner, each FREE every worker, and no
+        loop row any worker: the rows a worker is fed (``engine.events``)
+        are its accesses plus every FREE."""
+        batch = free_trace() if name == "free-trace" else get_trace(name)
+        kinds = batch.kind.tolist()
+        assert {LOOP_ENTER, LOOP_ITER, LOOP_EXIT} <= set(kinds)
+        n_free = kinds.count(FREE)
+        if name == "free-trace":
+            assert n_free > 0
+        cfg = ProfilerConfig(workers=3, perfect_signature=True, chunk_size=512)
+        reg = MetricsRegistry()
+        result, info = ParallelProfiler(
+            cfg, mode=mode, window=1 << 11, rebalance_threshold=float("inf"), registry=reg
+        ).profile(batch)
+
+        def per_worker(family):
+            return [reg.counter(family, worker=w).value for w in range(cfg.workers)]
+
+        fed = per_worker("engine.events")
+        assert fed == [acc + n_free for acc in per_worker("worker.accesses")]
+        assert sum(fed) == result.stats.n_accesses + cfg.workers * n_free
+        assert info.n_control_events == len(batch) - result.stats.n_accesses
 
 
 class TestFastPathModeDifferential:

@@ -36,8 +36,9 @@ class TestEquivalenceWithSequential:
         assert sum(info.per_worker_accesses) == seq.stats.n_accesses
 
     def test_loops_and_lifetime_survive_distribution(self):
-        """Loop-carried classification and FREE handling need the broadcast
-        rows; with them, any worker count gives sequential results."""
+        """Loop-carried classification reads the run's loop index and FREE
+        handling needs every FREE on every worker; with both, any worker
+        count gives sequential results."""
         ops = [("L+", 10)]
         for it in range(6):
             ops += [("Li", 10)]

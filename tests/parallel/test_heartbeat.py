@@ -211,6 +211,38 @@ class TestWatchdog:
             board.close()
 
 
+    def test_failing_tick_keeps_the_watchdog_alive(self, monkeypatch):
+        """A classification pass that raises once costs one tick: the
+        watchdog thread keeps ticking, and the failure is counted in
+        ``obs.tick_errors{loop="watchdog"}``."""
+        board = HeartbeatBoard.create(1)
+        reg = MetricsRegistry()
+        wd = WorkerWatchdog(
+            board, reg, lambda w: None, interval_s=0.005, stall_after_s=60.0
+        )
+        tick = wd.tick
+
+        def flaky_tick():
+            if wd.n_ticks == 0:
+                wd.n_ticks += 1
+                raise RuntimeError("tick failed")
+            tick()
+
+        monkeypatch.setattr(wd, "tick", flaky_tick)
+        try:
+            wd.start()
+            deadline = time.perf_counter() + 2.0
+            while wd.n_ticks < 4 and time.perf_counter() < deadline:
+                time.sleep(0.005)
+            assert wd.running
+            wd.stop()
+            assert wd.n_ticks >= 4
+            assert reg.counter("obs.tick_errors", loop="watchdog").value == 1
+            assert reg.gauge("worker.heartbeat.state", worker=0).value == STATE_LIVE
+        finally:
+            board.close()
+
+
 class TestProcessesIntegration:
     def test_clean_run_reports_all_live(self):
         batch = get_trace("ep")

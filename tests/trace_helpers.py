@@ -42,7 +42,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import ProvenanceCollector
 from repro.parallel.address_map import AddressMap, route_window
 from repro.sigmem import ArraySignature, PerfectSignature
-from repro.trace import TraceBatch, TraceRecorder
+from repro.trace import LOOP_ENTER, LOOP_EXIT, LOOP_ITER, TraceBatch, TraceRecorder
 
 
 def seq_trace(ops, file_name: str = "test.c") -> TraceBatch:
@@ -145,6 +145,11 @@ def reference_pipeline(batch: TraceBatch, cfg, window: int = 1 << 15):
     chunk ids match both transports), and every worker a
     :func:`reference_engine` with ``slots_per_worker`` slots.
 
+    Pipeline workers get no loop rows (their kernel reads the run's loop
+    index), but the reference engine replays its own loop stacks, so each
+    chunk is fed merged with every loop row after the previous chunk's last
+    row, up to and including this chunk's last row.
+
     Returns ``(store, engines, registry)``; each engine carries its
     worker's ``stats`` and ``provenance``.
     """
@@ -158,11 +163,17 @@ def reference_pipeline(batch: TraceBatch, cfg, window: int = 1 << 15):
         route_window(batch, s, min(s + window, len(batch)), amap)
         for s in range(0, len(batch), window)
     ]
+    loop_rows = np.flatnonzero(np.isin(batch.kind, (LOOP_ENTER, LOOP_ITER, LOOP_EXIT)))
     for w, eng in enumerate(engines):
         rows = np.concatenate([r.rows_for(w) for r in routes] or [np.empty(0, np.int64)])
+        loops_from = 0
         for i in range(0, len(rows), cfg.chunk_size):
+            chunk = rows[i : i + cfg.chunk_size]
+            loops_to = np.searchsorted(loop_rows, chunk[-1], side="right")
+            chunk = np.union1d(chunk, loop_rows[loops_from:loops_to])
+            loops_from = loops_to
             eng.provenance.chunk += 1  # worker-local seq from 0 (starts at -1)
-            eng.process(batch.select(rows[i : i + cfg.chunk_size]))
+            eng.process(batch.select(chunk))
     store = DependenceStore()
     for eng in engines:
         store.merge(eng.store)
