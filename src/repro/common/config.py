@@ -42,7 +42,8 @@ class ProfilerConfig:
         (:func:`~repro.core.profiler.profile_trace`) ignores it and runs one
         worker that owns every address.
     chunk_size:
-        Number of trace rows per chunk a worker runs through its kernel.
+        Number of trace rows per chunk a worker runs through its kernel
+        (a window's full chunks go through in one kernel call).
     queue_depth:
         Capacity (in windows) of each worker process's task queue, and the
         per-worker chunk queue the cost model replays the run through.

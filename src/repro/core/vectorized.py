@@ -11,7 +11,7 @@ once.  The kernel keeps the tracker state between chunks in signature
 planes (:mod:`repro.sigmem.planes`), so a trace may reach it in any number
 of ascending row chunks: the sequential profiler feeds one kernel fixed
 row windows, the parallel pipeline feeds each worker's kernel the rows
-routed to it.
+routed to it, all full chunks of a window in one call.
 """
 
 from __future__ import annotations
@@ -82,8 +82,10 @@ class ChunkKernel:
     another address, or was evicted earlier: per the evicted plane on
     carry-in, or by an earlier row of the same key in this chunk.  With a
     ``provenance`` collector each merged record of a chunk folds in once —
-    instance count, first/last sink timestamp, any-suspect — through the
-    same grouping that dedups the store.
+    instance count, first/last sink chunk number and timestamp,
+    any-suspect — through the same grouping that dedups the store.  A
+    "chunk" here is the rows of one :meth:`process_rows` call, which may
+    hold many of a worker's chunks: the caller numbers each row's.
 
     It reproduces the reference engine bit for bit — same dependences, same
     instance counts, same race flags, same carried sets, same provenance
@@ -117,8 +119,8 @@ class ChunkKernel:
         #: Fed inline from the masks the kernel computes anyway, so heat
         #: recording never re-derives the access split per chunk.
         self.heat = heat
-        #: Optional per-dependence attribution (the worker sets its
-        #: ``chunk`` before each chunk).
+        #: Optional per-dependence attribution, by the chunk numbers each
+        #: call passes.
         self.provenance = provenance
         self.store = store if store is not None else DependenceStore()
         self.stats = ProfileStats()
@@ -136,9 +138,17 @@ class ChunkKernel:
         return unique_sorted(tracker.keys_of(addrs))
 
     # -- the chunk hot path ------------------------------------------------
-    def process_rows(self, batch: TraceBatch, rows: np.ndarray) -> None:
+    def process_rows(
+        self, batch: TraceBatch, rows: np.ndarray, chunk: np.ndarray | None
+    ) -> None:
         """Run Algorithm 1 over ``rows`` (ascending global row indices) of
-        ``batch``, the trace :attr:`loop_index` was built from."""
+        ``batch``, the trace :attr:`loop_index` was built from.
+
+        ``chunk`` numbers each row's chunk (aligned with ``rows``; ``None``
+        without a provenance collector, the only reader): one call may
+        cover many chunks.  The kernel's state carries from row to row, so
+        where the calls are cut changes nothing else.
+        """
         cfg = self.config
         stats = self.stats
         stats.n_events += len(rows)
@@ -152,6 +162,7 @@ class ChunkKernel:
 
         acc_rows = rows[acc].astype(np.int64)
         addr = batch.addr[acc_rows].astype(np.int64, copy=False)
+        prov_chunk = chunk[acc] if self.provenance is not None else None
         if self.heat is not None and len(acc_rows):
             self.heat.record_accesses(addr, is_write[acc])
         free_rows = (
@@ -194,6 +205,8 @@ class ChunkKernel:
                 tid = np.concatenate([tid, fill])
                 ts = np.concatenate([ts, fill])
                 state = np.concatenate([state, fill])
+                if prov_chunk is not None:
+                    prov_chunk = np.concatenate([prov_chunk, fill])
 
         if len(pos) == 0:
             # Only FREEs over addresses this worker never tracked.
@@ -209,6 +222,8 @@ class ChunkKernel:
         tid = tid[order]
         ts = ts[order]
         state = state[order]
+        if prov_chunk is not None:
+            prov_chunk = prov_chunk[order]
         n = len(key)
 
         # -- segmentation: new key, or kill boundary within a key ----------
@@ -305,6 +320,7 @@ class ChunkKernel:
             code, loc[sink], tid[sink], ts[sink], state[sink],
             src_loc[src], src_tid[src], src_var[src], src_ts[src],
             suspect, loop_index,
+            prov_chunk[sink] if prov_chunk is not None else None,
         )
 
         # -- carry-out: scatter each key's end-of-chunk state --------------
@@ -376,14 +392,15 @@ class ChunkKernel:
         src_ts: np.ndarray,
         suspect: np.ndarray | None,
         loop_index: LoopStateIndex,
+        sink_chunk: np.ndarray | None,
     ) -> None:
-        """Classify, group and merge every dependence instance of a chunk.
+        """Classify, group and merge every dependence instance of a call.
 
         Instance ``i`` has type ``_EMIT_TYPES[code[i]]``.  One grouping over
         (type, sink, source, variable, race, carried site per loop level)
         folds identical instances into one record, merged into the store
         with its count; with a provenance collector each record also folds
-        in its first and last sink timestamp and any-suspect flag.
+        in its first and last sink chunk and timestamp and any-suspect flag.
         """
         stats = self.stats
         for c, n in enumerate(np.bincount(code, minlength=len(_EMIT_TYPES)).tolist()):
@@ -424,14 +441,19 @@ class ChunkKernel:
         ts = sink_ts[order]
         lo = np.minimum.reduceat(ts, starts).tolist()
         hi = np.maximum.reduceat(ts, starts).tolist()
+        chunk = sink_chunk[order]
+        c_lo = np.minimum.reduceat(chunk, starts).tolist()
+        c_hi = np.maximum.reduceat(chunk, starts).tolist()
         sus = (
             np.logical_or.reduceat(suspect[order], starts).tolist()
             if suspect is not None
             else [False] * len(starts)
         )
-        for dep, c, first_ts, last_ts, s in zip(deps, counts, lo, hi, sus):
+        for dep, c, first_ts, last_ts, s, first_c, last_c in zip(
+            deps, counts, lo, hi, sus, c_lo, c_hi
+        ):
             store.add_merged(dep, c)
-            prov.note_group(dep, c, first_ts, last_ts, s)
+            prov.note_group(dep, c, first_ts, last_ts, s, first_c, last_c)
 
     def _note_memory(self) -> None:
         self.stats.tracker_memory_bytes = (

@@ -40,6 +40,32 @@ def peak_rss_bytes() -> int:
     return int(rss) if sys.platform == "darwin" else int(rss) * 1024
 
 
+def process_usage() -> tuple[float, float, int]:
+    """User CPU seconds, system CPU seconds and minor page faults of *this*
+    process so far (``getrusage``); zeros where the ``resource`` module is
+    unavailable.  A forked child starts from zero."""
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - non-POSIX platforms
+        return 0.0, 0.0, 0
+    ru = resource.getrusage(resource.RUSAGE_SELF)
+    return ru.ru_utime, ru.ru_stime, int(ru.ru_minflt)
+
+
+def publish_process_usage(
+    registry: Any, since: tuple[float, float, int] = (0.0, 0.0, 0), **labels: Any
+) -> None:
+    """Set ``process.cpu_seconds{kind="user"|"sys"}`` and
+    ``process.minor_faults`` in ``registry`` to this process's usage since
+    ``since`` (an earlier :func:`process_usage`; default: its whole life)."""
+    user, system, faults = (
+        now - then for now, then in zip(process_usage(), since)
+    )
+    registry.gauge("process.cpu_seconds", kind="user", **labels).set(user)
+    registry.gauge("process.cpu_seconds", kind="sys", **labels).set(system)
+    registry.gauge("process.minor_faults", **labels).set(faults)
+
+
 def git_sha(repo_dir: str | None = None) -> str:
     """Current commit SHA: ``DDPROF_GIT_SHA`` env override, else ``git
     rev-parse HEAD`` in ``repo_dir`` (default: cwd), else ``"unknown"``."""

@@ -53,10 +53,11 @@ class ProvenanceRecord:
         suspect: bool,
         count: int = 1,
         last_ts: int | None = None,
+        last_chunk: int | None = None,
     ) -> None:
         self.workers: set[int] = {worker}
         self.first_chunk = chunk
-        self.last_chunk = chunk
+        self.last_chunk = chunk if last_chunk is None else last_chunk
         self.first_ts = ts
         self.last_ts = ts if last_ts is None else last_ts
         self.count = count
@@ -114,15 +115,16 @@ class ProvenanceCollector:
     """Per-worker (and merged) provenance map, keyed by dependence record.
 
     The reference engine calls :meth:`note` once per dependence
-    *instance*; the vectorized chunk kernel calls :meth:`note_group` once
-    per merged record of a chunk.  The worker sets :attr:`chunk` before
-    each chunk so notes are attributed to the chunk being processed: a
-    pipeline chunk, or a row window of a sequential run (worker 0).
+    *instance*, attributed to :attr:`chunk`, which the code feeding it
+    sets before each chunk.  The vectorized chunk kernel calls :meth:`note_group` once
+    per merged record of a kernel call, with the record's first and last
+    chunk: a call may cover many pipeline chunks (a row window of a
+    sequential run is one chunk of worker 0).
     """
 
     def __init__(self, worker: int = 0) -> None:
         self.worker = worker
-        #: Sequence number of the chunk currently being processed.
+        #: Sequence number of the chunk :meth:`note` attributes to.
         self.chunk = -1
         self.records: dict[Hashable, ProvenanceRecord] = {}
 
@@ -134,13 +136,27 @@ class ProvenanceCollector:
             rec.note(self.worker, self.chunk, ts, suspect)
 
     def note_group(
-        self, dep: "Dependence", count: int, first_ts: int, last_ts: int, suspect: bool
+        self,
+        dep: "Dependence",
+        count: int,
+        first_ts: int,
+        last_ts: int,
+        suspect: bool,
+        first_chunk: int,
+        last_chunk: int,
     ) -> None:
-        """Fold ``count`` instances of ``dep`` from the current chunk at once:
-        the same as ``count`` :meth:`note` calls with sink timestamps
-        spanning ``[first_ts, last_ts]``, any of them ``suspect``."""
+        """Fold ``count`` instances of ``dep`` at once: the same as ``count``
+        :meth:`note` calls with sink timestamps spanning ``[first_ts,
+        last_ts]`` in chunks ``first_chunk`` to ``last_chunk``, any of them
+        ``suspect``."""
         rec = ProvenanceRecord(
-            self.worker, self.chunk, first_ts, suspect, count=count, last_ts=last_ts
+            self.worker,
+            first_chunk,
+            first_ts,
+            suspect,
+            count=count,
+            last_ts=last_ts,
+            last_chunk=last_chunk,
         )
         mine = self.records.setdefault(dep, rec)
         if mine is not rec:

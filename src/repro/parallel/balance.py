@@ -6,12 +6,16 @@ keeps per-address access statistics and, at a fixed cadence (every 50 000
 chunks), checks whether the hottest ten addresses are spread evenly over the
 workers; if not, it installs redistribution rules and migrates the affected
 signature state.
+
+:class:`AccessStats` keeps the statistics as sorted numpy columns.  A
+routed window costs one ``np.unique`` and a buffer append; the buffer
+folds into the columns only when the balancer reads them or the buffer
+passes a size bound, so a run pays for the fold at the check cadence, not
+per window.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -27,48 +31,115 @@ from repro.parallel.address_map import AddressMap
 #: registry state shipped across processes).
 COUNT_SATURATION = (1 << 63) - 1
 
+#: Buffered (address, count) entries past which :class:`AccessStats` folds
+#: its buffer into the sorted columns, so the buffer's memory stays bounded
+#: between two reads.
+FOLD_ENTRIES = 1 << 18
+
 
 class AccessStats:
-    """Per-address dynamic access counts (the paper's statistics map)."""
+    """Per-address dynamic access counts (the paper's statistics map).
+
+    The counts live in two numpy columns, addresses sorted ascending and
+    their counts.  A window's counts go into a buffer first; the buffer
+    folds into the columns once it holds more than :data:`FOLD_ENTRIES`
+    entries, and before any read (:meth:`hottest`, :meth:`count_of`,
+    :attr:`n_addresses`).  The paper reads its statistics only at a
+    rebalance check, so most windows pay for one ``np.unique`` and an
+    append.
+    """
 
     def __init__(self) -> None:
-        self._counts: Counter[int] = Counter()
+        self._addr = np.empty(0, dtype=np.int64)
+        self._count = np.empty(0, dtype=np.int64)
+        self._buf: list[tuple[np.ndarray, np.ndarray]] = []
+        self._buf_entries = 0
         self.total = 0
 
     def record_many(self, addrs: np.ndarray) -> None:
-        """Bulk update from one producer batch."""
-        uniq, counts = np.unique(addrs, return_counts=True)
-        table = self._counts
-        for a, c in zip(uniq.tolist(), counts.tolist()):
-            v = table[a] + c
-            table[a] = v if v < COUNT_SATURATION else COUNT_SATURATION
-        self.total = min(self.total + int(len(addrs)), COUNT_SATURATION)
+        """Bulk update from one routed window's access addresses."""
+        self.record_counts(*np.unique(addrs, return_counts=True))
 
-    def record(self, addr: int) -> None:
-        v = self._counts[addr] + 1
-        self._counts[addr] = v if v < COUNT_SATURATION else COUNT_SATURATION
-        self.total = min(self.total + 1, COUNT_SATURATION)
+    def record_counts(self, addrs: np.ndarray, counts: np.ndarray) -> None:
+        """Add ``counts[i]`` accesses to each of the distinct ``addrs``."""
+        counts = np.asarray(counts, dtype=np.int64)
+        self._buf.append((np.asarray(addrs, dtype=np.int64), counts))
+        self._buf_entries += len(counts)
+        self.total = min(self.total + _exact_sum(counts), COUNT_SATURATION)
+        if self._buf_entries > FOLD_ENTRIES:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Merge the buffered windows into the sorted columns."""
+        if not self._buf:
+            return
+        addr = np.concatenate([self._addr] + [a for a, _ in self._buf])
+        count = np.concatenate([self._count] + [c for _, c in self._buf])
+        self._buf = []
+        self._buf_entries = 0
+        if not len(addr):
+            return
+        # The pieces are sorted runs, which a stable (merging) sort joins
+        # in about one pass each.
+        order = np.argsort(addr, kind="stable")
+        addr = addr[order]
+        count = count[order]
+        starts = np.flatnonzero(np.concatenate(([True], addr[1:] != addr[:-1])))
+        self._addr = addr[starts]
+        self._count = _saturating_reduceat(count, starts)
 
     def hottest(self, k: int) -> list[tuple[int, int]]:
         """Top-k (address, count), hottest first, address as tie-break.
 
-        A single selection pass under the full ``(-count, addr)`` order:
-        an overfetch through ``most_common`` would resolve count ties in
-        insertion order and could drop the tied address with the smallest
-        id, making the redistribution non-deterministic.
+        One selection under the full ``(-count, addr)`` order: the k-th
+        largest count is the threshold, and of the addresses tied at it
+        the smallest win (the address column is sorted), so the
+        redistribution is deterministic.
         """
         if k <= 0:
             return []
-        return heapq.nsmallest(
-            k, self._counts.items(), key=lambda ac: (-ac[1], ac[0])
-        )
+        self._fold()
+        addr, count = self._addr, self._count
+        if k < len(count):
+            threshold = np.partition(count, len(count) - k)[len(count) - k]
+            above = np.flatnonzero(count > threshold)
+            tied = np.flatnonzero(count == threshold)[: k - len(above)]
+            pick = np.concatenate((above, tied))
+            addr, count = addr[pick], count[pick]
+        order = np.lexsort((addr, -count))
+        return list(zip(addr[order].tolist(), count[order].tolist()))
 
     def count_of(self, addr: int) -> int:
-        return self._counts.get(addr, 0)
+        self._fold()
+        i = int(np.searchsorted(self._addr, addr))
+        if i < len(self._addr) and self._addr[i] == addr:
+            return int(self._count[i])
+        return 0
 
     @property
     def n_addresses(self) -> int:
-        return len(self._counts)
+        self._fold()
+        return len(self._addr)
+
+
+def _exact_sum(counts: np.ndarray) -> int:
+    """Sum of non-negative int64 ``counts`` as a Python int, never wrapped."""
+    if len(counts) == 0:
+        return 0
+    if int(counts.max()) <= COUNT_SATURATION // len(counts):
+        return int(counts.sum())
+    return sum(counts.tolist())
+
+
+def _saturating_reduceat(counts: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per-group sums of non-negative int64 ``counts`` (groups begin at
+    ``starts``), each pinned at :data:`COUNT_SATURATION` instead of
+    wrapping."""
+    if int(counts.max()) <= COUNT_SATURATION // len(counts):
+        return np.add.reduceat(counts, starts)
+    # Some sum may pass int64: add exactly in Python ints, then pin.
+    sums = np.add.reduceat(counts.astype(object), starts)
+    return np.minimum(sums, COUNT_SATURATION).astype(np.int64)
 
 
 @dataclass

@@ -28,9 +28,10 @@ Two transports carry the routed rows (``mode``):
   tracer events and chunk logs home for the merge.
 
 Both transports run one worker loop: :meth:`Worker.feed` cuts a worker's
-rows into ``chunk_size`` chunks that span windows and :meth:`Worker.flush`
-runs the partial chunk at a rebalance quiesce and at the end, so both
-modes cut the same chunks and log them in the same order.
+rows into ``chunk_size`` chunks that span windows, running a window's full
+chunks in one kernel call, and :meth:`Worker.flush` runs the partial chunk
+at a rebalance quiesce and at the end, so both modes cut the same chunks,
+make the same kernel calls and log the chunks in the same order.
 
 Before dispatch, every run builds its one
 :class:`~repro.core.controlflow.LoopStateIndex` (the loop-frame snapshots
@@ -40,9 +41,13 @@ worker is fed a control event.
 
 Telemetry: the run is instrumented through one
 :class:`~repro.obs.metrics.MetricsRegistry` — rebalance counters live
-inside the :class:`Rebalancer`, per-chunk latencies inside the workers,
-and a :class:`~repro.obs.sampler.Sampler` scrapes signature fill and peak
-RSS once per producer window in deterministic mode.
+inside the :class:`Rebalancer`, per-call kernel latencies inside the
+workers, and a :class:`~repro.obs.sampler.Sampler` scrapes signature fill
+and peak RSS once per producer window in deterministic mode.  Every
+process of the run publishes its CPU seconds and minor page faults
+(``process.cpu_seconds``, ``process.minor_faults``): the parent its change
+over :meth:`ParallelProfiler.profile`, each worker process its whole
+life.
 :class:`ParallelRunInfo` and the aggregate
 :class:`~repro.core.result.ProfileStats` are derived *views* of that
 registry rather than independently maintained bookkeeping.  Attach a
@@ -63,7 +68,11 @@ from repro.common.errors import ProfilerError
 from repro.core.controlflow import LoopStateIndex
 from repro.core.deps import DependenceStore
 from repro.core.result import ProfileResult, ProfileStats
-from repro.obs.environment import peak_rss_bytes
+from repro.obs.environment import (
+    peak_rss_bytes,
+    process_usage,
+    publish_process_usage,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import ProvenanceCollector
 from repro.obs.sampler import Sampler
@@ -220,6 +229,7 @@ class ParallelProfiler:
     def profile(self, batch: TraceBatch) -> tuple[ProfileResult, ParallelRunInfo]:
         """Route ``batch`` to the workers, run them, and merge their parts."""
         cfg = self.config
+        usage_at_start = process_usage()
         # One registry per run: counters are monotonic, so a shared
         # externally-supplied registry must not be reused across runs.
         reg = self.registry if self.registry is not None else MetricsRegistry()
@@ -240,6 +250,9 @@ class ParallelProfiler:
         try:
             parts, chunk_log, rebalance_audit = transport(batch, loop_index, reg)
             store, prov, stats = self._merge(reg, parts)
+            # This process's CPU time and faults over the run; a worker
+            # process published its own, labelled, before exiting.
+            publish_process_usage(reg, since=usage_at_start)
         finally:
             # Checkpoint on every path.  The sink stays open: the caller
             # writes the stream's final record, and the stream flushed

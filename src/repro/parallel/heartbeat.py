@@ -7,7 +7,7 @@ health *observable while the run executes*.  Two halves:
 * :class:`HeartbeatBoard` — a tiny anonymous shared map, one ``(monotonic
   timestamp, beat count)`` float64 pair per worker, which the workers
   inherit through ``fork``.  Workers stamp their slot at startup, per task,
-  and per chunk (:func:`HeartbeatBoard.beat` is two array stores —
+  and per kernel call (:func:`HeartbeatBoard.beat` is two array stores —
   nanoseconds, safe on the hot path).  ``time.monotonic``
   is ``CLOCK_MONOTONIC`` on Linux, one system-wide clock, so the parent can
   subtract a child's stamp from its own reading directly.

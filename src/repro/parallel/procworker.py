@@ -29,7 +29,7 @@ from typing import Any
 
 from repro.common.config import ProfilerConfig
 from repro.core.controlflow import LoopStateIndex
-from repro.obs.environment import peak_rss_bytes
+from repro.obs.environment import peak_rss_bytes, publish_process_usage
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import ProvenanceCollector
 from repro.obs.tracing import Tracer, worker_track
@@ -95,6 +95,8 @@ def run_worker(
         # -- publish & ship ------------------------------------------------
         part = worker.publish()
         reg.gauge("process.peak_rss_bytes", worker=wid).set(peak_rss_bytes())
+        # Fork reset this process's rusage: its whole life is this run.
+        publish_process_usage(reg, worker=wid)
         part.update(
             metrics=reg.state(),
             tracer=(

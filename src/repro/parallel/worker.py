@@ -28,10 +28,13 @@ class Worker:
     synchronization — the core of the paper's parallelization argument.
 
     Both transports drive the same loop: :meth:`feed` takes the worker's
-    rows of one routed window, runs every full ``chunk_size`` chunk and
-    keeps the remainder for the next window; :meth:`flush` runs that
-    remainder at a rebalance quiesce and at the end of the run.  A worker's
-    chunks therefore span windows, and it numbers them itself from 0.
+    rows of one routed window, runs every full ``chunk_size`` chunk in one
+    kernel call and keeps the remainder for the next window; :meth:`flush`
+    runs that remainder at a rebalance quiesce and at the end of the run.
+    A worker's chunks therefore span windows, and it numbers them itself
+    from 0.  The chunk stays the unit of the chunk log, the chunk counters
+    and provenance; the kernel call is the unit of the latency histogram,
+    the ``chunk.process`` trace slice and the heartbeat.
 
     Every worker runs the incremental array kernel
     (:class:`~repro.core.vectorized.ChunkKernel`) over numpy signature
@@ -47,7 +50,7 @@ class Worker:
     as ``heartbeat``.
 
     When a :class:`~repro.obs.metrics.MetricsRegistry` is supplied the
-    worker instruments itself: per-chunk latency histogram, signature
+    worker instruments itself: per-call kernel latency histogram, signature
     hash-conflict eviction counters (``sigmem.evictions``, lossy
     signatures), address heat, and callback-backed fill gauges that the
     sampler scrapes from the live trackers.  A
@@ -88,7 +91,8 @@ class Worker:
             provenance=provenance,
         )
         self.provenance = provenance
-        #: Stamped after every chunk, so a long window never reads as a stall.
+        #: Stamped after every kernel call (at most one window's rows), so a
+        #: busy worker never reads as a stall.
         self._heartbeat = heartbeat
         #: Rows fed but not yet run: less than one chunk, in trace order.
         self._pending = np.empty(0, dtype=np.int64)
@@ -137,18 +141,19 @@ class Worker:
 
     def feed(self, batch: TraceBatch, rows: np.ndarray) -> list[int]:
         """Take this worker's ``rows`` of one window (ascending, after every
-        row fed before): run each full chunk now, keep the remainder.
+        row fed before): run all full chunks now in one kernel call, keep
+        the remainder.
 
         Returns the row count of every chunk run, in order.
         """
         if len(self._pending):
             rows = np.concatenate((self._pending, rows))
         size = self.config.chunk_size
-        full = len(rows) - len(rows) % size
-        for i in range(0, full, size):
-            self.process_rows(batch, rows[i : i + size])
-        self._pending = rows[full:].copy()
-        return [size] * (full // size)
+        n_full = len(rows) // size
+        if n_full:
+            self.process_rows(batch, rows[: n_full * size], n_full)
+        self._pending = rows[n_full * size :].copy()
+        return [size] * n_full
 
     def flush(self, batch: TraceBatch) -> list[int]:
         """Run the partial chunk :meth:`feed` kept, if any (a rebalance
@@ -160,19 +165,25 @@ class Worker:
         self.process_rows(batch, rows)
         return [len(rows)]
 
-    def process_rows(self, batch: TraceBatch, rows: np.ndarray) -> None:
-        """Run this worker's kernel over ``rows`` of ``batch`` as its next chunk."""
+    def process_rows(
+        self, batch: TraceBatch, rows: np.ndarray, n_chunks: int = 1
+    ) -> None:
+        """Run ``rows`` of ``batch`` as this worker's next ``n_chunks``
+        chunks, of equal size, in one kernel call."""
         hist = self._chunk_hist
         tracer = self._tracer
         need_t = hist is not None or tracer.enabled
         t0 = time.perf_counter() if need_t else 0.0
         seq = self.chunks_processed
+        chunk = None
         if self.provenance is not None:
-            self.provenance.chunk = seq
+            chunk = np.repeat(
+                np.arange(seq, seq + n_chunks, dtype=np.int64), len(rows) // n_chunks
+            )
         before = self.engine.stats.n_accesses
-        self.engine.process_rows(batch, rows)
+        self.engine.process_rows(batch, rows, chunk)
         self.accesses_processed += self.engine.stats.n_accesses - before
-        self.chunks_processed += 1
+        self.chunks_processed += n_chunks
         if need_t:
             t1 = time.perf_counter()
             if hist is not None:
@@ -184,6 +195,7 @@ class Worker:
                     t0,
                     t1,
                     seq=seq,
+                    chunks=n_chunks,
                     rows=len(rows),
                 )
         if self._heartbeat is not None:

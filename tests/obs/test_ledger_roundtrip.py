@@ -73,7 +73,7 @@ class TestCrashPath:
         torn JSON, no stranded tmp files."""
         import repro.parallel.worker as worker_mod
 
-        def boom(self, batch, rows, seq=-1):
+        def boom(self, batch, rows, n_chunks=1):
             raise RuntimeError("injected worker crash")
 
         monkeypatch.setattr(worker_mod.Worker, "process_rows", boom)
@@ -98,7 +98,7 @@ class TestCrashPath:
     def test_deterministic_mode_crash_also_checkpoints(self, monkeypatch, tmp_path):
         import repro.parallel.worker as worker_mod
 
-        def boom(self, batch, rows, seq=-1):
+        def boom(self, batch, rows, n_chunks=1):
             raise RuntimeError("injected worker crash")
 
         monkeypatch.setattr(worker_mod.Worker, "process_rows", boom)

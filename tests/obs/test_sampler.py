@@ -4,15 +4,8 @@ import threading
 
 import pytest
 
-from repro.common.config import ProfilerConfig
-from repro.obs import MemorySink, MetricsRegistry, deadline_loop
-from repro.parallel import ParallelProfiler
+from repro.obs import MetricsRegistry, deadline_loop, read_jsonl
 from repro.parallel.engine import MODES
-from tests.trace_helpers import seq_trace
-
-
-def sampler_threads():
-    return [t for t in threading.enumerate() if t.name == "obs-sampler"]
 
 
 class FakeTime:
@@ -82,43 +75,74 @@ class TestDeadlineGrid:
             deadline_loop(lambda: None, -1.0, lambda d: True)
 
 
-class TestPipelineAbort:
-    def throwing_trace(self):
-        ops = []
-        for i in range(64):
-            a = 0x1000 + 8 * i
-            ops += [("w", a, 1, "x"), ("r", a, 2, "x")]
-        return seq_trace(ops)
+#: The telemetry threads a CLI run starts: the stream and the HTTP
+#: exporter in both modes, the heartbeat watchdog in processes mode.
+OBS_THREADS = {
+    "deterministic": {"obs-streamer", "obs-httpd"},
+    "processes": {"obs-streamer", "obs-httpd", "obs-watchdog"},
+}
 
-    def test_worker_exception_propagates_without_leaking_sampler(self, monkeypatch):
-        """A worker blowing up mid-run must abort the pipeline cleanly: the
-        error surfaces on the caller, no obs-sampler thread exists, and the
-        final forced sample still lands in the event stream."""
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """Every thread started while the test runs, in start order."""
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return started
+
+
+def check_obs_threads(started, mode):
+    """The run started its telemetry threads, and none outlives it."""
+    obs = [t for t in started if t.name.startswith("obs-")]
+    assert {t.name for t in obs} == OBS_THREADS[mode]
+    assert [t.name for t in obs if t.is_alive()] == [], "obs thread leaked"
+
+
+def stats_argv(mode, path):
+    return [
+        "stats", "ep", "--mode", mode, "--workers", "2", "--no-ledger",
+        "--live-metrics", str(path), "--http-port", "0",
+    ]
+
+
+class TestPipelineAbort:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_worker_exception_leaves_no_obs_thread(
+        self, mode, monkeypatch, tmp_path, capsys, started_threads
+    ):
+        """A worker blowing up mid-run must abort the run cleanly: the
+        error surfaces on the caller, no telemetry thread the run started
+        outlives it, and in deterministic mode the final forced sample
+        still lands in the stream."""
+        from repro.cli import main
         from repro.parallel.worker import Worker
 
-        boom = RuntimeError("worker exploded")
-
-        def exploding(self, batch, rows):
-            raise boom
+        def exploding(self, batch, rows, n_chunks=1):
+            raise RuntimeError("worker exploded")
 
         monkeypatch.setattr(Worker, "process_rows", exploding)
-        sink = MemorySink()
-        reg = MetricsRegistry(sink)
-        # Tiny chunks fill in the first window, so the failure fires inside
-        # the producer loop, not only at the final flush.
-        cfg = ProfilerConfig(perfect_signature=True, workers=2, chunk_size=8)
-        prof = ParallelProfiler(cfg, registry=reg)
-        with pytest.raises(RuntimeError, match="worker exploded"):
-            prof.profile(self.throwing_trace())
-        assert sampler_threads() == [], "sampler daemon thread leaked"
-        assert any(e["type"] == "sample" for e in sink.events)
+        path = tmp_path / "stream.jsonl"
+        with pytest.raises(Exception, match="worker exploded"):
+            main(stats_argv(mode, path))
+        capsys.readouterr()
+        check_obs_threads(started_threads, mode)
+        records = read_jsonl(path)
+        assert records[-1]["type"] == "final"
+        if mode == "deterministic":
+            assert any(r["type"] == "sample" for r in records)
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_clean_run_leaves_no_sampler_thread(self, mode):
-        reg = MetricsRegistry(MemorySink())
-        cfg = ProfilerConfig(perfect_signature=True, workers=2, chunk_size=8)
-        res, _ = ParallelProfiler(cfg, mode=mode, registry=reg).profile(
-            self.throwing_trace()
-        )
-        assert sampler_threads() == []
-        assert res.store.n_entries > 0
+    def test_clean_run_leaves_no_obs_thread(
+        self, mode, tmp_path, capsys, started_threads
+    ):
+        from repro.cli import main
+
+        assert main(stats_argv(mode, tmp_path / "stream.jsonl")) == 0
+        capsys.readouterr()
+        check_obs_threads(started_threads, mode)

@@ -419,10 +419,10 @@ class TestOneStreamCli:
 
         process_rows = worker_mod.Worker.process_rows
 
-        def slow(self, batch, rows):
+        def slow(self, batch, rows, n_chunks=1):
             if self.wid == 1 and self.chunks_processed == 0:
                 time.sleep(0.6)  # >> the 0.1 s stall threshold
-            return process_rows(self, batch, rows)
+            return process_rows(self, batch, rows, n_chunks)
 
         monkeypatch.setattr(worker_mod.Worker, "process_rows", slow)
         path = tmp_path / "proc.jsonl"

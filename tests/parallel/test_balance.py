@@ -1,7 +1,13 @@
 """Tests for access statistics and the hot-address rebalancer."""
 
-import numpy as np
+import heapq
+from collections import Counter
+from unittest import mock
 
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from repro.parallel import balance
 from repro.parallel.address_map import AddressMap
 from repro.parallel.balance import COUNT_SATURATION, AccessStats, Rebalancer
 
@@ -22,11 +28,14 @@ class TestAccessStats:
         assert s.total == 4
         assert s.n_addresses == 2
 
-    def test_record_scalar(self):
+    def test_buffer_folds_past_its_bound(self, monkeypatch):
+        monkeypatch.setattr(balance, "FOLD_ENTRIES", 3)
         s = AccessStats()
-        s.record(8)
-        s.record(8)
-        assert s.count_of(8) == 2
+        s.record_many(np.array([8, 16], dtype=np.int64))
+        assert len(s._buf) == 1
+        s.record_many(np.array([16, 24], dtype=np.int64))
+        assert s._buf == [] and s._addr.tolist() == [8, 16, 24]
+        assert s._count.tolist() == [1, 2, 1]
 
     def test_hottest_ordering_deterministic(self):
         s = stats_from({8: 5, 16: 5, 24: 9})
@@ -49,22 +58,62 @@ class TestAccessStats:
         # the worst case for the (count desc, addr asc) contract.
         s = AccessStats()
         for addr in range(80, 0, -8):  # 80, 72, ..., 8 — all count 1
-            s.record(addr)
+            s.record_many(np.array([addr], dtype=np.int64))
         assert s.hottest(1) == [(8, 1)]
         assert s.hottest(3) == [(8, 1), (16, 1), (24, 1)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        windows=st.lists(
+            st.lists(st.integers(0, 40).map(lambda i: 8 * i), max_size=30),
+            max_size=8,
+        ),
+        bound=st.sampled_from([0, 3, 16, balance.FOLD_ENTRIES]),
+        k=st.integers(0, 12),
+    )
+    def test_matches_counter_reference(self, windows, bound, k):
+        """The sorted columns against a per-address ``Counter``, with reads
+        between windows and fold bounds from every window to none."""
+
+        def ref_hottest(ref):
+            return heapq.nsmallest(k, ref.items(), key=lambda ac: (-ac[1], ac[0]))
+
+        ref = Counter()
+        s = AccessStats()
+        with mock.patch.object(balance, "FOLD_ENTRIES", bound):
+            for i, window in enumerate(windows):
+                s.record_many(np.array(window, dtype=np.int64))
+                ref.update(window)
+                if i % 2:
+                    assert s.hottest(k) == ref_hottest(ref)
+        assert s.hottest(k) == ref_hottest(ref)
+        assert s.n_addresses == len(ref)
+        assert {a: s.count_of(a) for a in ref} == ref
+        assert s.count_of(4) == 0
+        assert s.total == sum(ref.values())
 
     def test_counts_saturate_instead_of_wrapping(self):
         # Synthetic 1e8-event replays must pin at int64-max, never wrap
         # negative (which would sort the hottest address *last*).
         s = AccessStats()
-        s._counts[8] = COUNT_SATURATION - 2
-        s.total = COUNT_SATURATION - 2
+        s.record_counts(np.array([8]), np.array([COUNT_SATURATION - 2]))
+        assert s.count_of(8) == COUNT_SATURATION - 2
+        assert s.total == COUNT_SATURATION - 2
         s.record_many(np.full(5, 8, dtype=np.int64))
         assert s.count_of(8) == COUNT_SATURATION
         assert s.total == COUNT_SATURATION
-        s.record(8)
+        s.record_many(np.array([8], dtype=np.int64))
         assert s.count_of(8) == COUNT_SATURATION
         assert s.hottest(1) == [(8, COUNT_SATURATION)]
+
+    def test_buffered_counts_saturate_in_one_fold(self):
+        # Three half-range counts buffered for one address sum past int64
+        # in a single fold.
+        s = AccessStats()
+        for _ in range(3):
+            s.record_counts(np.array([8, 16]), np.array([COUNT_SATURATION // 2, 1]))
+        assert s.hottest(2) == [(8, COUNT_SATURATION), (16, 3)]
+        assert s.total == COUNT_SATURATION
 
 
 class TestRebalancer:

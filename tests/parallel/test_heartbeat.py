@@ -273,10 +273,10 @@ class TestProcessesIntegration:
 
         orig = worker_mod.Worker.process_rows
 
-        def slow(self, batch, rows):
+        def slow(self, batch, rows, n_chunks=1):
             if self.wid == 1 and self.chunks_processed == 0:
                 time.sleep(0.6)  # one long pause >> stall_after (0.1s)
-            return orig(self, batch, rows)
+            return orig(self, batch, rows, n_chunks)
 
         monkeypatch.setattr(worker_mod.Worker, "process_rows", slow)
         batch = get_trace("ep")

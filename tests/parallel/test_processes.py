@@ -7,6 +7,7 @@ machinery: per-worker stores, metrics state folding, provenance, tracer
 adoption, and a transport that needs no POSIX shared memory.
 """
 
+import itertools
 import multiprocessing
 
 import pytest
@@ -15,7 +16,7 @@ from repro.common.config import ProfilerConfig
 from repro.common.errors import ProfilerError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import ProvenanceCollector
-from repro.obs.tracing import Tracer
+from repro.obs.tracing import Tracer, worker_track
 from repro.parallel import ParallelProfiler
 from repro.trace import spill_batch
 from repro.workloads import get_trace
@@ -88,20 +89,49 @@ class TestProcessesMode:
 
     def test_metrics_fold_into_parent_registry(self):
         batch = get_trace("ep")
-        reg = MetricsRegistry()
+        reg = MetricsRegistry(tracer=Tracer())
         cfg = PERFECT.with_(workers=2, chunk_size=512)
         par, info = ParallelProfiler(cfg, mode="processes", registry=reg).profile(batch)
         # Worker-side counters arrived via merge_state.
         assert reg.sum_counters("worker.accesses") == sum(info.per_worker_accesses)
         assert reg.sum_counters("worker.chunks") == info.n_chunks
         assert reg.counter("pipeline.chunks").value == info.n_chunks
-        # Per-chunk latency histograms travelled with their label sets.
-        hists = [h for h in reg.histograms() if h.name == "worker.chunk_seconds"]
-        assert len(hists) == 2
-        assert sum(h.count for h in hists) == info.n_chunks
+        # Per-call kernel latency histograms travelled with their label
+        # sets: one observation per kernel call, i.e. per chunk.process
+        # slice, and the slices cover every chunk of their worker.
+        hists = {
+            int(dict(h.labels)["worker"]): h.count
+            for h in reg.histograms()
+            if h.name == "worker.chunk_seconds"
+        }
+        assert sorted(hists) == [0, 1]
+        slices = reg.tracer.of_name("chunk.process")
+        for w in range(2):
+            mine = [e for e in slices if e.track == worker_track(w)]
+            assert hists[w] == len(mine)
+            assert sum(e.args["chunks"] for e in mine) == info.per_worker_chunks[w]
+            assert [e.args["seq"] for e in mine] == list(
+                itertools.accumulate([0] + [e.args["chunks"] for e in mine[:-1]])
+            )
+        assert sum(e.args["chunks"] for e in slices) == info.n_chunks
+        # A window holds several 512-row chunks, so calls are fewer.
+        assert len(slices) < info.n_chunks
         # ProfileStats view over the merged registry is coherent.
         assert par.stats.n_accesses == sum(info.per_worker_accesses)
         assert info.signature_memory_bytes > 0
+        # Each worker process reported its whole life's CPU time and minor
+        # faults under its label; the parent reported its own over the run.
+        gauges = [(g.name, dict(g.labels), g.value) for g in reg.gauges()]
+
+        def gauge(name, **labels):
+            (v,) = [v for n, lab, v in gauges if n == name and lab == labels]
+            return v
+
+        for worker in ({"worker": "0"}, {"worker": "1"}, {}):
+            assert gauge("process.minor_faults", **worker) > 0, worker
+            # CPU time is accounted in ticks: a short worker may read 0.
+            for kind in ("user", "sys"):
+                assert gauge("process.cpu_seconds", kind=kind, **worker) >= 0, worker
 
     def test_provenance_merged_across_processes(self):
         batch = get_trace("ep")
@@ -134,7 +164,7 @@ class TestProcessesMode:
         and re-raised parent-side (fork start method inherits the patch)."""
         import repro.parallel.worker as worker_mod
 
-        def boom(self, batch, rows, seq=-1):
+        def boom(self, batch, rows, n_chunks=1):
             raise RuntimeError("injected worker crash")
 
         monkeypatch.setattr(worker_mod.Worker, "process_rows", boom)
@@ -153,7 +183,7 @@ class TestProcessesMode:
         import repro.parallel.worker as worker_mod
         from repro.obs import TelemetryStreamer, read_jsonl, replay_stream
 
-        def boom(self, batch, rows):
+        def boom(self, batch, rows, n_chunks=1):
             raise RuntimeError("injected worker crash")
 
         monkeypatch.setattr(worker_mod.Worker, "process_rows", boom)
@@ -270,11 +300,11 @@ class TestProcessesMode:
             calls.append((start, end))
             orig_release(self, start, end)
 
-        def process_rows(self, batch, rows):
+        def process_rows(self, batch, rows, n_chunks=1):
             upto = released.get(os.getpid(), 0)
             if rows[0] < upto:
                 raise AssertionError(f"row {rows[0]} read after release to {upto}")
-            orig_rows(self, batch, rows)
+            orig_rows(self, batch, rows, n_chunks)
 
         def run_in_process(self, *args):
             released.clear()
