@@ -21,7 +21,6 @@ Subpackage map: :mod:`repro.trace` (event substrate), :mod:`repro.minivm`
 from repro.common.config import ProfilerConfig
 from repro.common.sourceloc import SourceLocation, format_location
 from repro.core import (
-    DependenceProfiler,
     DependenceStore,
     DepType,
     Dependence,
@@ -49,7 +48,6 @@ __version__ = "1.0.0"
 __all__ = [
     "DepType",
     "Dependence",
-    "DependenceProfiler",
     "DependenceStore",
     "MemorySink",
     "MetricsRegistry",

@@ -22,11 +22,9 @@ dependence with the workers/chunks/timestamps that produced it and a
 ``suspect_fp`` hash-collision flag), and ``--json`` (append/print the
 machine-readable run report; schemas in docs/observability.md).
 
-By default a command profiles sequentially: one Algorithm 1 worker over the
-whole trace, provenance included.  ``--mode`` routes the run through the
-parallel pipeline with ``--workers`` workers, and so does ``--trace-out``
-(the timeline is a pipeline feature; deterministic mode unless ``--mode``
-says otherwise).  ``stats`` and ``trace`` always run the pipeline.
+Every profiling subcommand runs the one parallel pipeline: ``--mode``
+picks its transport (``deterministic`` by default) and ``--workers`` its
+worker count (by default 1, or 4 for ``stats`` and ``trace``).
 """
 
 from __future__ import annotations
@@ -35,9 +33,10 @@ import argparse
 import sys
 
 from repro.common.config import ProfilerConfig
-from repro.core import format_dependences, profile_trace
+from repro.core import format_dependences
 from repro.minivm import ScheduleConfig, run_program
 from repro.obs import MetricsRegistry, RunReport, Tracer, write_chrome_trace
+from repro.parallel import ParallelProfiler
 
 
 def _run_id_arg(value: str) -> str:
@@ -50,7 +49,7 @@ def _run_id_arg(value: str) -> str:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _profiler_args(p: argparse.ArgumentParser) -> None:
+def _profiler_args(p: argparse.ArgumentParser, workers: int = 1) -> None:
     p.add_argument("workload", help="workload name (see `ddprof workloads`)")
     p.add_argument("--variant", choices=["seq", "par"], default="seq")
     p.add_argument("--scale", type=int, default=None, help="problem-size factor")
@@ -61,16 +60,14 @@ def _profiler_args(p: argparse.ArgumentParser) -> None:
         help="signature slots (default: perfect signature)",
     )
     p.add_argument(
-        "--workers", type=int, default=4,
-        help="pipeline worker count (stats/trace, and any --mode/"
-        "--trace-out run)",
+        "--workers", type=int, default=workers,
+        help="pipeline worker count (default: %(default)s)",
     )
     p.add_argument(
         "--mode", choices=["deterministic", "processes"],
-        default=None,
-        help="pipeline execution mode; giving it routes the run through the "
-        "parallel pipeline ('processes' = real multi-core, forked workers "
-        "that inherit the trace; needs fork; see docs/parallel.md)",
+        default="deterministic",
+        help="pipeline execution mode ('processes' = real multi-core, forked "
+        "workers that inherit the trace; needs fork; see docs/parallel.md)",
     )
     p.add_argument(
         "--trace-out", metavar="FILE", default=None,
@@ -259,7 +256,6 @@ def _ledger_from(args: argparse.Namespace, run_id: str):
         "command": getattr(args, "command", None),
         "workload": getattr(args, "workload", None),
         "variant": getattr(args, "variant", None),
-        "engine": "pipeline" if _runs_pipeline(args) else "sequential",
         "mode": getattr(args, "mode", None),
         "workers": getattr(args, "workers", None),
         "slots": getattr(args, "slots", None),
@@ -280,7 +276,6 @@ def _report_from(
         info,
         workload=args.workload,
         variant=args.variant,
-        engine="pipeline" if info is not None else "sequential",
     )
     ledger = getattr(args, "_ledger", None)
     path = None
@@ -313,40 +308,21 @@ def _write_trace(args: argparse.Namespace, reg: MetricsRegistry) -> None:
         )
 
 
-def _runs_pipeline(args: argparse.Namespace) -> bool:
-    """Whether the run goes through the parallel pipeline: ``stats`` and
-    ``trace`` always do, other commands when ``--mode`` or a timeline
-    (``--trace-out``, a pipeline feature) was asked for."""
-    return getattr(args, "command", None) in ("stats", "trace") or bool(
-        getattr(args, "trace_out", None) or getattr(args, "mode", None)
-    )
-
-
 def _profile_for(args: argparse.Namespace, reg: MetricsRegistry, batch):
-    """Profile ``batch`` the way the flags ask: sequentially by default,
-    through the parallel pipeline when :func:`_runs_pipeline` says so.  A
-    lossy run with provenance then settles its ``suspect_fp`` flags against
-    a perfect-signature rerun.  Returns ``(result, info-or-None)``."""
+    """Profile ``batch`` through the pipeline with the run's ``--mode`` and
+    ``--workers``.  A lossy run with provenance then settles its
+    ``suspect_fp`` flags against a perfect-signature rerun.  Returns
+    ``(result, info)``."""
     cfg = _config_from(args)
-    wants_prov = getattr(args, "provenance", False)
-    if _runs_pipeline(args):
-        from repro.parallel import ParallelProfiler
-
-        res, info = ParallelProfiler(
-            cfg.with_(workers=args.workers),
-            mode=getattr(args, "mode", None) or "deterministic",
-            registry=reg,
-            provenance=wants_prov,
-            heartbeat_interval=getattr(args, "heartbeat_interval", 0.05),
-            ledger=getattr(args, "_ledger", None),
-        ).profile(batch)
-    else:
-        from repro.obs import ProvenanceCollector
-
-        prov = ProvenanceCollector() if wants_prov else None
-        res = profile_trace(batch, cfg, registry=reg, provenance=prov)
-        info = None
-    if wants_prov and args.slots is not None:
+    res, info = ParallelProfiler(
+        cfg.with_(workers=args.workers),
+        mode=args.mode,
+        registry=reg,
+        provenance=args.provenance,
+        heartbeat_interval=args.heartbeat_interval,
+        ledger=getattr(args, "_ledger", None),
+    ).profile(batch)
+    if args.provenance and args.slots is not None:
         from repro.obs import oracle_cross_check
 
         oracle_cross_check(res.provenance, batch, cfg)
@@ -1024,7 +1000,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser(
         "stats", help="telemetry run-report of a full pipeline run"
     )
-    _profiler_args(p)
+    _profiler_args(p, workers=4)
     p.add_argument(
         "--prometheus-out", metavar="FILE", default=None,
         help="also write a Prometheus text exposition of the final metrics",
@@ -1054,7 +1030,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser(
         "trace", help="record a pipeline timeline as Chrome trace JSON"
     )
-    _profiler_args(p)
+    _profiler_args(p, workers=4)
     p.add_argument(
         "--out", metavar="FILE", default=None,
         help="trace output path (default: <workload>.trace.json)",

@@ -25,22 +25,22 @@ DEFAULT_HOT_ADDRESS_COUNT = 10
 
 @dataclass(frozen=True, slots=True)
 class ProfilerConfig:
-    """Configuration shared by the sequential and parallel engines.
+    """Configuration of a profiling run.
 
     Attributes
     ----------
     signature_slots:
-        Total number of slots across *all* signatures of one kind.  In the
-        parallel engine each worker gets ``signature_slots // workers`` slots,
+        Total number of slots across *all* signatures of one kind.  Each
+        pipeline worker gets ``signature_slots // workers`` slots,
         mirroring the paper's 6.25e6-slots-per-thread setup that aggregates
         to 1e8 slots over 16 threads.
     perfect_signature:
         Use the exact (collision-free) signature instead of the fixed-size
         array.  This is the paper's baseline for measuring FPR/FNR.
     workers:
-        Worker count of the parallel pipeline.  The sequential profiler
-        (:func:`~repro.core.profiler.profile_trace`) ignores it and runs one
-        worker that owns every address.
+        Worker count of the pipeline.
+        :func:`~repro.core.profiler.profile_trace` ignores it: it runs the
+        pipeline at one worker, which owns every address.
     chunk_size:
         Number of trace rows per chunk a worker runs through its kernel
         (a window's full chunks go through in one kernel call).
@@ -65,9 +65,9 @@ class ProfilerConfig:
     heatmap:
         Maintain per-worker address heatmaps (log2-bucketed read/write/
         conflict/occupancy histograms — the memory observability plane,
-        see :mod:`repro.obs.heatmap`) on registry-instrumented pipeline
-        runs.  On by default; only recorded when a metrics registry is
-        attached, so uninstrumented runs are unaffected either way.
+        see :mod:`repro.obs.heatmap`).  On by default.  Every pipeline run
+        records them: a run given no metrics registry records its heat
+        into its private one.
     signature_banks:
         Number of per-address-range banks each worker's signature memory is
         sharded into.  ``0`` (default) keeps the classic unbanked layout —

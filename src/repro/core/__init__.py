@@ -9,11 +9,10 @@ Every profiling run executes one implementation of Algorithm 1, the chunk
 kernel (:class:`~repro.core.vectorized.ChunkKernel`): a numpy formulation
 that sorts a chunk's accesses by (tracking key, stream position) and
 derives each access's previous read/write via segmented cumulative maxima,
-carrying the signature state from chunk to chunk.  The
-:class:`DependenceProfiler` facade runs it sequentially as a one-worker
-pipeline, with trackers picked from a :class:`~repro.common.ProfilerConfig`
-(array signature or perfect signature); :mod:`repro.parallel` runs one
-kernel per worker.
+carrying the signature state from chunk to chunk.  The pipeline of
+:mod:`repro.parallel` runs one kernel per worker, with trackers picked
+from a :class:`~repro.common.ProfilerConfig` (array signature or perfect
+signature); :func:`profile_trace` is that pipeline at one worker.
 
 :class:`ReferenceEngine` transcribes Algorithm 1 event at a time.  It is
 the executable specification the kernel is tested against, not a runtime
@@ -30,7 +29,7 @@ from repro.core.deps import (
 from repro.core.controlflow import LoopInfo, extract_loop_info
 from repro.core.result import ProfileResult, ProfileStats
 from repro.core.reference import ReferenceEngine
-from repro.core.profiler import DependenceProfiler, profile_trace
+from repro.core.profiler import profile_trace
 from repro.core.output import (
     OutputDiff,
     diff_outputs,
@@ -41,7 +40,6 @@ from repro.core.output import (
 __all__ = [
     "DepType",
     "Dependence",
-    "DependenceProfiler",
     "DependenceStore",
     "LoopInfo",
     "OutputDiff",

@@ -15,10 +15,10 @@ class ProfileStats:
     """Bookkeeping collected during one profiling run.
 
     The dataclass remains the downstream API, but it doubles as a *view*
-    over the telemetry registry: :meth:`publish` pushes one engine's totals
-    into registry counters (labelled by worker for the pipeline), and
-    :meth:`from_registry` re-derives an aggregate by summing those counter
-    families — so the parallel engine no longer hand-sums private fields.
+    over the telemetry registry: :meth:`publish` pushes one worker's totals
+    into registry counters labelled by worker, and :meth:`from_registry`
+    re-derives an aggregate by summing those counter families — so the
+    pipeline never hand-sums private fields.
     """
 
     n_events: int = 0

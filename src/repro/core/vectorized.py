@@ -9,8 +9,7 @@ signature), and the "last read / last write before me on my key"
 quantities it consults can be computed for all accesses of a chunk at
 once.  The kernel keeps the tracker state between chunks in signature
 planes (:mod:`repro.sigmem.planes`), so a trace may reach it in any number
-of ascending row chunks: the sequential profiler feeds one kernel fixed
-row windows, the parallel pipeline feeds each worker's kernel the rows
+of ascending row chunks: the pipeline feeds each worker's kernel the rows
 routed to it, all full chunks of a window in one call.
 """
 

@@ -398,7 +398,6 @@ def list_runs(root: Path | str | None = None) -> list[dict[str, Any]]:
                 "status": doc.get("status", "?"),
                 "workload": meta.get("workload"),
                 "variant": meta.get("variant"),
-                "engine": meta.get("engine"),
                 "mode": meta.get("mode"),
                 "n_edges": deps.get("n_edges"),
                 "digest": deps.get("digest"),

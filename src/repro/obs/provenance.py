@@ -118,8 +118,7 @@ class ProvenanceCollector:
     *instance*, attributed to :attr:`chunk`, which the code feeding it
     sets before each chunk.  The vectorized chunk kernel calls :meth:`note_group` once
     per merged record of a kernel call, with the record's first and last
-    chunk: a call may cover many pipeline chunks (a row window of a
-    sequential run is one chunk of worker 0).
+    chunk: a call may cover many pipeline chunks.
     """
 
     def __init__(self, worker: int = 0) -> None:

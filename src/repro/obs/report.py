@@ -12,7 +12,7 @@ Schema (``ddprof.run-report/1``)::
 
     {
       "schema": "ddprof.run-report/1",
-      "meta":       {workload, variant, engine, workers, ...},
+      "meta":       {workload, variant, ...},
       "environment": {git_sha, cpus, platform, python, numpy, ...},
       "phases":     [{"phase": ..., "seconds": ..., "count": ...}, ...],
       "counters":   {"worker.chunks{worker=\"0\"}": 3, ...},
@@ -55,10 +55,11 @@ HEARTBEAT_STATES = ("live", "stalled", "dead")
 def liveness_summary(registry: MetricsRegistry) -> dict[str, Any] | None:
     """Decode ``worker.heartbeat.*`` gauges into a liveness section.
 
-    Returns ``None`` when the run recorded no heartbeats (sequential and
-    deterministic modes).  The summary is computed purely from the registry — the
-    watchdog writes gauges, everything downstream (report, ``/healthz``)
-    reads them — so there is exactly one source of truth for worker state.
+    Returns ``None`` when the run recorded no heartbeats (deterministic
+    mode, or the heartbeat plane switched off).  The summary is computed
+    purely from the registry — the watchdog writes gauges, everything
+    downstream (report, ``/healthz``) reads them — so there is exactly one
+    source of truth for worker state.
     """
     states: dict[str, int] = {}
     ages: dict[str, float] = {}
@@ -105,8 +106,8 @@ def memory_section(
     """The report's memory plane: address heatmap, rebalance audit trail,
     and per-process RSS high-water marks.
 
-    ``None`` when the run recorded none of the three (e.g. sequential runs
-    without a registry-instrumented pipeline).
+    ``None`` when the registry holds none of the three (no pipeline run
+    recorded into it).
     """
     heat = heatmap_summary(registry)
     audit = list(info.rebalance_audit) if info is not None else []

@@ -15,7 +15,9 @@
   classifier the bench gate uses (:func:`repro.obs.bench.classify_delta`):
   coverage has a declared direction (higher is better); raw run counters
   and gauges have none and classify ``changed`` when they leave the band —
-  *noticed*, never gating;
+  *noticed*, never gating.  Resource and timing instruments (``process.*``,
+  ``worker.heartbeat.*``, backpressure stalls, telemetry tick errors) are
+  not compared: they never replay;
 * **suspect-FP provenance** keys appearing/disappearing.
 
 Exit-code contract (``ddprof runs diff``): the diff **fails** (non-zero)
@@ -39,6 +41,18 @@ SCHEMA = "ddprof.run-diff/1"
 
 #: At most this many individual edges are listed in the text rendering.
 _MAX_LISTED = 20
+
+#: Resource and timing instruments: they measure the host and the
+#: scheduler, not the profile, so two runs of one config differ in them.
+_HOST_PREFIXES = ("process.", "worker.heartbeat.")
+_HOST_METRICS = ("pipeline.backpressure_stalls", "obs.tick_errors")
+
+
+def _replays(name: str) -> bool:
+    """Whether the display-keyed metric ``name`` is deterministic per
+    config (not a resource or timing instrument)."""
+    family = name.split("{", 1)[0]
+    return not (family.startswith(_HOST_PREFIXES) or family in _HOST_METRICS)
 
 
 @dataclass
@@ -193,7 +207,7 @@ class RunDiff:
             head = " ".join(
                 f"{k}={v}"
                 for k, v in meta.items()
-                if v is not None and k in ("workload", "variant", "engine", "mode", "slots")
+                if v is not None and k in ("workload", "variant", "mode", "workers", "slots")
             )
             if head:
                 lines.append(f"  {side}: {head}")
@@ -358,11 +372,16 @@ def diff_bundles(
     # -- counters + gauges through the noise band --------------------------
     # Phase wall-times live in histograms/spans and are intentionally not
     # diffed: two identical runs must self-diff empty, and wall clocks
-    # never replay.  Counters and gauges are deterministic per config.
+    # never replay.  The resource and timing instruments (CPU seconds,
+    # faults, RSS, heartbeats, stalls, tick errors) are skipped for the
+    # same reason; every other counter and gauge is deterministic per
+    # config.
     ca, ga = _metric_values(a)
     cb, gb = _metric_values(b)
     for base_map, cur_map in ((ca, cb), (ga, gb)):
         for name in sorted(base_map.keys() & cur_map.keys()):
+            if not _replays(name):
+                continue
             diff.n_metrics_compared += 1
             status, why = classify_delta(
                 base_map[name], cur_map[name], direction=None,

@@ -97,10 +97,6 @@ class Sampler:
         gauge = self.registry.gauge_fn(name, fn, **labels)
         self._probes.append((format_name(gauge.name, gauge.labels), fn))
 
-    @property
-    def n_probes(self) -> int:
-        return len(self._probes)
-
     def poll(self, force: bool = False) -> bool:
         """Take one sample if the rate limit allows; True when sampled."""
         if not self._probes:

@@ -108,16 +108,8 @@ class AddressMap:
         return self._bank_rules.get(bank)
 
     @property
-    def overrides(self) -> dict[int, int]:
-        return dict(self._overrides)
-
-    @property
     def n_overrides(self) -> int:
         return len(self._overrides)
-
-    @property
-    def bank_rules(self) -> dict[int, int]:
-        return dict(self._bank_rules)
 
 
 @dataclass(frozen=True)

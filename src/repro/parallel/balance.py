@@ -188,7 +188,6 @@ class Rebalancer:
         self.hot_addresses = hot_addresses
         self.registry = registry
         self.rounds = 0
-        self.total_moves = 0
         #: One entry per rebalancing round (including no-move rounds).
         self.audit: list[dict[str, Any]] = []
 
@@ -256,7 +255,6 @@ class Rebalancer:
                 if old != w:
                     self.address_map.redistribute(addr, w)
                     decision.moves.append((addr, old, w))
-        self.total_moves += decision.n_moves + decision.n_bank_moves
         load_after = self._hot_load(stats)
         imbalance_after = self._ratio(load_after)
         self._record_audit(

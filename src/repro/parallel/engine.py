@@ -52,8 +52,9 @@ life.
 :class:`~repro.core.result.ProfileStats` are derived *views* of that
 registry rather than independently maintained bookkeeping.  Attach a
 :class:`~repro.obs.streamer.TelemetryStreamer` to the registry to capture
-the run's telemetry stream; the default private registry has a
-``NullSink`` and costs only the plain counters.
+the run's telemetry stream.  A run given no registry builds a private
+one with a ``NullSink``: it records the same instruments (counters,
+kernel-latency histograms, address heat) and emits no stream.
 """
 
 from __future__ import annotations
@@ -89,8 +90,7 @@ from repro.parallel.worker import Worker
 from repro.trace import TraceBatch
 
 MODES = ("deterministic", "processes")
-#: Trace rows per producer window: the unit the pipeline routes, and the
-#: unit the sequential profiler hands its single worker.
+#: Trace rows per producer window: the unit the pipeline routes.
 WINDOW = 1 << 15
 
 
@@ -203,7 +203,7 @@ class ParallelProfiler:
         #: ``0`` disables the heartbeat plane entirely.
         self.heartbeat_interval = heartbeat_interval
         #: Telemetry registry; ``None`` means each run builds a private
-        #: sinkless one (counters still work, no telemetry stream).
+        #: sinkless one (every instrument records, no telemetry stream).
         self.registry = registry
         #: When True, every worker keeps a :class:`ProvenanceCollector`
         #: (attributing each dependence to worker/chunk/timestamps) and the
@@ -287,14 +287,17 @@ class ParallelProfiler:
         ``parts`` are :meth:`Worker.publish` results in worker order.  A
         worker process published into a private registry, so its part also
         carries that registry's ``metrics`` state and its ``tracer`` events.
-        The statistics are a *view* of the merged registry.
+        The other stores fold into the first part's store, so a one-worker
+        run copies nothing.  The statistics are a *view* of the merged
+        registry.
         """
         tracer = reg.tracer
         with reg.span("merge"):
-            store = DependenceStore()
+            store = parts[0]["store"]
+            for part in parts[1:]:
+                store.merge(part["store"])
             prov = ProvenanceCollector() if self.provenance else None
             for part in parts:
-                store.merge(part["store"])
                 if prov is not None:
                     prov.merge(part["provenance"])
                 if "metrics" in part:
@@ -330,8 +333,18 @@ class ParallelProfiler:
             for w in range(cfg.workers)
         ]
         amap = AddressMap(cfg.workers, bank_geometry=cfg.bank_geometry)
-        stats = AccessStats()
-        rebalancer = Rebalancer(amap, cfg.hot_addresses, registry=reg)
+        # The paper re-checks the access statistics every 50 000 chunks; we
+        # measure the interval in *routed accesses* (interval x chunk_size)
+        # so the cadence does not depend on the trace's control events or on
+        # how many workers a FREE is sent to.  Routed accesses never exceed
+        # the trace's rows, so a shorter trace never reaches a check and
+        # keeps no statistics.
+        rebalance_every = cfg.rebalance_interval_chunks * cfg.chunk_size
+        balancing = len(batch) >= rebalance_every
+        stats = AccessStats() if balancing else None
+        rebalancer = (
+            Rebalancer(amap, cfg.hot_addresses, registry=reg) if balancing else None
+        )
         chunk_log: list[tuple[int, int]] = []
         chunk_counter = reg.counter("pipeline.chunks")
 
@@ -406,11 +419,6 @@ class ParallelProfiler:
         # window is fed, the workers still read only their partial chunks.
         release = getattr(batch, "release_window", None)
         released_upto = 0
-        # The paper re-checks the access statistics every 50 000 chunks; we
-        # measure the interval in *routed accesses* (interval x chunk_size)
-        # so the cadence does not depend on the trace's control events or on
-        # how many workers a FREE is sent to.
-        rebalance_every = cfg.rebalance_interval_chunks * cfg.chunk_size
         accesses_at_last_check = 0
         accesses_routed = 0
         n = len(batch)
@@ -419,10 +427,11 @@ class ParallelProfiler:
                 e = min(s + self.window, n)
                 with reg.span("route", window_start=s):
                     route = route_window(batch, s, e, amap)
-                    acc_addrs = route.addr[route.access]
-                    if len(acc_addrs):
-                        stats.record_many(acc_addrs)
-                        accesses_routed += len(acc_addrs)
+                    if balancing:
+                        acc_addrs = route.addr[route.access]
+                        if len(acc_addrs):
+                            stats.record_many(acc_addrs)
+                            accesses_routed += len(acc_addrs)
                 with reg.span("drain", window_start=s):
                     for w, worker in enumerate(workers):
                         log_chunks(w, worker.feed(batch, route.rows_for(w)))
@@ -441,7 +450,7 @@ class ParallelProfiler:
                 parts = [worker.publish() for worker in workers]
         finally:
             sampler.poll(force=True)  # final post-drain sample, even on abort
-        return parts, chunk_log, rebalancer.audit
+        return parts, chunk_log, rebalancer.audit if balancing else []
 
     # ------------------------------------------------------------------
     def _run_processes(

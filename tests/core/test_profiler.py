@@ -1,9 +1,9 @@
-"""The sequential profiler is the pipeline with one worker and no transport.
+"""``profile_trace`` is the pipeline at one worker.
 
-``profile_trace`` feeds one :class:`~repro.parallel.worker.Worker` the
-trace in row windows, so it must agree with ``ParallelProfiler`` at one
-worker on everything: the store with its counts, the statistics including
-tracker memory, eviction telemetry and provenance.
+It runs ``ParallelProfiler`` in deterministic mode with one worker that
+holds every slot, so it must agree with that worker run in the other
+transport on everything: the store with its counts, the statistics
+including tracker memory, eviction telemetry and provenance.
 """
 
 import pytest
@@ -11,7 +11,6 @@ import pytest
 from repro.common.config import ProfilerConfig
 from repro.core import profile_trace
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.provenance import ProvenanceCollector
 from repro.parallel import ParallelProfiler
 from repro.workloads import get_trace
 
@@ -27,29 +26,24 @@ def evictions(reg: MetricsRegistry) -> dict:
 
 
 def provenance_rows(prov) -> dict:
-    """Provenance per dependence, chunk span aside: the sequential profiler
-    numbers its row windows, the pipeline its chunks."""
-    return {
-        dep: {k: v for k, v in rec.to_dict().items() if k != "chunks"}
-        for dep, rec in prov
-    }
+    return {dep: rec.to_dict() for dep, rec in prov}
 
 
 @pytest.mark.parametrize("provenance", [False, True], ids=["plain", "provenance"])
 @pytest.mark.parametrize("config", list(CONFIGS.values()), ids=list(CONFIGS))
 @pytest.mark.parametrize("workload", ["cg", "is", "md5"])
 def test_sequential_equals_one_worker_pipeline(workload, config, provenance):
+    """``profile_trace`` equals one forked worker process over the same
+    trace, provenance chunk ids included."""
     batch = get_trace(workload)
     reg = MetricsRegistry()
-    seq = profile_trace(
-        batch,
-        config,
-        registry=reg,
-        provenance=ProvenanceCollector() if provenance else None,
-    )
+    seq = profile_trace(batch, config, registry=reg, provenance=provenance)
     par_reg = MetricsRegistry()
     par, _ = ParallelProfiler(
-        config.with_(workers=1), registry=par_reg, provenance=provenance
+        config.with_(workers=1),
+        mode="processes",
+        registry=par_reg,
+        provenance=provenance,
     ).profile(batch)
     assert dict(seq.store.items()) == dict(par.store.items())
     assert seq.stats == par.stats
@@ -80,16 +74,16 @@ def test_all_slots_whatever_the_worker_count():
 
 
 def test_registry_metric_names():
-    """A sequential run writes the unlabeled ``engine.*`` and
-    ``deps.instances`` families ``ddprof runs diff`` compares by name, plus
-    the worker's eviction counters."""
+    """A ``profile_trace`` run writes the pipeline's metric families,
+    labelled by its one worker, and the pipeline's stage spans."""
     reg = MetricsRegistry()
     res = profile_trace(get_trace("is"), ProfilerConfig(signature_slots=256), registry=reg)
     counters = {(c.name, c.labels): c.value for c in reg.counters()}
-    assert counters[("engine.reads", ())] == res.stats.n_reads
-    assert counters[("deps.instances", (("type", "RAW"),))] > 0
-    assert reg.gauge("engine.unique_addresses").value == res.stats.n_unique_addresses
-    assert reg.gauge("deps.merged_entries").value == res.store.n_entries
-    assert reg.gauge("engine.tracker_memory_bytes").value == res.stats.tracker_memory_bytes
+    assert counters[("engine.reads", (("worker", "0"),))] == res.stats.n_reads
+    assert counters[("deps.instances", (("type", "RAW"), ("worker", "0")))] > 0
+    assert (
+        reg.gauge("engine.tracker_memory_bytes", worker=0).value
+        == res.stats.tracker_memory_bytes
+    )
     assert reg.sum_counters("sigmem.evictions") > 0
-    assert "engine" in reg.phase_totals()
+    assert {"loop-index", "route", "drain", "merge"} <= set(reg.phase_totals())

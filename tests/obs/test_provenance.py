@@ -128,8 +128,8 @@ class TestSuspectFalsePositives:
         never produces — flagged suspect, confirmed spurious."""
         batch = seq_trace([("w", 0x1000, 1, "x"), ("w", 0x2000, 2, "y")])
         cfg = ProfilerConfig(signature_slots=1)
-        prov = ProvenanceCollector()
-        res = profile_trace(batch, cfg, provenance=prov)
+        res = profile_trace(batch, cfg, provenance=True)
+        prov = res.provenance
         fabricated = [
             d for d in res.store
             if d.dep_type is DepType.WAW and d.sink_loc == 2 and d.source_loc == 1
@@ -147,8 +147,8 @@ class TestSuspectFalsePositives:
     def test_oracle_clears_genuine_dependences(self):
         batch = seq_trace([("w", 0x1000, 1, "x"), ("r", 0x1000, 2, "x")])
         cfg = ProfilerConfig(signature_slots=64)
-        prov = ProvenanceCollector()
-        res = profile_trace(batch, cfg, provenance=prov)
+        res = profile_trace(batch, cfg, provenance=True)
+        prov = res.provenance
         oracle_cross_check(prov, batch, cfg)
         raw = [d for d in res.store if d.dep_type is DepType.RAW]
         assert raw and prov.get(raw[0]).oracle_spurious is False

@@ -36,15 +36,15 @@ class TestRunReport:
     def test_build_from_sequential_run(self, mg_trace):
         reg = MetricsRegistry()
         res = profile_trace(mg_trace, PERFECT, registry=reg)
-        report = RunReport.build(reg, res, workload="mg", engine="sequential")
+        report = RunReport.build(reg, res, workload="mg", mode="deterministic")
         d = report.to_dict()
         assert d["schema"] == "ddprof.run-report/1"
-        assert d["meta"] == {"workload": "mg", "engine": "sequential"}
+        assert d["meta"] == {"workload": "mg", "mode": "deterministic"}
         assert d["profile"]["accesses"] == res.stats.n_accesses
         assert d["profile"]["merged_dependences"] == res.store.n_entries
         assert d["parallel"] is None
         phases = {p["phase"] for p in d["phases"]}
-        assert "engine" in phases
+        assert {"loop-index", "route", "drain", "merge"} <= phases
         # to_json parses back identically
         assert json.loads(report.to_json()) == d
 
@@ -188,7 +188,9 @@ class TestStatsCli:
         doc = json.loads(out[json_start:])
         assert doc["schema"] == "ddprof.run-report/1"
         assert doc["profile"]["accesses"] > 0
-        assert {"trace-build", "engine"} <= {p["phase"] for p in doc["phases"]}
+        assert {"trace-build", "loop-index", "route", "drain", "merge"} <= {
+            p["phase"] for p in doc["phases"]
+        }
 
     def test_profile_live_metrics(self, tmp_path, capsys):
         path = tmp_path / "p.jsonl"
@@ -196,7 +198,9 @@ class TestStatsCli:
         capsys.readouterr()
         replayed, info = replay_stream(path)
         assert info["header"]["command"] == "profile"
-        assert "engine" in {s.name for s in replayed.spans}
+        assert {"loop-index", "route", "drain", "merge"} <= {
+            s.name for s in replayed.spans
+        }
         assert replayed.snapshot()["counters"] == info["final"]["counters"]
 
     def test_loops_json_flag(self, capsys):

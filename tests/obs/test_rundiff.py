@@ -167,10 +167,24 @@ class TestMetricAndCoverage:
         assert not diff.regressions and not diff.identical
 
     def test_metric_within_band_is_silent(self):
-        a = bundle(run_id="a", gauges={"process.peak_rss_bytes": 100.0})
-        b = bundle(run_id="b", gauges={"process.peak_rss_bytes": 110.0})
+        a = bundle(run_id="a", gauges={"engine.tracker_memory_bytes": 100.0})
+        b = bundle(run_id="b", gauges={"engine.tracker_memory_bytes": 110.0})
         diff = diff_bundles(a, b)
         assert diff.metrics == [] and diff.n_metrics_compared == 1
+
+    def test_resource_and_timing_metrics_are_not_compared(self):
+        host = {
+            'process.cpu_seconds{kind="sys"}': 1.0,
+            "process.peak_rss_bytes": 100.0,
+            'worker.heartbeat.age_seconds{worker="0"}': 0.01,
+            'pipeline.backpressure_stalls': 1.0,
+            'obs.tick_errors{loop="stream"}': 1.0,
+        }
+        a = bundle(run_id="a", gauges=host)
+        b = bundle(run_id="b", gauges={k: 10 * v for k, v in host.items()})
+        diff = diff_bundles(a, b)
+        assert diff.metrics == [] and diff.n_metrics_compared == 0
+        assert diff.identical
 
     def test_disjoint_metric_keys_are_skipped(self):
         a = bundle(run_id="a", counters={"only.a": 1.0})

@@ -5,11 +5,14 @@ from collections import Counter
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.parallel import balance
+from repro.common.config import ProfilerConfig
+from repro.parallel import ParallelProfiler, balance
 from repro.parallel.address_map import AddressMap
 from repro.parallel.balance import COUNT_SATURATION, AccessStats, Rebalancer
+from repro.workloads import get_trace
 
 
 def stats_from(counts: dict[int, int]) -> AccessStats:
@@ -231,3 +234,24 @@ class TestRebalanceAudit:
         assert abs(ev["imbalance_after"] - 1.0) < 1e-9
         assert ev["imbalance"] == ev["imbalance_after"]  # legacy key kept
         assert sum(ev["hot_load"]) == 4000
+
+
+class TestPipelineCadence:
+    def test_statistics_recorded_only_when_a_check_can_fire(self, monkeypatch):
+        """Routed accesses never exceed the trace's rows, so a trace shorter
+        than one rebalance interval never reaches a check: the pipeline
+        records no access statistics for it."""
+
+        def record_many(self, addrs):
+            raise AssertionError("statistics recorded")
+
+        monkeypatch.setattr(AccessStats, "record_many", record_many)
+        batch = get_trace("cg")
+        cfg = ProfilerConfig(perfect_signature=True, workers=2)
+        assert len(batch) < cfg.rebalance_interval_chunks * cfg.chunk_size
+        res, info = ParallelProfiler(cfg).profile(batch)
+        assert res.store.n_entries > 0 and info.rebalance_audit == []
+        # A trace that reaches one interval records its statistics.
+        at_cadence = cfg.with_(rebalance_interval_chunks=1, chunk_size=len(batch))
+        with pytest.raises(AssertionError, match="statistics recorded"):
+            ParallelProfiler(at_cadence).profile(batch)

@@ -14,10 +14,12 @@ import pytest
 
 from repro.common.config import ProfilerConfig
 from repro.common.errors import ProfilerError
+from repro.core import profile_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import ProvenanceCollector
 from repro.obs.tracing import Tracer, worker_track
 from repro.parallel import ParallelProfiler
+from repro.parallel.engine import WINDOW
 from repro.trace import spill_batch
 from repro.workloads import get_trace
 from tests.trace_helpers import reference_pipeline, reference_profile, seq_trace
@@ -275,9 +277,10 @@ class TestProcessesMode:
         assert par.store == det.store
         assert par_info.per_worker_accesses == det_info.per_worker_accesses
 
-    @pytest.mark.parametrize("mode", ["processes", "deterministic"])
+    @pytest.mark.parametrize("mode", ["processes", "deterministic", "profile_trace"])
     def test_workers_never_read_a_released_row(self, tmp_path, monkeypatch, mode):
-        """Both transports release a spilled trace's pages behind the
+        """Both transports, and ``profile_trace`` (the in-process transport
+        at one worker), release a spilled trace's pages behind the
         workers, once per window, and only rows no worker reads again: the
         partial chunk a worker carries into the next window keeps its
         pages, since re-reading a released page faults its whole page-cache
@@ -316,10 +319,14 @@ class TestProcessesMode:
         monkeypatch.setattr(ParallelProfiler, "_run_in_process", run_in_process)
         batch = spill_batch(get_trace("cg"), tmp_path / "cg.trace.spill")
         cfg = PERFECT.with_(workers=2, chunk_size=512)
-        window = 1 << 11
-        par, info = ParallelProfiler(cfg, mode=mode, window=window).profile(batch)
-        assert par.store.n_entries > 0 and info.n_chunks > 0
-        if mode == "deterministic":
+        if mode == "profile_trace":
+            res, window = profile_trace(batch, cfg), WINDOW
+        else:
+            window = 1 << 11
+            res, info = ParallelProfiler(cfg, mode=mode, window=window).profile(batch)
+            assert info.n_chunks > 0
+        assert res.store.n_entries > 0
+        if mode != "processes":
             assert len(calls) == -(-len(batch) // window)
 
     def test_unknown_mode_rejected(self):

@@ -19,14 +19,15 @@ class TestLedgerWrites:
         assert doc["status"] == "ok"
         assert doc["meta"]["command"] == "profile"
         assert doc["meta"]["workload"] == "cg"
-        assert doc["meta"]["engine"] == doc["report"]["meta"]["engine"] == "sequential"
+        assert doc["meta"]["workers"] == doc["report"]["parallel"]["workers"] == 1
         assert doc["dependences"]["n_edges"] > 0
         assert doc["report"]["counters"]
 
     def test_pipeline_runs_say_so(self, tmp_path, capsys):
         profile(tmp_path, "--run-id", "a", "--mode", "deterministic")
         doc = load_bundle(tmp_path / "a")
-        assert doc["meta"]["engine"] == doc["report"]["meta"]["engine"] == "pipeline"
+        assert doc["meta"]["mode"] == "deterministic"
+        assert doc["meta"]["workers"] == doc["report"]["parallel"]["workers"] == 1
 
     def test_no_ledger_opts_out(self, tmp_path, capsys):
         profile(tmp_path, "--no-ledger", "--run-id", "a")
@@ -89,9 +90,16 @@ class TestRunsCommands:
 
 
 class TestDiffExitContract:
-    def test_identical_config_runs_diff_empty_exit_zero(self, tmp_path, capsys):
-        profile(tmp_path, "--run-id", "a")
-        profile(tmp_path, "--run-id", "b")
+    @pytest.mark.parametrize(
+        "extra",
+        [(), ("--mode", "processes", "--workers", "2")],
+        ids=["default", "processes"],
+    )
+    def test_identical_config_runs_diff_empty_exit_zero(self, tmp_path, capsys, extra):
+        """Resource and timing instruments (CPU seconds, faults, heartbeat
+        ages) differ between any two runs; the diff skips them."""
+        profile(tmp_path, "--run-id", "a", *extra)
+        profile(tmp_path, "--run-id", "b", *extra)
         capsys.readouterr()
         assert main(["runs", "diff", "a", "b", "--ledger", str(tmp_path)]) == 0
         out = capsys.readouterr().out
@@ -138,7 +146,7 @@ class TestDiffExitContract:
         )
         assert doc["regressions"] == []
         changed = {m["name"] for m in doc["metrics"]["changed"]}
-        assert "engine.tracker_memory_bytes" in changed
+        assert 'engine.tracker_memory_bytes{worker="0"}' in changed
 
     def test_missing_operand_exits_two(self, tmp_path, capsys):
         profile(tmp_path, "--run-id", "a")

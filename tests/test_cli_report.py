@@ -165,10 +165,10 @@ class TestCliTracing:
         row = rows[0]["provenance"]
         assert {"workers", "chunks", "ts", "count", "suspect_fp"} <= set(row)
 
-    def test_lossy_provenance_stays_sequential(self, capsys):
-        """``--provenance`` without ``--mode`` runs the sequential profiler:
-        one row per merged dependence, each settled by the oracle
-        cross-check, and the run's eviction counters."""
+    def test_lossy_provenance_runs_one_worker(self, capsys):
+        """``--provenance`` without ``--mode`` or ``--workers`` runs the
+        pipeline at one worker: one row per merged dependence, each settled
+        by the oracle cross-check, and the run's eviction counters."""
         import json
 
         assert main(
@@ -176,8 +176,7 @@ class TestCliTracing:
         ) == 0
         out = capsys.readouterr().out
         report = json.loads(out[out.index("\n{\n") + 1:])
-        assert report["meta"]["engine"] == "sequential"
-        assert report["parallel"] is None
+        assert report["parallel"]["workers"] == 1
         rows = report["provenance"]
         assert len(rows) == report["profile"]["merged_dependences"] > 0
         assert all(r["provenance"]["oracle_spurious"] is not None for r in rows)
@@ -196,7 +195,6 @@ class TestCliTracing:
         ) == 0
         out = capsys.readouterr().out
         report = json.loads(out[out.index("\n{\n") + 1:])
-        assert report["meta"]["engine"] == "pipeline"
         assert report["parallel"]["workers"] == 2
 
     def test_trace_json_report_has_track_summary(self, tmp_path, capsys):

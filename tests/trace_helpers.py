@@ -17,8 +17,8 @@
 Lines are encoded with file id 0, so ``loc == line`` for readability in
 assertions (line < 2**20).
 
-``reference_profile`` is the sequential profiler's differential oracle:
-the event-at-a-time reference engine over the whole trace.
+``reference_profile`` is ``profile_trace``'s differential oracle: the
+event-at-a-time reference engine over the whole trace.
 ``reference_pipeline`` is the pipeline's: the same routing and per-worker
 chunks, with the reference engine in every worker.  Both build a
 worker's scalar trackers the same way (:func:`reference_engine`).
