@@ -37,7 +37,6 @@ from repro.obs import (
     MetricsRegistry,
     NullSink,
     RunReport,
-    Sampler,
     prometheus_text,
 )
 from repro.parallel import ParallelProfiler
@@ -57,7 +56,6 @@ __all__ = [
     "ProfilerConfig",
     "ProgramBuilder",
     "RunReport",
-    "Sampler",
     "ScheduleConfig",
     "SourceLocation",
     "TraceBatch",

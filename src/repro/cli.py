@@ -94,12 +94,8 @@ def _profiler_args(p: argparse.ArgumentParser, workers: int = 1) -> None:
     )
     p.add_argument(
         "--banks", type=int, default=0, metavar="N",
-        help="shard signature memory into N address-range banks (0 = "
-        "unbanked); enables bank-granularity hot-range migration",
-    )
-    p.add_argument(
-        "--bank-shift", type=int, default=12, metavar="BITS",
-        help="bank stripe width as an address shift (12 = 4 KiB stripes)",
+        help="shard signature memory into N banks of 4 KiB address stripes "
+        "(0 = unbanked); enables bank-granularity hot-range migration",
     )
     p.add_argument(
         "--no-fastpath", action="store_true",
@@ -109,8 +105,8 @@ def _profiler_args(p: argparse.ArgumentParser, workers: int = 1) -> None:
     p.add_argument(
         "--live-metrics", metavar="FILE", default=None,
         help="write the run's telemetry stream to FILE as JSONL while it "
-        "executes: registry deltas plus sample, rebalance and heartbeat "
-        "records (tail it for a live view)",
+        "executes: registry deltas plus rebalance and heartbeat records "
+        "(tail it for a live view)",
     )
     p.add_argument(
         "--http-port", type=int, metavar="N", default=None,
@@ -152,7 +148,6 @@ def _config_from(args: argparse.Namespace) -> ProfilerConfig:
     return cfg.with_(
         multithreaded_target=args.variant == "par",
         signature_banks=getattr(args, "banks", 0) or 0,
-        bank_shift=getattr(args, "bank_shift", 12),
     )
 
 
@@ -444,27 +439,16 @@ def cmd_loops(args: argparse.Namespace) -> int:
     reg = _registry_from(args)
     batch = _trace_from(args, reg)
     res, info = _profile_for(args, reg, batch)
-    table = loop_table(res)
     if args.json:
         import json as _json
+
+        from repro.obs.ledger import loop_section
 
         doc = {
             "schema": "ddprof.loops/1",
             "workload": args.workload,
             "variant": args.variant,
-            "loops": [
-                {
-                    "site": r.site,
-                    "end": r.end,
-                    "executions": r.executions,
-                    "total_iterations": r.total_iterations,
-                    "mean_iterations": r.mean_iterations,
-                    "parallelizable": r.parallelizable,
-                    "verdict": r.verdict,
-                    "note": r.note,
-                }
-                for r in table
-            ],
+            "loops": loop_section(res),
         }
         print(_json.dumps(doc, indent=2))
     else:
@@ -477,7 +461,7 @@ def cmd_loops(args: argparse.Namespace) -> int:
                 r.verdict or "-",
                 r.note,
             )
-            for r in table
+            for r in loop_table(res)
         ]
         sys.stdout.write(
             ascii_table(

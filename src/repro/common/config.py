@@ -74,11 +74,9 @@ class ProfilerConfig:
         bit-for-bit the historical hashing and rebalance behaviour.  With
         banks on, the load balancer routes and migrates whole banks *with*
         their signature state (see :mod:`repro.sigmem.banks`), eliminating
-        the post-rebalance cold-signature burst.
-    bank_shift:
-        Address-range stripe width of a bank as a power of two: bank index
-        is ``(addr >> bank_shift) % signature_banks``.  The default 12
-        stripes the address space in 4 KiB ranges.
+        the post-rebalance cold-signature burst.  Banks stripe the address
+        space in 4 KiB ranges: bank index is ``(addr >> 12) %
+        signature_banks``.
     """
 
     signature_slots: int = 1_000_000
@@ -94,7 +92,6 @@ class ProfilerConfig:
     hash_salt: int = 0
     heatmap: bool = True
     signature_banks: int = 0
-    bank_shift: int = 12
 
     def __post_init__(self) -> None:
         if self.signature_slots <= 0:
@@ -111,8 +108,6 @@ class ProfilerConfig:
             raise ProfilerError("hot_addresses must be non-negative")
         if self.signature_banks < 0:
             raise ProfilerError("signature_banks must be non-negative")
-        if not (0 <= self.bank_shift < 63):
-            raise ProfilerError("bank_shift must be in [0, 63)")
 
     @property
     def slots_per_worker(self) -> int:
@@ -127,7 +122,7 @@ class ProfilerConfig:
             return None
         from repro.sigmem.banks import BankGeometry
 
-        return BankGeometry(self.signature_banks, self.bank_shift)
+        return BankGeometry(self.signature_banks)
 
     def with_(self, **changes: Any) -> "ProfilerConfig":
         """Return a copy with ``changes`` applied (frozen-dataclass update)."""

@@ -40,7 +40,6 @@ def loop_event_rows(batch: TraceBatch, *kinds: int) -> np.ndarray:
     """
     kind = batch.kind
     n = len(kind)
-    release = getattr(batch, "release_window", None)
     found: list[np.ndarray] = []
     for s in range(0, n, _SCAN_WINDOW):
         e = min(n, s + _SCAN_WINDOW)
@@ -51,8 +50,7 @@ def loop_event_rows(batch: TraceBatch, *kinds: int) -> np.ndarray:
         hits = np.flatnonzero(mask)
         if len(hits):
             found.append(hits.astype(np.int64, copy=False) + s)
-        if release is not None:
-            release(s, e)
+        batch.release_window(s, e)
     if not found:
         return np.empty(0, dtype=np.int64)
     return np.concatenate(found)

@@ -6,11 +6,12 @@ depend on it without cycles:
 
 * :class:`MetricsRegistry` + :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` — the instrument registry (``metrics``);
-* ``registry.span(name)`` — phase timing as a context manager;
-* :class:`Sampler` — periodic gauge sampling into ``sample`` records;
+* ``registry.span(name)`` — phase timing as a context manager, into the
+  ``span.seconds{phase}`` histogram;
 * :class:`TelemetryStreamer` — the run's one telemetry stream: registry
-  deltas plus the discrete records (``sample``, ``rebalance``,
-  ``heartbeat``) in one JSONL file, folded back by :func:`replay_stream`;
+  deltas plus the discrete records (``rebalance``, ``heartbeat``) in one
+  JSONL file, folded back by :func:`replay_stream`; its thread ticks on
+  :func:`deadline_loop`'s grid;
 * sinks — :class:`NullSink` (default, zero overhead) and
   :class:`MemorySink` (tests); the streamer is the one file sink;
 * :class:`Tracer` / :class:`NullTracer` — the execution-timeline plane
@@ -82,7 +83,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    SpanRecord,
     format_name,
 )
 from repro.obs.provenance import (
@@ -102,7 +102,7 @@ from repro.obs.rundiff import (
     VerdictFlip,
     diff_bundles,
 )
-from repro.obs.sampler import Sampler, deadline_loop
+from repro.obs.sampler import deadline_loop
 from repro.obs.sinks import MemorySink, NullSink, Sink, read_jsonl
 from repro.obs.streamer import TelemetryStreamer, replay_stream, state_delta
 from repro.obs.top import render_top, run_top
@@ -139,9 +139,7 @@ __all__ = [
     "RunDiff",
     "RunLedger",
     "RunReport",
-    "Sampler",
     "Sink",
-    "SpanRecord",
     "TelemetryHTTPServer",
     "TelemetryStreamer",
     "TimedSamples",

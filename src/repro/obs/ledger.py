@@ -205,10 +205,13 @@ def loop_section(result: "ProfileResult") -> list[dict[str, Any]]:
 
 
 def _coverage_section(report: "RunReport | None") -> dict[str, Any] | None:
+    """Fast-path coverage of the trace this run built; ``None`` when it
+    built none (its trace came from a cache), so ``ddprof runs diff``
+    compares coverage only between runs that produced their traces."""
     if report is None:
         return None
     producer = report.producer_summary()
-    if producer is None:
+    if producer is None or not producer["events_total"]:
         return None
     return {
         "fastpath_coverage": producer["fastpath_coverage"],

@@ -149,20 +149,6 @@ class Histogram:
         )
 
 
-class SpanRecord:
-    """One completed phase timing."""
-
-    __slots__ = ("name", "seconds", "attrs")
-
-    def __init__(self, name: str, seconds: float, attrs: dict[str, Any]) -> None:
-        self.name = name
-        self.seconds = seconds
-        self.attrs = attrs
-
-    def __repr__(self) -> str:
-        return f"SpanRecord({self.name!r}, {self.seconds:.6f}s)"
-
-
 class MetricsRegistry:
     """Get-or-create registry of counters/gauges/histograms + span timing.
 
@@ -186,7 +172,6 @@ class MetricsRegistry:
         #: tracer, the run report and the ledger bundle).
         self.run_id = run_id
         self._metrics: dict[tuple[str, LabelKey], Counter | Gauge | Histogram] = {}
-        self.spans: list[SpanRecord] = []
 
     # -- instrument factories (get-or-create) ---------------------------------
     def _get(self, cls: type, name: str, labels: dict[str, Any]) -> Any:
@@ -294,21 +279,15 @@ class MetricsRegistry:
                 histograms.append(
                     (m.name, m.labels, m.buckets, list(m.counts), m.sum, m.count)
                 )
-        return {
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": histograms,
-            "spans": [(s.name, s.seconds, s.attrs) for s in self.spans],
-        }
+        return {"counters": counters, "gauges": gauges, "histograms": histograms}
 
     def merge_state(self, state: dict[str, Any]) -> None:
         """Fold a child registry's :meth:`state` into this registry.
 
         Counters add, gauges overwrite (last child wins — they are
-        point-in-time values), histograms merge bucket-wise (bucket layouts
-        must match), and spans are appended *without* re-feeding the
-        ``span.seconds`` histogram: the child already recorded its own
-        histogram samples, which arrive via the histogram merge.
+        point-in-time values), and histograms merge bucket-wise (bucket
+        layouts must match) — phase timings included, since a phase's time
+        lives only in its ``span.seconds`` histogram.
         """
         for name, labels, value in state["counters"]:
             self._get(Counter, name, dict(labels)).inc(value)
@@ -325,31 +304,29 @@ class MetricsRegistry:
                 h.counts[i] += c
             h.sum += total
             h.count += count
-        for name, seconds, attrs in state["spans"]:
-            self.spans.append(SpanRecord(name, seconds, dict(attrs)))
 
     # -- spans ----------------------------------------------------------------
     @contextmanager
     def span(self, name: str, **attrs: Any) -> Iterator[None]:
-        """Time a pipeline phase; records a span and a histogram sample."""
+        """Time a pipeline phase into its ``span.seconds{phase}`` histogram
+        (and the timeline, when tracing; ``attrs`` annotate that slice)."""
         t0 = time.perf_counter()
         try:
             yield
         finally:
             dt = time.perf_counter() - t0
-            self.spans.append(SpanRecord(name, dt, attrs))
             self.histogram("span.seconds", phase=name).observe(dt)
             if self.tracer.enabled:
                 self.tracer.complete(name, MAIN_TRACK, t0, t0 + dt, **attrs)
 
     def phase_totals(self) -> dict[str, dict[str, float]]:
-        """Per-phase aggregate of recorded spans: total seconds + count."""
-        out: dict[str, dict[str, float]] = {}
-        for s in self.spans:
-            agg = out.setdefault(s.name, {"seconds": 0.0, "count": 0})
-            agg["seconds"] += s.seconds
-            agg["count"] += 1
-        return out
+        """Per-phase total seconds + count, read off the ``span.seconds``
+        histograms, in the order the phases first ran."""
+        return {
+            dict(h.labels)["phase"]: {"seconds": h.sum, "count": h.count}
+            for h in self.histograms()
+            if h.name == "span.seconds"
+        }
 
     # -- events ---------------------------------------------------------------
     def emit(self, event: dict[str, Any]) -> None:

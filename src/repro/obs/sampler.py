@@ -1,14 +1,4 @@
-"""Periodic gauge sampling — the telemetry time-series plane.
-
-Scalar counters tell you *how much*; the sampler tells you *when*.  It
-polls a set of registered probes (per-worker signature slot occupancy and
-fill, peak RSS, ...) and emits one ``sample`` record per poll carrying
-every probed value (``n`` numbers the polls), so the run's telemetry
-stream becomes a time series that can show a signature filling up
-mid-run.
-
-The deterministic producer calls :meth:`Sampler.poll` once per trace
-window; polls are rate-limited by ``min_interval_s`` (0 = every call).
+"""The deadline grid that drives the periodic telemetry threads.
 
 Periodic telemetry threads (the
 :class:`~repro.obs.streamer.TelemetryStreamer`, the processes-mode
@@ -24,9 +14,9 @@ from __future__ import annotations
 
 import time
 import traceback
-from typing import Any, Callable
+from typing import Callable
 
-from repro.obs.metrics import MetricsRegistry, format_name
+from repro.obs.metrics import MetricsRegistry
 
 
 def deadline_loop(
@@ -75,40 +65,3 @@ def deadline_loop(
         if next_t <= now:
             next_t += (int((now - next_t) // period_s) + 1) * period_s
 
-
-class Sampler:
-    """Polls registered probes into gauges + ``sample`` records."""
-
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        min_interval_s: float = 0.0,
-        clock: Callable[[], float] = time.perf_counter,
-    ) -> None:
-        self.registry = registry
-        self.min_interval_s = min_interval_s
-        self._clock = clock
-        self._probes: list[tuple[str, Callable[[], float]]] = []
-        self._last_poll = float("-inf")
-        self.n_samples = 0
-
-    def add(self, name: str, fn: Callable[[], float], **labels: Any) -> None:
-        """Register one probe; its gauge reads live via the callback."""
-        gauge = self.registry.gauge_fn(name, fn, **labels)
-        self._probes.append((format_name(gauge.name, gauge.labels), fn))
-
-    def poll(self, force: bool = False) -> bool:
-        """Take one sample if the rate limit allows; True when sampled."""
-        if not self._probes:
-            return False
-        now = self._clock()
-        if not force and now - self._last_poll < self.min_interval_s:
-            return False
-        self._last_poll = now
-        self.n_samples += 1
-        if self.registry.sink.enabled:
-            values = {name: float(fn()) for name, fn in self._probes}
-            self.registry.emit(
-                {"type": "sample", "n": self.n_samples, "values": values}
-            )
-        return True

@@ -1,7 +1,7 @@
 """Telemetry sinks — where a registry's discrete records go.
 
-A sink receives *records*: flat dicts with a ``"type"`` key (``sample``,
-``rebalance``, ``heartbeat``) plus the ``"ts"`` wall-clock stamp and
+A sink receives *records*: flat dicts with a ``"type"`` key
+(``rebalance``, ``heartbeat``) plus the ``"ts"`` wall-clock stamp and
 ``"run_id"`` the registry adds.  A run has at most one real sink, the
 :class:`~repro.obs.streamer.TelemetryStreamer`, which writes these records
 into the run's one telemetry stream next to its registry deltas.
@@ -10,7 +10,7 @@ into the run's one telemetry stream next to its registry deltas.
 which lets instrumented code skip even *building* the record dict::
 
     if registry.sink.enabled:
-        registry.emit({"type": "sample", ...})
+        registry.emit({"type": "rebalance", ...})
 
 so a profiler run with no sink configured costs nothing beyond the plain
 integer counters it would keep anyway.  ``MemorySink`` keeps records in a

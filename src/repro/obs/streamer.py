@@ -8,25 +8,27 @@ freezes the registry with :meth:`~repro.obs.metrics.MetricsRegistry.state`,
 and writes only what changed since the previous tick as one ``delta``
 record.  Deltas have the exact shape
 :meth:`~repro.obs.metrics.MetricsRegistry.merge_state` consumes — counters
-as increments, gauges as last values, histograms as bucket-count deltas,
-spans as the newly appended records — so a consumer rebuilds the live
-registry at any point by folding them in order; :func:`replay_stream`
-does exactly that and is the round-trip tests' oracle.
+as increments, gauges as last values, histograms (phase timings among
+them) as bucket-count deltas — so a consumer rebuilds the live registry at
+any point by folding them in order; :func:`replay_stream` does exactly
+that and is the round-trip tests' oracle.  Callback gauges (signature
+fill, peak RSS) are evaluated by each tick's ``state()``, so the deltas
+are the stream's time series of those readings.
 
 The streamer is also the registry's sink: the discrete records the
-pipeline emits (``sample`` from the producer, ``rebalance`` at a
-redistribution round, ``heartbeat`` from the processes-mode watchdog)
-land in the same file.  One lock orders all writers, so ``seq`` counts
-records 0, 1, 2, ... in file order whichever thread wrote them.
+pipeline emits (``rebalance`` at a redistribution round, ``heartbeat``
+from the processes-mode watchdog) land in the same file.  One lock orders
+all writers, so ``seq`` counts records 0, 1, 2, ... in file order whichever
+thread wrote them.
 
-Stream layout (``ddprof.telemetry-stream/2``); every record carries
+Stream layout (``ddprof.telemetry-stream/3``); every record carries
 ``type``, ``seq``, ``ts`` and ``run_id``::
 
     {"type": "header", "seq": 0, "schema": ..., "interval_s": ...,
      "command": ..., "workload": ...}
     {"type": "delta", "seq": 1, "counters": [[name, [[k, v], ...], inc], ...],
-     "gauges": [...], "histograms": [...], "spans": [...]}
-    {"type": "sample", "seq": 2, "n": 1, "values": {...}}
+     "gauges": [...], "histograms": [...]}
+    {"type": "rebalance", "seq": 2, "round": 1, ...}
     {"type": "heartbeat", "seq": 3, "worker": 1, "state": "stalled", ...}
     ...
     {"type": "final", "seq": N, ...full display snapshot..., "ledger": ...}
@@ -49,7 +51,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.sampler import deadline_loop
 from repro.obs.sinks import Sink, read_jsonl
 
-SCHEMA = "ddprof.telemetry-stream/2"
+SCHEMA = "ddprof.telemetry-stream/3"
 
 #: Default emission cadence (seconds) — coarse enough to stay far off the
 #: hot path, fine enough that a dashboard feels live.
@@ -67,12 +69,12 @@ def state_delta(
 
     Returns a ``state``-shaped dict (mergeable via ``merge_state``):
     counters carry increments, gauges their current values (merge
-    overwrites), histograms element-wise bucket-count deltas, and spans the
-    newly appended tail.  Empty sections are empty lists, so ``is_empty_delta``
-    can cheaply decide whether a tick needs a record at all.
+    overwrites), and histograms element-wise bucket-count deltas.  Empty
+    sections are empty lists, so ``is_empty_delta`` can cheaply decide
+    whether a tick needs a record at all.
     """
     if prev is None:
-        prev = {"counters": [], "gauges": [], "histograms": [], "spans": []}
+        prev = {"counters": [], "gauges": [], "histograms": []}
     pc = {_key(n, l): v for n, l, v in prev["counters"]}
     # A key absent from prev is emitted even at value 0: instrument
     # *creation* is state too, or replay would drop zero-valued counters.
@@ -108,19 +110,11 @@ def state_delta(
                     count - old_count,
                 )
             )
-    spans = cur["spans"][len(prev["spans"]):]
-    return {
-        "counters": counters,
-        "gauges": gauges,
-        "histograms": histograms,
-        "spans": spans,
-    }
+    return {"counters": counters, "gauges": gauges, "histograms": histograms}
 
 
 def is_empty_delta(delta: dict[str, Any]) -> bool:
-    return not any(
-        delta[k] for k in ("counters", "gauges", "histograms", "spans")
-    )
+    return not any(delta[k] for k in ("counters", "gauges", "histograms"))
 
 
 class TelemetryStreamer(Sink):
@@ -133,10 +127,11 @@ class TelemetryStreamer(Sink):
     (:meth:`tick`).
 
     :meth:`stop` takes one final delta tick and appends a ``final`` record
-    with the full display snapshot (plus any fields passed to it), so a
-    consumer that only reads the last line still gets the end-of-run
-    totals.  ``stop`` and ``close`` are idempotent; emitting after either
-    raises :class:`~repro.common.errors.ObsError`.
+    with the full display snapshot of that same registry dump (plus any
+    fields passed to it), so a consumer that only reads the last line
+    still gets the end-of-run totals.  ``stop`` and ``close`` are
+    idempotent; emitting after either raises
+    :class:`~repro.common.errors.ObsError`.
     """
 
     def __init__(
@@ -182,7 +177,7 @@ class TelemetryStreamer(Sink):
         self.seq += 1
 
     def emit(self, event: dict[str, Any]) -> None:
-        """Write one discrete record (``sample``, ``rebalance``, ...)."""
+        """Write one discrete record (``rebalance``, ``heartbeat``)."""
         with self._lock:
             self._write(event)
 
@@ -196,13 +191,17 @@ class TelemetryStreamer(Sink):
         with self._lock:
             if self._closed:
                 return False
-            cur = self.registry.state()
-            delta = state_delta(self._prev, cur)
-            self._prev = cur
-            if is_empty_delta(delta):
-                return False
-            self._write({"type": "delta", **delta})
-            return True
+            return self._write_delta()
+
+    def _write_delta(self) -> bool:
+        """Dump the registry, write what changed; the caller holds ``_lock``."""
+        cur = self.registry.state()
+        delta = state_delta(self._prev, cur)
+        self._prev = cur
+        if is_empty_delta(delta):
+            return False
+        self._write({"type": "delta", **delta})
+        return True
 
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> None:
@@ -233,11 +232,16 @@ class TelemetryStreamer(Sink):
             self._stop.set()
             self._thread.join(timeout=5)
             self._thread = None
-        self.tick()  # flush whatever changed since the last grid point
         with self._lock:
             if self._closed:
                 return
-            self._write({"type": "final", **self.registry.snapshot(), **final})
+            self._write_delta()  # whatever changed since the last grid point
+            # The final snapshot displays that same dump, so a callback
+            # gauge (peak RSS) is read once for both records and replaying
+            # the deltas reproduces the final record exactly.
+            last = MetricsRegistry()
+            last.merge_state(self._prev)
+            self._write({"type": "final", **last.snapshot(), **final})
             self._closed = True
             self._fh.close()
 
@@ -263,8 +267,8 @@ def replay_stream(path: str | Path) -> tuple[MetricsRegistry, dict[str, Any]]:
     and returns ``(registry, info)``.  ``info`` carries the ``header``
     record, the embedded ``final`` snapshot (if the stream was closed
     cleanly), the delta count, the set of ``run_ids`` seen, and
-    ``records``: every discrete record (``sample``, ``rebalance``,
-    ``heartbeat``) in file order.  The round-trip contract —
+    ``records``: every discrete record (``rebalance``, ``heartbeat``) in
+    file order.  The round-trip contract —
     ``replay_stream(p)[0].snapshot() == final snapshot`` — is what makes
     the stream a faithful live view rather than a lossy log.
     """
@@ -284,14 +288,7 @@ def replay_stream(path: str | Path) -> tuple[MetricsRegistry, dict[str, Any]]:
             info["header"] = rec
         elif kind == "delta":
             info["n_deltas"] += 1
-            reg.merge_state(
-                {
-                    "counters": rec["counters"],
-                    "gauges": rec["gauges"],
-                    "histograms": rec["histograms"],
-                    "spans": rec["spans"],
-                }
-            )
+            reg.merge_state(rec)
         elif kind == "final":
             info["final"] = rec
         else:

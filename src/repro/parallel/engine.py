@@ -22,10 +22,10 @@ Two transports carry the routed rows (``mode``):
   index and the heartbeat board from the parent's address space; only
   window index ranges cross the task queues and each worker routes its
   windows itself, so this mode shows *measured* multi-core speedup.  It
-  needs the ``fork`` start method.  Load rebalancing and the gauge sampler
-  are producer-side features and are disabled here (static address
-  partition); worker processes ship their published parts, metrics state,
-  tracer events and chunk logs home for the merge.
+  needs the ``fork`` start method.  Load rebalancing is a producer-side
+  feature and is disabled here (static address partition); worker
+  processes ship their published parts, metrics state, tracer events and
+  chunk logs home for the merge.
 
 Both transports run one worker loop: :meth:`Worker.feed` cuts a worker's
 rows into ``chunk_size`` chunks that span windows, running a window's full
@@ -40,14 +40,16 @@ every worker's kernel reads, and the run's loop table) inside one
 worker is fed a control event.
 
 Telemetry: the run is instrumented through one
-:class:`~repro.obs.metrics.MetricsRegistry` — rebalance counters live
-inside the :class:`Rebalancer`, per-call kernel latencies inside the
-workers, and a :class:`~repro.obs.sampler.Sampler` scrapes signature fill
-and peak RSS once per producer window in deterministic mode.  Every
-process of the run publishes its CPU seconds and minor page faults
-(``process.cpu_seconds``, ``process.minor_faults``): the parent its change
-over :meth:`ParallelProfiler.profile`, each worker process its whole
-life.
+:class:`~repro.obs.metrics.MetricsRegistry` — phase times live only in its
+``span.seconds{phase}`` histograms, rebalance counters inside the
+:class:`Rebalancer`, and per-call kernel latencies and the callback gauges
+over the signature trackers (``sigmem.occupied``, ``sigmem.fill_ratio``)
+inside the workers, in both transports.  Every process of the run
+publishes its peak RSS, CPU seconds and minor page faults
+(``process.peak_rss_bytes``, ``process.cpu_seconds``,
+``process.minor_faults``): the parent, unlabelled, over
+:meth:`ParallelProfiler.profile`, each worker process, labelled, over its
+whole life.
 :class:`ParallelRunInfo` and the aggregate
 :class:`~repro.core.result.ProfileStats` are derived *views* of that
 registry rather than independently maintained bookkeeping.  Attach a
@@ -76,7 +78,6 @@ from repro.obs.environment import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import ProvenanceCollector
-from repro.obs.sampler import Sampler
 from repro.obs.tracing import MAIN_TRACK, worker_track
 from repro.parallel.address_map import AddressMap, route_window
 from repro.parallel.balance import AccessStats, Rebalancer
@@ -233,6 +234,9 @@ class ParallelProfiler:
         # One registry per run: counters are monotonic, so a shared
         # externally-supplied registry must not be reused across runs.
         reg = self.registry if self.registry is not None else MetricsRegistry()
+        # Parent-process RSS high-water, read whenever the registry is; a
+        # worker process publishes its own labelled gauge before exiting.
+        reg.gauge_fn("process.peak_rss_bytes", peak_rss_bytes)
         tracer = reg.tracer
         if tracer.enabled:
             tracer.set_track(MAIN_TRACK, "main")
@@ -305,9 +309,6 @@ class ParallelProfiler:
                 if tracer.enabled and part.get("tracer") is not None:
                     epoch, events, track_names = part["tracer"]
                     tracer.adopt(events, epoch, track_names)
-            # Parent-process RSS high-water; a worker process published its
-            # own labeled gauge before exiting.
-            reg.gauge("process.peak_rss_bytes").set(peak_rss_bytes())
             return store, prov, ProfileStats.from_registry(reg)
 
     # ------------------------------------------------------------------
@@ -347,20 +348,6 @@ class ParallelProfiler:
         )
         chunk_log: list[tuple[int, int]] = []
         chunk_counter = reg.counter("pipeline.chunks")
-
-        # -- periodic telemetry sampling --------------------------------
-        sampler = Sampler(reg)
-        for w in range(cfg.workers):
-            tr = workers[w].engine.read_tracker
-            tw = workers[w].engine.write_tracker
-            sampler.add("sigmem.occupied", tr.occupied, worker=w, kind="read")
-            sampler.add("sigmem.occupied", tw.occupied, worker=w, kind="write")
-            if hasattr(tr, "fill_ratio"):
-                sampler.add("sigmem.fill_ratio", tr.fill_ratio, worker=w, kind="read")
-                sampler.add(
-                    "sigmem.fill_ratio", tw.fill_ratio, worker=w, kind="write"
-                )
-        sampler.add("process.peak_rss_bytes", peak_rss_bytes)
 
         def log_chunks(w: int, sizes: list[int]) -> None:
             chunk_counter.inc(len(sizes))
@@ -414,42 +401,36 @@ class ParallelProfiler:
                     workers[new].migrate_bank_in(worker.migrate_bank_out(bank))
 
         # ---- producer loop over windows of the trace ------------------
-        # Spilled batches support dropping consumed windows' resident pages
-        # (an RSS hint: dropped pages re-read transparently).  After a
-        # window is fed, the workers still read only their partial chunks.
-        release = getattr(batch, "release_window", None)
+        # Drop consumed windows' resident pages (an RSS hint, a no-op on an
+        # in-memory batch).  After a window is fed, the workers still read
+        # only their partial chunks.
         released_upto = 0
         accesses_at_last_check = 0
         accesses_routed = 0
         n = len(batch)
-        try:
-            for s in range(0, n, self.window):
-                e = min(s + self.window, n)
-                with reg.span("route", window_start=s):
-                    route = route_window(batch, s, e, amap)
-                    if balancing:
-                        acc_addrs = route.addr[route.access]
-                        if len(acc_addrs):
-                            stats.record_many(acc_addrs)
-                            accesses_routed += len(acc_addrs)
-                with reg.span("drain", window_start=s):
-                    for w, worker in enumerate(workers):
-                        log_chunks(w, worker.feed(batch, route.rows_for(w)))
-                sampler.poll()
-                if accesses_routed - accesses_at_last_check >= rebalance_every:
-                    accesses_at_last_check = accesses_routed
-                    maybe_rebalance()
-                if release is not None:
-                    upto = min(worker.resume_row(e) for worker in workers)
-                    release(released_upto, upto)
-                    released_upto = upto
+        for s in range(0, n, self.window):
+            e = min(s + self.window, n)
+            with reg.span("route", window_start=s):
+                route = route_window(batch, s, e, amap)
+                if balancing:
+                    acc_addrs = route.addr[route.access]
+                    if len(acc_addrs):
+                        stats.record_many(acc_addrs)
+                        accesses_routed += len(acc_addrs)
+            with reg.span("drain", window_start=s):
+                for w, worker in enumerate(workers):
+                    log_chunks(w, worker.feed(batch, route.rows_for(w)))
+            if accesses_routed - accesses_at_last_check >= rebalance_every:
+                accesses_at_last_check = accesses_routed
+                maybe_rebalance()
+            upto = min(worker.resume_row(e) for worker in workers)
+            batch.release_window(released_upto, upto)
+            released_upto = upto
 
-            # ---- flush + publish ------------------------------------------
-            with reg.span("drain"):
-                flush_all()
-                parts = [worker.publish() for worker in workers]
-        finally:
-            sampler.poll(force=True)  # final post-drain sample, even on abort
+        # ---- flush + publish ----------------------------------------------
+        with reg.span("drain"):
+            flush_all()
+            parts = [worker.publish() for worker in workers]
         return parts, chunk_log, rebalancer.audit if balancing else []
 
     # ------------------------------------------------------------------

@@ -70,7 +70,6 @@ def run_worker(
         amap = AddressMap(config.workers, bank_geometry=config.bank_geometry)
         # Only the rows this worker still reads should be resident: a
         # spilled batch may be far larger than RAM.
-        release = getattr(batch, "release_window", None)
         released = 0
         chunk_log: list[tuple[int, int]] = []
         widx = -1
@@ -84,11 +83,10 @@ def run_worker(
             route = route_window(batch, s, e, amap)
             for rows in worker.feed(batch, route.rows_for(wid)):
                 chunk_log.append((widx, rows))
-            if release is not None:
-                # Keep the partial chunk's pages: it reads them when it runs.
-                upto = worker.resume_row(e)
-                release(released, upto)
-                released = upto
+            # Keep the partial chunk's pages: it reads them when it runs.
+            upto = worker.resume_row(e)
+            batch.release_window(released, upto)
+            released = upto
         # The partial chunk runs after the last window, as in-process.
         for rows in worker.flush(batch):
             chunk_log.append((widx + 1, rows))

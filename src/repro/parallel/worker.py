@@ -52,8 +52,10 @@ class Worker:
     When a :class:`~repro.obs.metrics.MetricsRegistry` is supplied the
     worker instruments itself: per-call kernel latency histogram, signature
     hash-conflict eviction counters (``sigmem.evictions``, lossy
-    signatures), address heat, and callback-backed fill gauges that the
-    sampler scrapes from the live trackers.  A
+    signatures), address heat, and callback gauges over its live trackers
+    (``sigmem.occupied``, plus ``sigmem.fill_ratio`` over slot planes),
+    read whenever the registry is: a stream tick, a scrape, the report,
+    or, in a worker process, the ``state()`` it ships home.  A
     :class:`~repro.obs.provenance.ProvenanceCollector` makes the kernel
     attribute every merged dependence to this worker, its chunks and sink
     timestamps, with the suspect-FP verdict.
@@ -113,22 +115,32 @@ class Worker:
         sizing, salt, and telemetry wiring cannot drift apart.
         """
         cfg = self.config
+        reg = self._registry
+        tracker: AccessTracker
         if cfg.perfect_signature:
             assert self._keyspace is not None
-            return DensePlaneTracker(self._keyspace, geometry=self._geometry)
-        return SlotPlaneTracker(
-            cfg.slots_per_worker,
-            cfg.hash_salt,
-            eviction_counter=(
-                self._registry.counter("sigmem.evictions", worker=self.wid, kind=kind)
-                if self._registry is not None
-                else None
-            ),
-            conflict_heat=(
-                self._heat.record_conflicts if self._heat is not None else None
-            ),
-            geometry=self._geometry,
-        )
+            tracker = DensePlaneTracker(self._keyspace, geometry=self._geometry)
+        else:
+            tracker = SlotPlaneTracker(
+                cfg.slots_per_worker,
+                cfg.hash_salt,
+                eviction_counter=(
+                    reg.counter("sigmem.evictions", worker=self.wid, kind=kind)
+                    if reg is not None
+                    else None
+                ),
+                conflict_heat=(
+                    self._heat.record_conflicts if self._heat is not None else None
+                ),
+                geometry=self._geometry,
+            )
+        if reg is not None:
+            reg.gauge_fn("sigmem.occupied", tracker.occupied, worker=self.wid, kind=kind)
+            if isinstance(tracker, SlotPlaneTracker):
+                reg.gauge_fn(
+                    "sigmem.fill_ratio", tracker.fill_ratio, worker=self.wid, kind=kind
+                )
+        return tracker
 
     @property
     def store(self) -> DependenceStore:

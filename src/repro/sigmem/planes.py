@@ -21,7 +21,7 @@ Two key spaces mirror the two scalar trackers:
   collision-free :class:`~repro.sigmem.PerfectSignature`.
 
 Both implement the full :class:`~repro.sigmem.AccessTracker` protocol, so
-signature migration during load balancing and the sampler's occupancy/fill
+signature migration during load balancing and the workers' occupancy/fill
 gauges work unchanged.
 """
 

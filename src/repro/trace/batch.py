@@ -79,6 +79,10 @@ class TraceBatch:
     def n_events(self) -> int:
         return len(self.kind)
 
+    def release_window(self, start: int, end: int) -> None:
+        """Hint that rows ``[start, end)`` need not stay resident.  A no-op
+        on in-memory columns; a spilled batch drops their pages."""
+
     @property
     def n_accesses(self) -> int:
         """Number of memory-access (READ/WRITE) events."""
@@ -92,7 +96,6 @@ class TraceBatch:
         spilled batch behind itself, so the count never holds (or pages
         in) the whole column at once.
         """
-        release = getattr(self, "release_window", None)
         n = len(self.tid)
         seen = np.empty(0, dtype=self.tid.dtype)
         for s in range(0, n, _SCAN_WINDOW):
@@ -102,8 +105,7 @@ class TraceBatch:
             one = window.min() == window.max()
             distinct = window[:1] if one else unique_sorted(window)
             seen = unique_sorted(np.concatenate([seen, distinct]))
-            if release is not None:
-                release(s, e)
+            self.release_window(s, e)
         return len(seen)
 
     @property

@@ -1,4 +1,4 @@
-"""Unit tests for the metrics registry, instruments, spans, and sampler."""
+"""Unit tests for the metrics registry, instruments and spans."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.obs import (
     MemorySink,
     MetricsRegistry,
     NullSink,
-    Sampler,
     format_name,
 )
 
@@ -88,17 +87,16 @@ class TestFormatName:
 
 class TestSpan:
     def test_span_records_histogram_not_a_sink_record(self):
-        """A span lands in ``reg.spans`` and the ``span.seconds`` histogram,
-        which the telemetry stream carries in its deltas; the sink gets no
-        record of its own."""
+        """A span lands only in the ``span.seconds`` histogram, which the
+        telemetry stream carries in its deltas; the sink gets no record of
+        its own."""
         sink = MemorySink()
         reg = MetricsRegistry(sink)
         with reg.span("route", window_start=0):
             pass
-        assert len(reg.spans) == 1 and reg.spans[0].name == "route"
-        assert reg.spans[0].attrs == {"window_start": 0}
         h = reg.histogram("span.seconds", phase="route")
         assert h.count == 1
+        assert reg.phase_totals() == {"route": {"seconds": h.sum, "count": 1}}
         assert sink.events == []
 
     def test_span_records_even_on_exception(self):
@@ -113,7 +111,10 @@ class TestSpan:
         for _ in range(3):
             with reg.span("route"):
                 pass
+        with reg.span("merge"):
+            pass
         totals = reg.phase_totals()
+        assert list(totals) == ["route", "merge"]  # first-run order
         assert totals["route"]["count"] == 3
         assert totals["route"]["seconds"] >= 0.0
 
@@ -155,36 +156,6 @@ class TestSnapshot:
         assert snap["counters"] == {'c{worker="0"}': 2}
         assert snap["gauges"] == {"g": 1.5}
         assert snap["histograms"]["h"]["counts"] == [1, 0]
-
-
-class TestSampler:
-    def test_manual_poll_emits_sample_events(self):
-        sink = MemorySink()
-        reg = MetricsRegistry(sink)
-        sampler = Sampler(reg)
-        values = [10, 20]
-        sampler.add("q.occ", lambda: values[0], worker=0)
-        sampler.add("q.occ", lambda: values[1], worker=1)
-        assert sampler.poll()
-        values[0] = 11
-        assert sampler.poll()
-        events = sink.of_type("sample")
-        assert len(events) == 2
-        assert events[0]["values"]['q.occ{worker="0"}'] == 10.0
-        assert events[1]["values"]['q.occ{worker="0"}'] == 11.0
-        assert events[1]["n"] == 2 and "seq" not in events[1]
-
-    def test_rate_limit(self):
-        reg = MetricsRegistry(MemorySink())
-        sampler = Sampler(reg, min_interval_s=3600.0)
-        sampler.add("g", lambda: 1)
-        assert sampler.poll()
-        assert not sampler.poll()  # inside the interval
-        assert sampler.poll(force=True)
-
-    def test_no_probes_no_samples(self):
-        sampler = Sampler(MetricsRegistry(MemorySink()))
-        assert not sampler.poll(force=True)
 
 
 class TestMergeStateEdgeCases:
@@ -241,12 +212,14 @@ class TestMergeStateEdgeCases:
         with pytest.raises(ValueError, match="bucket layout mismatch"):
             dst.merge_state(src.state())
 
-    def test_merged_spans_do_not_double_feed_span_histogram(self):
+    def test_merged_span_histograms_add_once(self):
         src = MetricsRegistry()
         with src.span("phase.x"):
             pass
         dst = MetricsRegistry()
+        with dst.span("phase.x"):
+            pass
         dst.merge_state(src.state())
-        # Span records arrive, but span.seconds only via the histogram merge.
-        assert [s.name for s in dst.spans] == ["phase.x"]
-        assert dst.histogram("span.seconds", phase="phase.x").count == 1
+        # A phase's time travels only as its span.seconds histogram.
+        assert dst.histogram("span.seconds", phase="phase.x").count == 2
+        assert dst.phase_totals()["phase.x"]["count"] == 2

@@ -2,7 +2,7 @@
 
 ``TestStatsCli`` is the acceptance check for the telemetry subsystem:
 ``ddprof stats kmeans --live-metrics FILE`` must produce valid JSONL with
-per-phase span durations, per-worker signature occupancy samples, and a
+per-phase span durations, per-worker signature occupancy readings, and a
 final snapshot of every counter and gauge.
 """
 
@@ -20,9 +20,18 @@ from repro import (
     profile_trace,
 )
 from repro.cli import main
-from repro.obs import read_jsonl, replay_stream
+from repro.obs import format_name, read_jsonl, replay_stream
 
 PERFECT = ProfilerConfig(perfect_signature=True)
+
+
+def delta_gauge_keys(deltas):
+    """Display names of every gauge the stream's ``delta`` records carry."""
+    return {
+        format_name(name, tuple(tuple(kv) for kv in labels))
+        for d in deltas
+        for name, labels, _ in d["gauges"]
+    }
 
 
 @pytest.fixture(scope="module")
@@ -142,16 +151,15 @@ class TestStatsCli:
         events = read_jsonl(path)  # every line is valid JSON
         assert events
 
-        spans = [sp for e in events if e["type"] == "delta" for sp in e["spans"]]
-        span_phases = {name for name, _, _ in spans}
+        deltas = [e for e in events if e["type"] == "delta"]
+        spans = [h for e in deltas for h in e["histograms"] if h[0] == "span.seconds"]
+        span_phases = {dict(labels)["phase"] for _, labels, *_ in spans}
         assert {"trace-build", "route", "drain", "merge"} <= span_phases
-        assert all(seconds >= 0 for _, seconds, _ in spans)
+        assert all(seconds >= 0 for *_, seconds, _ in spans)
 
-        samples = [e for e in events if e["type"] == "sample"]
-        assert samples
-        sample_keys = set().union(*(e["values"].keys() for e in samples))
-        assert 'sigmem.occupied{kind="read",worker="0"}' in sample_keys
-        assert 'sigmem.occupied{kind="write",worker="3"}' in sample_keys
+        gauge_keys = delta_gauge_keys(deltas)
+        assert 'sigmem.occupied{kind="read",worker="0"}' in gauge_keys
+        assert 'sigmem.occupied{kind="write",worker="3"}' in gauge_keys
 
         finals = [e for e in events if e["type"] == "final"]
         assert len(finals) == 1 and events[-1] is finals[0]
@@ -176,8 +184,8 @@ class TestStatsCli:
             ["stats", "mg", "--slots", "4096", "--live-metrics", str(path)]
         ) == 0
         capsys.readouterr()
-        samples = [e for e in read_jsonl(path) if e["type"] == "sample"]
-        keys = set().union(*(e["values"].keys() for e in samples))
+        deltas = [e for e in read_jsonl(path) if e["type"] == "delta"]
+        keys = delta_gauge_keys(deltas)
         assert any(k.startswith("sigmem.fill_ratio{") for k in keys)
 
     def test_profile_json_flag(self, capsys):
@@ -198,9 +206,9 @@ class TestStatsCli:
         capsys.readouterr()
         replayed, info = replay_stream(path)
         assert info["header"]["command"] == "profile"
-        assert {"loop-index", "route", "drain", "merge"} <= {
-            s.name for s in replayed.spans
-        }
+        assert {"loop-index", "route", "drain", "merge"} <= set(
+            replayed.phase_totals()
+        )
         assert replayed.snapshot()["counters"] == info["final"]["counters"]
 
     def test_loops_json_flag(self, capsys):

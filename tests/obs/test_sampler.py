@@ -1,4 +1,4 @@
-"""Gauge sampler and deadline grid, including pipeline abort paths."""
+"""The deadline grid and the telemetry threads, including pipeline abort paths."""
 
 import threading
 
@@ -118,8 +118,8 @@ class TestPipelineAbort:
     ):
         """A worker blowing up mid-run must abort the run cleanly: the
         error surfaces on the caller, no telemetry thread the run started
-        outlives it, and in deterministic mode the final forced sample
-        still lands in the stream."""
+        outlives it, and in deterministic mode the workers' occupancy
+        gauges still land in the stream's final record."""
         from repro.cli import main
         from repro.parallel.worker import Worker
 
@@ -135,7 +135,7 @@ class TestPipelineAbort:
         records = read_jsonl(path)
         assert records[-1]["type"] == "final"
         if mode == "deterministic":
-            assert any(r["type"] == "sample" for r in records)
+            assert any(g.startswith("sigmem.occupied{") for g in records[-1]["gauges"])
 
     @pytest.mark.parametrize("mode", MODES)
     def test_clean_run_leaves_no_obs_thread(

@@ -108,11 +108,17 @@ class TestTransportContract:
     """Both transports share one router, one worker loop and one merge, so
     everything but the transport's own bookkeeping must agree: stores,
     chunks, provenance (chunk ids included), the rows fed to each worker,
-    per-worker accesses and every engine counter."""
+    per-worker accesses, every engine counter and every gauge the workers
+    publish."""
 
     @staticmethod
     def transport_specific(name):
         return name == "pipeline.backpressure_stalls"
+
+    @staticmethod
+    def run_specific(name):
+        """Gauges read off the process or the watchdog, not the run."""
+        return name.startswith(("process.", "worker.heartbeat."))
 
     @pytest.mark.parametrize("window", [1 << 15, 1 << 11])
     @pytest.mark.parametrize("name", ["ep", "water-spatial", "free-trace"])
@@ -131,8 +137,16 @@ class TestTransportContract:
                 provenance=True,
             ).profile(batch)
             counters = {(c.name, c.labels): c.value for c in reg.counters()}
-            runs[mode] = result, info, counters
-        (det, di, dc), (prc, pi, pc) = runs["deterministic"], runs["processes"]
+            gauges = {
+                (g.name, g.labels): g.value
+                for g in reg.gauges()
+                if not self.run_specific(g.name)
+            }
+            runs[mode] = result, info, counters, gauges
+        (det, di, dc, dg), (prc, pi, pc, pg) = (
+            runs["deterministic"],
+            runs["processes"],
+        )
         assert prc.store == det.store
         assert pi.per_worker_accesses == di.per_worker_accesses
         if name == "free-trace":
@@ -159,6 +173,10 @@ class TestTransportContract:
         assert [pc.get(k) for k in fed] == [dc.get(k) for k in fed]
         for key in sorted(shared):
             assert pc.get(key, 0) == dc.get(key, 0), key
+        assert {(n, dict(l)["kind"]) for n, l in dg if n == "sigmem.occupied"} == {
+            ("sigmem.occupied", kind) for kind in ("read", "write")
+        }
+        assert pg == dg
 
     @pytest.mark.parametrize("mode", ["deterministic", "processes"])
     @pytest.mark.parametrize("name", ["ep", "free-trace"])

@@ -146,7 +146,7 @@ class TestConflictAttribution:
             for h in reg.histograms()
             if h.name == "heat.occupancy"
         }
-        # Final sampler-scraped occupancy gauges hold the same end state.
+        # The workers' occupancy gauges hold the same end state.
         occ_gauge = {
             (dict(g.labels)["worker"], dict(g.labels)["kind"]): int(g.value)
             for g in reg.gauges()

@@ -106,6 +106,23 @@ class TestDiffExitContract:
         assert "dependences: identical" in out
         assert "verdict: identical" in out
 
+    def test_cold_and_cached_trace_runs_diff_identical(self, tmp_path, capsys):
+        """Run a builds the cg trace, run b takes it from the in-memory
+        trace cache: only a run that built its trace records fast-path
+        coverage, so the two diff as identical."""
+        from repro.workloads import clear_trace_cache
+
+        clear_trace_cache()
+        profile(tmp_path, "--run-id", "a")
+        profile(tmp_path, "--run-id", "b")
+        assert load_bundle(tmp_path / "a")["coverage"]["fastpath_coverage"] > 0
+        assert load_bundle(tmp_path / "b")["coverage"] is None
+        capsys.readouterr()
+        assert main(["runs", "diff", "a", "b", "--ledger", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "dependences: identical" in out
+        assert "verdict: identical" in out
+
     def test_verdict_flip_exits_nonzero_naming_the_loop(self, tmp_path, capsys):
         """rgbyuv under 64 signature slots deterministically conflates the
         frame loop's accesses into carried dependences: 0:23 flips
