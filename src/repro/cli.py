@@ -66,8 +66,8 @@ def _profiler_args(p: argparse.ArgumentParser, workers: int = 1) -> None:
     p.add_argument(
         "--mode", choices=["deterministic", "processes"],
         default="deterministic",
-        help="pipeline execution mode ('processes' = real multi-core, forked "
-        "workers that inherit the trace; needs fork; see docs/parallel.md)",
+        help="pipeline execution mode ('processes' = real multi-core, a pool "
+        "of forked workers reused across runs; needs fork; see docs/parallel.md)",
     )
     p.add_argument(
         "--trace-out", metavar="FILE", default=None,

@@ -175,12 +175,13 @@ class LoopStateIndex:
     The snapshots form one global *state table*.  State 0 is the empty
     stack; thread ``t``'s states sit at an offset, starting with its own
     empty stack before its first loop event.  Level ``l`` of every state is
-    three 1-D columns: ``site[l]``, ``entry[l]`` (the frame's entry
-    timestamp) and ``iterts[l]`` (its current iteration's start).  A level
-    that is not live holds a sentinel frame no timestamp falls into, so the
-    carried test for a source timestamp ``ts`` at level ``l`` of state
-    ``s`` is just ``entry[l][s] <= ts < iterts[l][s]``.  The kernel looks
-    up each access's state once per chunk (:meth:`states_of`).
+    row ``l`` of three ``(levels, states)`` arrays: ``site[l]``,
+    ``entry[l]`` (the frame's entry timestamp) and ``iterts[l]`` (its
+    current iteration's start).  A level that is not live holds a sentinel
+    frame no timestamp falls into, so the carried test for a source
+    timestamp ``ts`` at level ``l`` of state ``s`` is just
+    ``entry[l][s] <= ts < iterts[l][s]``.  The kernel looks up each
+    access's state once per chunk (:meth:`states_of`).
 
     The build is array code over all threads at once: the stack depth after
     each loop event is a per-thread running sum of +1/-1, and for each
@@ -211,11 +212,10 @@ class LoopStateIndex:
         tid = tid[order]
         site = site[order]
         ts = batch.ts[rows].astype(np.int64)
-        #: Deepest stack observed across all threads: the number of levels.
-        self.depth = int(depth.max()) if len(depth) else 0
-        if self.depth > MAX_SNAPSHOT_DEPTH:
+        n_levels = int(depth.max()) if len(depth) else 0
+        if n_levels > MAX_SNAPSHOT_DEPTH:
             raise ProfilerError(
-                f"loop nest depth {self.depth} exceeds supported "
+                f"loop nest depth {n_levels} exceeds supported "
                 f"{MAX_SNAPSHOT_DEPTH}"
             )
         n_events = len(rows)
@@ -224,17 +224,12 @@ class LoopStateIndex:
         # its event e (a global ordered index) follows at e + j + 2.
         thread_of = np.repeat(np.arange(len(starts), dtype=np.int64), np.diff(bounds))
         after = np.arange(n_events, dtype=np.int64) + thread_of + 2
-        #: Thread id -> (its loop-event rows, ascending; its state offset).
-        self._threads: dict[int, tuple[np.ndarray, int]] = {
-            int(tid[lo]): (rows[lo:hi], 1 + lo + j)
-            for j, (lo, hi) in enumerate(zip(starts.tolist(), bounds[1:].tolist()))
-        }
         n_states = 1 + n_events + len(starts)
-        self.site: list[np.ndarray] = []
-        self.entry: list[np.ndarray] = []
-        self.iterts: list[np.ndarray] = []
+        site_t = np.full((n_levels, n_states), -1, dtype=np.int64)
+        entry_t = np.full((n_levels, n_states), _NEVER_ENTERED, dtype=np.int64)
+        iter_t = np.full((n_levels, n_states), _NEVER_STARTED, dtype=np.int64)
         idx = np.arange(n_events, dtype=np.int64)
-        for lvl in range(self.depth):
+        for lvl in range(n_levels):
             # The live frame at this level was pushed by the latest ENTER
             # that reached depth lvl + 1; its iteration started at the
             # latest ITER at that depth after the push, or at the push
@@ -252,15 +247,56 @@ class LoopStateIndex:
             live = depth > lvl
             e = np.maximum(ent[live], 0)
             i = itr[live]
-            lsite = np.full(n_states, -1, dtype=np.int64)
-            lentry = np.full(n_states, _NEVER_ENTERED, dtype=np.int64)
-            liter = np.full(n_states, _NEVER_STARTED, dtype=np.int64)
-            lsite[after[live]] = site[e]
-            lentry[after[live]] = ts[e]
-            liter[after[live]] = np.where(i > e, ts[np.maximum(i, 0)], ts[e])
-            self.site.append(lsite)
-            self.entry.append(lentry)
-            self.iterts.append(liter)
+            site_t[lvl, after[live]] = site[e]
+            entry_t[lvl, after[live]] = ts[e]
+            iter_t[lvl, after[live]] = np.where(i > e, ts[np.maximum(i, 0)], ts[e])
+        self._adopt(rows, tid[starts], bounds, site_t, entry_t, iter_t)
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The index as named arrays, its loop table aside: what
+        :meth:`from_arrays` rebuilds it from.  A processes-mode worker
+        reads them from the pool's shared arena."""
+        return {
+            "rows": self._rows,
+            "tids": self._tids,
+            "bounds": self._bounds,
+            "site": self.site,
+            "entry": self.entry,
+            "iterts": self.iterts,
+        }
+
+    @classmethod
+    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "LoopStateIndex":
+        """The index :meth:`arrays` describes, without a trace scan; its
+        :attr:`loops` table is empty."""
+        index = cls.__new__(cls)
+        index.loops = {}
+        index._adopt(**arrays)
+        return index
+
+    def _adopt(
+        self,
+        rows: np.ndarray,
+        tids: np.ndarray,
+        bounds: np.ndarray,
+        site: np.ndarray,
+        entry: np.ndarray,
+        iterts: np.ndarray,
+    ) -> None:
+        #: Loop-event rows grouped by thread, ascending within a thread:
+        #: thread ``tids[j]`` owns ``rows[bounds[j]:bounds[j + 1]]``.
+        self._rows, self._tids, self._bounds = rows, tids, bounds
+        #: The state table: ``(levels, states)`` arrays, one row per level.
+        self.site, self.entry, self.iterts = site, entry, iterts
+        #: Deepest stack observed across all threads: the number of levels.
+        self.depth = len(site)
+        #: Thread id -> (its loop-event rows, ascending; its state offset).
+        self._threads: dict[int, tuple[np.ndarray, int]] = {
+            t: (rows[lo:hi], 1 + lo + j)
+            for j, (t, lo, hi) in enumerate(
+                zip(tids.tolist(), bounds[:-1].tolist(), bounds[1:].tolist())
+            )
+        }
 
     def states_of(self, tid: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """State-table index of each access at ascending global ``rows``

@@ -16,8 +16,8 @@
   coverage has a declared direction (higher is better); raw run counters
   and gauges have none and classify ``changed`` when they leave the band —
   *noticed*, never gating.  Resource and timing instruments (``process.*``,
-  ``worker.heartbeat.*``, backpressure stalls, telemetry tick errors) are
-  not compared: they never replay;
+  ``worker.heartbeat.*``, backpressure stalls, worker forks, telemetry tick
+  errors) are not compared: they never replay;
 * **suspect-FP provenance** keys appearing/disappearing.
 
 Exit-code contract (``ddprof runs diff``): the diff **fails** (non-zero)
@@ -42,10 +42,15 @@ SCHEMA = "ddprof.run-diff/1"
 #: At most this many individual edges are listed in the text rendering.
 _MAX_LISTED = 20
 
-#: Resource and timing instruments: they measure the host and the
-#: scheduler, not the profile, so two runs of one config differ in them.
+#: Resource and timing instruments: they measure the host, the scheduler
+#: and the worker pool, not the profile, so two runs of one config differ
+#: in them.
 _HOST_PREFIXES = ("process.", "worker.heartbeat.")
-_HOST_METRICS = ("pipeline.backpressure_stalls", "obs.tick_errors")
+_HOST_METRICS = (
+    "pipeline.backpressure_stalls",
+    "pipeline.worker_forks",
+    "obs.tick_errors",
+)
 
 
 def _replays(name: str) -> bool:
@@ -373,9 +378,9 @@ def diff_bundles(
     # Phase wall-times live in histograms/spans and are intentionally not
     # diffed: two identical runs must self-diff empty, and wall clocks
     # never replay.  The resource and timing instruments (CPU seconds,
-    # faults, RSS, heartbeats, stalls, tick errors) are skipped for the
-    # same reason; every other counter and gauge is deterministic per
-    # config.
+    # faults, RSS, heartbeats, stalls, worker forks, tick errors) are
+    # skipped for the same reason; every other counter and gauge is
+    # deterministic per config.
     ca, ga = _metric_values(a)
     cb, gb = _metric_values(b)
     for base_map, cur_map in ((ca, cb), (ga, gb)):

@@ -18,7 +18,8 @@ Pieces:
   vectorized chunk kernel on private trackers,
 * :class:`ParallelProfiler` — the pipeline over one of two transports:
   ``deterministic`` (workers fed in process, window by window) or
-  ``processes`` (forked worker processes that inherit the trace).
+  ``processes`` (a pool of forked worker processes, reused across runs:
+  :mod:`repro.parallel.pool`).
 """
 
 from repro.parallel.address_map import AddressMap

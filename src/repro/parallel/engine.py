@@ -18,14 +18,16 @@ Two transports carry the routed rows (``mode``):
   model's source of pipeline statistics (its ``chunk_log`` is replayed
   there).
 * ``processes`` — real ``multiprocessing`` workers with private
-  signatures.  They are forked, so each inherits the trace, the run's loop
-  index and the heartbeat board from the parent's address space; only
-  window index ranges cross the task queues and each worker routes its
-  windows itself, so this mode shows *measured* multi-core speedup.  It
-  needs the ``fork`` start method.  Load rebalancing is a producer-side
-  feature and is disabled here (static address partition); worker
-  processes ship their published parts, metrics state, tracer events and
-  chunk logs home for the merge.
+  signatures, from the process's one worker pool
+  (:mod:`repro.parallel.pool`): forked on the first processes-mode run
+  and reused by later runs of the same shape.  Each run copies its loop
+  index and an in-memory trace's columns into the pool's shared arena (a
+  spilled trace travels as its path); only window index ranges cross the
+  task queues and each worker routes its windows itself, so this mode
+  shows *measured* multi-core speedup.  It needs the ``fork`` start
+  method.  Load rebalancing is a producer-side feature and is disabled
+  here (static address partition); worker processes ship their published
+  parts, metrics state, tracer events and chunk logs home for the merge.
 
 Both transports run one worker loop: :meth:`Worker.feed` cuts a worker's
 rows into ``chunk_size`` chunks that span windows, running a window's full
@@ -49,7 +51,7 @@ publishes its peak RSS, CPU seconds and minor page faults
 (``process.peak_rss_bytes``, ``process.cpu_seconds``,
 ``process.minor_faults``): the parent, unlabelled, over
 :meth:`ParallelProfiler.profile`, each worker process, labelled, over its
-whole life.
+part of the run (its peak RSS since the pool forked).
 :class:`ParallelRunInfo` and the aggregate
 :class:`~repro.core.result.ProfileStats` are derived *views* of that
 registry rather than independently maintained bookkeeping.  Attach a
@@ -63,6 +65,7 @@ from __future__ import annotations
 
 import multiprocessing
 import queue as queue_mod
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -81,18 +84,18 @@ from repro.obs.provenance import ProvenanceCollector
 from repro.obs.tracing import MAIN_TRACK, worker_track
 from repro.parallel.address_map import AddressMap, route_window
 from repro.parallel.balance import AccessStats, Rebalancer
-from repro.parallel.heartbeat import (
-    HeartbeatBoard,
-    WorkerWatchdog,
-    process_exitcodes,
-)
-from repro.parallel.procworker import run_worker
+from repro.parallel.heartbeat import WorkerWatchdog
+from repro.parallel.pool import Arena, WorkerPool, close_pool, worker_pool
 from repro.parallel.worker import Worker
 from repro.trace import TraceBatch
+from repro.trace.spill import SpilledTraceBatch
 
 MODES = ("deterministic", "processes")
 #: Trace rows per producer window: the unit the pipeline routes.
 WINDOW = 1 << 15
+#: Processes-mode runs of one process share its worker pool, so they take
+#: turns.
+_POOL_LOCK = threading.Lock()
 
 
 @dataclass
@@ -235,7 +238,7 @@ class ParallelProfiler:
         # externally-supplied registry must not be reused across runs.
         reg = self.registry if self.registry is not None else MetricsRegistry()
         # Parent-process RSS high-water, read whenever the registry is; a
-        # worker process publishes its own labelled gauge before exiting.
+        # worker process ships its own labelled gauge with its part.
         reg.gauge_fn("process.peak_rss_bytes", peak_rss_bytes)
         tracer = reg.tracer
         if tracer.enabled:
@@ -255,7 +258,7 @@ class ParallelProfiler:
             parts, chunk_log, rebalance_audit = transport(batch, loop_index, reg)
             store, prov, stats = self._merge(reg, parts)
             # This process's CPU time and faults over the run; a worker
-            # process published its own, labelled, before exiting.
+            # process shipped its own, labelled, with its part.
             publish_process_usage(reg, since=usage_at_start)
         finally:
             # Checkpoint on every path.  The sink stays open: the caller
@@ -437,47 +440,68 @@ class ParallelProfiler:
     def _run_processes(
         self, batch: TraceBatch, loop_index: LoopStateIndex, reg: MetricsRegistry
     ) -> tuple[list[dict], list[tuple[int, int]], list[dict]]:
-        """Processes transport: forked worker processes over the parent's trace.
+        """Processes transport: the process's worker pool over the run's
+        hand-off.
 
-        Each worker is forked with the batch, the loop index and the
-        heartbeat board as its ``Process`` arguments, so it reads them in
-        the pages it inherited: nothing is copied or attached by name.  The
-        producer ships only ``(start, end, window_idx)`` index ranges;
-        each worker process routes its windows with the same
-        :func:`route_window` (see :mod:`repro.parallel.procworker`).  The
-        static address partition makes results independent of scheduling,
-        so this mode is bit-for-bit equivalent to ``deterministic`` minus
-        the load balancer (which needs producer-side signature migration).
-        Returns the workers' parts, their chunk logs folded into the order
-        the in-process transport logs the same chunks in, and an empty
-        rebalance audit.
+        The run takes the pool of its ``workers`` and ``queue_depth``
+        (:func:`~repro.parallel.pool.worker_pool`; ``pipeline.worker_forks``
+        counts the workers forked for it), one run at a time per process.
+        The static address partition makes results independent of
+        scheduling, so this mode is bit-for-bit equivalent to
+        ``deterministic`` minus the load balancer (which needs
+        producer-side signature migration).  A run that fails once work
+        reached the pool closes it.  Returns the workers' parts, their
+        chunk logs folded into the order the in-process transport logs the
+        same chunks in, and an empty rebalance audit.
         """
         cfg = self.config
-        tracer = reg.tracer
-        ctx = multiprocessing.get_context("fork")
-        task_qs = [ctx.Queue(maxsize=cfg.queue_depth) for _ in range(cfg.workers)]
-        result_q = ctx.Queue()
-        hb_interval = self.heartbeat_interval
-        board = (
-            HeartbeatBoard.create(cfg.workers)
-            if hb_interval is not None and hb_interval > 0
-            else None
-        )
-        opts = {
-            "provenance": self.provenance,
-            "trace": tracer.enabled,
-            "run_id": reg.run_id,
-            "heartbeat": board,
-        }
-        procs = [
-            ctx.Process(
-                target=run_worker,
-                args=(w, cfg, batch, loop_index, task_qs[w], result_q, opts),
-                daemon=True,
-                name=f"ddprof-worker-{w}",
+        spill = batch.spill_path if isinstance(batch, SpilledTraceBatch) else ""
+        groups = {"index": loop_index.arrays()}
+        if not spill:
+            groups["trace"] = batch.columns()
+        with _POOL_LOCK:
+            pool, forked = worker_pool(
+                cfg.workers, cfg.queue_depth, Arena.nbytes(groups)
             )
-            for w in range(cfg.workers)
-        ]
+            reg.counter("pipeline.worker_forks").inc(cfg.workers if forked else 0)
+            try:
+                parts = self._drive_pool(pool, groups, spill, len(batch), reg)
+            except BaseException:
+                # A failed run may leave work or workers behind: the next
+                # run forks a fresh pool.
+                close_pool(terminate=True)
+                raise
+        # Producer-order chunk log for the cost model: interleave the
+        # workers' chunks by the window each was cut in, then by worker —
+        # the order the in-process transport logs the same chunks in.
+        # The sort is stable, so each worker's chunks keep their order.
+        entries = [(widx, p["wid"], rows) for p in parts for widx, rows in p["chunk_log"]]
+        entries.sort(key=lambda t: (t[0], t[1]))
+        chunk_log = [(wid, rows) for _, wid, rows in entries]
+        reg.counter("pipeline.chunks").inc(len(chunk_log))
+        return parts, chunk_log, []
+
+    def _drive_pool(
+        self,
+        pool: WorkerPool,
+        groups: dict[str, dict],
+        spill: str,
+        n: int,
+        reg: MetricsRegistry,
+    ) -> list[dict]:
+        """Run one run's ``n`` trace rows on ``pool``; return the parts.
+
+        Copies ``groups`` (the loop index's arrays and, unless the trace is
+        spilled, its columns) into the pool's arena in one ``handoff``
+        span, sends every worker a start message with the arena layout
+        (and the ``spill`` path), then ``(start, end, window_idx)`` index
+        ranges and ``None``; each worker routes its windows with the same
+        :func:`route_window` (see :mod:`repro.parallel.procworker`).
+        """
+        cfg = self.config
+        procs, task_qs, result_q = pool.procs, pool.task_qs, pool.result_q
+        hb_interval = self.heartbeat_interval
+        heartbeat = hb_interval is not None and hb_interval > 0
         payloads: dict[int, dict] = {}
 
         def receive(timeout: float) -> None:
@@ -521,23 +545,35 @@ class ParallelProfiler:
                         backpressure.inc()
                     receive(timeout=0.05)
 
+        def exitcode(w: int) -> int | None:
+            # A worker that delivered its part has finished this run.
+            return 0 if w in payloads else procs[w].exitcode
+
         watchdog = (
-            WorkerWatchdog(
-                board, reg, process_exitcodes(procs), interval_s=hb_interval
-            )
-            if board is not None
+            WorkerWatchdog(pool.board, reg, exitcode, interval_s=hb_interval)
+            if heartbeat
             else None
         )
         try:
-            for p in procs:
-                p.start()
+            with reg.span("handoff"):
+                layout = pool.arena.write(groups)
+            spec = {
+                "config": cfg,
+                "layout": layout,
+                "spill": spill,
+                "provenance": self.provenance,
+                "trace": reg.tracer.enabled,
+                "run_id": reg.run_id,
+                "heartbeat": heartbeat,
+            }
             if watchdog is not None:
+                pool.board.reset()
                 watchdog.start()
-            n = len(batch)
             with reg.span("push"):
+                for q in task_qs:
+                    put_blocking(q, spec)
                 for widx, s in enumerate(range(0, n, self.window)):
-                    e = min(s + self.window, n)
-                    task = (s, e, widx)
+                    task = (s, min(s + self.window, n), widx)
                     for q in task_qs:
                         put_blocking(q, task)
             with reg.span("drain"):
@@ -545,26 +581,9 @@ class ParallelProfiler:
                     put_blocking(q, None)
                 while len(payloads) < cfg.workers:
                     receive(timeout=1.0)
-                for p in procs:
-                    p.join(timeout=30.0)
         finally:
-            # Watchdog before terminate(): the final classification pass must
-            # see the workers' true exit state, not the SIGTERM we send next.
+            # Before any close: the watchdog's final pass must see the
+            # workers' true exit state, not the SIGTERM it sends.
             if watchdog is not None:
                 watchdog.stop()
-            for p in procs:
-                if p.is_alive():
-                    p.terminate()
-            if board is not None:
-                board.close()
-
-        parts = [payloads[w] for w in range(cfg.workers)]
-        # Producer-order chunk log for the cost model: interleave the
-        # workers' chunks by the window each was cut in, then by worker —
-        # the order the in-process transport logs the same chunks in.
-        # The sort is stable, so each worker's chunks keep their order.
-        entries = [(widx, p["wid"], rows) for p in parts for widx, rows in p["chunk_log"]]
-        entries.sort(key=lambda t: (t[0], t[1]))
-        chunk_log = [(wid, rows) for _, wid, rows in entries]
-        reg.counter("pipeline.chunks").inc(len(chunk_log))
-        return parts, chunk_log, []
+        return [payloads[w] for w in range(cfg.workers)]

@@ -5,11 +5,11 @@ the parent until a queue timeout fires; the heartbeat plane makes worker
 health *observable while the run executes*.  Two halves:
 
 * :class:`HeartbeatBoard` — a tiny anonymous shared map, one ``(monotonic
-  timestamp, beat count)`` float64 pair per worker, which the workers
-  inherit through ``fork``.  Workers stamp their slot at startup, per task,
-  and per kernel call (:func:`HeartbeatBoard.beat` is two array stores —
-  nanoseconds, safe on the hot path).  ``time.monotonic``
-  is ``CLOCK_MONOTONIC`` on Linux, one system-wide clock, so the parent can
+  timestamp, beat count)`` float64 pair per worker, which the pool's
+  workers inherit through ``fork``.  Workers stamp their slot when a run
+  starts, per task, and per kernel call (:func:`HeartbeatBoard.beat` is
+  two array stores — nanoseconds, safe on the hot path).
+  ``time.monotonic`` is ``CLOCK_MONOTONIC`` on Linux, one system-wide clock, so the parent can
   subtract a child's stamp from its own reading directly.
 * :class:`WorkerWatchdog` — a parent-side daemon thread ticking on the
   drift-free :func:`~repro.obs.sampler.deadline_loop` grid.  Each tick it
@@ -36,7 +36,7 @@ from __future__ import annotations
 import mmap
 import threading
 import time
-from typing import Any, Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -61,9 +61,10 @@ class HeartbeatBoard:
     """Heartbeat slots in an anonymous shared map: ``(n_workers, 2)`` float64.
 
     Column 0 is the worker's last ``time.monotonic()`` stamp, column 1 its
-    cumulative beat count.  Slots are pre-stamped at creation so a worker
-    that dies before its first beat ages from run start instead of from the
-    monotonic epoch.  The map is ``MAP_SHARED | MAP_ANONYMOUS``: worker
+    beat count over the run.  Slots are pre-stamped at creation and at
+    every run start (:meth:`reset`) so a worker that dies before its first
+    beat ages from run start instead of from the monotonic epoch or the
+    previous run.  The map is ``MAP_SHARED | MAP_ANONYMOUS``: worker
     processes forked after :meth:`create` inherit it, so a child's stamps
     land in the pages the parent reads, with no name to attach by and
     nothing to unlink.
@@ -77,12 +78,17 @@ class HeartbeatBoard:
         self.arr = np.ndarray(
             (n_workers, self.SLOTS), dtype=np.float64, buffer=self._map
         )
-        self.arr[:, 0] = time.monotonic()
-        self.arr[:, 1] = 0.0
+        self.reset()
 
     @classmethod
     def create(cls, n_workers: int) -> "HeartbeatBoard":
         return cls(n_workers)
+
+    def reset(self) -> None:
+        """Stamp every slot now and zero its beat count: a pool reuses its
+        board, so each run starts its workers' ages and counts afresh."""
+        self.arr[:, 0] = time.monotonic()
+        self.arr[:, 1] = 0.0
 
     # -- worker side ---------------------------------------------------------
     def beat(self, wid: int) -> None:
@@ -112,7 +118,8 @@ class WorkerWatchdog:
     """Classifies workers from their heartbeat slots; publishes verdicts.
 
     ``exitcodes(w)`` decouples the watchdog from ``multiprocessing``: the
-    engine passes a closure over its ``Process`` list, tests pass plain
+    engine passes a closure over the pool's processes (a worker that has
+    delivered its part reads as exit code 0, finished), tests pass plain
     dicts.  Classification order matters — exitcode beats heartbeat age,
     so a worker that exited cleanly milliseconds ago is ``live`` (finished),
     not ``stalled``, and a crashed one is ``dead`` even while its last
@@ -242,11 +249,3 @@ class WorkerWatchdog:
     def running(self) -> bool:
         return self._thread is not None and self._thread.is_alive()
 
-
-def process_exitcodes(procs: Sequence[Any]) -> Callable[[int], int | None]:
-    """Adapter: ``multiprocessing.Process`` list -> watchdog exitcode fn."""
-
-    def exitcode(wid: int) -> int | None:
-        return procs[wid].exitcode
-
-    return exitcode

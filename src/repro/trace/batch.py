@@ -79,6 +79,10 @@ class TraceBatch:
     def n_events(self) -> int:
         return len(self.kind)
 
+    def columns(self) -> dict[str, np.ndarray]:
+        """The eight columns by name, in storage order."""
+        return {name: getattr(self, name) for name, _ in _COLUMNS}
+
     def release_window(self, start: int, end: int) -> None:
         """Hint that rows ``[start, end)`` need not stay resident.  A no-op
         on in-memory columns; a spilled batch drops their pages."""

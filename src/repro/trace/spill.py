@@ -151,9 +151,7 @@ class TraceSpillWriter:
             self.file_names = batch.file_names
         if not self.ctx_stacks and batch.ctx_stacks:
             self.ctx_stacks = batch.ctx_stacks
-        self.append_columns(
-            **{name: getattr(batch, name) for name, _ in _COLUMNS}
-        )
+        self.append_columns(**batch.columns())
 
     def close(self) -> Path:
         """Flush the columns and commit ``meta.json``; returns the path."""

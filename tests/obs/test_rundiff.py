@@ -178,6 +178,7 @@ class TestMetricAndCoverage:
             "process.peak_rss_bytes": 100.0,
             'worker.heartbeat.age_seconds{worker="0"}': 0.01,
             'pipeline.backpressure_stalls': 1.0,
+            'pipeline.worker_forks': 2.0,
             'obs.tick_errors{loop="stream"}': 1.0,
         }
         a = bundle(run_id="a", gauges=host)

@@ -113,7 +113,7 @@ class TestTransportContract:
 
     @staticmethod
     def transport_specific(name):
-        return name == "pipeline.backpressure_stalls"
+        return name in ("pipeline.backpressure_stalls", "pipeline.worker_forks")
 
     @staticmethod
     def run_specific(name):

@@ -1,14 +1,17 @@
-"""The ``processes`` execution mode: real multi-process workers forked with
-the parent's trace and loop index.
+"""The ``processes`` execution mode: real multi-process workers from the
+process's worker pool, fed through its shared arena.
 
 Everything here asserts *equality with the deterministic mode* (itself
 equivalence-tested against the reference engine) plus the merge
 machinery: per-worker stores, metrics state folding, provenance, tracer
-adoption, and a transport that needs no POSIX shared memory.
+adoption, a transport that needs no POSIX shared memory, and the pool's
+life cycle (reuse, re-fork, close on failure, exit with the parent).
 """
 
 import itertools
 import multiprocessing
+import os
+import time
 
 import pytest
 
@@ -22,6 +25,7 @@ from repro.parallel import ParallelProfiler
 from repro.parallel.engine import WINDOW
 from repro.trace import spill_batch
 from repro.workloads import get_trace
+from repro.workloads.amplify import amplify_batch
 from tests.trace_helpers import reference_pipeline, reference_profile, seq_trace
 
 PERFECT = ProfilerConfig(perfect_signature=True)
@@ -94,6 +98,8 @@ class TestProcessesMode:
         reg = MetricsRegistry(tracer=Tracer())
         cfg = PERFECT.with_(workers=2, chunk_size=512)
         par, info = ParallelProfiler(cfg, mode="processes", registry=reg).profile(batch)
+        warm = MetricsRegistry()
+        ParallelProfiler(cfg, mode="processes", registry=warm).profile(batch)
         # Worker-side counters arrived via merge_state.
         assert reg.sum_counters("worker.accesses") == sum(info.per_worker_accesses)
         assert reg.sum_counters("worker.chunks") == info.n_chunks
@@ -121,19 +127,25 @@ class TestProcessesMode:
         # ProfileStats view over the merged registry is coherent.
         assert par.stats.n_accesses == sum(info.per_worker_accesses)
         assert info.signature_memory_bytes > 0
-        # Each worker process reported its whole life's CPU time and minor
-        # faults under its label; the parent reported its own over the run.
-        gauges = [(g.name, dict(g.labels), g.value) for g in reg.gauges()]
-
-        def gauge(name, **labels):
-            (v,) = [v for n, lab, v in gauges if n == name and lab == labels]
+        # Each worker process reported its CPU time and minor faults over
+        # the run under its label; the parent reported its own over the run.
+        def gauge(registry, name, **labels):
+            (v,) = [
+                g.value for g in registry.gauges()
+                if g.name == name and dict(g.labels) == labels
+            ]
             return v
 
         for worker in ({"worker": "0"}, {"worker": "1"}, {}):
-            assert gauge("process.minor_faults", **worker) > 0, worker
+            assert gauge(reg, "process.minor_faults", **worker) > 0, worker
             # CPU time is accounted in ticks: a short worker may read 0.
             for kind in ("user", "sys"):
-                assert gauge("process.cpu_seconds", kind=kind, **worker) >= 0, worker
+                assert gauge(reg, "process.cpu_seconds", kind=kind, **worker) >= 0, worker
+        # The second run reused the pool the first one forked, so its
+        # workers faulted in fewer pages.
+        for worker in ({"worker": "0"}, {"worker": "1"}):
+            cold = gauge(reg, "process.minor_faults", **worker)
+            assert gauge(warm, "process.minor_faults", **worker) < cold, worker
 
     def test_provenance_merged_across_processes(self):
         batch = get_trace("ep")
@@ -211,13 +223,13 @@ class TestProcessesMode:
         assert replayed.snapshot()["counters"] == info["final"]["counters"]
 
     def test_runs_without_posix_shm_or_helper_processes(self, monkeypatch):
-        """Workers read the trace, the loop index and the heartbeat board
-        in the pages they inherit through fork.  With every POSIX
-        shared-memory open failing (what a ``SharedMemory`` block needs to
-        be created or attached) and every helper-process start failing
-        (the multiprocessing resource tracker is started through
+        """The pool's arena and heartbeat board are anonymous shared maps
+        its workers inherit through fork.  With every POSIX shared-memory
+        open failing (what a ``SharedMemory`` block needs to be created or
+        attached) and every helper-process start failing (the
+        multiprocessing resource tracker is started through
         ``spawnv_passfds``), a run still equals deterministic mode: it
-        leaves no block to leak and starts no resource tracker."""
+        leaves no named block to leak and starts no resource tracker."""
         import _posixshmem
         import multiprocessing.util
 
@@ -352,17 +364,17 @@ class TestProcessesMode:
         and still leave a partial run bundle."""
         import signal
 
-        import repro.parallel.engine as engine_mod
+        import repro.parallel.pool as pool_mod
         from repro.obs import RunLedger, load_bundle
 
-        def silent_worker(wid, config, batch, loop_index, task_q, result_q, opts):
+        def silent_worker(wid, task_q, result_q, arena, board):
             while task_q.get() is not None:
                 pass
 
         def hung(signum, frame):
             raise TimeoutError("profile() still blocked after 10 s")
 
-        monkeypatch.setattr(engine_mod, "run_worker", silent_worker)
+        monkeypatch.setattr(pool_mod, "run_worker", silent_worker)
         led = RunLedger(tmp_path, "silent")
         prof = ParallelProfiler(
             PERFECT.with_(workers=2), mode="processes", ledger=led
@@ -376,3 +388,165 @@ class TestProcessesMode:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, old)
         assert load_bundle(led.path)["status"] == "partial"
+
+
+def pool_pids():
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+def alive(pid):
+    """Whether ``pid`` runs (a zombie awaiting its reaper does not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+class TestWorkerPool:
+    """One pool of worker processes per Python process, reused by every
+    processes-mode run of its shape."""
+
+    @staticmethod
+    def run_matches(batch, cfg):
+        """Profile ``batch`` in both modes, assert the runs equal (stores
+        with counts, every ``ParallelRunInfo`` field, provenance with chunk
+        ids) and return the processes run's registry."""
+        det, det_info = ParallelProfiler(cfg, provenance=True).profile(batch)
+        reg = MetricsRegistry()
+        par, par_info = ParallelProfiler(
+            cfg, mode="processes", provenance=True, registry=reg
+        ).profile(batch)
+        assert dict(par.store.items()) == dict(det.store.items())
+        assert par_info == det_info
+        assert {d: r.to_dict() for d, r in par.provenance} == {
+            d: r.to_dict() for d, r in det.provenance
+        }
+        return reg
+
+    def forks(self, batch, cfg):
+        """How many workers a matching processes run of ``batch`` forked."""
+        return self.run_matches(batch, cfg).counter("pipeline.worker_forks").value
+
+    def test_second_run_forks_no_worker(self):
+        batch = get_trace("ep")
+        cfg = ProfilerConfig(signature_slots=1 << 12, workers=2, chunk_size=512)
+
+        def beats(reg):
+            return {
+                g.labels: g.value for g in reg.gauges()
+                if g.name == "worker.heartbeat.beats"
+            }
+
+        cold = self.run_matches(batch, cfg)
+        assert cold.counter("pipeline.worker_forks").value == 2
+        pids = pool_pids()
+        assert len(pids) == 2
+        warm = self.run_matches(batch, cfg)
+        assert warm.counter("pipeline.worker_forks").value == 0
+        assert pool_pids() == pids
+        # The board is reused, and each run counts its own beats.
+        assert len(beats(cold)) == 2 and beats(warm) == beats(cold)
+
+    def test_larger_trace_regrows_the_arena(self):
+        import repro.parallel.pool as pool_mod
+
+        cfg = PERFECT.with_(workers=2, chunk_size=4096)
+        small = get_trace("ep")
+        assert self.forks(small, cfg) == 2
+        pids, arena = pool_pids(), pool_mod._pool.arena.size
+        large = amplify_batch(small, 24)  # 22 MB of columns
+        assert self.forks(large, cfg) == 2
+        assert pool_mod._pool.arena.size > arena
+        assert set(pool_pids()).isdisjoint(pids)
+        assert self.forks(small, cfg) == 0  # the grown arena holds it
+
+    @pytest.mark.parametrize("change", [{"workers": 3}, {"queue_depth": 4}])
+    def test_new_shape_replaces_the_pool(self, change):
+        batch = get_trace("ep")
+        cfg = PERFECT.with_(workers=2, chunk_size=512)
+        assert self.forks(batch, cfg) == 2
+        old = pool_pids()
+        cfg = cfg.with_(**change)
+        assert self.forks(batch, cfg) == cfg.workers
+        new = pool_pids()
+        assert len(new) == cfg.workers and set(new).isdisjoint(old)
+
+    def test_failed_run_closes_the_pool(self, monkeypatch):
+        import repro.parallel.worker as worker_mod
+
+        def boom(self, batch, rows, n_chunks=1):
+            raise RuntimeError("injected worker crash")
+
+        monkeypatch.setattr(worker_mod.Worker, "process_rows", boom)
+        batch = get_trace("ep")
+        cfg = PERFECT.with_(workers=2, chunk_size=512)
+        with pytest.raises(ProfilerError, match="injected worker crash"):
+            ParallelProfiler(cfg, mode="processes").profile(batch)
+        assert pool_pids() == []
+        monkeypatch.undo()
+        assert self.forks(batch, cfg) == 2
+
+    def test_concurrent_runs_take_turns(self, monkeypatch):
+        """Runs from several threads share the one pool, one at a time."""
+        import threading
+
+        batch = get_trace("ep")
+        cfg = PERFECT.with_(workers=2, chunk_size=512)
+        det, _ = ParallelProfiler(cfg).profile(batch)
+        inside, peak = [0], [0]
+        drive = ParallelProfiler._drive_pool
+
+        def counted(self, *args):
+            inside[0] += 1
+            peak[0] = max(peak[0], inside[0])
+            time.sleep(0.05)  # time for the other threads to arrive
+            try:
+                return drive(self, *args)
+            finally:
+                inside[0] -= 1
+
+        monkeypatch.setattr(ParallelProfiler, "_drive_pool", counted)
+        stores = []
+
+        def run():
+            stores.append(ParallelProfiler(cfg, mode="processes").profile(batch)[0].store)
+
+        threads = [threading.Thread(target=run) for _ in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        assert peak[0] == 1
+        assert [dict(s.items()) for s in stores] == [dict(det.store.items())] * 3
+
+    def test_workers_exit_when_their_parent_is_gone(self):
+        """A child forked from a process that has a pool forks a pool of its
+        own and leaves the parent's alone; when the child leaves through
+        ``os._exit`` (no atexit hook runs), its workers exit by themselves."""
+        batch = get_trace("ep")
+        cfg = PERFECT.with_(workers=2)
+        assert self.forks(batch, cfg) == 2
+        parent_pids = pool_pids()
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+
+        def child():
+            reg = MetricsRegistry()
+            ParallelProfiler(cfg, mode="processes", registry=reg).profile(batch)
+            send.send((reg.counter("pipeline.worker_forks").value, pool_pids()))
+            os._exit(0)
+
+        proc = ctx.Process(target=child)
+        proc.start()
+        assert recv.poll(30), "the child did not report its pool"
+        forks, pids = recv.recv()
+        proc.join(10)
+        assert proc.exitcode == 0 and forks == 2 and len(pids) == 2
+        assert set(pids).isdisjoint(parent_pids)
+        deadline = time.monotonic() + 5.0
+        while any(alive(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(alive(pid) for pid in pids)
+        assert pool_pids() == parent_pids
+        assert self.forks(batch, cfg) == 0
