@@ -109,10 +109,14 @@ def _worker_chunk_run(batch, chunk_size):
     """One pipeline Worker fed the whole trace in chunks — the quantity
     the processes mode actually parallelizes."""
     from repro.core.controlflow import LoopStateIndex
+    from repro.obs.metrics import MetricsRegistry
     from repro.parallel.worker import Worker
 
     worker = Worker(
-        0, PERFECT.with_(workers=1, chunk_size=chunk_size), LoopStateIndex(batch)
+        0,
+        PERFECT.with_(workers=1, chunk_size=chunk_size, heatmap=False),
+        LoopStateIndex(batch),
+        MetricsRegistry(),
     )
     for rows in _chunks(batch, chunk_size):
         worker.process_rows(batch, rows)

@@ -119,11 +119,6 @@ def _profiler_args(p: argparse.ArgumentParser, workers: int = 1) -> None:
         "(lets scrapers collect the final state)",
     )
     p.add_argument(
-        "--heartbeat-interval", type=float, metavar="SECONDS", default=0.05,
-        help="worker heartbeat watchdog cadence for --mode processes "
-        "(0 disables the heartbeat plane)",
-    )
-    p.add_argument(
         "--ledger", metavar="DIR", default=None,
         help="run-ledger directory where this run's bundle "
         "(ddprof.run-bundle/1) is persisted; default "
@@ -314,7 +309,6 @@ def _profile_for(args: argparse.Namespace, reg: MetricsRegistry, batch):
         mode=args.mode,
         registry=reg,
         provenance=args.provenance,
-        heartbeat_interval=args.heartbeat_interval,
         ledger=getattr(args, "_ledger", None),
     ).profile(batch)
     if args.provenance and args.slots is not None:

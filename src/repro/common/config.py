@@ -45,8 +45,9 @@ class ProfilerConfig:
         Number of trace rows per chunk a worker runs through its kernel
         (a window's full chunks go through in one kernel call).
     queue_depth:
-        Capacity (in windows) of each worker process's task queue, and the
-        per-worker chunk queue the cost model replays the run through.
+        Capacity (in chunks) of the per-worker queues the cost model
+        replays a run through (the paper's bounded chunk queues).  The
+        pipeline itself does not read it.
     rebalance_interval_chunks / hot_addresses:
         Load-balancing cadence and the number of hot addresses kept evenly
         distributed (Section IV-A).

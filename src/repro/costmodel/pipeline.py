@@ -7,8 +7,8 @@ through a virtual-time model of Figure 2's pipeline:
 * the producer spends ``capture`` per routed row, ``control_event`` once
   per control event (spread evenly over the rows it routes) and a handoff
   per chunk; if the target queue is full (``queue_depth`` chunks in
-  flight), it stalls until the worker starts an older chunk — exactly the
-  back-pressure of the real implementation;
+  flight), it stalls until the worker starts an older chunk — the paper's
+  bounded chunk queues (§IV, Fig. 2);
 * each worker processes its chunks FIFO at ``analyze`` per row (its
   accesses, plus every FREE);
 * rebalance markers quiesce the pipeline (producer waits for all workers)

@@ -56,7 +56,7 @@ def liveness_summary(registry: MetricsRegistry) -> dict[str, Any] | None:
     """Decode ``worker.heartbeat.*`` gauges into a liveness section.
 
     Returns ``None`` when the run recorded no heartbeats (deterministic
-    mode, or the heartbeat plane switched off).  The summary is computed
+    mode).  The summary is computed
     purely from the registry — the watchdog writes gauges, everything
     downstream (report, ``/healthz``) reads them — so there is exactly one
     source of truth for worker state.

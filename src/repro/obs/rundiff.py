@@ -16,8 +16,8 @@
   coverage has a declared direction (higher is better); raw run counters
   and gauges have none and classify ``changed`` when they leave the band —
   *noticed*, never gating.  Resource and timing instruments (``process.*``,
-  ``worker.heartbeat.*``, backpressure stalls, worker forks, telemetry tick
-  errors) are not compared: they never replay;
+  ``worker.heartbeat.*``, worker forks, telemetry tick errors) are not
+  compared: they never replay;
 * **suspect-FP provenance** keys appearing/disappearing.
 
 Exit-code contract (``ddprof runs diff``): the diff **fails** (non-zero)
@@ -46,11 +46,7 @@ _MAX_LISTED = 20
 #: and the worker pool, not the profile, so two runs of one config differ
 #: in them.
 _HOST_PREFIXES = ("process.", "worker.heartbeat.")
-_HOST_METRICS = (
-    "pipeline.backpressure_stalls",
-    "pipeline.worker_forks",
-    "obs.tick_errors",
-)
+_HOST_METRICS = ("pipeline.worker_forks", "obs.tick_errors")
 
 
 def _replays(name: str) -> bool:

@@ -142,9 +142,6 @@ def render_top(
                 f"{fill.get(w, 0.0) * 100:5.1f}%  {state:<9s}  {heat}"
             )
 
-    backpressure = sum(
-        _family(counters, "pipeline.backpressure_stalls").values()
-    )
     rounds = sum(_family(counters, "rebalance.rounds").values())
     moves = sum(_family(counters, "rebalance.moves").values())
     bank_moves = sum(_family(counters, "rebalance.bank_moves").values())
@@ -152,11 +149,7 @@ def render_top(
     moved = f"{int(moves)} moved"
     if bank_moves:
         moved += f", {int(bank_moves)} banks"
-    lines.append(
-        "  "
-        + (f"backpressure={int(backpressure)}  " if backpressure else "")
-        + f"rebalances {int(rounds)} ({moved})  evictions {int(evictions)}"
-    )
+    lines.append(f"  rebalances {int(rounds)} ({moved})  evictions {int(evictions)}")
     if rss:
         parts = ", ".join(
             f"w{w}={v / (1 << 20):.0f}MiB"

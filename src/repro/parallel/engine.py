@@ -20,12 +20,12 @@ Two transports carry the routed rows (``mode``):
 * ``processes`` — real ``multiprocessing`` workers with private
   signatures, from the process's one worker pool
   (:mod:`repro.parallel.pool`): forked on the first processes-mode run
-  and reused by later runs of the same shape.  Each run copies its loop
-  index and an in-memory trace's columns into the pool's shared arena (a
-  spilled trace travels as its path); only window index ranges cross the
-  task queues and each worker routes its windows itself, so this mode
-  shows *measured* multi-core speedup.  It needs the ``fork`` start
-  method.  Load rebalancing is a producer-side feature and is disabled
+  and reused by later runs of the same worker count.  Each run copies its
+  loop index and an in-memory trace's columns into the pool's shared
+  arena (a spilled trace travels as its path); only window index ranges
+  cross the task queues and each worker routes its windows itself, so
+  this mode shows *measured* multi-core speedup.  It needs the ``fork``
+  start method.  Load rebalancing is a producer-side feature and is disabled
   here (static address partition); worker processes ship their published
   parts, metrics state, tracer events and chunk logs home for the merge.
 
@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import multiprocessing
 import queue as queue_mod
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -82,10 +81,10 @@ from repro.obs.environment import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import ProvenanceCollector
 from repro.obs.tracing import MAIN_TRACK, worker_track
+from repro.parallel import heartbeat
 from repro.parallel.address_map import AddressMap, route_window
 from repro.parallel.balance import AccessStats, Rebalancer
-from repro.parallel.heartbeat import WorkerWatchdog
-from repro.parallel.pool import Arena, WorkerPool, close_pool, worker_pool
+from repro.parallel.pool import Arena, WorkerPool, worker_pool
 from repro.parallel.worker import Worker
 from repro.trace import TraceBatch
 from repro.trace.spill import SpilledTraceBatch
@@ -93,9 +92,9 @@ from repro.trace.spill import SpilledTraceBatch
 MODES = ("deterministic", "processes")
 #: Trace rows per producer window: the unit the pipeline routes.
 WINDOW = 1 << 15
-#: Processes-mode runs of one process share its worker pool, so they take
-#: turns.
-_POOL_LOCK = threading.Lock()
+#: The load balancer redistributes when the hot addresses' max/mean worker
+#: load exceeds this (Section IV-A).
+REBALANCE_THRESHOLD = 1.25
 
 
 @dataclass
@@ -183,11 +182,9 @@ class ParallelProfiler:
         self,
         config: ProfilerConfig,
         mode: str = "deterministic",
-        rebalance_threshold: float = 1.25,
         window: int = WINDOW,
         registry: MetricsRegistry | None = None,
         provenance: bool = False,
-        heartbeat_interval: float | None = 0.05,
         ledger=None,
     ) -> None:
         if mode not in MODES:
@@ -201,11 +198,7 @@ class ParallelProfiler:
             raise ProfilerError(f"window must be a positive row count, got {window}")
         self.config = config
         self.mode = mode
-        self.rebalance_threshold = rebalance_threshold
         self.window = window
-        #: Watchdog cadence for ``processes`` mode (seconds); ``None`` or
-        #: ``0`` disables the heartbeat plane entirely.
-        self.heartbeat_interval = heartbeat_interval
         #: Telemetry registry; ``None`` means each run builds a private
         #: sinkless one (every instrument records, no telemetry stream).
         self.registry = registry
@@ -370,7 +363,7 @@ class ParallelProfiler:
 
         def maybe_rebalance() -> None:
             imbalance = rebalancer.imbalance(stats)
-            if imbalance <= self.rebalance_threshold:
+            if imbalance <= REBALANCE_THRESHOLD:
                 return
             prev = post_rebalance_imbalance[0]
             if prev is not None and imbalance <= prev * 1.1:
@@ -443,34 +436,24 @@ class ParallelProfiler:
         """Processes transport: the process's worker pool over the run's
         hand-off.
 
-        The run takes the pool of its ``workers`` and ``queue_depth``
+        The run holds the pool of its ``workers``
         (:func:`~repro.parallel.pool.worker_pool`; ``pipeline.worker_forks``
-        counts the workers forked for it), one run at a time per process.
-        The static address partition makes results independent of
+        counts the workers forked for it), which closes it if the run
+        fails.  The static address partition makes results independent of
         scheduling, so this mode is bit-for-bit equivalent to
         ``deterministic`` minus the load balancer (which needs
-        producer-side signature migration).  A run that fails once work
-        reached the pool closes it.  Returns the workers' parts, their
-        chunk logs folded into the order the in-process transport logs the
-        same chunks in, and an empty rebalance audit.
+        producer-side signature migration).  Returns the workers' parts,
+        their chunk logs folded into the order the in-process transport
+        logs the same chunks in, and an empty rebalance audit.
         """
         cfg = self.config
         spill = batch.spill_path if isinstance(batch, SpilledTraceBatch) else ""
         groups = {"index": loop_index.arrays()}
         if not spill:
             groups["trace"] = batch.columns()
-        with _POOL_LOCK:
-            pool, forked = worker_pool(
-                cfg.workers, cfg.queue_depth, Arena.nbytes(groups)
-            )
+        with worker_pool(cfg.workers, Arena.nbytes(groups)) as (pool, forked):
             reg.counter("pipeline.worker_forks").inc(cfg.workers if forked else 0)
-            try:
-                parts = self._drive_pool(pool, groups, spill, len(batch), reg)
-            except BaseException:
-                # A failed run may leave work or workers behind: the next
-                # run forks a fresh pool.
-                close_pool(terminate=True)
-                raise
+            parts = self._drive_pool(pool, groups, spill, len(batch), reg)
         # Producer-order chunk log for the cost model: interleave the
         # workers' chunks by the window each was cut in, then by worker —
         # the order the in-process transport logs the same chunks in.
@@ -495,13 +478,13 @@ class ParallelProfiler:
         spilled, its columns) into the pool's arena in one ``handoff``
         span, sends every worker a start message with the arena layout
         (and the ``spill`` path), then ``(start, end, window_idx)`` index
-        ranges and ``None``; each worker routes its windows with the same
-        :func:`route_window` (see :mod:`repro.parallel.procworker`).
+        ranges and ``None`` in one ``push`` span; each worker routes its
+        windows with the same :func:`route_window` (see
+        :mod:`repro.parallel.procworker`).  The ``drain`` span waits for
+        the workers' parts.
         """
         cfg = self.config
         procs, task_qs, result_q = pool.procs, pool.task_qs, pool.result_q
-        hb_interval = self.heartbeat_interval
-        heartbeat = hb_interval is not None and hb_interval > 0
         payloads: dict[int, dict] = {}
 
         def receive(timeout: float) -> None:
@@ -527,32 +510,12 @@ class ParallelProfiler:
                 raise ProfilerError(f"worker process {wid} failed:\n{tb}")
             payloads[msg[1]["wid"]] = msg[1]
 
-        # The bounded task queues ARE the spill tier's backpressure: when the
-        # producer outruns the consumers, put() blocks until a worker frees a
-        # slot, so in-flight windows never exceed workers x queue_depth
-        # regardless of trace length.  The counter makes the stalls visible.
-        backpressure = reg.counter("pipeline.backpressure_stalls")
-
-        def put_blocking(q: "multiprocessing.queues.Queue", item: object) -> None:
-            stalled = False
-            while True:
-                try:
-                    q.put(item, timeout=1.0)
-                    return
-                except queue_mod.Full:
-                    if not stalled:
-                        stalled = True
-                        backpressure.inc()
-                    receive(timeout=0.05)
-
         def exitcode(w: int) -> int | None:
             # A worker that delivered its part has finished this run.
             return 0 if w in payloads else procs[w].exitcode
 
-        watchdog = (
-            WorkerWatchdog(pool.board, reg, exitcode, interval_s=hb_interval)
-            if heartbeat
-            else None
+        watchdog = heartbeat.WorkerWatchdog(
+            pool.board, reg, exitcode, interval_s=heartbeat.DEFAULT_INTERVAL_S
         )
         try:
             with reg.span("handoff"):
@@ -564,26 +527,23 @@ class ParallelProfiler:
                 "provenance": self.provenance,
                 "trace": reg.tracer.enabled,
                 "run_id": reg.run_id,
-                "heartbeat": heartbeat,
             }
-            if watchdog is not None:
-                pool.board.reset()
-                watchdog.start()
+            pool.board.reset()
+            watchdog.start()
             with reg.span("push"):
                 for q in task_qs:
-                    put_blocking(q, spec)
+                    q.put(spec)
                 for widx, s in enumerate(range(0, n, self.window)):
                     task = (s, min(s + self.window, n), widx)
                     for q in task_qs:
-                        put_blocking(q, task)
-            with reg.span("drain"):
+                        q.put(task)
                 for q in task_qs:
-                    put_blocking(q, None)
+                    q.put(None)
+            with reg.span("drain"):
                 while len(payloads) < cfg.workers:
                     receive(timeout=1.0)
         finally:
             # Before any close: the watchdog's final pass must see the
             # workers' true exit state, not the SIGTERM it sends.
-            if watchdog is not None:
-                watchdog.stop()
+            watchdog.stop()
         return [payloads[w] for w in range(cfg.workers)]

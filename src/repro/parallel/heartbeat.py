@@ -11,8 +11,9 @@ health *observable while the run executes*.  Two halves:
   two array stores — nanoseconds, safe on the hot path).
   ``time.monotonic`` is ``CLOCK_MONOTONIC`` on Linux, one system-wide clock, so the parent can
   subtract a child's stamp from its own reading directly.
-* :class:`WorkerWatchdog` — a parent-side daemon thread ticking on the
-  drift-free :func:`~repro.obs.sampler.deadline_loop` grid.  Each tick it
+* :class:`WorkerWatchdog` — a parent-side daemon thread that every
+  processes-mode run starts, ticking every :data:`DEFAULT_INTERVAL_S` on
+  the drift-free :func:`~repro.obs.sampler.deadline_loop` grid.  Each tick it
   classifies every worker — ``live`` / ``stalled`` (no beat for longer
   than ``stall_after_s``) / ``dead`` (nonzero exitcode) — and publishes the
   verdicts as ``worker.heartbeat.*`` gauges in the run's registry, which is
@@ -49,7 +50,8 @@ STATE_LIVE = HEARTBEAT_STATES.index("live")
 STATE_STALLED = HEARTBEAT_STATES.index("stalled")
 STATE_DEAD = HEARTBEAT_STATES.index("dead")
 
-#: Default watchdog cadence (seconds).
+#: Watchdog cadence (seconds) of every processes-mode run, read when the
+#: run starts.
 DEFAULT_INTERVAL_S = 0.05
 
 #: A worker is stalled when its slot has not been stamped for this many
@@ -65,7 +67,7 @@ class HeartbeatBoard:
     every run start (:meth:`reset`) so a worker that dies before its first
     beat ages from run start instead of from the monotonic epoch or the
     previous run.  The map is ``MAP_SHARED | MAP_ANONYMOUS``: worker
-    processes forked after :meth:`create` inherit it, so a child's stamps
+    processes forked after its construction inherit it, so a child's stamps
     land in the pages the parent reads, with no name to attach by and
     nothing to unlink.
     """
@@ -79,10 +81,6 @@ class HeartbeatBoard:
             (n_workers, self.SLOTS), dtype=np.float64, buffer=self._map
         )
         self.reset()
-
-    @classmethod
-    def create(cls, n_workers: int) -> "HeartbeatBoard":
-        return cls(n_workers)
 
     def reset(self) -> None:
         """Stamp every slot now and zero its beat count: a pool reuses its

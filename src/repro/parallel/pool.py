@@ -3,9 +3,8 @@
 In the paper's pipeline (§IV, Fig. 2) the workers live for the whole
 profiling session.  One :class:`WorkerPool` per Python process plays that
 part: :func:`worker_pool` forks it on the first processes-mode run and
-hands it to every later run with the same ``workers`` and
-``queue_depth``, so such a run forks nothing and its workers keep the
-pages earlier runs faulted in.
+hands it to every later run with the same ``workers``, so such a run
+forks nothing and its workers keep the pages earlier runs faulted in.
 
 The pool forks with what its workers share with the parent for its whole
 life:
@@ -16,26 +15,31 @@ life:
   trace is handed over by its path and never copied: each worker maps the
   spill files itself.
 * the :class:`~repro.parallel.heartbeat.HeartbeatBoard`;
-* one bounded task queue per worker and one result queue.
+* one task queue per worker and one result queue.  The task queues are
+  unbounded: a run's trace is in the arena (or its spill files) before
+  its first task is sent, so they carry only a start message, window
+  index triples and an end marker.
 
-:func:`worker_pool` closes the pool and forks a new one on a different
-shape, on a hand-off that does not fit the arena, or when a worker has
-died; the engine closes it (:func:`close_pool`) after any run that failed
-once work reached it.  An ``atexit`` hook closes it at interpreter exit,
-and an idle worker whose parent is gone exits by itself
-(:mod:`repro.parallel.procworker`).  Between runs the pool holds its idle
-processes, the arena pages its largest hand-off touched, and the
-copy-on-write pages its workers still share with the parent as it was
-when they were forked.
+Runs of one process take turns on the pool, each inside
+:func:`worker_pool`, which closes the pool and forks a new one for
+another worker count, a hand-off that does not fit the arena, or a dead
+worker, and closes it after a run that raised.  An ``atexit`` hook closes
+it at interpreter exit, and an idle worker whose parent is gone exits by
+itself (:mod:`repro.parallel.procworker`).  Between runs the pool holds
+its idle processes, the arena pages its largest hand-off touched, and
+the copy-on-write pages its workers still share with the parent as it
+was when they were forked.
 """
 
 from __future__ import annotations
 
 import atexit
+import contextlib
 import mmap
 import multiprocessing
 import os
-import queue as queue_mod
+import threading
+from typing import Iterator
 
 import numpy as np
 
@@ -124,15 +128,14 @@ class WorkerPool:
     """``workers`` forked worker processes with their queues, arena and
     heartbeat board (see the module docstring)."""
 
-    def __init__(self, workers: int, queue_depth: int, arena_bytes: int) -> None:
+    def __init__(self, workers: int, arena_bytes: int) -> None:
         ctx = multiprocessing.get_context("fork")
         self.workers = workers
-        self.queue_depth = queue_depth
         #: The process that forked the pool: the only one that may use it.
         self.owner = os.getpid()
         self.arena = Arena(arena_bytes)
-        self.board = HeartbeatBoard.create(workers)
-        self.task_qs = [ctx.Queue(maxsize=queue_depth) for _ in range(workers)]
+        self.board = HeartbeatBoard(workers)
+        self.task_qs = [ctx.Queue() for _ in range(workers)]
         self.result_q = ctx.Queue()
         self.procs = [
             ctx.Process(
@@ -150,14 +153,13 @@ class WorkerPool:
             self.close(terminate=True)
             raise
 
-    def fits(self, workers: int, queue_depth: int, nbytes: int) -> bool:
-        """Whether a run of this shape and hand-off size, in this process,
-        can use the pool (a forked child's copy of its parent's pool is
-        not its to use)."""
+    def fits(self, workers: int, nbytes: int) -> bool:
+        """Whether a run of ``workers`` and this hand-off size, in this
+        process, can use the pool (a forked child's copy of its parent's
+        pool is not its to use)."""
         return (
             self.owner == os.getpid()
             and self.workers == workers
-            and self.queue_depth == queue_depth
             and nbytes <= self.arena.size
             and all(p.is_alive() for p in self.procs)
         )
@@ -174,7 +176,7 @@ class WorkerPool:
             for q in self.task_qs:
                 try:
                     q.put_nowait(EXIT)
-                except (queue_mod.Full, ValueError, OSError):
+                except (ValueError, OSError):
                     pass
             for p in started:
                 p.join(timeout=1.0)
@@ -190,21 +192,31 @@ class WorkerPool:
 
 
 _pool: WorkerPool | None = None
+#: Held by the run using :data:`_pool`.
+_lock = threading.Lock()
 
 
-def worker_pool(workers: int, queue_depth: int, nbytes: int) -> tuple[WorkerPool, bool]:
-    """This process's pool for a run of ``workers`` and ``queue_depth``
-    whose hand-off takes ``nbytes``, and whether it was forked for it.
+@contextlib.contextmanager
+def worker_pool(workers: int, nbytes: int) -> Iterator[tuple[WorkerPool, bool]]:
+    """Hold this process's pool for one run of ``workers`` whose hand-off
+    takes ``nbytes``; yields the pool and whether it was forked for the run.
 
     The current pool is reused when it fits (:meth:`WorkerPool.fits`);
-    otherwise it is closed and a new one forked.
+    otherwise it is closed and a new one forked.  A run that raises may
+    leave work or busy workers behind, so the pool is then terminated and
+    the next run forks a fresh one.
     """
     global _pool
-    if _pool is not None and _pool.fits(workers, queue_depth, nbytes):
-        return _pool, False
-    close_pool()
-    _pool = WorkerPool(workers, queue_depth, _arena_size(nbytes))
-    return _pool, True
+    with _lock:
+        forked = _pool is None or not _pool.fits(workers, nbytes)
+        if forked:
+            close_pool()
+            _pool = WorkerPool(workers, _arena_size(nbytes))
+        try:
+            yield _pool, forked
+        except BaseException:
+            close_pool(terminate=True)
+            raise
 
 
 def close_pool(terminate: bool = False) -> None:

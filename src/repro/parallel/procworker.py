@@ -1,8 +1,8 @@
 """Worker-process side of the ``processes`` execution mode: a loop over runs.
 
 A pool worker (:mod:`repro.parallel.pool`) is forked once and serves every
-processes-mode run of its parent that has the pool's shape.  A run reaches
-it on its task queue as
+processes-mode run of its parent that has the pool's worker count.  A run
+reaches it on its task queue as
 
 1. a start message (a dict): the run's config and observability switches,
    and where its trace and loop index are — the layout of the arrays the
@@ -101,13 +101,11 @@ def _serve_run(
     ``index`` group and, unless the trace is spilled, a ``trace`` group);
     ``spill`` (a spilled trace's directory, or ``None``); ``provenance``
     and ``trace`` mirror the parent pipeline's observability switches;
-    ``run_id`` propagates the parent's correlation id; ``heartbeat``
-    says whether to stamp the board.
+    ``run_id`` propagates the parent's correlation id.  The worker stamps
+    ``board`` when it takes the run, per task and per kernel call.
     """
     usage_at_start = process_usage()
-    hb = board if spec["heartbeat"] else None
-    if hb is not None:
-        hb.beat(wid)  # first stamp: the worker has the run
+    board.beat(wid)  # first stamp: the worker has the run
     config = spec["config"]
     views = arena.read(spec["layout"])
     batch = open_spill(spec["spill"]) if spec["spill"] else TraceBatch(**views["trace"])
@@ -117,7 +115,7 @@ def _serve_run(
     if tracer is not None:
         tracer.set_track(worker_track(wid), f"worker {wid}")
     prov = ProvenanceCollector(worker=wid) if spec["provenance"] else None
-    worker = Worker(wid, config, loop_index, reg, provenance=prov, heartbeat=hb)
+    worker = Worker(wid, config, loop_index, reg, provenance=prov, heartbeat=board)
     amap = AddressMap(config.workers, bank_geometry=config.bank_geometry)
     # Only the rows this worker still reads should be resident: a spilled
     # batch may be far larger than RAM.
@@ -126,8 +124,7 @@ def _serve_run(
     widx = -1
     while True:
         task = _next_task(task_q, parent)
-        if hb is not None:
-            hb.beat(wid)
+        board.beat(wid)
         if task is None:
             break
         s, e, widx = task

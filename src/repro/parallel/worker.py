@@ -13,7 +13,7 @@ from repro.core.vectorized import ChunkKernel
 from repro.obs.heatmap import AddressHeatmap
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import ProvenanceCollector
-from repro.obs.tracing import NULL_TRACER, worker_track
+from repro.obs.tracing import worker_track
 from repro.parallel.heartbeat import HeartbeatBoard
 from repro.sigmem import DenseKeySpace, DensePlaneTracker, SlotPlaneTracker
 from repro.sigmem.signature import AccessRecord, AccessTracker
@@ -49,10 +49,11 @@ class Worker:
     A worker process passes its :class:`~repro.parallel.heartbeat.HeartbeatBoard`
     as ``heartbeat``.
 
-    When a :class:`~repro.obs.metrics.MetricsRegistry` is supplied the
-    worker instruments itself: per-call kernel latency histogram, signature
-    hash-conflict eviction counters (``sigmem.evictions``, lossy
-    signatures), address heat, and callback gauges over its live trackers
+    The worker instruments itself in ``registry``, a
+    :class:`~repro.obs.metrics.MetricsRegistry`: per-call kernel latency
+    histogram, signature hash-conflict eviction counters
+    (``sigmem.evictions``, lossy signatures), address heat (unless
+    ``config.heatmap`` is off), and callback gauges over its live trackers
     (``sigmem.occupied``, plus ``sigmem.fill_ratio`` over slot planes),
     read whenever the registry is: a stream tick, a scrape, the report,
     or, in a worker process, the ``state()`` it ships home.  A
@@ -66,7 +67,7 @@ class Worker:
         wid: int,
         config: ProfilerConfig,
         loop_index: LoopStateIndex,
-        registry: MetricsRegistry | None = None,
+        registry: MetricsRegistry,
         provenance: ProvenanceCollector | None = None,
         heartbeat: HeartbeatBoard | None = None,
     ) -> None:
@@ -74,13 +75,8 @@ class Worker:
         self.config = config
         self._registry = registry
         # The memory observability plane: per-worker log2 address heatmaps
-        # (reads/writes/conflicts/occupancy).  Registry-gated like every
-        # other instrument, plus its own config switch.
-        self._heat = (
-            AddressHeatmap(registry, wid)
-            if registry is not None and config.heatmap
-            else None
-        )
+        # (reads/writes/conflicts/occupancy), behind its own config switch.
+        self._heat = AddressHeatmap(registry, wid) if config.heatmap else None
         # Shared bank geometry (sharded signature memory); None = unbanked.
         self._geometry = config.bank_geometry
         self._keyspace = DenseKeySpace() if config.perfect_signature else None
@@ -100,12 +96,8 @@ class Worker:
         self._pending = np.empty(0, dtype=np.int64)
         self.accesses_processed = 0
         self.chunks_processed = 0
-        self._chunk_hist = (
-            registry.histogram("worker.chunk_seconds", worker=wid)
-            if registry is not None
-            else None
-        )
-        self._tracer = registry.tracer if registry is not None else NULL_TRACER
+        self._chunk_hist = registry.histogram("worker.chunk_seconds", worker=wid)
+        self._tracer = registry.tracer
 
     def _make_tracker(self, kind: str) -> AccessTracker:
         """Build one read/write tracker for this worker's kernel.
@@ -124,22 +116,19 @@ class Worker:
             tracker = SlotPlaneTracker(
                 cfg.slots_per_worker,
                 cfg.hash_salt,
-                eviction_counter=(
-                    reg.counter("sigmem.evictions", worker=self.wid, kind=kind)
-                    if reg is not None
-                    else None
+                eviction_counter=reg.counter(
+                    "sigmem.evictions", worker=self.wid, kind=kind
                 ),
                 conflict_heat=(
                     self._heat.record_conflicts if self._heat is not None else None
                 ),
                 geometry=self._geometry,
             )
-        if reg is not None:
-            reg.gauge_fn("sigmem.occupied", tracker.occupied, worker=self.wid, kind=kind)
-            if isinstance(tracker, SlotPlaneTracker):
-                reg.gauge_fn(
-                    "sigmem.fill_ratio", tracker.fill_ratio, worker=self.wid, kind=kind
-                )
+        reg.gauge_fn("sigmem.occupied", tracker.occupied, worker=self.wid, kind=kind)
+        if isinstance(tracker, SlotPlaneTracker):
+            reg.gauge_fn(
+                "sigmem.fill_ratio", tracker.fill_ratio, worker=self.wid, kind=kind
+            )
         return tracker
 
     @property
@@ -182,10 +171,7 @@ class Worker:
     ) -> None:
         """Run ``rows`` of ``batch`` as this worker's next ``n_chunks``
         chunks, of equal size, in one kernel call."""
-        hist = self._chunk_hist
-        tracer = self._tracer
-        need_t = hist is not None or tracer.enabled
-        t0 = time.perf_counter() if need_t else 0.0
+        t0 = time.perf_counter()
         seq = self.chunks_processed
         chunk = None
         if self.provenance is not None:
@@ -196,20 +182,18 @@ class Worker:
         self.engine.process_rows(batch, rows, chunk)
         self.accesses_processed += self.engine.stats.n_accesses - before
         self.chunks_processed += n_chunks
-        if need_t:
-            t1 = time.perf_counter()
-            if hist is not None:
-                hist.observe(t1 - t0)
-            if tracer.enabled:
-                tracer.complete(
-                    "chunk.process",
-                    worker_track(self.wid),
-                    t0,
-                    t1,
-                    seq=seq,
-                    chunks=n_chunks,
-                    rows=len(rows),
-                )
+        t1 = time.perf_counter()
+        self._chunk_hist.observe(t1 - t0)
+        if self._tracer.enabled:
+            self._tracer.complete(
+                "chunk.process",
+                worker_track(self.wid),
+                t0,
+                t1,
+                seq=seq,
+                chunks=n_chunks,
+                rows=len(rows),
+            )
         if self._heartbeat is not None:
             self._heartbeat.beat(self.wid)
 

@@ -66,15 +66,12 @@ class TestTopRendering:
                 "rebalance.rounds": 2,
                 "rebalance.moves": 5,
                 "rebalance.bank_moves": 3,
-                "pipeline.backpressure_stalls": 7,
             },
             "gauges": {},
         }
         out = render_top(snapshot, None)
         assert "(5 moved, 3 banks)" in out
-        assert "backpressure=7" in out
 
     def test_no_banks_no_line(self):
         out = render_top({"counters": {}, "gauges": {}}, {"workers": {}})
         assert "banks:" not in out
-        assert "backpressure=" not in out

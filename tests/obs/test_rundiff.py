@@ -177,7 +177,6 @@ class TestMetricAndCoverage:
             'process.cpu_seconds{kind="sys"}': 1.0,
             "process.peak_rss_bytes": 100.0,
             'worker.heartbeat.age_seconds{worker="0"}': 0.01,
-            'pipeline.backpressure_stalls': 1.0,
             'pipeline.worker_forks': 2.0,
             'obs.tick_errors{loop="stream"}': 1.0,
         }

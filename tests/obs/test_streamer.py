@@ -423,6 +423,7 @@ class TestOneStreamCli:
     ):
         import time
 
+        import repro.parallel.heartbeat as heartbeat_mod
         import repro.parallel.worker as worker_mod
         from repro.cli import main
 
@@ -434,10 +435,11 @@ class TestOneStreamCli:
             return process_rows(self, batch, rows, n_chunks)
 
         monkeypatch.setattr(worker_mod.Worker, "process_rows", slow)
+        monkeypatch.setattr(heartbeat_mod, "DEFAULT_INTERVAL_S", 0.01)
         path = tmp_path / "proc.jsonl"
         assert main(
             ["stats", "ep", "--mode", "processes", "--workers", "2",
-             "--heartbeat-interval", "0.01", "--live-metrics", str(path)]
+             "--live-metrics", str(path)]
         ) == 0
         capsys.readouterr()
         records = self.check_stream(path, "stats", "ep")

@@ -5,6 +5,7 @@ import pytest
 
 from repro.common.config import ProfilerConfig
 from repro.core.controlflow import LoopStateIndex
+from repro.obs.metrics import MetricsRegistry
 from repro.parallel.address_map import AddressMap
 from repro.parallel.worker import Worker
 from tests.trace_helpers import seq_trace
@@ -16,7 +17,7 @@ class TestWorkerChunks:
     def worker(self, chunk_size):
         batch = seq_trace([("w", 0x1000 + 8 * i, 1, "a") for i in range(10)])
         cfg = ProfilerConfig(perfect_signature=True, chunk_size=chunk_size)
-        return batch, Worker(0, cfg, LoopStateIndex(batch))
+        return batch, Worker(0, cfg, LoopStateIndex(batch), MetricsRegistry())
 
     def test_feed_runs_each_full_chunk(self):
         batch, w = self.worker(4)

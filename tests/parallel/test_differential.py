@@ -10,6 +10,7 @@ dependence-for-dependence.
 
 import pytest
 
+import repro.parallel.engine as engine_mod
 from repro.common.config import ProfilerConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.engine import ParallelProfiler
@@ -20,13 +21,22 @@ from tests.trace_helpers import reference_pipeline, seq_trace
 WORKLOADS = ["ep", "lu", "water-spatial"]
 
 
-def profile_set(batch, cfg, mode="deterministic", threshold=float("inf")):
-    prof = ParallelProfiler(cfg, mode=mode, rebalance_threshold=threshold)
-    result, info = prof.profile(batch)
+def profile_set(batch, cfg, mode="deterministic"):
+    result, info = ParallelProfiler(cfg, mode=mode).profile(batch)
     return result.store.as_set(), info
 
 
+def unbalanced(cfg):
+    """``cfg`` with no rebalance check within any bundled trace."""
+    return cfg.with_(rebalance_interval_chunks=10**9)
+
+
 class TestRebalancingDifferential:
+    @pytest.fixture(autouse=True)
+    def eager_rebalancing(self, monkeypatch):
+        """Rebalance at every check that finds any imbalance."""
+        monkeypatch.setattr(engine_mod, "REBALANCE_THRESHOLD", 1.0)
+
     @pytest.mark.parametrize("name", WORKLOADS)
     def test_bank_rebalancing_preserves_deps(self, name):
         batch = get_trace(name)
@@ -37,8 +47,8 @@ class TestRebalancingDifferential:
             chunk_size=256,
             rebalance_interval_chunks=4,
         )
-        off, _ = profile_set(batch, cfg, threshold=float("inf"))
-        on, info = profile_set(batch, cfg, threshold=1.0)
+        off, _ = profile_set(batch, unbalanced(cfg))
+        on, info = profile_set(batch, cfg)
         assert on == off
         # the aggressive threshold must actually have exercised migration
         # on at least one of the workloads; asserted per-run where it fires
@@ -56,7 +66,7 @@ class TestRebalancingDifferential:
             chunk_size=256,
             rebalance_interval_chunks=4,
         )
-        on, info = profile_set(batch, cfg, threshold=1.0)
+        on, info = profile_set(batch, cfg)
         assert info.rebalance_rounds >= 1
         assert info.banks_migrated >= 1
 
@@ -74,8 +84,8 @@ class TestRebalancingDifferential:
             chunk_size=256,
             rebalance_interval_chunks=4,
         )
-        off, _ = profile_set(batch, cfg, threshold=float("inf"))
-        on, _ = profile_set(batch, cfg, threshold=1.0)
+        off, _ = profile_set(batch, unbalanced(cfg))
+        on, _ = profile_set(batch, cfg)
         oracle, _, _ = reference_pipeline(batch, cfg)
         assert on == off == oracle.as_set()
 
@@ -113,7 +123,7 @@ class TestTransportContract:
 
     @staticmethod
     def transport_specific(name):
-        return name in ("pipeline.backpressure_stalls", "pipeline.worker_forks")
+        return name == "pipeline.worker_forks"
 
     @staticmethod
     def run_specific(name):
@@ -132,7 +142,6 @@ class TestTransportContract:
                 cfg,
                 mode=mode,
                 window=window,
-                rebalance_threshold=float("inf"),
                 registry=reg,
                 provenance=True,
             ).profile(batch)
@@ -193,7 +202,7 @@ class TestTransportContract:
         cfg = ProfilerConfig(workers=3, perfect_signature=True, chunk_size=512)
         reg = MetricsRegistry()
         result, info = ParallelProfiler(
-            cfg, mode=mode, window=1 << 11, rebalance_threshold=float("inf"), registry=reg
+            cfg, mode=mode, window=1 << 11, registry=reg
         ).profile(batch)
 
         def per_worker(family):

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+import repro.parallel.heartbeat as heartbeat_mod
 from repro.common.config import ProfilerConfig
 from repro.obs import HEARTBEAT_STATES, MemorySink, MetricsRegistry, liveness_summary
 from repro.obs.tracing import Tracer, worker_track
@@ -36,7 +37,7 @@ def _beat_twice(board, wid):
 
 class TestHeartbeatBoard:
     def test_create_beat_age(self):
-        board = HeartbeatBoard.create(2)
+        board = HeartbeatBoard(2)
         try:
             assert board.beats(0) == 0 and board.beats(1) == 0
             board.beat(0)
@@ -49,7 +50,7 @@ class TestHeartbeatBoard:
             board.close()
 
     def test_forked_child_beat_visible_to_parent(self):
-        board = HeartbeatBoard.create(3)
+        board = HeartbeatBoard(3)
         try:
             child = multiprocessing.get_context("fork").Process(
                 target=_beat_twice, args=(board, 2)
@@ -64,7 +65,7 @@ class TestHeartbeatBoard:
             board.close()
 
     def test_close_idempotent(self):
-        board = HeartbeatBoard.create(1)
+        board = HeartbeatBoard(1)
         board.close()
         board.close()
 
@@ -79,7 +80,7 @@ class FakeClock:
 
 class TestWatchdog:
     def make(self, n=2, interval=1.0, stall_after=3.0, tracer=None, sink=None):
-        board = HeartbeatBoard.create(n)
+        board = HeartbeatBoard(n)
         clock = FakeClock()
         board.arr[:, 0] = clock.t  # re-stamp slots onto the fake clock
         reg = MetricsRegistry(sink, tracer=tracer)
@@ -182,7 +183,7 @@ class TestWatchdog:
             board.close()
 
     def test_interval_must_be_positive(self):
-        board = HeartbeatBoard.create(1)
+        board = HeartbeatBoard(1)
         try:
             with pytest.raises(ValueError):
                 WorkerWatchdog(board, MetricsRegistry(), lambda w: None, interval_s=0)
@@ -190,7 +191,7 @@ class TestWatchdog:
             board.close()
 
     def test_threaded_lifecycle(self):
-        board = HeartbeatBoard.create(1)
+        board = HeartbeatBoard(1)
         reg = MetricsRegistry()
         wd = WorkerWatchdog(
             board, reg, lambda w: None, interval_s=0.005, stall_after_s=60.0
@@ -215,7 +216,7 @@ class TestWatchdog:
         """A classification pass that raises once costs one tick: the
         watchdog thread keeps ticking, and the failure is counted in
         ``obs.tick_errors{loop="watchdog"}``."""
-        board = HeartbeatBoard.create(1)
+        board = HeartbeatBoard(1)
         reg = MetricsRegistry()
         wd = WorkerWatchdog(
             board, reg, lambda w: None, interval_s=0.005, stall_after_s=60.0
@@ -244,26 +245,21 @@ class TestWatchdog:
 
 
 class TestProcessesIntegration:
+    @pytest.fixture(autouse=True)
+    def fast_watchdog(self, monkeypatch):
+        """The watchdog ticks every 10 ms, so a worker silent for 0.1 s
+        reads as stalled."""
+        monkeypatch.setattr(heartbeat_mod, "DEFAULT_INTERVAL_S", 0.01)
+
     def test_clean_run_reports_all_live(self):
         batch = get_trace("ep")
         reg = MetricsRegistry()
         cfg = PERFECT.with_(workers=2, chunk_size=512)
-        ParallelProfiler(
-            cfg, mode="processes", registry=reg, heartbeat_interval=0.01
-        ).profile(batch)
+        ParallelProfiler(cfg, mode="processes", registry=reg).profile(batch)
         lv = liveness_summary(reg)
         assert lv is not None and lv["healthy"]
         assert lv["live"] == 2 and lv["stalled"] == 0 and lv["dead"] == 0
         assert all(w["beats"] > 0 for w in lv["workers"].values())
-
-    def test_heartbeats_disabled_leaves_no_gauges(self):
-        batch = get_trace("ep")
-        reg = MetricsRegistry()
-        cfg = PERFECT.with_(workers=2, chunk_size=512)
-        ParallelProfiler(
-            cfg, mode="processes", registry=reg, heartbeat_interval=None
-        ).profile(batch)
-        assert liveness_summary(reg) is None
 
     def test_stalled_worker_flagged_live_without_hanging(self, monkeypatch):
         """The ISSUE acceptance criterion: a deliberately slow worker is
@@ -282,9 +278,7 @@ class TestProcessesIntegration:
         batch = get_trace("ep")
         reg = MetricsRegistry(tracer=Tracer())
         cfg = PERFECT.with_(workers=2, chunk_size=2048)
-        res, _ = ParallelProfiler(
-            cfg, mode="processes", registry=reg, heartbeat_interval=0.01
-        ).profile(batch)
+        res, _ = ParallelProfiler(cfg, mode="processes", registry=reg).profile(batch)
         # The stall was observed and attributed to worker 1.
         assert reg.counter("worker.heartbeat.stalls", worker=1).value >= 1
         assert reg.counter("worker.heartbeat.stalls", worker=0).value == 0

@@ -15,6 +15,7 @@ Three contracts from the heatmap design:
 
 import pytest
 
+import repro.parallel.engine as engine_mod
 from repro.common.config import ProfilerConfig
 from repro.obs import RunReport
 from repro.obs.heatmap import HEAT_FAMILIES, bucket_of, heatmap_summary
@@ -38,10 +39,7 @@ def heat_state(reg: MetricsRegistry):
 def run_mode(batch, mode, workers=2, **cfg_kw):
     reg = MetricsRegistry()
     prof = ParallelProfiler(
-        ProfilerConfig(workers=workers, **cfg_kw),
-        mode=mode,
-        rebalance_threshold=float("inf"),  # static partition in every mode
-        registry=reg,
+        ProfilerConfig(workers=workers, **cfg_kw), mode=mode, registry=reg
     )
     res, info = prof.profile(batch)
     return reg, res, info
@@ -86,11 +84,12 @@ class TestModeEquivalence:
 
 
 class TestConflictAttribution:
-    def test_bucket_sums_equal_eviction_total(self):
+    def test_bucket_sums_equal_eviction_total(self, monkeypatch):
         # A small signature and forced rebalancing: hash-conflict evictions
         # come from the chunk kernel and from per-address migration
         # (``Worker.migrate_in`` inserts), and each one must land in
         # exactly one address bucket of its worker's heat.
+        monkeypatch.setattr(engine_mod, "REBALANCE_THRESHOLD", 1.0)
         for name in ("is", "cg"):
             reg = MetricsRegistry()
             cfg = ProfilerConfig(
@@ -99,9 +98,7 @@ class TestConflictAttribution:
                 rebalance_interval_chunks=1,
                 hot_addresses=64,
             )
-            _, info = ParallelProfiler(
-                cfg, rebalance_threshold=1.0, registry=reg
-            ).profile(get_trace(name))
+            _, info = ParallelProfiler(cfg, registry=reg).profile(get_trace(name))
             assert info.addresses_migrated > 0, name
             evictions = reg.sum_counters("sigmem.evictions")
             assert evictions > 0, name
@@ -158,13 +155,13 @@ class TestConflictAttribution:
 
 
 class TestReportMemorySection:
-    def test_rebalance_audit_reaches_report(self):
+    def test_rebalance_audit_reaches_report(self, monkeypatch):
+        monkeypatch.setattr(engine_mod, "REBALANCE_THRESHOLD", 1.05)
         batch = get_trace("is")
         reg = MetricsRegistry()
         prof = ParallelProfiler(
             ProfilerConfig(workers=4, rebalance_interval_chunks=4, chunk_size=256),
             mode="deterministic",
-            rebalance_threshold=1.05,
             registry=reg,
         )
         res, info = prof.profile(batch)

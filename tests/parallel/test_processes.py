@@ -85,8 +85,8 @@ class TestProcessesMode:
         assert par.store == seq.store
 
     def test_backpressure_tiny_task_queue(self):
-        """queue_depth=1 task queues force producer-side blocking; results
-        must be unaffected."""
+        """Many windows with ``queue_depth=1`` (which only the cost model
+        reads): results must be unaffected."""
         batch = get_trace("ep")
         cfg = PERFECT.with_(workers=2, chunk_size=256, queue_depth=1)
         par, _ = ParallelProfiler(cfg, mode="processes", window=1 << 10).profile(batch)
@@ -233,17 +233,18 @@ class TestProcessesMode:
         import _posixshmem
         import multiprocessing.util
 
+        import repro.parallel.heartbeat as heartbeat_mod
+
         def refuse(*args, **kwargs):
             raise AssertionError("processes mode must not use this")
 
         monkeypatch.setattr(_posixshmem, "shm_open", refuse)
         monkeypatch.setattr(multiprocessing.util, "spawnv_passfds", refuse)
+        monkeypatch.setattr(heartbeat_mod, "DEFAULT_INTERVAL_S", 0.01)
         batch = get_trace("ep")
         cfg = ProfilerConfig(signature_slots=1 << 12, workers=2, chunk_size=1024)
         det, _ = ParallelProfiler(cfg, provenance=True).profile(batch)
-        par, _ = ParallelProfiler(
-            cfg, mode="processes", provenance=True, heartbeat_interval=0.01
-        ).profile(batch)
+        par, _ = ParallelProfiler(cfg, mode="processes", provenance=True).profile(batch)
         assert par.store == det.store
 
         def rows(prov):  # chunk ids follow each transport's own chunking
@@ -461,16 +462,25 @@ class TestWorkerPool:
         assert set(pool_pids()).isdisjoint(pids)
         assert self.forks(small, cfg) == 0  # the grown arena holds it
 
-    @pytest.mark.parametrize("change", [{"workers": 3}, {"queue_depth": 4}])
-    def test_new_shape_replaces_the_pool(self, change):
+    def test_new_worker_count_replaces_the_pool(self):
         batch = get_trace("ep")
         cfg = PERFECT.with_(workers=2, chunk_size=512)
         assert self.forks(batch, cfg) == 2
         old = pool_pids()
-        cfg = cfg.with_(**change)
-        assert self.forks(batch, cfg) == cfg.workers
+        assert self.forks(batch, cfg.with_(workers=3)) == 3
         new = pool_pids()
-        assert len(new) == cfg.workers and set(new).isdisjoint(old)
+        assert len(new) == 3 and set(new).isdisjoint(old)
+
+    def test_new_queue_depth_reuses_the_pool(self):
+        """Only the cost model reads ``queue_depth``: the pool's task
+        queues are unbounded, so a run with another depth keeps its
+        workers."""
+        batch = get_trace("ep")
+        cfg = PERFECT.with_(workers=2, chunk_size=512)
+        assert self.forks(batch, cfg) == 2
+        pids = pool_pids()
+        assert self.forks(batch, cfg.with_(queue_depth=4)) == 0
+        assert pool_pids() == pids
 
     def test_failed_run_closes_the_pool(self, monkeypatch):
         import repro.parallel.worker as worker_mod

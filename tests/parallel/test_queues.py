@@ -1,4 +1,4 @@
-"""Whole-pipeline drain paths: tiny chunks, tiny task queues.
+"""Whole-pipeline drain paths: tiny chunks.
 
 Both transports feed every worker its rows window by window; the worker
 runs each full chunk at once and flushes the remainder at the end, so
@@ -7,8 +7,8 @@ the two transports must agree on the store and on every chunk they cut.
 
 
 class TestPipelineDrainPaths:
-    """Whole-pipeline runs with tiny chunks and 2-deep task queues, so
-    workers run hundreds of chunks and processes mode hits backpressure."""
+    """Whole-pipeline runs with tiny chunks, so workers run hundreds of
+    chunks."""
 
     def _batch(self):
         from repro.workloads import get_trace
