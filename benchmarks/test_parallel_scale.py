@@ -41,14 +41,9 @@ PEAK_RSS_CEILING_MB = 256.0
 
 
 def scale_config() -> ProfilerConfig:
-    # The scale posture: lossy banked signatures (bounded state), large
-    # chunks (amortised transport), processes mode (real isolation).
-    return ProfilerConfig(
-        workers=4,
-        signature_slots=1 << 16,
-        signature_banks=16,
-        chunk_size=8192,
-    )
+    # The scale posture: lossy signatures (bounded state), large chunks
+    # (amortised transport), processes mode (real isolation).
+    return ProfilerConfig(workers=4, signature_slots=1 << 16, chunk_size=8192)
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +117,7 @@ def test_scale_ground_truth_1e6(spill_cache, base_stripped):
     # perfect (exact-dict) signature is still affordable.
     factor = -(-SIZES["1e6"] // len(base_stripped))
     sp = amplify_cached(base_stripped, factor, spill_cache, f"amp-{BASE}")
-    cfg = ProfilerConfig(workers=4, perfect_signature=True, signature_banks=16)
+    cfg = ProfilerConfig(workers=4, perfect_signature=True)
     amp_result, _ = ParallelProfiler(cfg, mode="processes").profile(sp)
     base_result, _ = ParallelProfiler(cfg, mode="processes").profile(base_stripped)
     assert amp_result.store.as_set() == base_result.store.as_set()

@@ -93,11 +93,6 @@ def _profiler_args(p: argparse.ArgumentParser, workers: int = 1) -> None:
         "(npz traces and amplified spill directories) are evicted first",
     )
     p.add_argument(
-        "--banks", type=int, default=0, metavar="N",
-        help="shard signature memory into N banks of 4 KiB address stripes "
-        "(0 = unbanked); enables bank-granularity hot-range migration",
-    )
-    p.add_argument(
         "--no-fastpath", action="store_true",
         help="disable the affine-loop producer fast path (traces are "
         "bit-identical either way; this is the interpreted oracle)",
@@ -140,10 +135,7 @@ def _config_from(args: argparse.Namespace) -> ProfilerConfig:
         cfg = ProfilerConfig(perfect_signature=True)
     else:
         cfg = ProfilerConfig(signature_slots=args.slots)
-    return cfg.with_(
-        multithreaded_target=args.variant == "par",
-        signature_banks=getattr(args, "banks", 0) or 0,
-    )
+    return cfg.with_(multithreaded_target=args.variant == "par")
 
 
 class _TelemetryPlane:
@@ -249,7 +241,6 @@ def _ledger_from(args: argparse.Namespace, run_id: str):
         "mode": getattr(args, "mode", None),
         "workers": getattr(args, "workers", None),
         "slots": getattr(args, "slots", None),
-        "banks": getattr(args, "banks", None),
         "scale": getattr(args, "scale", None),
         "seed": getattr(args, "seed", None),
     }

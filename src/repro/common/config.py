@@ -69,15 +69,6 @@ class ProfilerConfig:
         see :mod:`repro.obs.heatmap`).  On by default.  Every pipeline run
         records them: a run given no metrics registry records its heat
         into its private one.
-    signature_banks:
-        Number of per-address-range banks each worker's signature memory is
-        sharded into.  ``0`` (default) keeps the classic unbanked layout —
-        bit-for-bit the historical hashing and rebalance behaviour.  With
-        banks on, the load balancer routes and migrates whole banks *with*
-        their signature state (see :mod:`repro.sigmem.banks`), eliminating
-        the post-rebalance cold-signature burst.  Banks stripe the address
-        space in 4 KiB ranges: bank index is ``(addr >> 12) %
-        signature_banks``.
     """
 
     signature_slots: int = 1_000_000
@@ -92,7 +83,6 @@ class ProfilerConfig:
     ignore_rar: bool = True
     hash_salt: int = 0
     heatmap: bool = True
-    signature_banks: int = 0
 
     def __post_init__(self) -> None:
         if self.signature_slots <= 0:
@@ -107,23 +97,11 @@ class ProfilerConfig:
             raise ProfilerError("rebalance_interval_chunks must be positive")
         if self.hot_addresses < 0:
             raise ProfilerError("hot_addresses must be non-negative")
-        if self.signature_banks < 0:
-            raise ProfilerError("signature_banks must be non-negative")
 
     @property
     def slots_per_worker(self) -> int:
         """Signature slots given to each worker's read/write signature pair."""
         return max(1, self.signature_slots // self.workers)
-
-    @property
-    def bank_geometry(self):
-        """The run's shared :class:`~repro.sigmem.BankGeometry`, or ``None``
-        when banking is off (``signature_banks == 0``)."""
-        if self.signature_banks == 0:
-            return None
-        from repro.sigmem.banks import BankGeometry
-
-        return BankGeometry(self.signature_banks)
 
     def with_(self, **changes: Any) -> "ProfilerConfig":
         """Return a copy with ``changes`` applied (frozen-dataclass update)."""

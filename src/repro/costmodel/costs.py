@@ -81,8 +81,3 @@ class CostParams:
 
     def with_(self, **changes: Any) -> "CostParams":
         return replace(self, **changes)
-
-    @property
-    def serial_slowdown(self) -> float:
-        """Closed form for the serial profiler: everything in one thread."""
-        return (self.native_access + self.capture + self.analyze) / self.native_access

@@ -169,10 +169,6 @@ class SpeedupValidation:
     relative_error: float
     tolerance: float
 
-    @property
-    def within_tolerance(self) -> bool:
-        return self.relative_error <= self.tolerance
-
 
 def validate_speedup(
     info_1: ParallelRunInfo,

@@ -111,7 +111,3 @@ class Memory:
     @property
     def n_live_heap_blocks(self) -> int:
         return len(self._heap_sizes)
-
-    @property
-    def n_values(self) -> int:
-        return len(self._values)

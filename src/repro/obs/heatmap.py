@@ -55,13 +55,6 @@ _INT_BOUNDS = np.array([1 << i for i in range(N_BOUNDS)], dtype=np.int64)
 #: Heat histogram families this module owns in the registry.
 HEAT_FAMILIES = ("heat.reads", "heat.writes", "heat.conflicts", "heat.occupancy")
 
-#: Bank-occupancy family (sharded signature memory): bucket *indices* are
-#: bank numbers, not address bounds — counts[i] accumulates the live-entry
-#: count of bank ``i`` at publish time.  Kept out of ``HEAT_FAMILIES``
-#: because its bucket layout is ``n_banks``-dependent, not the fixed
-#: 64-bucket address grid.
-BANK_FAMILY = "heat.banks"
-
 
 def bucket_of(addr: int) -> int:
     """Bucket index of one address (0..63); matches ``Histogram.observe``
@@ -166,32 +159,6 @@ class AddressHeatmap:
         )
         _bulk_record(hist, np.asarray(addrs, dtype=np.int64))
 
-    def record_bank_occupancy(self, occupancy: np.ndarray, kind: str) -> None:
-        """Publish a banked tracker's per-bank live-entry counts.
-
-        ``occupancy[i]`` is the live-entry count of bank ``i`` (from
-        :meth:`~repro.sigmem.AccessTracker.bank_occupancy`).  Stored as a
-        registry histogram whose bucket bounds are the bank indices, so it
-        merges additively across processes like every other heat family.
-        """
-        occ = np.asarray(occupancy)
-        n_banks = int(len(occ))
-        if n_banks == 0:
-            return
-        hist = self.registry.histogram(
-            BANK_FAMILY,
-            buckets=tuple(float(i) for i in range(n_banks)),
-            worker=self.worker,
-            kind=kind,
-        )
-        counts = hist.counts
-        total = 0
-        for i, c in enumerate(occ.tolist()):
-            c = int(c)
-            counts[i] += c
-            total += c
-        hist.count += total  # sum stays 0.0 by design
-
     # -- introspection ------------------------------------------------------
     @property
     def total_reads(self) -> int:
@@ -225,23 +192,8 @@ def heatmap_summary(registry: MetricsRegistry) -> dict[str, Any] | None:
     """
     per_worker: dict[str, dict[str, Any]] = {}
     totals = {f.split(".", 1)[1]: [0] * (N_BOUNDS + 1) for f in HEAT_FAMILIES}
-    banks_per_worker: dict[str, dict[str, list[int]]] = {}
-    bank_total: list[int] = []
     found = False
     for h in registry.histograms():
-        if h.name == BANK_FAMILY:
-            found = True
-            labels = dict(h.labels)
-            w = labels.get("worker", "?")
-            # Bank histograms carry one overflow slot past the bank count;
-            # it is never populated (indices observe below the last bound).
-            counts = [int(c) for c in h.counts[: len(h.counts) - 1]]
-            banks_per_worker.setdefault(w, {})[labels.get("kind", "?")] = counts
-            if len(bank_total) < len(counts):
-                bank_total.extend([0] * (len(counts) - len(bank_total)))
-            for i, c in enumerate(counts):
-                bank_total[i] += c
-            continue
         if h.name not in HEAT_FAMILIES:
             continue
         found = True
@@ -276,7 +228,7 @@ def heatmap_summary(registry: MetricsRegistry) -> dict[str, Any] | None:
             }
         )
     hottest.sort(key=lambda b: (-(b["reads"] + b["writes"]), b["bucket"]))
-    doc = {
+    return {
         "schema": SCHEMA,
         "n_buckets": N_BOUNDS + 1,
         "bounds": [1 << i for i in range(N_BOUNDS)],
@@ -287,19 +239,6 @@ def heatmap_summary(registry: MetricsRegistry) -> dict[str, Any] | None:
         "total_conflicts": sum(totals["conflicts"]),
         "hottest": hottest[:10],
     }
-    if bank_total:
-        occupied_banks = [c for c in bank_total if c]
-        mean = (sum(bank_total) / len(bank_total)) if bank_total else 0.0
-        doc["banks"] = {
-            "n_banks": len(bank_total),
-            "per_worker": dict(
-                sorted(banks_per_worker.items(), key=lambda kv: (len(kv[0]), kv[0]))
-            ),
-            "total": bank_total,
-            "occupied_banks": len(occupied_banks),
-            "skew": (max(bank_total) / mean) if mean > 0 else 1.0,
-        }
-    return doc
 
 
 def heatmap_dict(

@@ -144,12 +144,10 @@ def render_top(
 
     rounds = sum(_family(counters, "rebalance.rounds").values())
     moves = sum(_family(counters, "rebalance.moves").values())
-    bank_moves = sum(_family(counters, "rebalance.bank_moves").values())
     evictions = sum(_family(counters, "sigmem.evictions").values())
-    moved = f"{int(moves)} moved"
-    if bank_moves:
-        moved += f", {int(bank_moves)} banks"
-    lines.append(f"  rebalances {int(rounds)} ({moved})  evictions {int(evictions)}")
+    lines.append(
+        f"  rebalances {int(rounds)} ({int(moves)} moved)  evictions {int(evictions)}"
+    )
     if rss:
         parts = ", ".join(
             f"w{w}={v / (1 << 20):.0f}MiB"
@@ -169,20 +167,6 @@ def render_top(
         lines.append(
             f"  producer: fastpath coverage {coverage * 100:.1f}% "
             f"({_fmt_count(fast)} fast / {_fmt_count(interp)} interpreted)"
-        )
-
-    banks = (heatmap or {}).get("banks")
-    if banks and banks.get("total"):
-        total = banks["total"]
-        occupied = banks.get("occupied_banks", 0)
-        top_banks = sorted(
-            ((occ, i) for i, occ in enumerate(total) if occ),
-            reverse=True,
-        )[:6]
-        hot = " ".join(f"b{i}={_fmt_count(occ)}" for occ, i in top_banks)
-        lines.append(
-            f"  banks: {occupied}/{banks['n_banks']} occupied, "
-            f"skew {banks.get('skew', 0.0):.2f} — hottest: {hot}"
         )
 
     if heatmap and heatmap.get("hottest"):

@@ -2,12 +2,12 @@
 
 The producer walks the instrumented event stream window by window and
 routes it with one rule (:func:`~repro.parallel.address_map.route_window`):
-each memory access goes to the worker that owns its address (per-address
-redistribution overrides, then bank rules, then ``(addr >> 3) % W``), and
-each FREE goes to every worker.  Loop markers reach no worker: the kernel
-reads loop state from the run's one loop index.  Workers run Algorithm 1
-against their private signature pair and collect dependences into private
-stores; one cheap merge folds the duplicate-free local maps together.
+each memory access goes to the worker that owns its address (a per-address
+redistribution override, else ``(addr >> 3) % W``), and each FREE goes to
+every worker.  Loop markers reach no worker: the kernel reads loop state
+from the run's one loop index.  Workers run Algorithm 1 against their
+private signature pair and collect dependences into private stores; one
+cheap merge folds the duplicate-free local maps together.
 
 Pieces:
 

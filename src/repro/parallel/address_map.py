@@ -17,61 +17,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sigmem.banks import BankGeometry
+from repro.core.reference import ACCESS_GRANULARITY
 from repro.trace import FREE, READ, WRITE, TraceBatch
+
+#: The modulo runs over access-granularity indices: ``addr >> 3`` for the
+#: 8-byte granularity the trackers use.
+GRANULARITY_SHIFT = ACCESS_GRANULARITY.bit_length() - 1
 
 
 class AddressMap:
     """Modulo distribution with redistribution overrides.
 
-    The modulo is taken over the *access-granularity index* (address >> 3
-    for the 8-byte granularity used throughout), not the raw byte address:
-    MiniVM addresses are all 8-byte aligned, so a raw ``addr % W`` would
-    collapse onto a single worker whenever ``W`` divides 8.  The paper's
-    byte-level modulo works there because C accesses have mixed alignment;
-    ours is the same distribution applied at the granularity the profiler
-    actually tracks.
-
-    With a ``bank_geometry`` (sharded signature memory) the map also keeps
-    *bank rules*: whole address-range banks pinned to a worker.  Priority is
-    per-address overrides, then bank rules, then the modulo — bank rules are
-    how the load balancer moves a hot range together with its signature
-    bank, so routing and state can never disagree.
+    The modulo is taken over the *access-granularity index*
+    (``addr >> GRANULARITY_SHIFT``), not the raw byte address: MiniVM
+    addresses are all 8-byte aligned, so a raw ``addr % W`` would collapse
+    onto a single worker whenever ``W`` divides 8.  The paper's byte-level
+    modulo works there because C accesses have mixed alignment; ours is
+    the same distribution applied at the granularity the profiler actually
+    tracks.
     """
 
-    def __init__(
-        self,
-        n_workers: int,
-        granularity_shift: int = 3,
-        bank_geometry: BankGeometry | None = None,
-    ) -> None:
+    def __init__(self, n_workers: int) -> None:
         if n_workers <= 0:
             raise ValueError("n_workers must be positive")
         self.n_workers = n_workers
-        self.granularity_shift = granularity_shift
-        self.bank_geometry = bank_geometry
         self._overrides: dict[int, int] = {}
-        self._bank_rules: dict[int, int] = {}
 
     def worker_of(self, addr: int) -> int:
         w = self._overrides.get(addr)
         if w is not None:
             return w
-        if self._bank_rules:
-            assert self.bank_geometry is not None
-            w = self._bank_rules.get(self.bank_geometry.bank_of(addr))
-            if w is not None:
-                return w
-        return (addr >> self.granularity_shift) % self.n_workers
+        return (addr >> GRANULARITY_SHIFT) % self.n_workers
 
     def workers_of(self, addrs: np.ndarray) -> np.ndarray:
         """Vectorized assignment for an address column."""
-        out = ((addrs >> self.granularity_shift) % self.n_workers).astype(np.int64)
-        if self._bank_rules:
-            assert self.bank_geometry is not None
-            banks = self.bank_geometry.banks_of(addrs)
-            for bank, w in self._bank_rules.items():
-                out[banks == bank] = w
+        out = ((addrs >> GRANULARITY_SHIFT) % self.n_workers).astype(np.int64)
         if self._overrides:
             # The override table holds only the handful of redistributed hot
             # addresses, so a per-entry masked write is cheap.
@@ -84,28 +64,11 @@ class AddressMap:
         if not 0 <= worker < self.n_workers:
             raise ValueError(f"worker {worker} out of range")
         old = self.worker_of(addr)
-        if worker == (addr >> self.granularity_shift) % self.n_workers:
+        if worker == (addr >> GRANULARITY_SHIFT) % self.n_workers:
             self._overrides.pop(addr, None)  # back to the natural home
         else:
             self._overrides[addr] = worker
         return old
-
-    def redistribute_bank(self, bank: int, worker: int) -> int | None:
-        """Pin a bank to ``worker``; returns the previous rule (or ``None``
-        when the bank was still modulo-spread over all workers)."""
-        if self.bank_geometry is None:
-            raise ValueError("address map has no bank geometry")
-        if not 0 <= worker < self.n_workers:
-            raise ValueError(f"worker {worker} out of range")
-        if not 0 <= bank < self.bank_geometry.n_banks:
-            raise ValueError(f"bank {bank} out of range")
-        old = self._bank_rules.get(bank)
-        self._bank_rules[bank] = worker
-        return old
-
-    def bank_rule(self, bank: int) -> int | None:
-        """Current owner rule for ``bank`` (``None`` = modulo-spread)."""
-        return self._bank_rules.get(bank)
 
     @property
     def n_overrides(self) -> int:

@@ -147,18 +147,10 @@ class RebalanceDecision:
     """One rebalancing round's outcome."""
 
     moves: list[tuple[int, int, int]] = field(default_factory=list)  # (addr, old, new)
-    #: Bank-granularity moves (banked mode): (bank, old_rule, new).  An
-    #: ``old_rule`` of -1 means the bank had no rule yet — its addresses were
-    #: still modulo-spread over every worker.
-    bank_moves: list[tuple[int, int, int]] = field(default_factory=list)
 
     @property
     def n_moves(self) -> int:
         return len(self.moves)
-
-    @property
-    def n_bank_moves(self) -> int:
-        return len(self.bank_moves)
 
 
 class Rebalancer:
@@ -211,12 +203,6 @@ class Rebalancer:
         least-loaded worker.  Only differences from the current map become
         redistribution rules (signature migration is expensive, so we touch
         the minimum number of addresses).
-
-        When the address map carries a bank geometry the unit of
-        redistribution is a whole *bank*: hot addresses are grouped into
-        their banks, the LPT assignment runs over bank heat, and the result
-        is installed as bank rules — so the pipeline can migrate the banks'
-        signature state along with ownership instead of dropping it.
         """
         self.rounds += 1
         decision = RebalanceDecision()
@@ -227,34 +213,16 @@ class Rebalancer:
         load_before = self._hot_load(stats)
         imbalance_before = self._ratio(load_before)
         load = np.zeros(self.address_map.n_workers, dtype=np.float64)
-        geo = self.address_map.bank_geometry
-        if geo is not None:
-            # Group hot-address heat by bank, then LPT over banks.  Sort by
-            # (-heat, bank) so equal-heat banks assign deterministically.
-            bank_heat: dict[int, int] = {}
-            for addr, count in hot:
-                b = geo.bank_of(addr)
-                bank_heat[b] = bank_heat.get(b, 0) + count
-            for b, heat in sorted(bank_heat.items(), key=lambda bh: (-bh[1], bh[0])):
-                w = int(np.argmin(load))
-                load[w] += heat
-                old_rule = self.address_map.bank_rule(b)
-                if old_rule != w:
-                    self.address_map.redistribute_bank(b, w)
-                    decision.bank_moves.append(
-                        (b, -1 if old_rule is None else old_rule, w)
-                    )
-        else:
-            targets: list[tuple[int, int]] = []
-            for addr, count in hot:
-                w = int(np.argmin(load))
-                load[w] += count
-                targets.append((addr, w))
-            for addr, w in targets:
-                old = self.address_map.worker_of(addr)
-                if old != w:
-                    self.address_map.redistribute(addr, w)
-                    decision.moves.append((addr, old, w))
+        targets: list[tuple[int, int]] = []
+        for addr, count in hot:
+            w = int(np.argmin(load))
+            load[w] += count
+            targets.append((addr, w))
+        for addr, w in targets:
+            old = self.address_map.worker_of(addr)
+            if old != w:
+                self.address_map.redistribute(addr, w)
+                decision.moves.append((addr, old, w))
         load_after = self._hot_load(stats)
         imbalance_after = self._ratio(load_after)
         self._record_audit(
@@ -264,20 +232,14 @@ class Rebalancer:
             [int(v) for v in load_before],
             [int(v) for v in load_after],
         )
-        if self.registry is not None and (decision.n_moves or decision.n_bank_moves):
+        if self.registry is not None and decision.n_moves:
             self.registry.counter("rebalance.rounds").inc()
-            if decision.n_moves:
-                self.registry.counter("rebalance.moves").inc(decision.n_moves)
-            if decision.n_bank_moves:
-                self.registry.counter("rebalance.bank_moves").inc(
-                    decision.n_bank_moves
-                )
+            self.registry.counter("rebalance.moves").inc(decision.n_moves)
             self.registry.emit(
                 {
                     "type": "rebalance",
                     "round": self.rounds,
                     "moves": decision.n_moves,
-                    "bank_moves": decision.n_bank_moves,
                     "imbalance": imbalance_after,
                     "imbalance_before": imbalance_before,
                     "imbalance_after": imbalance_after,
@@ -290,13 +252,11 @@ class Rebalancer:
                     "rebalance",
                     round=self.rounds,
                     moves=decision.n_moves,
-                    bank_moves=decision.n_bank_moves,
                     imbalance_before=imbalance_before,
                     imbalance_after=imbalance_after,
                     # Cap the per-event payload; a pathological round could
                     # migrate thousands of addresses.
                     migrated=[a for a, _, _ in decision.moves[:32]],
-                    migrated_banks=[b for b, _, _ in decision.bank_moves[:32]],
                 )
         return decision
 
@@ -319,11 +279,6 @@ class Rebalancer:
                 "moves": [
                     {"addr": a, "from": old, "to": new}
                     for a, old, new in decision.moves
-                ],
-                "n_bank_moves": decision.n_bank_moves,
-                "bank_moves": [
-                    {"bank": b, "from": old, "to": new}
-                    for b, old, new in decision.bank_moves
                 ],
                 "imbalance_before": imbalance_before,
                 "imbalance_after": imbalance_after,

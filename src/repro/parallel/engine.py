@@ -117,9 +117,6 @@ class ParallelRunInfo:
     per_worker_chunks: list[int] = field(default_factory=list)
     rebalance_rounds: int = 0
     addresses_migrated: int = 0
-    #: Bank-granularity migrations (sharded signature memory); each move
-    #: relocated one address-range bank *with* its signature state.
-    banks_migrated: int = 0
     #: Producer-order log: (worker, rows_in_chunk) per pushed chunk, with
     #: (-1, 0) markers at rebalance quiesce points — the cost model replays
     #: this sequence through its discrete-event pipeline.
@@ -168,7 +165,6 @@ class ParallelRunInfo:
             per_worker_chunks=per_worker("worker.chunks"),
             rebalance_rounds=registry.counter("rebalance.rounds").value,
             addresses_migrated=registry.counter("rebalance.moves").value,
-            banks_migrated=registry.counter("rebalance.bank_moves").value,
             chunk_log=chunk_log,
             signature_memory_bytes=gauge_value("engine.tracker_memory_bytes"),
             rebalance_audit=rebalance_audit if rebalance_audit is not None else [],
@@ -329,7 +325,7 @@ class ParallelProfiler:
             )
             for w in range(cfg.workers)
         ]
-        amap = AddressMap(cfg.workers, bank_geometry=cfg.bank_geometry)
+        amap = AddressMap(cfg.workers)
         # The paper re-checks the access statistics every 50 000 chunks; we
         # measure the interval in *routed accesses* (interval x chunk_size)
         # so the cadence does not depend on the trace's control events or on
@@ -370,11 +366,11 @@ class ParallelProfiler:
                 return
             decision = rebalancer.rebalance(stats)
             post_rebalance_imbalance[0] = rebalancer.imbalance(stats)
-            if not (decision.n_moves or decision.n_bank_moves):
+            if not decision.n_moves:
                 return  # nothing migrates, so nothing needs to quiesce
             # Quiesce: rows held in partial chunks were routed under the old
             # rules and must land in their worker's trackers *before* state
-            # is exported, or the migrated bank would miss them (surfacing
+            # is migrated, or the moved addresses would miss them (surfacing
             # as phantom INIT dependences).  The marker closes the epoch in
             # the chunk log, so the cost model replays the quiesce.
             t0 = time.perf_counter() if tracer.enabled else 0.0
@@ -385,16 +381,6 @@ class ParallelProfiler:
             for addr, old, new in decision.moves:
                 r, wrec = workers[old].migrate_out(addr)
                 workers[new].migrate_in(addr, r, wrec)
-            # Banked mode: a moved bank's addresses were spread over every
-            # worker before its first rule, so the new owner collects the
-            # bank's signature state from *all* other workers (newest access
-            # wins on slot collisions) — state follows routing instead of
-            # being dropped to go cold.
-            for bank, _old, new in decision.bank_moves:
-                for w, worker in enumerate(workers):
-                    if w == new:
-                        continue
-                    workers[new].migrate_bank_in(worker.migrate_bank_out(bank))
 
         # ---- producer loop over windows of the trace ------------------
         # Drop consumed windows' resident pages (an RSS hint, a no-op on an

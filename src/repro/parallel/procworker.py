@@ -116,7 +116,7 @@ def _serve_run(
         tracer.set_track(worker_track(wid), f"worker {wid}")
     prov = ProvenanceCollector(worker=wid) if spec["provenance"] else None
     worker = Worker(wid, config, loop_index, reg, provenance=prov, heartbeat=board)
-    amap = AddressMap(config.workers, bank_geometry=config.bank_geometry)
+    amap = AddressMap(config.workers)
     # Only the rows this worker still reads should be resident: a spilled
     # batch may be far larger than RAM.
     released = 0

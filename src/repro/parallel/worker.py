@@ -77,8 +77,6 @@ class Worker:
         # The memory observability plane: per-worker log2 address heatmaps
         # (reads/writes/conflicts/occupancy), behind its own config switch.
         self._heat = AddressHeatmap(registry, wid) if config.heatmap else None
-        # Shared bank geometry (sharded signature memory); None = unbanked.
-        self._geometry = config.bank_geometry
         self._keyspace = DenseKeySpace() if config.perfect_signature else None
         self.engine = ChunkKernel(
             config,
@@ -111,7 +109,7 @@ class Worker:
         tracker: AccessTracker
         if cfg.perfect_signature:
             assert self._keyspace is not None
-            tracker = DensePlaneTracker(self._keyspace, geometry=self._geometry)
+            tracker = DensePlaneTracker(self._keyspace)
         else:
             tracker = SlotPlaneTracker(
                 cfg.slots_per_worker,
@@ -122,7 +120,6 @@ class Worker:
                 conflict_heat=(
                     self._heat.record_conflicts if self._heat is not None else None
                 ),
-                geometry=self._geometry,
             )
         reg.gauge_fn("sigmem.occupied", tracker.occupied, worker=self.wid, kind=kind)
         if isinstance(tracker, SlotPlaneTracker):
@@ -225,19 +222,6 @@ class Worker:
         if write_rec is not None:
             self.engine.write_tracker.insert(addr, write_rec)
 
-    def migrate_bank_out(self, bank: int) -> dict:
-        """Export-and-clear this worker's read/write state for one bank."""
-        return {
-            "bank": int(bank),
-            "read": self.engine.read_tracker.export_bank(bank),
-            "write": self.engine.write_tracker.export_bank(bank),
-        }
-
-    def migrate_bank_in(self, state: dict) -> None:
-        """Merge a bank exported by another worker (newest access wins)."""
-        self.engine.read_tracker.import_bank(state["read"])
-        self.engine.write_tracker.import_bank(state["write"])
-
     def publish(self) -> dict:
         """End of run: publish this worker's totals and return its result.
 
@@ -261,9 +245,7 @@ class Worker:
         """Attribute end-of-run signature occupancy to address buckets.
 
         Called once, by :meth:`publish`.  Both plane trackers know their
-        owner addresses.  Banked trackers additionally publish per-bank
-        occupancy (``heat.banks``) so bank skew is visible on the heat
-        surfaces.
+        owner addresses.
         """
         if self._heat is None:
             return
@@ -272,9 +254,6 @@ class Worker:
             ("write", self.engine.write_tracker),
         ):
             self._heat.record_occupancy(tracker.occupied_addrs(), kind)
-            occ = tracker.bank_occupancy()
-            if occ is not None:
-                self._heat.record_bank_occupancy(occ, kind)
 
     @property
     def memory_bytes(self) -> int:

@@ -7,8 +7,17 @@ timestamp).  Collisions conflate addresses — producing the false
 positives/negatives quantified in Table I and Eq. 2 — in exchange for a
 fixed, configurable memory footprint and O(1) untraversed lookups.
 
-This package provides four interchangeable :class:`AccessTracker`
-implementations:
+This package provides six interchangeable :class:`AccessTracker`
+implementations.  Every profiling run's workers use the two plane
+trackers:
+
+* :class:`SlotPlaneTracker` — the array signature as numpy planes, which
+  the chunk kernel reads and writes a chunk at a time,
+* :class:`DensePlaneTracker` — the perfect signature as numpy planes
+  (keys from a :class:`DenseKeySpace`).
+
+The four scalar trackers are the executable specification and the
+paper's comparison points:
 
 * :class:`ArraySignature` — the paper's data structure (fixed slots, one
   hash function, element removal for variable-lifetime analysis),
@@ -22,13 +31,6 @@ implementations:
 plus the Eq. 2 false-positive model and a signature-sizing helper.
 """
 
-from repro.sigmem.banks import (
-    DEFAULT_BANK_SHIFT,
-    BankGeometry,
-    payload_size,
-    records_payload,
-    slots_payload,
-)
 from repro.sigmem.hashing import hash_address, hash_addresses
 from repro.sigmem.signature import AccessRecord, AccessTracker, ArraySignature
 from repro.sigmem.perfect import PerfectSignature
@@ -45,9 +47,7 @@ __all__ = [
     "AccessRecord",
     "AccessTracker",
     "ArraySignature",
-    "BankGeometry",
     "ChainedHashTable",
-    "DEFAULT_BANK_SHIFT",
     "DenseKeySpace",
     "DensePlaneTracker",
     "PerfectSignature",
@@ -57,8 +57,5 @@ __all__ = [
     "expected_occupancy",
     "hash_address",
     "hash_addresses",
-    "payload_size",
-    "records_payload",
     "slots_for_target_fpr",
-    "slots_payload",
 ]

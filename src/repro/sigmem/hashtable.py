@@ -11,27 +11,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sigmem.banks import BankGeometry
 from repro.sigmem.hashing import hash_address
 from repro.sigmem.signature import AccessRecord, AccessTracker
 
 
 class ChainedHashTable(AccessTracker):
-    """Fixed bucket array; each bucket is an association list addr->record.
+    """Fixed bucket array; each bucket is an association list addr->record."""
 
-    Chains never conflate, so with a ``geometry`` the generic record-format
-    bank protocol of :class:`~repro.sigmem.AccessTracker` applies unchanged.
-    """
-
-    def __init__(
-        self,
-        n_buckets: int,
-        salt: int = 0,
-        geometry: BankGeometry | None = None,
-    ) -> None:
+    def __init__(self, n_buckets: int, salt: int = 0) -> None:
         if n_buckets <= 0:
             raise ValueError("n_buckets must be positive")
-        self.bank_geometry = geometry
         self.n_buckets = int(n_buckets)
         self.salt = int(salt)
         self._buckets: list[list[tuple[int, AccessRecord]] | None] = (
@@ -92,17 +81,6 @@ class ChainedHashTable(AccessTracker):
     def occupied_addrs(self) -> np.ndarray:
         """Every chained address, exactly (chains never conflate)."""
         addrs = [a for chain in self._buckets if chain for a, _ in chain]
-        return np.asarray(addrs, dtype=np.int64)
-
-    def conflicted_addrs(self) -> np.ndarray:
-        """Addresses sharing a bucket with another address — the entries
-        paying chain-search cost (the signature would conflate these)."""
-        addrs = [
-            a
-            for chain in self._buckets
-            if chain is not None and len(chain) > 1
-            for a, _ in chain
-        ]
         return np.asarray(addrs, dtype=np.int64)
 
     @property

@@ -14,20 +14,13 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.sigmem.banks import BankGeometry
 from repro.sigmem.signature import AccessRecord, AccessTracker
 
 
 class PerfectSignature(AccessTracker):
-    """Exact per-address tracking backed by a dict.
+    """Exact per-address tracking backed by a dict."""
 
-    With a ``geometry`` the generic record-format bank protocol applies:
-    exports carry every live address of the bank with its exact payload, so
-    migration is lossless by construction.
-    """
-
-    def __init__(self, geometry: BankGeometry | None = None) -> None:
-        self.bank_geometry = geometry
+    def __init__(self) -> None:
         self._table: dict[int, AccessRecord] = {}
 
     def insert(self, addr: int, record: AccessRecord) -> None:

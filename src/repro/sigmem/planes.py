@@ -21,8 +21,8 @@ Two key spaces mirror the two scalar trackers:
   collision-free :class:`~repro.sigmem.PerfectSignature`.
 
 Both implement the full :class:`~repro.sigmem.AccessTracker` protocol, so
-signature migration during load balancing and the workers' occupancy/fill
-gauges work unchanged.
+per-address signature migration during load balancing and the workers'
+occupancy/fill gauges work unchanged.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.sigmem.banks import BankGeometry, slots_payload
 from repro.sigmem.hashing import hash_address, hash_addresses
 from repro.sigmem.signature import SLOT_BYTES, AccessRecord, AccessTracker
 
@@ -165,22 +164,17 @@ class SlotPlaneTracker(AccessTracker):
 
     Two planes beside the payload keep the collision bookkeeping: the
     owner-address plane (which address last wrote each slot — occupancy
-    attribution, bank payloads, the eviction rule) and a 1-byte evicted
-    plane (slots that ever had a colliding overwrite — the suspect-FP
-    lineage).  The eviction rule (:meth:`evicts`) is the array signature's:
-    an insert evicts when its slot holds another address's record.  The
-    chunk kernel applies it to a whole chunk at once and reports the
-    evicting rows through :meth:`note_evictions`; the scalar :meth:`insert`
-    (used by per-address rebalance migration) applies it to one address.  Either
-    way each eviction is counted in ``eviction_counter`` and attributed
-    through ``conflict_heat`` (called with an array of inserted addresses),
-    the same hooks :class:`~repro.sigmem.ArraySignature` takes.
-
-    With a ``geometry`` the slot planes are sharded into per-address-range
-    banks exactly as :class:`~repro.sigmem.ArraySignature` banks its slot
-    list (``key = bank * bank_slots + h(addr) % bank_slots``), so a bank is
-    one contiguous plane slice and :meth:`export_bank`/:meth:`import_bank`
-    move it with a handful of array ops.
+    attribution and the eviction rule) and a 1-byte evicted plane (slots
+    that ever had a colliding overwrite — the suspect-FP lineage).  The
+    eviction rule (:meth:`evicts`) is the array signature's: an insert
+    evicts when its slot holds another address's record.  The chunk
+    kernel applies it to a whole chunk at once and reports the evicting
+    rows through :meth:`note_evictions`; the scalar :meth:`insert` (used
+    by per-address rebalance migration) applies it to one address.
+    Either way each eviction is counted in ``eviction_counter`` and
+    attributed through ``conflict_heat`` (called with an array of
+    inserted addresses), the same hooks
+    :class:`~repro.sigmem.ArraySignature` takes.
     """
 
     def __init__(
@@ -189,17 +183,10 @@ class SlotPlaneTracker(AccessTracker):
         salt: int = 0,
         eviction_counter: "Counter | None" = None,
         conflict_heat: "Callable[[np.ndarray], None] | None" = None,
-        geometry: BankGeometry | None = None,
     ) -> None:
         if n_slots <= 0:
             raise ValueError("n_slots must be positive")
-        self.bank_geometry = geometry
-        self.bank_slots = (
-            geometry.bank_slots(n_slots) if geometry is not None else 0
-        )
-        self.n_slots = (
-            geometry.round_slots(n_slots) if geometry is not None else int(n_slots)
-        )
+        self.n_slots = int(n_slots)
         self.salt = int(salt)
         self.eviction_counter = eviction_counter
         self.conflict_heat = conflict_heat
@@ -209,20 +196,10 @@ class SlotPlaneTracker(AccessTracker):
 
     # -- key derivation ----------------------------------------------------
     def key_of(self, addr: int) -> int:
-        if self.bank_geometry is None:
-            return hash_address(addr, self.n_slots, self.salt)
-        bank = self.bank_geometry.bank_of(addr)
-        return bank * self.bank_slots + hash_address(
-            addr, self.bank_slots, self.salt
-        )
+        return hash_address(addr, self.n_slots, self.salt)
 
     def keys_of(self, addrs: np.ndarray) -> np.ndarray:
-        if self.bank_geometry is None:
-            return hash_addresses(addrs, self.n_slots, self.salt)
-        banks = self.bank_geometry.banks_of(addrs)
-        return banks * self.bank_slots + hash_addresses(
-            addrs, self.bank_slots, self.salt
-        )
+        return hash_addresses(addrs, self.n_slots, self.salt)
 
     # -- batch ops ---------------------------------------------------------
     def gather(self, keys: np.ndarray):
@@ -301,68 +278,6 @@ class SlotPlaneTracker(AccessTracker):
         # committed footprint whether or not the planes are resident.
         return self.n_slots * SLOT_BYTES
 
-    # -- bank protocol ------------------------------------------------------
-    def bank_occupancy(self) -> np.ndarray | None:
-        geo = self.bank_geometry
-        if geo is None:
-            return None
-        present = self._store._present[: self.n_slots]
-        return present.reshape(geo.n_banks, self.bank_slots).sum(axis=1)
-
-    def export_bank(self, bank: int) -> dict:
-        """Extract-and-clear one bank: a contiguous plane slice, vectorized."""
-        geo = self._require_geometry()
-        if not (0 <= bank < geo.n_banks):
-            raise ValueError(f"bank {bank} out of range [0, {geo.n_banks})")
-        base = bank * self.bank_slots
-        present = self._store._present[base : base + self.bank_slots]
-        local = np.flatnonzero(present).astype(np.int64)
-        keys = base + local
-        payload = slots_payload(
-            bank,
-            self.bank_slots,
-            local,
-            self._store._loc[keys],
-            self._store._var[keys],
-            self._store._tid[keys],
-            self._store._ts[keys],
-            self._addrs[keys],
-        )
-        self._store.clear_keys(keys)
-        return payload
-
-    def import_bank(self, payload: dict) -> None:
-        """Merge a bank payload, newest access winning per slot."""
-        geo = self._require_geometry()
-        if payload["format"] != "slots":
-            raise ValueError(
-                f"{type(self).__name__} imports slots-format bank payloads, "
-                f"got {payload['format']!r}"
-            )
-        if int(payload["bank_slots"]) != self.bank_slots:
-            raise ValueError(
-                f"bank payload has {payload['bank_slots']} slots/bank, "
-                f"this tracker has {self.bank_slots}"
-            )
-        bank = int(payload["bank"])
-        if not (0 <= bank < geo.n_banks):
-            raise ValueError(f"bank {bank} out of range [0, {geo.n_banks})")
-        keys = bank * self.bank_slots + payload["slot"]
-        present, _, _, _, ts = self._store.gather(keys)
-        win = ~present | (ts < payload["ts"])
-        if not win.any():
-            return
-        keep = keys[win]
-        self._store.set_rows(
-            keep,
-            payload["loc"][win],
-            payload["var"][win],
-            payload["tid"][win],
-            payload["ts"][win],
-        )
-        if payload["addr"] is not None:
-            self._addrs[keep] = payload["addr"][win]
-
 
 class DenseKeySpace:
     """Address -> dense-key mapping shared by one worker's plane pair.
@@ -439,18 +354,10 @@ class DensePlaneTracker(AccessTracker):
     Equivalent to :class:`~repro.sigmem.PerfectSignature`; memory accounting
     follows the same ~88-bytes-per-live-entry model so cost/memory reports
     stay comparable with the reference engine's.
-
-    Dense keys have no bank structure, so a ``geometry`` enables the
-    *generic* record-format bank protocol from the base class: exports are
-    exact per-address payloads recovered through the key space's inverse
-    map, imports re-insert newest-wins.
     """
 
-    def __init__(
-        self, space: DenseKeySpace, geometry: BankGeometry | None = None
-    ) -> None:
+    def __init__(self, space: DenseKeySpace) -> None:
         self.space = space
-        self.bank_geometry = geometry
         self._store = _PlaneStore(16)
 
     # -- batch ops ---------------------------------------------------------

@@ -16,12 +16,11 @@ semantics or the collision behaviour.
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from repro.obs.metrics import Counter
-from repro.sigmem.banks import BankGeometry, records_payload, slots_payload
 from repro.sigmem.hashing import hash_address, hash_addresses
 
 #: Marks an empty slot in the ``loc`` plane.
@@ -38,19 +37,7 @@ class AccessRecord(NamedTuple):
 
 
 class AccessTracker(abc.ABC):
-    """Protocol shared by signatures, shadow memory, and hash tables.
-
-    When constructed with a :class:`~repro.sigmem.banks.BankGeometry` the
-    tracker additionally speaks the *bank protocol*: per-bank occupancy
-    accounting (:meth:`bank_occupancy`) and bank-granularity state
-    migration (:meth:`export_bank` / :meth:`import_bank`), which is what
-    lets the load balancer move a hot address range between workers with
-    its signature state instead of dropping it.
-    """
-
-    #: Bank geometry, or ``None`` for a classic unbanked tracker.  Set by
-    #: subclasses that accept a ``geometry`` argument.
-    bank_geometry: BankGeometry | None = None
+    """Protocol shared by signatures, shadow memory, and hash tables."""
 
     @abc.abstractmethod
     def insert(self, addr: int, record: AccessRecord) -> None:
@@ -100,90 +87,6 @@ class AccessTracker(abc.ABC):
         conflict tracking is on."""
         return False
 
-    # -- bank protocol (sharded signature memory) ---------------------------
-    def _require_geometry(self) -> BankGeometry:
-        geo = self.bank_geometry
-        if geo is None:
-            raise ValueError(
-                f"{type(self).__name__} was built without a BankGeometry; "
-                "bank operations need config.signature_banks > 0"
-            )
-        return geo
-
-    def bank_occupancy(self) -> np.ndarray | None:
-        """Live-entry count per bank (length ``n_banks``).
-
-        ``None`` when the tracker is unbanked or cannot attribute its
-        entries to owner addresses.  The generic implementation bins
-        :meth:`occupied_addrs`; slot-backed trackers override with a direct
-        per-bank slot count.
-        """
-        geo = self.bank_geometry
-        if geo is None:
-            return None
-        addrs = self.occupied_addrs()
-        if addrs is None:
-            return None
-        a = np.asarray(addrs, dtype=np.int64)
-        return np.bincount(geo.banks_of(a), minlength=geo.n_banks)
-
-    def export_bank(self, bank: int) -> dict[str, Any]:
-        """Extract *and clear* this tracker's state for one bank.
-
-        Generic record-format implementation for exact trackers (perfect
-        signature, dense planes, chained hash table): every live address of
-        the bank leaves with its full payload, so migration is lossless.
-        Slot-backed lossy trackers override with a slots-format export.
-        """
-        geo = self._require_geometry()
-        addrs = self.occupied_addrs()
-        if addrs is None:
-            raise ValueError(
-                f"{type(self).__name__} cannot export banks: owner addresses "
-                "are unknown"
-            )
-        a = np.asarray(addrs, dtype=np.int64)
-        sel = a[geo.banks_of(a) == bank]
-        n = len(sel)
-        loc = np.empty(n, dtype=np.int64)
-        var = np.empty(n, dtype=np.int64)
-        tid = np.empty(n, dtype=np.int64)
-        ts = np.empty(n, dtype=np.int64)
-        for j, addr in enumerate(sel.tolist()):
-            rec = self.lookup(addr)
-            assert rec is not None  # it came from occupied_addrs
-            loc[j], var[j], tid[j], ts[j] = rec
-            self.remove(addr)
-        return records_payload(bank, sel, loc, var, tid, ts)
-
-    def import_bank(self, payload: dict[str, Any]) -> None:
-        """Merge an exported bank into this tracker (newest access wins).
-
-        Several source workers may export the same bank (its addresses were
-        modulo-spread before the first bank rule); the per-address
-        ts-compare keeps exactly the record Algorithm 1 would have kept had
-        the bank lived here all along.
-        """
-        self._require_geometry()
-        if payload["format"] != "records":
-            raise ValueError(
-                f"{type(self).__name__} imports record-format bank payloads, "
-                f"got {payload['format']!r}"
-            )
-        addrs = payload["addrs"]
-        loc, var, tid, ts = (
-            payload["loc"], payload["var"], payload["tid"], payload["ts"],
-        )
-        for j, addr in enumerate(addrs.tolist()):
-            mine = self.lookup(addr)
-            if mine is None or mine.ts < int(ts[j]):
-                self.insert(
-                    addr,
-                    AccessRecord(
-                        int(loc[j]), int(var[j]), int(tid[j]), int(ts[j])
-                    ),
-                )
-
 
 #: Accounted bytes per slot: the paper's slots store a packed record (we
 #: account the full loc+var+tid+ts payload: 4+4+4+8).
@@ -203,13 +106,6 @@ class ArraySignature(AccessTracker):
     Removal may evict an unrelated address that shares the slot — an
     accepted imprecision of single-hash signatures that variable-lifetime
     analysis tolerates (it only ever *reduces* stale state).
-
-    With a ``geometry`` the slot array is sharded into per-address-range
-    banks: an address hashes *within its bank's slot range* (``bank *
-    bank_slots + h(addr) % bank_slots``), so a bank's state is exactly one
-    contiguous slot slice — exportable and importable wholesale during load
-    balancing.  Banking implies the owner-address plane (per-bank fill and
-    eviction accounting need it).
     """
 
     def __init__(
@@ -219,17 +115,10 @@ class ArraySignature(AccessTracker):
         eviction_counter: "Counter | None" = None,
         track_conflicts: bool = False,
         conflict_heat: "Callable[[int], None] | None" = None,
-        geometry: BankGeometry | None = None,
     ) -> None:
         if n_slots <= 0:
             raise ValueError("n_slots must be positive")
-        self.bank_geometry = geometry
-        self.bank_slots = (
-            geometry.bank_slots(n_slots) if geometry is not None else 0
-        )
-        self.n_slots = (
-            geometry.round_slots(n_slots) if geometry is not None else int(n_slots)
-        )
+        self.n_slots = int(n_slots)
         self.salt = int(salt)
         self._slots: list[AccessRecord | None] = [None] * self.n_slots
         # Occupancy is maintained incrementally so fill gauges are O(1) to
@@ -249,33 +138,18 @@ class ArraySignature(AccessTracker):
             eviction_counter is not None
             or track_conflicts
             or conflict_heat is not None
-            or geometry is not None
         )
         self._slot_addrs: list[int] | None = [0] * self.n_slots if track else None
         #: Slots that ever had a colliding overwrite; provenance consults
         #: this to flag dependences built from a contested slot.
         self._evicted_slots: set[int] | None = set() if track else None
-        #: Per-bank hash-conflict eviction counts (banked mode only).
-        self._bank_evictions: np.ndarray | None = (
-            np.zeros(geometry.n_banks, dtype=np.int64)
-            if geometry is not None
-            else None
-        )
 
     # -- core ops ---------------------------------------------------------
     def slot_of(self, addr: int) -> int:
-        if self.bank_geometry is None:
-            return hash_address(addr, self.n_slots, self.salt)
-        bank = self.bank_geometry.bank_of(addr)
-        return bank * self.bank_slots + hash_address(addr, self.bank_slots, self.salt)
+        return hash_address(addr, self.n_slots, self.salt)
 
     def slots_of(self, addrs: np.ndarray) -> np.ndarray:
-        if self.bank_geometry is None:
-            return hash_addresses(addrs, self.n_slots, self.salt)
-        banks = self.bank_geometry.banks_of(addrs)
-        return banks * self.bank_slots + hash_addresses(
-            addrs, self.bank_slots, self.salt
-        )
+        return hash_addresses(addrs, self.n_slots, self.salt)
 
     def insert(self, addr: int, record: AccessRecord) -> None:
         i = self.slot_of(addr)
@@ -288,8 +162,6 @@ class ArraySignature(AccessTracker):
                 self.eviction_counter.inc()
             if self.conflict_heat is not None:
                 self.conflict_heat(addr)
-            if self._bank_evictions is not None:
-                self._bank_evictions[i // self.bank_slots] += 1
         if self._slot_addrs is not None:
             self._slot_addrs[i] = addr
         slots[i] = record
@@ -335,131 +207,6 @@ class ArraySignature(AccessTracker):
         if self._slots[i] is not None and self._slot_addrs[i] != addr:
             return True
         return i in self._evicted_slots  # type: ignore[operator]
-
-    # -- bank protocol ------------------------------------------------------
-    def bank_occupancy(self) -> np.ndarray | None:
-        geo = self.bank_geometry
-        if geo is None:
-            return None
-        present = np.fromiter(
-            (r is not None for r in self._slots), dtype=bool, count=self.n_slots
-        )
-        return present.reshape(geo.n_banks, self.bank_slots).sum(axis=1)
-
-    def bank_evictions(self) -> np.ndarray | None:
-        """Cumulative hash-conflict evictions per bank (banked mode only)."""
-        if self._bank_evictions is None:
-            return None
-        return self._bank_evictions.copy()
-
-    def export_bank(self, bank: int) -> dict[str, Any]:
-        """Extract-and-clear one bank as its contiguous slot slice.
-
-        The payload carries *bank-local* slot indices plus the owner-address
-        plane, so any same-geometry signature (scalar or plane-backed) can
-        rebase it onto its own bank origin.
-        """
-        geo = self._require_geometry()
-        if not (0 <= bank < geo.n_banks):
-            raise ValueError(f"bank {bank} out of range [0, {geo.n_banks})")
-        base = bank * self.bank_slots
-        slots = self._slots
-        owners = self._slot_addrs
-        assert owners is not None  # banking implies the owner plane
-        local: list[int] = []
-        loc: list[int] = []
-        var: list[int] = []
-        tid: list[int] = []
-        ts: list[int] = []
-        addr: list[int] = []
-        for j in range(self.bank_slots):
-            r = slots[base + j]
-            if r is None:
-                continue
-            local.append(j)
-            loc.append(r.loc)
-            var.append(r.var)
-            tid.append(r.tid)
-            ts.append(r.ts)
-            addr.append(owners[base + j])
-            slots[base + j] = None
-            self._filled -= 1
-        return slots_payload(
-            bank,
-            self.bank_slots,
-            np.asarray(local, dtype=np.int64),
-            np.asarray(loc, dtype=np.int64),
-            np.asarray(var, dtype=np.int64),
-            np.asarray(tid, dtype=np.int64),
-            np.asarray(ts, dtype=np.int64),
-            np.asarray(addr, dtype=np.int64),
-        )
-
-    def import_bank(self, payload: dict[str, Any]) -> None:
-        """Merge a bank payload, newest access winning per slot.
-
-        Accepts both formats: slots payloads land on the identical slot of
-        this signature (same bank geometry + salt ⇒ same hash), records
-        payloads re-insert address by address.
-        """
-        geo = self._require_geometry()
-        if payload["format"] == "records":
-            # Bypass insert() so migration merges are never counted as
-            # hash-conflict evictions.
-            addrs, loc, var, tid, ts = (
-                payload["addrs"], payload["loc"], payload["var"],
-                payload["tid"], payload["ts"],
-            )
-            for j, a in enumerate(addrs.tolist()):
-                i = self.slot_of(a)
-                mine = self._slots[i]
-                new_ts = int(ts[j])
-                if mine is None or mine.ts < new_ts:
-                    if mine is None:
-                        self._filled += 1
-                    self._slots[i] = AccessRecord(
-                        int(loc[j]), int(var[j]), int(tid[j]), new_ts
-                    )
-                    if self._slot_addrs is not None:
-                        self._slot_addrs[i] = a
-            return
-        if int(payload["bank_slots"]) != self.bank_slots:
-            raise ValueError(
-                f"bank payload has {payload['bank_slots']} slots/bank, "
-                f"this signature has {self.bank_slots}"
-            )
-        bank = int(payload["bank"])
-        if not (0 <= bank < geo.n_banks):
-            raise ValueError(f"bank {bank} out of range [0, {geo.n_banks})")
-        base = bank * self.bank_slots
-        loc, var, tid, ts = (
-            payload["loc"], payload["var"], payload["tid"], payload["ts"],
-        )
-        owners = payload["addr"]
-        for j, local in enumerate(payload["slot"].tolist()):
-            i = base + local
-            mine = self._slots[i]
-            new_ts = int(ts[j])
-            if mine is None or mine.ts < new_ts:
-                if mine is None:
-                    self._filled += 1
-                self._slots[i] = AccessRecord(
-                    int(loc[j]), int(var[j]), int(tid[j]), new_ts
-                )
-                if self._slot_addrs is not None and owners is not None:
-                    self._slot_addrs[i] = int(owners[j])
-
-    # -- slot-level access (used when migrating state between workers) ------
-    def get_slot(self, i: int) -> AccessRecord | None:
-        return self._slots[i]
-
-    def set_slot(self, i: int, record: AccessRecord | None) -> None:
-        old = self._slots[i]
-        if old is None and record is not None:
-            self._filled += 1
-        elif old is not None and record is None:
-            self._filled -= 1
-        self._slots[i] = record
 
     # -- set-style ops -------------------------------------------------------
     def occupied(self) -> int:

@@ -49,7 +49,7 @@ _ADDR_KINDS = (READ, WRITE, ALLOC, FREE)
 #: Loop markers (``addr`` = encoded site; stripped for scale runs).
 _LOOP_KINDS = (LOOP_ENTER, LOOP_ITER, LOOP_EXIT)
 
-#: Tile address windows start on this alignment (one signature-bank stripe).
+#: Tile address windows start on 4 KiB boundaries.
 _ADDR_ALIGN = 1 << 12
 
 

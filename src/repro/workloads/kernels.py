@@ -12,9 +12,8 @@ kernel               carried dependences
 ===================  ========================================================
 init / fill / copy   none — parallelizable
 axpy / scale         none — parallelizable
-sum/dot reduce       same-line RAW+WAW on the accumulator — reduction
+dot reduce           same-line RAW+WAW on the accumulator — reduction
 stencil (dst!=src)   none — parallelizable
-stencil in place     RAW across iterations — blocked
 histogram_rank       RAW between distinct lines via indirection — blocked
 prefix / recurrence  RAW across iterations — blocked
 lcg_fill             none on memory (state in a register) — parallelizable
@@ -79,14 +78,6 @@ def scale(f: FunctionBuilder, y: Variable, n, alpha) -> object:
     return loop
 
 
-def sum_reduce(f: FunctionBuilder, acc: Variable, x: Variable, n) -> object:
-    """``acc += x[i]`` — a recognizable reduction."""
-    i = f.reg(f"i_sum_{acc.name}_{x.name}")
-    with f.for_loop(i, 0, n) as loop:
-        f.store(acc, None, f.load(acc) + f.load(x, i))
-    return loop
-
-
 def dot_reduce(
     f: FunctionBuilder, acc: Variable, x: Variable, y: Variable, n
 ) -> object:
@@ -106,14 +97,6 @@ def stencil3(f: FunctionBuilder, dst: Variable, src: Variable, n) -> object:
             i,
             (f.load(src, i - 1) + f.load(src, i) * 2 + f.load(src, i + 1)) / 4,
         )
-    return loop
-
-
-def stencil3_inplace(f: FunctionBuilder, a: Variable, n) -> object:
-    """Gauss-Seidel-style in-place sweep — carried RAW, blocked."""
-    i = f.reg(f"i_gsi_{a.name}")
-    with f.for_loop(i, 1, n - 1) as loop:
-        f.store(a, i, (f.load(a, i - 1) + f.load(a, i + 1)) / 2)
     return loop
 
 
@@ -150,21 +133,6 @@ def histogram_rank(
     return loop
 
 
-def histogram_accumulate(
-    f: FunctionBuilder, counts: Variable, keys: Variable, n
-) -> object:
-    """Plain histogram ``counts[keys[i]] += 1`` on one line: every carried
-    RAW on ``counts`` is a same-line self-update, so it classifies as an
-    (array) reduction — matching OpenMP's ``reduction(+:q)`` treatment in
-    NAS EP."""
-    i = f.reg(f"i_hacc_{counts.name}")
-    k = f.reg(f"k_hacc_{counts.name}")
-    with f.for_loop(i, 0, n) as loop:
-        f.set(k, f.load(keys, i))
-        f.store(counts, k, f.load(counts, k) + 1)
-    return loop
-
-
 def gather(
     f: FunctionBuilder, dst: Variable, src: Variable, index: Variable, n
 ) -> object:
@@ -173,15 +141,4 @@ def gather(
     i = f.reg(f"i_gth_{dst.name}")
     with f.for_loop(i, 0, n) as loop:
         f.store(dst, i, f.load(src, f.load(index, i)))
-    return loop
-
-
-def forward_substitution(
-    f: FunctionBuilder, x: Variable, lower: Variable, n
-) -> object:
-    """Solve a bidiagonal system in place: ``x[i] -= lower[i] * x[i-1]`` —
-    the sequential inner solve of ADI/SSOR sweeps; carried RAW, blocked."""
-    i = f.reg(f"i_fs_{x.name}")
-    with f.for_loop(i, 1, n) as loop:
-        f.store(x, i, f.load(x, i) - f.load(lower, i) * f.load(x, i - 1))
     return loop

@@ -17,7 +17,6 @@ from repro.workloads import get_trace
 CONFIGS = {
     "perfect": ProfilerConfig(perfect_signature=True),
     "slots256": ProfilerConfig(signature_slots=256),
-    "slots4096-banks8": ProfilerConfig(signature_slots=4096, signature_banks=8),
 }
 
 

@@ -209,8 +209,6 @@ class TestRebalanceAudit:
                 "round": 1,
                 "n_moves": 0,
                 "moves": [],
-                "n_bank_moves": 0,
-                "bank_moves": [],
                 "imbalance_before": 1.0,
                 "imbalance_after": 1.0,
                 "hot_load_before": [],

@@ -157,7 +157,7 @@ class TestLoadBalancing:
         _, proc = ParallelProfiler(fig5, mode="processes", window=4096).profile(
             rgbyuv
         )
-        assert [a["n_moves"] + a["n_bank_moves"] for a in det.rebalance_audit] == [0]
+        assert [a["n_moves"] for a in det.rebalance_audit] == [0]
         assert (-1, 0) not in det.chunk_log
         assert det.n_chunks == proc.n_chunks
 

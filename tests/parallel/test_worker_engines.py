@@ -4,10 +4,10 @@ Every pipeline worker runs the incremental array kernel
 (:class:`~repro.core.vectorized.ChunkKernel`); the event-at-a-time
 :class:`~repro.core.reference.ReferenceEngine` is kept as the oracle
 (:func:`tests.trace_helpers.reference_pipeline`: same routing, same
-per-worker chunks).  On every bundled program, for the perfect, the lossy
-and the banked lossy signature, the two must agree on the merged store,
-the per-type instance counts, every provenance field (suspect-FP flags
-included) and the eviction telemetry (``sigmem.evictions{worker,kind}``,
+per-worker chunks).  On every bundled program, for the perfect and the
+lossy signature, the two must agree on the merged store, the per-type
+instance counts, every provenance field (suspect-FP flags included) and
+the eviction telemetry (``sigmem.evictions{worker,kind}``,
 ``heat.conflicts``).  Provenance chunk ids are compared too: both
 transports number each worker's chunks from 0, as the oracle does.
 """
@@ -34,7 +34,6 @@ _BASE = ProfilerConfig(workers=2, chunk_size=2048)
 TRACKERS = {
     "perfect": _BASE.with_(perfect_signature=True),
     "slots": _BASE.with_(signature_slots=1 << 12),
-    "banked": _BASE.with_(signature_slots=1 << 12, signature_banks=8),
 }
 
 
@@ -158,3 +157,16 @@ def test_worker_engine_option_removed(capsys):
         main(["stats", "ep", "--worker-engine", "reference"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --worker-engine" in capsys.readouterr().err
+
+
+def test_banks_option_removed(capsys):
+    """The load balancer moves addresses, never banks: signature memory
+    has no bank layout to choose."""
+    from repro.cli import main
+
+    with pytest.raises(TypeError):
+        ProfilerConfig(signature_banks=8)
+    with pytest.raises(SystemExit) as exc:
+        main(["stats", "ep", "--banks", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --banks" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Signature planes: the dense key space against a dict model of
-address -> key, and the memory a large slot signature commits."""
+address -> key, the memory a large slot signature commits, and the slot
+planes' eviction rule against the array signature's."""
 
 import os
 
@@ -7,7 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sigmem import DenseKeySpace, DensePlaneTracker, SlotPlaneTracker
+from repro.obs.metrics import MetricsRegistry
+from repro.sigmem import (
+    ArraySignature,
+    DenseKeySpace,
+    DensePlaneTracker,
+    SlotPlaneTracker,
+)
 from repro.sigmem.signature import AccessRecord
 
 ADDRS = st.integers(0, 40).map(lambda i: 0x1000 + 8 * i)
@@ -83,3 +90,52 @@ def test_large_signature_commits_only_touched_pages():
     tracker.set_rows(keys, col, col, col, col, keys)
     assert tracker.occupied() == 64
     assert resident() - before < 16 << 20
+
+
+def fill(tracker, addrs, ts0=0):
+    for i, a in enumerate(addrs):
+        tracker.insert(a, AccessRecord(loc=100 + i, var=i, tid=0, ts=ts0 + i))
+
+
+class TestEvictionParity:
+    """The slot planes apply ArraySignature's eviction rule on their scalar
+    path too (a per-address rebalance migration inserts through it): one
+    operation sequence gives both trackers the same eviction count, the
+    same conflict-heat addresses and the same set of evicted slots."""
+
+    def test_same_sequence_same_evictions(self):
+        reg = MetricsRegistry()
+        heat = {"array": [], "slots": []}
+        sig = ArraySignature(
+            16,
+            eviction_counter=reg.counter("evictions", kind="array"),
+            conflict_heat=heat["array"].append,
+        )
+        planes = SlotPlaneTracker(
+            16,
+            eviction_counter=reg.counter("evictions", kind="slots"),
+            conflict_heat=lambda addrs: heat["slots"].extend(addrs.tolist()),
+        )
+        # Another worker's tracker, holding the addresses a round moves in.
+        source = SlotPlaneTracker(16)
+        moved = [0x1000 + 8 * i for i in range(10)]
+        fill(source, moved, ts0=1000)
+        local = [8 * i for i in range(48)]  # 48 addresses over 16 slots
+        later = [0x2000 + 8 * i for i in range(20)]
+        for t in (sig, planes):
+            fill(t, local)  # colliding inserts
+            fill(t, local[:10], ts0=100)  # owners changed by the collisions
+            t.remove(local[3])
+            fill(t, [local[3], local[19]], ts0=200)  # insert after a kill
+            t.remove_range(0, 8 * 16)
+            fill(t, local[20:30], ts0=300)
+            for a in moved:  # what Worker.migrate_in does per moved address
+                t.insert(a, source.lookup(a))
+            fill(t, later, ts0=2000)  # collide with the migrated owners
+        evictions = reg.counter("evictions", kind="array").value
+        assert evictions > 0
+        assert reg.counter("evictions", kind="slots").value == evictions
+        assert heat["slots"] == heat["array"]
+        assert np.flatnonzero(planes._evicted).tolist() == sorted(sig._evicted_slots)
+        for a in local + moved + later:
+            assert planes.lookup(a) == sig.lookup(a)

@@ -105,16 +105,6 @@ class TestArraySignatureSpecific:
             sig.insert(i * 8, REC)
         assert sig.memory_bytes == before  # bounded state, Section III-B
 
-    def test_slot_get_set_roundtrip(self):
-        sig = ArraySignature(64)
-        sig.insert(0x40, REC)
-        i = sig.slot_of(0x40)
-        assert sig.get_slot(i) == REC
-        sig.set_slot(i, None)
-        assert sig.get_slot(i) is None
-        sig.set_slot(i, REC2)
-        assert sig.lookup(0x40) == REC2
-
     def test_vectorized_slots_match_scalar(self):
         sig = ArraySignature(12345, salt=7)
         addrs = np.arange(0, 8 * 1000, 8, dtype=np.int64)

@@ -99,12 +99,11 @@ def reference_engine(cfg, n_slots=None, reg=None, w: int = 0, provenance=None):
 
     def tracker(kind):
         if cfg.perfect_signature:
-            return PerfectSignature(geometry=cfg.bank_geometry)
+            return PerfectSignature()
         return ArraySignature(
             n_slots, cfg.hash_salt,
             eviction_counter=reg.counter("sigmem.evictions", worker=w, kind=kind),
             track_conflicts=True, conflict_heat=heat.record_conflict,
-            geometry=cfg.bank_geometry,
         )
 
     return ReferenceEngine(cfg, tracker("read"), tracker("write"), provenance=provenance)
@@ -158,7 +157,7 @@ def reference_pipeline(batch: TraceBatch, cfg, window: int = 1 << 15):
         reference_engine(cfg, cfg.slots_per_worker, reg, w, ProvenanceCollector(worker=w))
         for w in range(cfg.workers)
     ]
-    amap = AddressMap(cfg.workers, bank_geometry=cfg.bank_geometry)
+    amap = AddressMap(cfg.workers)
     routes = [
         route_window(batch, s, min(s + window, len(batch)), amap)
         for s in range(0, len(batch), window)
